@@ -11,6 +11,17 @@
 //! [`Ctx::send`]; deadlines (read timeouts, paced segment transmissions)
 //! are [`Ctx::set_timer`] round trips.
 //!
+//! Writes are flushed **per dispatch, not per send**: [`Ctx::send`] only
+//! queues the chunk and marks the connection, and when the handler
+//! callback that queued returns, every marked connection is flushed once
+//! — a frame's header and payload, or all the segments of a pacing
+//! catch-up burst, leave in one `writev`. A connection is flushed early
+//! when [`MAX_GATHER_SLICES`] chunks wait on it (one `writev` could not
+//! carry more anyway), which also keeps [`Ctx::pending_write_bytes`] a
+//! measure of what the socket refused rather than of what the callback
+//! has queued so far. A connection whose socket refused bytes is not
+//! tried again until epoll reports it writable.
+//!
 //! Other threads talk to a running reactor through its cloneable
 //! [`Handle`]: registering listeners, delivering typed commands to the
 //! handler, and shutdown — all woken through a self-pipe so the epoll
@@ -190,6 +201,9 @@ struct Conn {
     /// shared `p2ps_proto::ChunkQueue`, the same type the blocking
     /// `FrameEncoder` drains through.
     wq: ChunkQueue,
+    /// Chunks queued since the last flush attempt; non-zero while the
+    /// connection sits in [`Inner::dirty`].
+    unflushed: usize,
     interest: u32,
     /// kind → sequence number of the one live timer of that kind.
     timers: HashMap<u32, u64>,
@@ -268,6 +282,9 @@ struct Inner {
     listeners: Vec<Option<(TcpListener, u64)>>,
     wheel: TimerWheel<TimerKey>,
     closing: Vec<u32>,
+    /// Connections the running handler callback queued chunks on; flushed
+    /// when it returns.
+    dirty: Vec<ConnId>,
     next_seq: u64,
     start: Instant,
     cfg: ReactorConfig,
@@ -323,6 +340,7 @@ impl Inner {
         self.conns[idx as usize] = Some(Conn {
             stream,
             wq: ChunkQueue::new(),
+            unflushed: 0,
             interest: BASE_INTEREST,
             timers: HashMap::new(),
             close_after_flush: false,
@@ -338,6 +356,28 @@ impl Inner {
             conn.closing = true;
             conn.notify = notify;
             self.closing.push(id.idx);
+        }
+    }
+
+    /// Flushes every connection the handler callback that just returned
+    /// queued chunks on.
+    fn flush_dirty(&mut self) {
+        while let Some(id) = self.dirty.pop() {
+            self.flush_unless_blocked(id);
+        }
+    }
+
+    /// [`flush`](Self::flush) of a connection with unflushed chunks,
+    /// except when its socket refused bytes last time: epoll's writable
+    /// event flushes that one.
+    fn flush_unless_blocked(&mut self, id: ConnId) {
+        let Some(conn) = self.conn_mut(id) else {
+            return;
+        };
+        // Nothing unflushed: the connection was flushed early, at the
+        // gather limit, after it was marked.
+        if std::mem::take(&mut conn.unflushed) > 0 && conn.interest & EPOLLOUT == 0 {
+            self.flush(id);
         }
     }
 
@@ -418,53 +458,35 @@ pub struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Queues one chunk on `conn`'s outbound queue and flushes
-    /// opportunistically. Chunks are written in order with vectored
-    /// writes; a `Bytes` view (e.g. a `FrameEncoder` payload chunk) is
-    /// never copied, only sliced as the socket drains it.
+    /// Queues one chunk on `conn`'s outbound queue. The queue is flushed
+    /// once when the running handler callback returns — however many
+    /// chunks it queued, on however many connections — and early whenever
+    /// [`MAX_GATHER_SLICES`] chunks wait on `conn`. Chunks are written in
+    /// order with vectored writes; a `Bytes` view (e.g. a `FrameEncoder`
+    /// payload chunk) is never copied, only sliced as the socket drains
+    /// it.
     ///
     /// Silently ignored on a stale or closing connection. A queue that
     /// overruns [`ReactorConfig::max_write_buffer`] closes the connection
     /// (the handler sees `on_close`).
     pub fn send(&mut self, conn: ConnId, chunk: Bytes) {
-        if self.enqueue(conn, chunk) {
-            self.inner.flush(conn);
-        }
-    }
-
-    /// Like [`send`](Self::send) for a multi-chunk frame: every chunk is
-    /// queued before the one opportunistic flush, so a frame header and
-    /// its payload leave in a single `writev` (one syscall, one packet on
-    /// a `TCP_NODELAY` socket) instead of one flush per chunk.
-    pub fn send_all<I: IntoIterator<Item = Bytes>>(&mut self, conn: ConnId, chunks: I) {
-        let mut queued = false;
-        for chunk in chunks {
-            if !self.enqueue(conn, chunk) {
-                return; // stale, closing, or overran the write buffer
-            }
-            queued = true;
-        }
-        if queued {
-            self.inner.flush(conn);
-        }
-    }
-
-    /// Appends one chunk; true when the connection is live and under its
-    /// write-buffer limit afterwards.
-    fn enqueue(&mut self, conn: ConnId, chunk: Bytes) -> bool {
         let limit = self.inner.cfg.max_write_buffer;
         let len = chunk.len();
         let Some(c) = self.inner.conn_mut(conn) else {
-            return false;
+            return;
         };
         c.wq.push(chunk);
+        c.unflushed += 1;
+        let unflushed = c.unflushed;
         let over = c.wq.pending_bytes() > limit;
         self.inner.stats.queued_write_bytes.add(len as i64);
         if over {
             self.inner.mark_closing(conn, true);
-            return false;
+        } else if unflushed >= MAX_GATHER_SLICES {
+            self.inner.flush_unless_blocked(conn);
+        } else if unflushed == 1 {
+            self.inner.dirty.push(conn);
         }
-        true
     }
 
     /// Adopts an already-connected outbound stream into the reactor: the
@@ -487,8 +509,10 @@ impl Ctx<'_> {
         self.inner.alloc(stream)
     }
 
-    /// Closes `conn` now, discarding any unsent bytes. The handler gets
-    /// no `on_close` for a close it asked for.
+    /// Closes `conn` now, discarding any unsent bytes — chunks the running
+    /// callback queued included; use
+    /// [`close_after_flush`](Self::close_after_flush) to say goodbye
+    /// first. The handler gets no `on_close` for a close it asked for.
     pub fn close(&mut self, conn: ConnId) {
         if let Some(c) = self.inner.conn_mut(conn) {
             let discarded = c.wq.pending_bytes();
@@ -548,7 +572,9 @@ impl Ctx<'_> {
     }
 
     /// Bytes queued but not yet accepted by `conn`'s socket — the
-    /// backpressure signal for pacing decisions.
+    /// backpressure signal for pacing decisions. Beyond what the socket
+    /// refused it counts at most the [`MAX_GATHER_SLICES`]` - 1` chunks
+    /// the running callback queued since the last flush.
     pub fn pending_write_bytes(&self, conn: ConnId) -> usize {
         if !self.inner.valid(conn) {
             return 0;
@@ -648,6 +674,7 @@ impl<C: Send + 'static> Reactor<C> {
                 listeners: Vec::new(),
                 wheel: TimerWheel::new(cfg.tick_ms, cfg.wheel_slots),
                 closing: Vec::new(),
+                dirty: Vec::new(),
                 next_seq: 0,
                 start: Instant::now(),
                 cfg,
@@ -721,6 +748,18 @@ impl<C: Send + 'static> Reactor<C> {
         Ok(())
     }
 
+    /// Runs one handler callback, then flushes every connection it queued
+    /// chunks on — the only way a callback is invoked.
+    fn dispatch<H>(&mut self, handler: &mut H, call: impl FnOnce(&mut H, &mut Ctx<'_>)) {
+        call(
+            handler,
+            &mut Ctx {
+                inner: &mut self.inner,
+            },
+        );
+        self.inner.flush_dirty();
+    }
+
     fn drain_waker(&mut self) {
         let mut buf = [0u8; 256];
         loop {
@@ -773,10 +812,7 @@ impl<C: Send + 'static> Reactor<C> {
                 }
                 Control::User(cmd) => {
                     self.inner.stats.commands.incr();
-                    let mut ctx = Ctx {
-                        inner: &mut self.inner,
-                    };
-                    handler.on_command(&mut ctx, cmd);
+                    self.dispatch(handler, |h, ctx| h.on_command(ctx, cmd));
                 }
             }
         }
@@ -796,10 +832,7 @@ impl<C: Send + 'static> Reactor<C> {
                         continue;
                     };
                     self.inner.stats.accepts.incr();
-                    let mut ctx = Ctx {
-                        inner: &mut self.inner,
-                    };
-                    handler.on_accept(&mut ctx, id, tag);
+                    self.dispatch(handler, |h, ctx| h.on_accept(ctx, id, tag));
                 }
                 (Err(e), _) if e.kind() == io::ErrorKind::WouldBlock => return,
                 (Err(e), _) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -831,10 +864,7 @@ impl<C: Send + 'static> Reactor<C> {
                 }
                 Ok(n) => {
                     self.inner.stats.bytes_read.add(n as u64);
-                    let mut ctx = Ctx {
-                        inner: &mut self.inner,
-                    };
-                    handler.on_data(&mut ctx, id, &scratch[..n]);
+                    self.dispatch(handler, |h, ctx| h.on_data(ctx, id, &scratch[..n]));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -861,10 +891,7 @@ impl<C: Send + 'static> Reactor<C> {
         }
         conn.timers.remove(&key.kind);
         self.inner.stats.timer_fires.incr();
-        let mut ctx = Ctx {
-            inner: &mut self.inner,
-        };
-        handler.on_timer(&mut ctx, id, key.kind);
+        self.dispatch(handler, |h, ctx| h.on_timer(ctx, id, key.kind));
     }
 
     fn sweep_closed<H: Handler<Cmd = C>>(&mut self, handler: &mut H) {
@@ -886,10 +913,7 @@ impl<C: Send + 'static> Reactor<C> {
                 .add(-(conn.wq.pending_bytes() as i64));
             drop(conn); // closes the socket
             if notify {
-                let mut ctx = Ctx {
-                    inner: &mut self.inner,
-                };
-                handler.on_close(&mut ctx, ConnId { idx, gen });
+                self.dispatch(handler, |h, ctx| h.on_close(ctx, ConnId { idx, gen }));
             }
         }
     }

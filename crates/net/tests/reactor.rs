@@ -7,7 +7,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use p2ps_monitor::Monitor;
 use p2ps_net::{ConnId, Ctx, Handler, Reactor, ReactorConfig};
+use p2ps_proto::MAX_GATHER_SLICES;
 
 /// Replies to every received chunk, closes idle connections after a read
 /// timeout, and emits a one-byte "tick" on a pacing timer.
@@ -229,4 +231,173 @@ fn listeners_can_come_and_go_at_runtime() {
     assert!(refused, "removed listener keeps accepting");
     handle.shutdown();
     thread.join().unwrap().unwrap();
+}
+
+/// Answers each request in ONE `on_data` callback with as many `send`s
+/// as the request asks for: `[b's', n]` queues `n` one-byte chunks,
+/// `[b'c', n]` queues `n` chunks of 64 KiB and then closes after flush,
+/// `[b'o']` queues 1 KiB chunks until the write buffer overruns.
+struct BurstHandler {
+    closed: Arc<AtomicUsize>,
+}
+
+const BIG_CHUNK: usize = 64 * 1024;
+
+impl Handler for BurstHandler {
+    type Cmd = ();
+
+    fn on_command(&mut self, _: &mut Ctx<'_>, (): ()) {}
+    fn on_accept(&mut self, _: &mut Ctx<'_>, _: ConnId, _: u64) {}
+    fn on_timer(&mut self, _: &mut Ctx<'_>, _: ConnId, _: u32) {}
+
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
+        match *data {
+            [b's', n] => {
+                for i in 0..n {
+                    ctx.send(conn, Bytes::from(vec![i]));
+                }
+            }
+            [b'c', n] => {
+                for i in 0..n {
+                    ctx.send(conn, Bytes::from(vec![i; BIG_CHUNK]));
+                }
+                ctx.close_after_flush(conn);
+            }
+            [b'o'] => {
+                for _ in 0..64 {
+                    ctx.send(conn, Bytes::from(vec![0u8; 1024]));
+                }
+            }
+            _ => unreachable!("unknown request {data:?}"),
+        }
+    }
+
+    fn on_close(&mut self, _: &mut Ctx<'_>, _: ConnId) {
+        self.closed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+struct Burst {
+    addr: std::net::SocketAddr,
+    handle: p2ps_net::Handle<()>,
+    thread: std::thread::JoinHandle<std::io::Result<()>>,
+    closed: Arc<AtomicUsize>,
+    monitor: Monitor,
+}
+
+impl Burst {
+    fn start(max_write_buffer: usize) -> Burst {
+        let monitor = Monitor::root();
+        let (reactor, handle) = Reactor::new(ReactorConfig {
+            max_write_buffer,
+            monitor: monitor.clone(),
+            ..ReactorConfig::default()
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        handle.add_listener(listener, 0).unwrap();
+        let closed = Arc::new(AtomicUsize::new(0));
+        let closed2 = Arc::clone(&closed);
+        let thread = std::thread::spawn(move || reactor.run(&mut BurstHandler { closed: closed2 }));
+        Burst {
+            addr,
+            handle,
+            thread,
+            closed,
+            monitor,
+        }
+    }
+
+    fn connect(&self) -> TcpStream {
+        let c = TcpStream::connect(self.addr).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        c
+    }
+
+    /// This reactor's own `writev` count — what `sys::syscall_counts`
+    /// totals over every reactor of the process, which here includes the
+    /// sibling tests' reactors.
+    fn writevs(&self) -> i64 {
+        let snap = self.monitor.snapshot();
+        let writevs = snap.find(&[], "syscalls_writev_total");
+        writevs.expect("registered").value().as_i64()
+    }
+
+    fn stop(self) {
+        self.handle.shutdown();
+        self.thread.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn sends_of_one_callback_leave_in_one_writev() {
+    let burst = Burst::start(1 << 20);
+    let mut c = burst.connect();
+    // Under the gather limit: one flush when the callback returns. Past
+    // it: one early flush at the limit, one for the rest.
+    for (sends, writevs) in [
+        (1, 1),
+        (MAX_GATHER_SLICES - 1, 1),
+        (MAX_GATHER_SLICES + 10, 2),
+    ] {
+        let before = burst.writevs();
+        c.write_all(&[b's', sends as u8]).unwrap();
+        let mut got = vec![0u8; sends];
+        c.read_exact(&mut got).unwrap();
+        let expected: Vec<u8> = (0..sends as u8).collect();
+        assert_eq!(got, expected, "{sends} sends: bytes in order");
+        assert_eq!(
+            burst.writevs() - before,
+            writevs,
+            "{sends} sends in one callback"
+        );
+    }
+    burst.stop();
+}
+
+#[test]
+fn close_after_flush_right_after_queued_sends_delivers_every_byte() {
+    // 6 MiB queued in one callback and closed in the same breath: far
+    // more than a loopback socket takes at once, so the close has to
+    // wait out several writable events.
+    const CHUNKS: u8 = 96;
+    let burst = Burst::start(64 << 20);
+    let mut c = burst.connect();
+    c.write_all(&[b'c', CHUNKS]).unwrap();
+    std::thread::sleep(Duration::from_millis(50)); // let the socket fill
+    let mut all = Vec::new();
+    c.read_to_end(&mut all).unwrap();
+    assert_eq!(all.len(), CHUNKS as usize * BIG_CHUNK);
+    for (i, chunk) in all.chunks(BIG_CHUNK).enumerate() {
+        assert!(chunk.iter().all(|b| *b == i as u8), "chunk {i} intact");
+    }
+    assert_eq!(
+        burst.closed.load(Ordering::Relaxed),
+        0,
+        "a close the handler asked for is not reported back"
+    );
+    burst.stop();
+}
+
+#[test]
+fn overrunning_the_write_buffer_inside_one_callback_closes_with_on_close() {
+    let burst = Burst::start(16 * 1024);
+    let mut c = burst.connect();
+    c.write_all(b"o").unwrap();
+    // The connection is dropped, not drained: EOF (or a reset) well
+    // short of the 64 KiB the callback tried to queue.
+    let mut all = Vec::new();
+    let _ = c.read_to_end(&mut all);
+    assert!(all.len() <= 16 * 1024, "{} bytes got through", all.len());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while burst.closed.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        burst.closed.load(Ordering::Relaxed),
+        1,
+        "on_close delivered"
+    );
+    burst.stop();
 }

@@ -526,10 +526,13 @@ impl PendingStream {
     /// [`NodeError::Protocol`] if the reactor shut down underneath the
     /// session.
     pub fn wait(self) -> Result<StreamOutcome, NodeError> {
+        // The reactor hands the finished session over as it stands;
+        // turning it into the outcome and the store is this thread's work.
         let (outcome, store) = self
             .rx
             .recv()
-            .map_err(|_| NodeError::Protocol("reactor shut down mid-session".into()))??;
+            .map_err(|_| NodeError::Protocol("reactor shut down mid-session".into()))??
+            .into_outcome();
         let file = MediaFile::from_store(self.info.clone(), &store).ok_or(
             NodeError::IncompleteStream {
                 received: store.len() as u64,

@@ -35,7 +35,9 @@ use crate::serve::send;
 use crate::{DriverStep, NodeError, SessionDriver, StreamOutcome};
 
 /// A supplier that goes quiet for this long mid-stream is treated as
-/// departed (read timer on the reactor wheel, re-armed on every frame).
+/// departed. One read timer per lane sits on the reactor wheel: inbound
+/// bytes only move the lane's `last_ms`, and the timer, when it fires,
+/// re-arms itself for what is left of the quiet period.
 const STREAM_READ_TIMEOUT_MS: u64 = 30_000;
 
 /// The requester-side read-progress timer kind.
@@ -125,9 +127,10 @@ impl SessionProbe {
         self.sync(sm);
     }
 
-    /// A segment arrived: refresh every per-session row. Also the stall
-    /// *recovery* path — the state write moves a `stalled` session back
-    /// to its live phase.
+    /// Segments arrived: refresh every per-session row, once per read
+    /// burst however many segments it carried. Also the stall *recovery*
+    /// path — the state write moves a `stalled` session back to its live
+    /// phase.
     fn progress(&self, sm: &RequesterSession, payload_bytes: u64) {
         self.bytes_received.add(payload_bytes);
         self.last_progress_ms.set(monotonic_ms() as i64);
@@ -151,7 +154,48 @@ fn record(events: &Recorder, ev: SessionEvent) {
 }
 
 /// What a finished reactor-hosted session delivers back to the caller.
-pub(crate) type SessionResult = Result<(StreamOutcome, SegmentStore), NodeError>;
+pub(crate) type SessionResult = Result<FinishedSession, NodeError>;
+
+/// A completed session as the reactor left it: the reassembly machine
+/// with every payload and arrival time, plus what the outcome report
+/// needs. The reactor only moves it into the result channel;
+/// [`into_outcome`](Self::into_outcome) — building the store and
+/// replaying the arrivals through a `PlaybackBuffer` — runs on the thread
+/// that waits for the session.
+pub(crate) struct FinishedSession {
+    info: MediaInfo,
+    machine: RequesterSession,
+    supplier_classes: Vec<PeerClass>,
+    theoretical_delay_ms: u64,
+    /// Reactor time from launch to the last segment.
+    duration_ms: u64,
+}
+
+impl FinishedSession {
+    /// Builds the outcome + store.
+    pub(crate) fn into_outcome(self) -> (StreamOutcome, SegmentStore) {
+        let total = self.machine.total_segments();
+        let mut store = SegmentStore::new(total);
+        let mut buffer = PlaybackBuffer::new(total, self.info.segment_duration());
+        for (index, entry) in self.machine.into_segments().into_iter().enumerate() {
+            if let Some((payload, at_ms)) = entry {
+                buffer.record_arrival(index as u64, at_ms);
+                store.insert(Segment::new(index as u64, payload));
+            }
+        }
+        let measured = buffer
+            .min_feasible_delay_ms()
+            .expect("session completed, so did the buffer");
+        let outcome = StreamOutcome {
+            supplier_count: self.supplier_classes.len(),
+            supplier_classes: self.supplier_classes,
+            measured_delay_ms: measured,
+            theoretical_delay_ms: self.theoretical_delay_ms,
+            duration_ms: self.duration_ms,
+        };
+        (outcome, store)
+    }
+}
 
 /// One granted supplier ready for session launch: its already-adopted
 /// connection and the wire plan the reactor will send as `StartSession`.
@@ -381,28 +425,44 @@ impl ReqSessions {
         };
         rc.last_ms = ctx.now_ms();
         rc.dec.feed(data);
-        loop {
+        // Payload bytes of the segments this burst delivered; `Some` once
+        // one arrived. The probe's gauges are published once per burst.
+        let mut burst_bytes = None;
+        let flow = loop {
             match rc.dec.poll() {
-                Ok(Some(msg)) => match self.on_message(ctx, conn, &rc, msg) {
+                Ok(Some(msg)) => match self.on_message(ctx, conn, &rc, msg, &mut burst_bytes) {
                     LaneFlow::Keep => {}
-                    LaneFlow::Settled => return, // conn closed, maps updated
+                    LaneFlow::Settled => break LaneFlow::Settled,
                 },
-                Ok(None) => break,
+                Ok(None) => break LaneFlow::Keep,
                 Err(_) => {
                     // Corrupt stream: a structured per-supplier failure,
                     // not a session abort.
                     self.close_lane_conn(ctx, &rc, conn);
                     self.fail_lane(ctx, rc.session, rc.lane);
-                    return;
+                    break LaneFlow::Settled;
                 }
             }
+        };
+        if let (Some(bytes), Some(sess)) = (burst_bytes, self.sessions.get(&rc.session)) {
+            sess.probe.progress(sess.driver.machine(), bytes);
         }
-        ctx.set_timer(conn, K_REQ_READ, STREAM_READ_TIMEOUT_MS);
-        self.conns.insert(conn, rc);
+        if matches!(flow, LaneFlow::Keep) {
+            self.conns.insert(conn, rc);
+        }
     }
 
-    /// A requester-side timer fired: the supplier went quiet.
+    /// The lane's read timer fired: the supplier went quiet, unless bytes
+    /// arrived since the timer was armed — then it waits out the rest.
     pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _kind: u32) {
+        let Some(rc) = self.conns.get(&conn) else {
+            return;
+        };
+        let quiet_ms = ctx.now_ms().saturating_sub(rc.last_ms);
+        if quiet_ms < STREAM_READ_TIMEOUT_MS {
+            ctx.set_timer(conn, K_REQ_READ, STREAM_READ_TIMEOUT_MS - quiet_ms);
+            return;
+        }
         let Some(rc) = self.conns.remove(&conn) else {
             return;
         };
@@ -427,6 +487,7 @@ impl ReqSessions {
         conn: ConnId,
         rc: &ReqConn,
         msg: Message,
+        burst_bytes: &mut Option<u64>,
     ) -> LaneFlow {
         let Some(sess) = self.sessions.get_mut(&rc.session) else {
             ctx.close(conn);
@@ -439,7 +500,7 @@ impl ReqSessions {
                 payload,
             } if session == rc.session => {
                 let at = ctx.now_ms().saturating_sub(sess.start_ms);
-                let payload_bytes = payload.len() as u64;
+                *burst_bytes.get_or_insert(0) += payload.len() as u64;
                 let step = sess.driver.on_segment(rc.lane, index, payload, at);
                 // Real progress pays back the recovery budget.
                 sess.recovery_attempts = 0;
@@ -447,7 +508,6 @@ impl ReqSessions {
                     lane: rc.lane as u64,
                     index,
                 });
-                sess.probe.progress(sess.driver.machine(), payload_bytes);
                 if matches!(step, DriverStep::Complete) {
                     self.finish(ctx, rc.session, None);
                     return LaneFlow::Settled;
@@ -628,45 +688,29 @@ impl ReqSessions {
             self.conns.remove(&conn);
             ctx.close(conn);
         }
-        let done = sess.done.clone();
-        if err.is_none() {
-            sess.probe.record(SessionEvent::Completed {
-                received: sess.driver.machine().received(),
-            });
-        }
         let result = match err {
             Some(e) => Err(e),
-            None => Ok(Self::complete(sess, ctx.now_ms())),
+            None => {
+                sess.probe.record(SessionEvent::Completed {
+                    received: sess.driver.machine().received(),
+                });
+                let theoretical_delay_ms = sess.theoretical_slots * sess.driver.dt_ms();
+                let (machine, supplier_classes) = sess.driver.into_parts();
+                Ok(FinishedSession {
+                    info: sess.info,
+                    machine,
+                    supplier_classes,
+                    theoretical_delay_ms,
+                    duration_ms: ctx.now_ms().saturating_sub(sess.start_ms),
+                })
+            }
         };
+        // The session's scope leaves the monitor tree before the caller
+        // can learn the outcome and look.
+        drop(sess.probe);
         // The caller may have given up (dropped the receiver); that is
         // its prerogative, not an error here.
-        let _ = done.send(result);
-    }
-
-    /// Builds the outcome + store for a completed session.
-    fn complete(sess: ReqSession, now_ms: u64) -> (StreamOutcome, SegmentStore) {
-        let dt_ms = sess.driver.dt_ms();
-        let (sm, classes) = sess.driver.into_parts();
-        let total = sm.total_segments();
-        let mut store = SegmentStore::new(total);
-        let mut buffer = PlaybackBuffer::new(total, sess.info.segment_duration());
-        for (index, entry) in sm.into_segments().into_iter().enumerate() {
-            if let Some((payload, at_ms)) = entry {
-                buffer.record_arrival(index as u64, at_ms);
-                store.insert(Segment::new(index as u64, payload));
-            }
-        }
-        let measured = buffer
-            .min_feasible_delay_ms()
-            .expect("session completed, so did the buffer");
-        let outcome = StreamOutcome {
-            supplier_count: classes.len(),
-            supplier_classes: classes,
-            measured_delay_ms: measured,
-            theoretical_delay_ms: sess.theoretical_slots * dt_ms,
-            duration_ms: now_ms.saturating_sub(sess.start_ms),
-        };
-        (outcome, store)
+        let _ = sess.done.send(result);
     }
 }
 
@@ -677,4 +721,45 @@ enum LaneFlow {
     /// The connection's lane settled (ended, failed, or session over);
     /// maps are already updated and the conn must not be re-inserted.
     Settled,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use p2ps_core::assignment::SegmentDuration;
+
+    /// The outcome is a pure function of what the reactor recorded,
+    /// whichever thread builds it.
+    #[test]
+    fn a_finished_session_turns_into_the_outcome_the_reactor_measured() {
+        let info = MediaInfo::new("clip", 4, SegmentDuration::from_millis(10), 3);
+        let mut machine = RequesterSession::new(4);
+        machine.add_supplier([0, 2]);
+        machine.add_supplier([1, 3]);
+        // Arrival minus play-out offset s·δt: 12, 15, 11, 18 → 18 ms.
+        for (lane, index, at_ms) in [(0, 0, 12), (1, 1, 25), (0, 2, 31), (1, 3, 48)] {
+            machine.on_segment(lane, index, Bytes::from(vec![index as u8; 3]), at_ms);
+        }
+        let classes = vec![PeerClass::new(2).unwrap(), PeerClass::new(2).unwrap()];
+        let finished = FinishedSession {
+            info,
+            machine,
+            supplier_classes: classes.clone(),
+            theoretical_delay_ms: 20,
+            duration_ms: 48,
+        };
+        let (outcome, store) = finished.into_outcome();
+        assert_eq!(
+            outcome,
+            StreamOutcome {
+                supplier_count: 2,
+                supplier_classes: classes,
+                measured_delay_ms: 18,
+                theoretical_delay_ms: 20,
+                duration_ms: 48,
+            }
+        );
+        assert_eq!(store.len(), 4);
+    }
 }

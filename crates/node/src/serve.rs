@@ -84,8 +84,12 @@ enum Phase {
     AwaitRequest,
     /// Grant sent; a `StartSession` must confirm within the grant TTL.
     AwaitStart { session: u64 },
-    /// Busy denial sent; absorbing `Reminder`s until the peer hangs up.
-    Reminders,
+    /// Busy denial sent; absorbing `Reminder`s until the peer hangs up or
+    /// stays quiet for the grant TTL past `heard_ms` (reactor time of the
+    /// denial or of the last reminder). One `K_READ` timer stays armed:
+    /// a reminder only moves `heard_ms`, and the timer re-arms itself for
+    /// the remainder when it fires.
+    Reminders { heard_ms: u64 },
     /// Boxed: the stream state dwarfs the handshake phases.
     Streaming(Box<StreamState>),
 }
@@ -200,9 +204,12 @@ pub(crate) fn recovery_counters(root: &Monitor) -> (Counter, Counter) {
 /// call site can truncate a payload-bearing message.
 pub(crate) fn send(ctx: &mut Ctx<'_>, conn: ConnId, msg: &Message) {
     let (head, payload) = FrameEncoder::frame(msg);
-    // Both chunks queue before the one flush: header + payload leave in
-    // a single writev, the same syscall shape as the blocking path.
-    ctx.send_all(conn, std::iter::once(head).chain(payload));
+    // Both chunks — and every other frame this callback queues — leave in
+    // the one writev the reactor issues when the callback returns.
+    ctx.send(conn, head);
+    if let Some(payload) = payload {
+        ctx.send(conn, payload);
+    }
 }
 
 impl NodeServeHandler {
@@ -294,7 +301,9 @@ impl NodeServeHandler {
                                 favored,
                             },
                         );
-                        st.phase = Phase::Reminders;
+                        st.phase = Phase::Reminders {
+                            heard_ms: ctx.now_ms(),
+                        };
                         ctx.set_timer(conn, K_READ, GRANT_TTL_MS);
                         Flow::Keep
                     }
@@ -322,12 +331,12 @@ impl NodeServeHandler {
                 st.shared.admission.lock().reserved_at = None;
                 Flow::CloseNow
             }
-            (Phase::Reminders, Message::Reminder { class, .. }) => {
+            (Phase::Reminders { heard_ms }, Message::Reminder { class, .. }) => {
                 st.shared.admission.lock().state.leave_reminder(class);
-                ctx.set_timer(conn, K_READ, GRANT_TTL_MS);
+                *heard_ms = ctx.now_ms();
                 Flow::Keep
             }
-            (Phase::Reminders, _) => Flow::CloseNow,
+            (Phase::Reminders { .. }, _) => Flow::CloseNow,
             // Mid-stream replan: after losing another supplier the
             // requester appends an *explicit* share of the lost segments
             // to this one's schedule. Served after the running plan, at
@@ -453,7 +462,7 @@ impl NodeServeHandler {
                     .state
                     .end_session(st.shared.clock.now_ms());
             }
-            Phase::AwaitRequest | Phase::Reminders => {}
+            Phase::AwaitRequest | Phase::Reminders { .. } => {}
         }
     }
 
@@ -603,8 +612,17 @@ impl Handler for NodeServeHandler {
                 self.apply(ctx, conn, st, flow);
             }
             // K_READ (and anything unknown): the peer went quiet in a
-            // phase that expected progress.
+            // phase that expected progress — unless a reminder arrived
+            // since the timer was armed, then it waits out the rest.
             _ => {
+                if let Phase::Reminders { heard_ms } = st.phase {
+                    let quiet_ms = ctx.now_ms().saturating_sub(heard_ms);
+                    if quiet_ms < GRANT_TTL_MS {
+                        ctx.set_timer(conn, K_READ, GRANT_TTL_MS - quiet_ms);
+                        self.conns.insert(conn, st);
+                        return;
+                    }
+                }
                 self.apply(ctx, conn, st, Flow::CloseNow);
             }
         }

@@ -12,6 +12,12 @@
 //!   the schedule's length;
 //! * **concurrency** — the 64 sessions overlap: total wall time is far
 //!   below the serial sum of their paced durations.
+//!
+//! A second test runs the reactor-hosted requester side on the same
+//! shape and pins two things the reactor thread no longer does per
+//! session or per read burst: the `StreamOutcome` is assembled by the
+//! thread that calls `wait()`, from what the reactor measured, and a
+//! lane keeps ONE read timer armed however many bursts it receives.
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -19,8 +25,8 @@ use std::time::{Duration, Instant};
 use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::{PeerClass, PeerId};
 use p2ps_media::{MediaFile, MediaInfo};
-use p2ps_node::{Clock, DirectoryServer, NodeConfig, NodeReactor, PeerNode};
-use p2ps_proto::{read_message, write_message, Message, SessionPlan};
+use p2ps_node::{Clock, DirectoryServer, NodeConfig, NodeReactor, PeerNode, StreamOutcome};
+use p2ps_proto::{read_message, write_message, CandidateRecord, Message, SessionPlan};
 
 const SESSIONS: usize = 64;
 const SEGMENTS: u64 = 16;
@@ -165,4 +171,127 @@ fn run_session(session: u64, port: u16, info: &MediaInfo, reference: &MediaFile)
         "session {session} finished in {:?}, under the §3 pacing floor {floor:?}",
         start.elapsed()
     );
+}
+
+/// Sessions of the firehose test, each pinned to its own seed.
+const HOSE_SESSIONS: usize = 8;
+/// One small segment per millisecond: ~1,000 read bursts per lane.
+const HOSE_SEGMENTS: u64 = 1_024;
+/// The reactor's timer kinds per connection (read-progress and pacing).
+const TIMER_KINDS: i64 = 2;
+/// Wheel entries a connection's handshake leaves behind for a few
+/// seconds: the admission reply timer the read timer replaces, and on
+/// the supplier side the accept timer the grant timer replaces plus that
+/// grant timer, disarmed when streaming starts.
+const HANDSHAKE_LEFTOVERS: i64 = 3;
+
+#[test]
+fn outcomes_are_the_reactors_measurements_and_lanes_keep_one_read_timer() {
+    let info = MediaInfo::new(
+        "firehose",
+        HOSE_SEGMENTS,
+        SegmentDuration::from_millis(1),
+        32,
+    );
+    let reference = MediaFile::synthesize(info.clone());
+    let dir = DirectoryServer::start().unwrap();
+    let clock = Clock::new();
+    let reactor = NodeReactor::new().unwrap();
+    let spawn = |id: u64, seed: bool| {
+        let cfg = NodeConfig::new(
+            PeerId::new(id),
+            PeerClass::HIGHEST,
+            info.clone(),
+            dir.addr(),
+        );
+        if seed {
+            PeerNode::spawn_seed_on(cfg, clock.clone(), &reactor).unwrap()
+        } else {
+            PeerNode::spawn_on(cfg, clock.clone(), &reactor).unwrap()
+        }
+    };
+    let seeds: Vec<PeerNode> = (0..HOSE_SESSIONS as u64).map(|i| spawn(i, true)).collect();
+    let viewers: Vec<PeerNode> = (0..HOSE_SESSIONS as u64)
+        .map(|i| spawn(100 + i, false))
+        .collect();
+
+    let gauge = |name: &str| {
+        let snap = reactor.monitor().snapshot();
+        let metric = snap.find(&[("reactor", "0")], name);
+        metric.expect("reactor gauge").value().as_i64()
+    };
+    let started = Instant::now();
+    let pending: Vec<_> = viewers
+        .iter()
+        .zip(&seeds)
+        .map(|(viewer, seed)| {
+            viewer
+                .begin_stream_from(vec![CandidateRecord {
+                    id: seed.id(),
+                    class: seed.class(),
+                    port: seed.port(),
+                }])
+                .unwrap()
+        })
+        .collect();
+
+    // Watch the wheel while the streams run. Every lane receives a read
+    // burst every millisecond or two; an entry per burst would pile up
+    // thousands of them within the first second.
+    let mut peak_entries = 0;
+    let mut peak_conns = 0;
+    let paced = Duration::from_millis(HOSE_SEGMENTS);
+    while started.elapsed() < paced * 3 / 4 {
+        peak_entries = peak_entries.max(gauge("timer_entries"));
+        peak_conns = peak_conns.max(gauge("connections"));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        peak_conns,
+        2 * HOSE_SESSIONS as i64,
+        "both ends of every session live on the one reactor"
+    );
+    assert!(
+        peak_entries <= peak_conns * TIMER_KINDS + HOSE_SESSIONS as i64 * HANDSHAKE_LEFTOVERS,
+        "{peak_entries} wheel entries for {peak_conns} connections: a read burst must not leave one behind"
+    );
+
+    // Let every session finish, and then some, before anyone asks for
+    // its outcome: what `wait()` reports is what the reactor measured
+    // when the last segment arrived, not when the outcome was built.
+    let linger = Duration::from_millis(600);
+    std::thread::sleep(paced.saturating_sub(started.elapsed()) + linger);
+    let outcomes: Vec<StreamOutcome> = pending.into_iter().map(|p| p.wait().unwrap()).collect();
+    for (i, outcome) in outcomes.iter().enumerate() {
+        assert_eq!(outcome.supplier_count, 1, "session {i}");
+        assert_eq!(outcome.supplier_classes, vec![PeerClass::HIGHEST]);
+        assert_eq!(outcome.theoretical_delay_ms, 1, "n·δt of one supplier");
+        assert!(
+            (1..100).contains(&outcome.measured_delay_ms),
+            "session {i}: measured delay {} ms",
+            outcome.measured_delay_ms
+        );
+        assert!(
+            (HOSE_SEGMENTS - 1..HOSE_SEGMENTS + linger.as_millis() as u64 / 2)
+                .contains(&outcome.duration_ms),
+            "session {i}: {} ms is not the paced length of the stream",
+            outcome.duration_ms
+        );
+    }
+    for (i, viewer) in viewers.iter().enumerate() {
+        let file = viewer.media_file().expect("wait() stored the file");
+        for s in 0..HOSE_SEGMENTS {
+            assert_eq!(
+                file.segment(s).into_payload(),
+                reference.segment(s).into_payload(),
+                "session {i}: segment {s} bytes differ"
+            );
+        }
+        assert!(viewer.is_supplier());
+    }
+
+    drop(viewers);
+    drop(seeds);
+    reactor.shutdown();
+    dir.shutdown();
 }

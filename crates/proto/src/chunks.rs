@@ -3,8 +3,8 @@
 //! Both halves of the transport stack queue outbound [`Bytes`] chunks
 //! and drain them with `writev`: the blocking
 //! [`FrameEncoder`](crate::FrameEncoder) and the reactor's
-//! per-connection flush (`p2ps-net`). The gather-up-to-16-slices loop
-//! and the partial-advance arithmetic (a short write consumes whole
+//! per-connection flush (`p2ps-net`). The gather loop (up to
+//! [`MAX_GATHER_SLICES`] per write) and the partial-advance arithmetic (a short write consumes whole
 //! front chunks plus a slice of the next) used to be duplicated in both;
 //! [`ChunkQueue`] is the one shared implementation.
 
@@ -14,9 +14,11 @@ use std::io::{IoSlice, Write};
 use bytes::Bytes;
 
 /// Upper bound of chunks gathered into one vectored write: a frame is at
-/// most two chunks (header + payload view), so 16 slices batch several
-/// queued messages per syscall while staying on the stack.
-pub const MAX_GATHER_SLICES: usize = 16;
+/// most two chunks (header + payload view), so 64 slices carry the 32
+/// frames of a supplier's catch-up burst in one syscall while the slice
+/// array (1 KiB) stays on the stack. The reactor also flushes a
+/// connection early once this many chunks wait on it.
+pub const MAX_GATHER_SLICES: usize = 64;
 
 /// An ordered queue of [`Bytes`] chunks plus the byte count not yet
 /// written, with partial-write consumption.
@@ -173,8 +175,8 @@ mod tests {
     fn gather_skips_empty_chunks_and_caps_at_slice_count() {
         let mut q = ChunkQueue::new();
         q.push(Bytes::new());
-        for i in 0..20u8 {
-            q.push(Bytes::from(vec![i]));
+        for i in 0..MAX_GATHER_SLICES + 4 {
+            q.push(Bytes::from(vec![i as u8]));
         }
         let mut slices = [IoSlice::new(&[]); MAX_GATHER_SLICES];
         let count = q.gather(&mut slices);

@@ -132,12 +132,11 @@ pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Message>, DecodeError> 
     // Fast path: the accumulator holds exactly this frame AND fits it
     // tightly — move the allocation into the shared store instead of
     // copying the frame out. The tight-capacity guard matters twice: a
-    // long-lived reactor accumulator (growth-doubled capacity) must keep
-    // its buffer rather than reallocate on every message, and a payload
-    // view must not pin a much larger allocation than the frame. The
-    // blocking read_message path (FrameDecoder::fill_from sizes the
-    // buffer to the frame) qualifies for every large frame, restoring
-    // the single-copy receive of segment payloads.
+    // long-lived accumulator (growth-doubled capacity) must keep its
+    // buffer rather than reallocate on every message, and a payload
+    // view must not pin a much larger allocation than the frame.
+    // (Streaming callers use `FrameDecoder`, which sizes a large frame's
+    // buffer to the frame up front and never copies it.)
     let body = if buf.len() == 4 + len && buf.capacity() == buf.len() {
         let mut whole = std::mem::take(buf).freeze();
         whole.advance(4);
@@ -305,9 +304,10 @@ pub fn write_message<W: Write>(mut w: W, msg: &Message) -> std::io::Result<()> {
 /// A transport shim over [`FrameDecoder`](crate::FrameDecoder): it reads
 /// exactly the decoder's [`bytes_needed`](crate::FrameDecoder::bytes_needed)
 /// hint at every step (the 4-byte prefix, then the whole body — two
-/// reads per frame, deposited straight into the decoder's accumulator),
-/// so it never consumes bytes belonging to a later read from the same
-/// stream and never copies through an intermediate scratch buffer.
+/// reads per frame), so it never consumes bytes belonging to a later
+/// read from the same stream. A frame over 4 KiB is read straight into
+/// the buffer its payload view will keep alive; nothing passes through
+/// an intermediate scratch buffer.
 ///
 /// # Errors
 ///

@@ -13,6 +13,14 @@
 //!   Message ──▶ FrameEncoder::push ──▶ pop_chunk ──▶ bytes out
 //! ```
 //!
+//! Both directions work per *burst*, not per frame. `feed` puts what one
+//! read delivered straight into the allocation it will live in — the
+//! whole frames of the burst share one, a large frame still arriving
+//! gets a buffer of exactly its size — and `poll` only hands out views;
+//! see [`FrameDecoder`] for what that costs in copies and allocations.
+//! `push` queues chunks for one vectored write of up to
+//! [`MAX_GATHER_SLICES`](crate::MAX_GATHER_SLICES) of them.
+//!
 //! # Examples
 //!
 //! Drive a decoder with arbitrarily fragmented input:
@@ -33,48 +41,89 @@
 //! # Ok::<(), p2ps_proto::DecodeError>(())
 //! ```
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 
-use bytes::{Buf, Bytes, BytesMut, BytesPool};
+use bytes::{Buf, Bytes, BytesMut};
 
-use crate::codec::{complete_frame_len, decode_whole_body, encode_frame};
+use crate::codec::{decode_whole_body, encode_frame};
 use crate::{ChunkQueue, DecodeError, Message, MAX_FRAME_LEN};
+
+/// A frame of at most this many bytes that arrives in pieces waits in the
+/// decoder's reusable accumulator and is copied once more, into the
+/// allocation of the burst it completes in; a larger one is assembled in
+/// place in an exact-size buffer. Copying this much costs about what the
+/// allocation pair it saves does.
+const SMALL_FRAME: usize = 4096;
+
+/// Length, prefix included, of the frame `head` starts — known once its
+/// four prefix bytes are there. Not yet checked against [`MAX_FRAME_LEN`].
+fn frame_total(head: &[u8]) -> Option<usize> {
+    let prefix = head.first_chunk::<4>()?;
+    Some((u32::from_le_bytes(*prefix) as usize).saturating_add(4))
+}
+
+/// [`frame_total`] of a frame that gets an exact-size buffer of its own:
+/// bigger than [`SMALL_FRAME`] and within [`MAX_FRAME_LEN`].
+fn large_total(head: &[u8]) -> Option<usize> {
+    frame_total(head).filter(|total| (SMALL_FRAME + 1..=4 + MAX_FRAME_LEN).contains(total))
+}
+
+/// Length of the run of whole frames `bytes` starts with. The run ends at
+/// the first frame that is incomplete or whose prefix claims more than
+/// [`MAX_FRAME_LEN`].
+fn whole_frames(bytes: &[u8]) -> usize {
+    let mut at = 0;
+    while let Some(total) = frame_total(&bytes[at..]) {
+        if total > 4 + MAX_FRAME_LEN || total > bytes.len() - at {
+            break;
+        }
+        at += total;
+    }
+    at
+}
 
 /// Incremental frame decoder: feed bytes in any fragmentation, poll
 /// complete [`Message`]s out.
 ///
-/// The decoder owns the connection's read accumulator. Decoded
-/// `SegmentData` payloads are O(1) shared views of one per-frame
-/// allocation, never copies of the payload bytes (the PR 2 zero-copy
-/// property, preserved through the sans-io split).
+/// [`feed`](Self::feed) sorts incoming bytes straight into the allocation
+/// they will live in, so a payload byte is copied once in user space:
 ///
-/// Frame buffers are drawn from a small recycling [`BytesPool`]: once a
-/// connection has warmed up, decoding a frame whose payload the consumer
-/// drops (or copies out) performs **zero** heap allocations — the
-/// accumulator keeps its capacity across frames and the pool reuses the
-/// same frame allocation in place. Payload views retained long-term (a
-/// reassembling session holds its segments) simply pin their allocation
-/// until dropped; the pool rotates past them.
-#[derive(Debug)]
+/// * the run of whole frames a burst starts with is lifted into **one**
+///   allocation, and [`poll`](Self::poll) hands the frames out as O(1)
+///   views of it — allocation is per burst, not per frame;
+/// * a frame that is not all there yet and is larger than 4 KiB is
+///   assembled in a buffer of exactly its size, which is handed out as
+///   is once the last byte arrives — allocation is per frame, and there
+///   is no second copy however large the frame;
+/// * only the fragment of a *small* incomplete frame waits in a reusable
+///   accumulator and is copied again, in front of the burst that
+///   completes it.
+///
+/// Decoded `SegmentData` payloads are views, never copies. A view pins
+/// the allocation of its whole burst (one `feed`'s worth of bytes, or the
+/// recycled buffer they were copied into) for as long as it lives and is
+/// never written again: the decoder reuses an allocation only when it
+/// holds the last reference. It keeps one candidate — the allocation
+/// [`poll`](Self::poll) drained last — so once a connection has warmed
+/// up, a consumer that drops each message before the next burst arrives
+/// decodes with **zero** heap allocations, and one that retains every
+/// payload pays one allocation pair (storage + shared block) per burst of
+/// small frames or per large frame.
+#[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: BytesMut,
-    pool: BytesPool,
-    /// True while every buffered byte was deposited by
-    /// [`fill_from`](Self::fill_from) (the blocking exact-read shape):
-    /// only then may [`poll`](Self::poll) donate the whole accumulator
-    /// as the frame allocation. A reactor-fed accumulator must keep its
-    /// buffer across frames, whatever its capacity happens to be.
-    via_fill: bool,
-}
-
-impl Default for FrameDecoder {
-    fn default() -> Self {
-        FrameDecoder {
-            buf: BytesMut::new(),
-            pool: BytesPool::new(),
-            via_fill: true,
-        }
-    }
+    /// Whole frames in wire order, not yet polled. Each element is one
+    /// allocation holding one or more frames back to back, prefixes
+    /// included.
+    ready: VecDeque<Bytes>,
+    /// The frame under assembly; always begins at a frame boundary. Holds
+    /// a whole frame only transiently inside `feed`/`fill_from`. After an
+    /// oversized prefix it keeps that prefix for `poll` to report and the
+    /// decoder takes no more input.
+    tail: BytesMut,
+    /// The allocation `poll` drained last: the next buffer, if the
+    /// consumer has let go of every view of it by then.
+    spare: Option<Bytes>,
 }
 
 impl FrameDecoder {
@@ -83,10 +132,34 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Appends raw bytes from the transport to the accumulator.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.via_fill = false;
-        self.buf.extend_from_slice(bytes);
+    /// Takes raw bytes from the transport, in any fragmentation.
+    pub fn feed(&mut self, mut bytes: &[u8]) {
+        // The frame under assembly takes what it lacks: the rest of its
+        // prefix first, because only the length says where the body
+        // belongs, then the body.
+        while !self.tail.is_empty() {
+            let lacks = match self.tail_lacks() {
+                Err(_) => return, // oversized prefix: poll reports it
+                Ok(0) => break,
+                Ok(n) => n,
+            };
+            if bytes.is_empty() {
+                return;
+            }
+            let (piece, rest) = bytes.split_at(lacks.min(bytes.len()));
+            self.tail.extend_from_slice(piece);
+            bytes = rest;
+            self.place_tail();
+        }
+        let rest = self.lift(bytes);
+        if !rest.is_empty() {
+            // An incomplete frame, or an oversized prefix and whatever
+            // follows it.
+            if let Some(total) = large_total(rest) {
+                self.tail = self.buffer(total);
+            }
+            self.tail.extend_from_slice(rest);
+        }
     }
 
     /// Attempts to decode the next complete frame.
@@ -97,27 +170,19 @@ impl FrameDecoder {
     /// # Errors
     ///
     /// Any [`DecodeError`]; the stream is corrupt and the connection
-    /// should be dropped.
+    /// should be dropped. Errors surface in wire order: every frame ahead
+    /// of a corrupt one, or of an oversized prefix, is delivered first.
     pub fn poll(&mut self) -> Result<Option<Message>, DecodeError> {
-        let Some(len) = complete_frame_len(&self.buf)? else {
-            return Ok(None);
+        let Some(block) = self.ready.front_mut() else {
+            // At rest the tail is never a whole frame: more bytes are
+            // needed unless its prefix is oversized.
+            return self.tail_lacks().map(|_| None);
         };
-        // Exactly-one-frame accumulator deposited by fill_from (the
-        // blocking exact-read path): donate the allocation outright —
-        // zero copies, however large the frame.
-        if self.via_fill && self.buf.len() == 4 + len {
-            let mut whole = std::mem::take(&mut self.buf).freeze();
-            whole.advance(4);
-            return decode_whole_body(whole).map(Some);
-        }
-        // Steady reactor path: one copy of the frame out of the
-        // accumulator into a recycled pool allocation — no allocation
-        // once the pool is warm — then O(1) views for every field.
-        Buf::advance(&mut self.buf, 4);
-        let frame = self.pool.copy_from_slice(&self.buf[..len]);
-        Buf::advance(&mut self.buf, len);
-        if self.buf.is_empty() {
-            self.via_fill = true; // empty again: next fill_from qualifies
+        let total = frame_total(block).expect("only whole frames are lifted");
+        let mut frame = block.split_to(total);
+        frame.advance(4);
+        if block.is_empty() {
+            self.spare = self.ready.pop_front();
         }
         decode_whole_body(frame).map(Some)
     }
@@ -129,41 +194,112 @@ impl FrameDecoder {
     /// `read_exact` exactly this many bytes and never consume bytes
     /// belonging to a later read from the same stream.
     pub fn bytes_needed(&self) -> usize {
-        if self.buf.len() < 4 {
-            return 4 - self.buf.len();
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
         // An oversized prefix is an error poll() reports without further
         // input; claim one byte so callers that read first never block
         // forever waiting for nothing.
-        (4 + len.min(MAX_FRAME_LEN))
-            .saturating_sub(self.buf.len())
-            .max(1)
+        self.tail_lacks().unwrap_or(0).max(1)
     }
 
-    /// Reads exactly `n` bytes from `r` straight into the accumulator —
-    /// no intermediate scratch buffer, one `read_exact` worth of
-    /// syscalls. Combined with [`bytes_needed`](Self::bytes_needed), a
-    /// blocking caller receives a whole frame (however large) in two
-    /// reads and one kernel-to-accumulator copy.
+    /// Reads exactly `n` bytes from `r` straight into the frame under
+    /// assembly — no intermediate scratch buffer, one `read_exact` worth
+    /// of syscalls per piece. Combined with
+    /// [`bytes_needed`](Self::bytes_needed), a blocking caller receives a
+    /// whole frame (however large) in two reads and one
+    /// kernel-to-final-allocation copy.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; the accumulator is rolled back to its
-    /// previous length, leaving the decoder state unchanged.
-    pub fn fill_from<R: Read>(&mut self, r: &mut R, n: usize) -> std::io::Result<()> {
-        let old_len = self.buf.len();
-        self.buf.resize(old_len + n, 0);
-        if let Err(e) = r.read_exact(&mut self.buf[old_len..]) {
-            self.buf.resize(old_len, 0);
-            return Err(e);
+    /// Propagates I/O errors; the piece being read is rolled back, so the
+    /// decoder holds only bytes `r` really delivered.
+    /// [`std::io::ErrorKind::InvalidData`] once an oversized prefix has
+    /// ended the stream.
+    pub fn fill_from<R: Read>(&mut self, r: &mut R, mut n: usize) -> std::io::Result<()> {
+        while n > 0 {
+            // Only what the frame under assembly lacks can be read
+            // straight into it; with nothing under assembly that is the
+            // next prefix.
+            let piece = self.tail_lacks()?.min(n);
+            let old_len = self.tail.len();
+            self.tail.resize(old_len + piece, 0);
+            if let Err(e) = r.read_exact(&mut self.tail[old_len..]) {
+                self.tail.resize(old_len, 0);
+                return Err(e);
+            }
+            n -= piece;
+            self.place_tail();
+            if self.tail_lacks() == Ok(0) {
+                self.lift(&[]);
+            }
         }
         Ok(())
     }
 
     /// Bytes currently buffered but not yet decoded.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.ready.iter().map(Bytes::len).sum::<usize>() + self.tail.len()
+    }
+
+    /// Bytes the frame under assembly still lacks — of its prefix while
+    /// that is incomplete (4 with nothing under assembly), then of its
+    /// body.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::FrameTooLarge`] once the prefix claims more than
+    /// [`MAX_FRAME_LEN`].
+    fn tail_lacks(&self) -> Result<usize, DecodeError> {
+        match frame_total(&self.tail) {
+            None => Ok(4 - self.tail.len()),
+            Some(total) if total > 4 + MAX_FRAME_LEN => Err(DecodeError::FrameTooLarge(total - 4)),
+            Some(total) => Ok(total - self.tail.len()),
+        }
+    }
+
+    /// Called after every append to the tail: the moment the prefix of a
+    /// large frame completes, the frame moves to a buffer of its own size
+    /// so that its body lands where it will stay.
+    fn place_tail(&mut self) {
+        if self.tail.len() != 4 {
+            return;
+        }
+        if let Some(total) = large_total(&self.tail) {
+            let mut exact = self.buffer(total);
+            exact.extend_from_slice(&self.tail);
+            self.tail = exact;
+        }
+    }
+
+    /// Hands the whole frame in the tail (if any) and the run of whole
+    /// frames `bytes` starts with to `ready`; returns what follows the
+    /// run. A large tail frame is handed out as it stands, a small one is
+    /// copied in front of the run so that the burst stays one allocation.
+    fn lift<'a>(&mut self, bytes: &'a [u8]) -> &'a [u8] {
+        if self.tail.len() > SMALL_FRAME {
+            let whole = std::mem::take(&mut self.tail).freeze();
+            self.ready.push_back(whole);
+        }
+        let (run, rest) = bytes.split_at(whole_frames(bytes));
+        if !self.tail.is_empty() || !run.is_empty() {
+            let mut burst = self.buffer(self.tail.len() + run.len());
+            burst.extend_from_slice(&self.tail);
+            burst.extend_from_slice(run);
+            self.tail.clear();
+            self.ready.push_back(burst.freeze());
+        }
+        rest
+    }
+
+    /// An empty buffer with room for `n` bytes: the spare allocation when
+    /// no view of it is alive any more, a fresh one otherwise.
+    fn buffer(&mut self, n: usize) -> BytesMut {
+        match self.spare.take().map(Bytes::try_into_mut) {
+            Some(Ok(mut recycled)) => {
+                recycled.clear();
+                recycled.reserve(n);
+                recycled
+            }
+            _ => BytesMut::with_capacity(n),
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Edge-case units for the two small shared engines the whole stack
 //! leans on: `SessionPlan`'s wire expansion rule
 //! (`expanded`/`is_explicit`) and `ChunkQueue`'s partial-advance
-//! arithmetic around the 16-slice gather limit.
+//! arithmetic around a gather window.
 
 use std::io::IoSlice;
 
@@ -117,21 +117,24 @@ fn partial_advance_straddling_a_chunk_boundary() {
 
 #[test]
 fn gather_caps_at_sixteen_slices_and_wraps_on_advance() {
-    // 20 one-byte chunks: a full vectored write gathers only the first
-    // 16; advancing past them exposes the remaining 4 on the next pass —
-    // the wrap the reactor's flush loop performs.
+    // 20 one-byte chunks into a 16-slice window (`gather` caps at the
+    // array it is handed, whatever `MAX_GATHER_SLICES` is): a full
+    // vectored write gathers only the first 16; advancing past them
+    // exposes the remaining 4 on the next pass — the wrap the reactor's
+    // flush loop performs.
+    const WINDOW: usize = 16;
     let mut q = ChunkQueue::new();
     for i in 0..20u8 {
         q.push(Bytes::from(vec![i]));
     }
-    let mut slices = [IoSlice::new(&[]); MAX_GATHER_SLICES];
+    let mut slices = [IoSlice::new(&[]); WINDOW];
     let first = q.gather(&mut slices);
-    assert_eq!(first, MAX_GATHER_SLICES);
+    assert_eq!(first, WINDOW);
     let gathered: usize = slices[..first].iter().map(|s| s.len()).sum();
     q.advance(gathered);
     assert_eq!(q.pending_bytes(), 4);
 
-    let mut slices = [IoSlice::new(&[]); MAX_GATHER_SLICES];
+    let mut slices = [IoSlice::new(&[]); WINDOW];
     let second = q.gather(&mut slices);
     assert_eq!(second, 4);
     let tail: Vec<u8> = slices[..second].iter().map(|s| s[0]).collect();

@@ -1,42 +1,73 @@
-//! Pins the allocation-free steady receive path: once a `FrameDecoder`
-//! has warmed up, decoding a `SegmentData` frame whose payload the
-//! consumer drops performs **zero** heap allocations — the accumulator
-//! keeps its capacity and the frame buffer is recycled in place by the
-//! decoder's `BytesPool`.
+//! Pins what the receive path costs in heap allocations, with a counting
+//! global allocator:
 //!
-//! This file deliberately contains exactly ONE test: the counting
-//! allocator below is process-global, and the default test harness runs
-//! tests on several threads, so any sibling test in the same binary
-//! would pollute the count.
+//! * once a `FrameDecoder` has warmed up, decoding a `SegmentData` frame
+//!   whose payload the consumer drops performs **zero** allocations —
+//!   the decoder assembles the next frame in the allocation the consumer
+//!   just let go of;
+//! * a consumer that retains every payload (a reassembling session)
+//!   pays at most one allocation pair — storage plus shared block — per
+//!   `feed`, however many small frames the burst carries and wherever
+//!   the burst is cut.
+//!
+//! The allocator counts per thread, so the tests of this binary, which
+//! the default harness runs on several threads, do not see each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use p2ps_proto::{FrameDecoder, FrameEncoder, Message};
 
 /// System allocator wrapper counting every allocation (and reallocation)
-/// on this thread's behalf — relaxed atomics, no locking.
+/// the current thread makes.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor: touching it from
+    // inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter update touches no allocator
+// state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
+
+/// The wire bytes of `msgs`, back to back.
+fn wire(msgs: &[Message]) -> Vec<u8> {
+    let mut enc = FrameEncoder::new();
+    let mut wire = Vec::new();
+    for msg in msgs {
+        enc.push(msg);
+    }
+    while let Some(chunk) = enc.pop_chunk() {
+        wire.extend_from_slice(&chunk);
+    }
+    wire
+}
 
 #[test]
 fn steady_segment_data_decode_allocates_nothing() {
@@ -46,25 +77,17 @@ fn steady_segment_data_decode_allocates_nothing() {
 
     // Pre-encode one frame per index on the supplier side; the wire
     // bytes are reused so the measured loop exercises only the decoder.
-    let payload = Bytes::from(vec![0xabu8; PAYLOAD]);
-    let mut wire = Vec::new();
-    {
-        let mut enc = FrameEncoder::new();
-        enc.push(&Message::SegmentData {
-            session: 7,
-            index: 0,
-            payload: payload.clone(),
-        });
-        while let Some(chunk) = enc.pop_chunk() {
-            wire.extend_from_slice(&chunk);
-        }
-    }
+    let wire = wire(&[Message::SegmentData {
+        session: 7,
+        index: 0,
+        payload: Bytes::from(vec![0xabu8; PAYLOAD]),
+    }]);
 
     let mut dec = FrameDecoder::new();
     let decode_one = |dec: &mut FrameDecoder| {
-        // Feed in two fragments so the tightly-sized fast path (which
-        // donates the accumulator) never triggers: this is the reactor
-        // shape, arbitrary fragmentation into a long-lived accumulator.
+        // Two fragments, the reactor's shape: the first announces a
+        // large frame, which is then assembled in the allocation the
+        // previous frame's consumer dropped.
         dec.feed(&wire[..10]);
         dec.feed(&wire[10..]);
         let msg = dec.poll().unwrap().expect("one whole frame was fed");
@@ -72,21 +95,72 @@ fn steady_segment_data_decode_allocates_nothing() {
             Message::SegmentData { payload, .. } => assert_eq!(payload.len(), PAYLOAD),
             other => panic!("unexpected message {other:?}"),
         }
-        // The payload view drops here: the pool slot is free again.
+        // The payload view drops here: its allocation is free again.
     };
 
     for _ in 0..WARMUP {
         decode_one(&mut dec);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..MEASURED {
         decode_one(&mut dec);
     }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
     assert_eq!(
         delta, 0,
         "steady-path decode of {MEASURED} SegmentData frames allocated {delta} times \
-         (must be zero: accumulator and pool slot are both recycled)"
+         (must be zero: the dropped frame's allocation is reused)"
     );
+}
+
+#[test]
+fn a_retaining_consumer_pays_one_allocation_pair_per_feed() {
+    const FRAMES: u64 = 40;
+    let burst: Vec<Message> = (0..FRAMES)
+        .map(|index| Message::SegmentData {
+            session: 7,
+            index,
+            payload: Bytes::from(vec![index as u8; 100]),
+        })
+        .collect();
+    let frame_len = wire(&burst[..1]).len();
+    let wire = wire(&burst);
+
+    let mut dec = FrameDecoder::new();
+    // Room for every payload of every round, so that keeping them does
+    // not allocate inside the measured region.
+    let mut kept: Vec<Bytes> = Vec::with_capacity((wire.len() + 2) * FRAMES as usize);
+    let mut drain = |dec: &mut FrameDecoder| {
+        while let Some(msg) = dec.poll().unwrap() {
+            match msg {
+                Message::SegmentData { payload, .. } => kept.push(payload),
+                other => panic!("unexpected message {other:?}"),
+            }
+        }
+    };
+    // Warm-up: the longest fragment a small frame can leave behind sizes
+    // the decoder's accumulator and its queue of ready bursts.
+    dec.feed(&wire[..frame_len - 1]);
+    drain(&mut dec);
+    dec.feed(&wire[frame_len - 1..]);
+    drain(&mut dec);
+
+    // The burst cut in two at every byte: nothing can be recycled (every
+    // payload is still held), so each feed may cost the pair for the one
+    // allocation its whole frames are lifted into — and no more.
+    for cut in 0..=wire.len() {
+        for part in [&wire[..cut], &wire[cut..]] {
+            let before = allocs();
+            dec.feed(part);
+            let delta = allocs() - before;
+            assert!(
+                delta <= 2,
+                "cut at byte {cut}: feeding {} bytes allocated {delta} times",
+                part.len()
+            );
+            drain(&mut dec);
+        }
+    }
+    assert_eq!(kept.len() as u64, FRAMES * (wire.len() as u64 + 2));
 }
