@@ -7,12 +7,13 @@
 //! substrate that can:
 //!
 //! * [`sys`] — the epoll syscalls behind a safe wrapper. The build
-//!   environment has no crates.io (no `mio`, no `libc`), so the three
+//!   environment has no crates.io (no `mio`, no `libc`), so the four
 //!   entry points are declared `extern "C"` directly. **This is the only
 //!   module in the workspace containing `unsafe`**, it is small, and it
 //!   is unit-tested directly.
-//! * [`TimerWheel`] — coarse hashed-wheel deadlines for read timeouts and
-//!   §3 paced segment transmissions, thousands of timers at O(1) insert.
+//! * [`TimerWheel`] — two-level hashed-wheel deadlines for read timeouts
+//!   and §3 paced segment transmissions: thousands of timers at O(1)
+//!   insert, each fired at its deadline and never before.
 //! * [`Reactor`] / [`Handler`] / [`Ctx`] — the event loop: level-
 //!   triggered readiness, per-connection buffered writes of zero-copy
 //!   [`bytes::Bytes`] chunks, timer dispatch, adoption of outbound

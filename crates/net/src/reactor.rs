@@ -4,12 +4,22 @@
 //! connections through level-triggered epoll. The reactor owns the
 //! *transport* half of every connection — accept, nonblocking reads,
 //! a per-connection outbound queue of [`Bytes`] chunks flushed with
-//! vectored writes, interest management, and a coarse [`TimerWheel`] —
-//! while a [`Handler`] owns the *protocol* half (typically a
+//! vectored writes, interest management, and a two-level [`TimerWheel`]
+//! — while a [`Handler`] owns the *protocol* half (typically a
 //! `p2ps_proto::FrameDecoder` per connection). Bytes go up via
 //! [`Handler::on_data`]; frames come back down as zero-copy chunks via
-//! [`Ctx::send`]; deadlines (read timeouts, paced segment transmissions)
-//! are [`Ctx::set_timer`] round trips.
+//! [`Ctx::send`]; deadlines are [`Ctx::set_timer`] (relative, in ms: read
+//! timeouts) and [`Ctx::set_timer_at_us`] (absolute: paced segment
+//! transmissions) round trips.
+//!
+//! Time is **one microsecond clock** per reactor ([`Ctx::now_us`], since
+//! the reactor was created). The wheel runs on it and the loop sleeps
+//! with a microsecond timeout until the earliest deadline, so a timer
+//! fires as soon after its deadline as the kernel wakes the thread, and
+//! never before it. Two pairs of monitor rows say when that took long: `wake_late_total` /
+//! `wake_late_us_max` for waits that timed out later than asked, and
+//! `turn_overrun_total` / `turn_us_max` for loop turns that held the
+//! thread too long between two waits.
 //!
 //! Writes are flushed **per dispatch, not per send**: [`Ctx::send`] only
 //! queues the chunk and marks the connection, and when the handler
@@ -44,13 +54,19 @@ use p2ps_proto::{ChunkQueue, MAX_GATHER_SLICES};
 use crate::sys::{Epoll, Event, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::TimerWheel;
 
+/// Timer wheel tick in µs: how finely the wheel sorts deadlines into
+/// slots (not a rounding — a timer fires at its deadline).
+const WHEEL_TICK_US: u64 = 64;
+/// Slots per wheel level: the fine level spans 32.8 ms, which holds every
+/// pacing deadline of a `δt` up to that; one coarse rotation is 16.8 s.
+const WHEEL_SLOTS: usize = 512;
+/// A timed-out wait that returns this much after its timeout, or a loop
+/// turn that keeps the thread this long, is counted as late.
+const LATE_US: u64 = 2_000;
+
 /// Tuning knobs for a [`Reactor`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Timer wheel granularity in milliseconds.
-    pub tick_ms: u64,
-    /// Timer wheel size (one rotation spans `tick_ms · wheel_slots` ms).
-    pub wheel_slots: usize,
     /// A connection whose outbound queue exceeds this many bytes is
     /// treated as a dead-slow consumer and closed.
     pub max_write_buffer: usize,
@@ -68,8 +84,6 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            tick_ms: 2,
-            wheel_slots: 512,
             max_write_buffer: 64 * 1024 * 1024,
             idle_wait_ms: 100,
             monitor: Monitor::default(),
@@ -250,6 +264,15 @@ struct Stats {
     sys_accepts: Counter,
     /// `epoll_wait` calls this reactor's loop made.
     sys_epoll_waits: Counter,
+    /// Timed-out waits that returned more than [`LATE_US`] late.
+    wake_late: Counter,
+    /// The latest such return, in µs past the timeout.
+    wake_late_us_max: Gauge,
+    /// Loop turns that took more than [`LATE_US`] from wake-up to the
+    /// next wait.
+    turn_overrun: Counter,
+    /// The longest loop turn, in µs.
+    turn_us_max: Gauge,
 }
 
 impl Stats {
@@ -270,6 +293,30 @@ impl Stats {
             sys_writevs: monitor.counter("syscalls_writev_total", "writev syscalls issued"),
             sys_accepts: monitor.counter("syscalls_accept_total", "accept syscalls issued"),
             sys_epoll_waits: monitor.counter("syscalls_epoll_wait_total", "epoll_wait calls made"),
+            wake_late: monitor.counter(
+                "wake_late_total",
+                "timed-out waits that returned more than 2 ms after their timeout",
+            ),
+            wake_late_us_max: monitor.gauge(
+                "wake_late_us_max",
+                "latest return of a timed-out wait, in us past its timeout",
+            ),
+            turn_overrun: monitor.counter(
+                "turn_overrun_total",
+                "loop turns that took more than 2 ms from wake-up to the next wait",
+            ),
+            turn_us_max: monitor.gauge("turn_us_max", "longest loop turn in us"),
+        }
+    }
+
+    /// Counts `us` on `late` when it is past [`LATE_US`] and keeps the
+    /// largest value seen in `max` (the reactor thread is the only writer).
+    fn note_latency(late: &Counter, max: &Gauge, us: u64) {
+        if us > LATE_US {
+            late.incr();
+        }
+        if us as i64 > max.get() {
+            max.set(us as i64);
         }
     }
 }
@@ -305,8 +352,9 @@ fn tok_conn(idx: u32, gen: u32) -> u64 {
 }
 
 impl Inner {
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
+    /// The reactor's one clock: µs since it was created.
+    fn now_us(&self) -> u64 {
+        self.start.elapsed().as_micros() as u64
     }
 
     fn valid(&self, id: ConnId) -> bool {
@@ -536,11 +584,22 @@ impl Ctx<'_> {
     }
 
     /// Arms (or re-arms, replacing the previous deadline) the `kind`
-    /// timer of `conn` to fire in `delay_ms` milliseconds. Granularity is
-    /// the wheel tick: the timer fires at or after the deadline, never
-    /// before.
+    /// timer of `conn` to fire `delay_ms` milliseconds from now — the
+    /// form for timeouts. See [`set_timer_at_us`](Self::set_timer_at_us)
+    /// for when it fires.
     pub fn set_timer(&mut self, conn: ConnId, kind: u32, delay_ms: u64) {
-        let deadline = self.inner.now_ms() + delay_ms;
+        let deadline_us = self.inner.now_us() + delay_ms * 1_000;
+        self.set_timer_at_us(conn, kind, deadline_us);
+    }
+
+    /// Arms (or re-arms, replacing the previous deadline) the `kind`
+    /// timer of `conn` to fire at `deadline_us` on the reactor's clock
+    /// ([`now_us`](Self::now_us)) — the form for a schedule, whose
+    /// deadlines must not drift with the time each one was armed at. The
+    /// loop sleeps until the deadline and the timer fires in the first
+    /// turn at or after it, never before; one already past fires in the
+    /// next turn.
+    pub fn set_timer_at_us(&mut self, conn: ConnId, kind: u32, deadline_us: u64) {
         let seq = self.inner.next_seq;
         self.inner.next_seq += 1;
         let Some(c) = self.inner.conn_mut(conn) else {
@@ -548,7 +607,7 @@ impl Ctx<'_> {
         };
         c.timers.insert(kind, seq);
         self.inner.wheel.insert(
-            deadline,
+            deadline_us,
             TimerKey {
                 idx: conn.idx,
                 gen: conn.gen,
@@ -565,10 +624,15 @@ impl Ctx<'_> {
         }
     }
 
-    /// Milliseconds since the reactor started (the timescale of
-    /// [`set_timer`](Self::set_timer) deadlines).
+    /// Microseconds since the reactor was created: the clock of
+    /// [`set_timer_at_us`](Self::set_timer_at_us) deadlines.
+    pub fn now_us(&self) -> u64 {
+        self.inner.now_us()
+    }
+
+    /// [`now_us`](Self::now_us) in whole milliseconds.
     pub fn now_ms(&self) -> u64 {
-        self.inner.now_ms()
+        self.inner.now_us() / 1_000
     }
 
     /// Bytes queued but not yet accepted by `conn`'s socket — the
@@ -672,7 +736,7 @@ impl<C: Send + 'static> Reactor<C> {
                 gens: Vec::new(),
                 free: Vec::new(),
                 listeners: Vec::new(),
-                wheel: TimerWheel::new(cfg.tick_ms, cfg.wheel_slots),
+                wheel: TimerWheel::new(WHEEL_TICK_US, WHEEL_SLOTS),
                 closing: Vec::new(),
                 dirty: Vec::new(),
                 next_seq: 0,
@@ -703,17 +767,29 @@ impl<C: Send + 'static> Reactor<C> {
         let mut events: Vec<Event> = Vec::new();
         let mut fired: Vec<TimerKey> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
+        // When the previous wait returned: where the running turn began.
+        let mut woke: Option<u64> = None;
         while !self.stop.load(Ordering::Relaxed) {
-            let now = self.inner.now_ms();
+            let stats = &self.inner.stats;
+            let asleep = self.inner.now_us();
+            if let Some(woke) = woke {
+                Stats::note_latency(&stats.turn_overrun, &stats.turn_us_max, asleep - woke);
+            }
             let timeout = self
                 .inner
                 .wheel
-                .next_timeout_ms(now, self.inner.cfg.idle_wait_ms)
-                .min(i32::MAX as u64) as i32;
+                .next_timeout(asleep, self.inner.cfg.idle_wait_ms * 1_000);
             self.inner.epoll.wait(&mut events, timeout)?;
             self.inner.stats.sys_epoll_waits.incr();
             if self.stop.load(Ordering::Relaxed) {
                 break;
+            }
+            let mut now = self.inner.now_us();
+            woke = Some(now);
+            let timed_out = events.is_empty();
+            if timed_out {
+                let late = now.saturating_sub(asleep + timeout);
+                Stats::note_latency(&stats.wake_late, &stats.wake_late_us_max, late);
             }
             for ev in events.drain(..) {
                 if ev.token == TOK_WAKER {
@@ -734,7 +810,9 @@ impl<C: Send + 'static> Reactor<C> {
                     self.accept_ready(idx, handler);
                 }
             }
-            let now = self.inner.now_ms();
+            if !timed_out {
+                now = self.inner.now_us(); // the handlers took their time
+            }
             self.inner.wheel.advance(now, &mut fired);
             for key in fired.drain(..) {
                 self.fire_timer(key, handler);
@@ -765,7 +843,8 @@ impl<C: Send + 'static> Reactor<C> {
         loop {
             crate::sys::record_read();
             self.inner.stats.sys_reads.incr();
-            if !matches!((&self.waker_rx).read(&mut buf), Ok(n) if n > 0) {
+            // A short read emptied the pipe, like a socket's below.
+            if !matches!((&self.waker_rx).read(&mut buf), Ok(n) if n == buf.len()) {
                 return;
             }
         }
@@ -846,7 +925,9 @@ impl<C: Send + 'static> Reactor<C> {
     fn read_ready<H: Handler<Cmd = C>>(&mut self, id: ConnId, handler: &mut H, scratch: &mut [u8]) {
         // Level-triggered epoll re-reports unread data, so a bounded
         // number of reads per event keeps one firehose connection from
-        // starving the rest.
+        // starving the rest — and a read that does not fill the buffer
+        // has drained the socket, so nothing is spent on asking again
+        // (EOF, too, is re-reported).
         for _ in 0..8 {
             if !self.inner.valid(id) {
                 return;
@@ -865,6 +946,9 @@ impl<C: Send + 'static> Reactor<C> {
                 Ok(n) => {
                     self.inner.stats.bytes_read.add(n as u64);
                     self.dispatch(handler, |h, ctx| h.on_data(ctx, id, &scratch[..n]));
+                    if n < scratch.len() {
+                        return;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

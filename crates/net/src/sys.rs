@@ -2,17 +2,17 @@
 //! contains `unsafe` code.
 //!
 //! The build environment has no crates.io access, so there is no `libc` or
-//! `mio` to lean on: the three epoll entry points (plus `close`) are
+//! `mio` to lean on: the four epoll entry points (plus `close`) are
 //! declared `extern "C"` directly against the C library the binary links
 //! anyway. Everything unsafe is confined to this module and wrapped in the
 //! safe [`Epoll`] type; the reactor above it is `#![deny(unsafe_code)]`
 //! like the rest of the workspace. The module is unit-tested directly
 //! (readiness on socket pairs, interest modification, deregistration,
-//! error propagation).
+//! error propagation, the microsecond wait and its millisecond fallback).
 
 use std::io;
 use std::os::fd::RawFd;
-use std::os::raw::c_int;
+use std::os::raw::{c_int, c_long, c_void};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---- process-wide syscall counters ---------------------------------------
@@ -42,7 +42,7 @@ pub struct SyscallCounts {
     pub writevs: u64,
     /// `accept` calls (including the final `EWOULDBLOCK` probe).
     pub accepts: u64,
-    /// `epoll_wait` calls (including `EINTR` retries).
+    /// `epoll_pwait2` / `epoll_wait` calls (including `EINTR` retries).
     pub epoll_waits: u64,
 }
 
@@ -107,6 +107,7 @@ const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
+const ENOSYS: i32 = 38;
 
 /// `struct epoll_event` from `<sys/epoll.h>`. Packed on x86-64 only,
 /// exactly as the kernel ABI (and libc) define it.
@@ -118,6 +119,14 @@ struct RawEpollEvent {
     data: u64,
 }
 
+/// `struct timespec` as the 64-bit Linux ABIs define it (`time_t` and
+/// `long` are both `long` there).
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut RawEpollEvent) -> c_int;
@@ -126,6 +135,13 @@ extern "C" {
         events: *mut RawEpollEvent,
         maxevents: c_int,
         timeout: c_int,
+    ) -> c_int;
+    fn epoll_pwait2(
+        epfd: c_int,
+        events: *mut RawEpollEvent,
+        maxevents: c_int,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
     ) -> c_int;
     fn close(fd: c_int) -> c_int;
 }
@@ -167,7 +183,7 @@ impl Event {
 /// ep.add(b.as_raw_fd(), 7, EPOLLIN)?;
 /// a.write_all(b"x")?;
 /// let mut events = Vec::new();
-/// ep.wait(&mut events, 1_000)?;
+/// ep.wait(&mut events, 1_000_000)?;
 /// assert_eq!(events[0].token, 7);
 /// assert!(events[0].is_readable());
 /// # Ok::<(), std::io::Error>(())
@@ -177,6 +193,10 @@ pub struct Epoll {
     fd: RawFd,
     /// Kernel-filled scratch; sized once, reused every wait.
     buf: Vec<RawEpollEvent>,
+    /// Cleared for good the first time the kernel answers `epoll_pwait2`
+    /// with `ENOSYS` (Linux < 5.11): from then on [`wait`](Self::wait)
+    /// sleeps with `epoll_wait` in whole milliseconds.
+    pwait2: bool,
 }
 
 // Vec<RawEpollEvent> has no Debug; keep the derive working.
@@ -203,6 +223,7 @@ impl Epoll {
         Ok(Epoll {
             fd,
             buf: vec![RawEpollEvent { events: 0, data: 0 }; 1024],
+            pwait2: true,
         })
     }
 
@@ -256,32 +277,56 @@ impl Epoll {
         Ok(())
     }
 
-    /// Waits up to `timeout_ms` milliseconds (0 polls, negative blocks
-    /// indefinitely) and fills `out` with the ready events. Retries
-    /// transparently on `EINTR`.
+    /// Waits up to `timeout_us` microseconds (0 polls) and fills `out`
+    /// with the ready events. Never returns early without an event: the
+    /// sleep is `epoll_pwait2`'s nanosecond timeout, or — on a kernel
+    /// without it — `epoll_wait` with the timeout rounded *up* to a
+    /// millisecond. Retries transparently on `EINTR`.
     ///
     /// # Errors
     ///
-    /// The `epoll_wait` errno (other than `EINTR`).
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
+    /// The `epoll_pwait2` / `epoll_wait` errno (other than `EINTR`).
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_us: u64) -> io::Result<usize> {
         out.clear();
         let n = loop {
             EPOLL_WAITS.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: `buf` is a live allocation of `buf.len()` correctly
-            // laid out events; the kernel writes at most that many.
-            let rc = unsafe {
-                epoll_wait(
-                    self.fd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as c_int,
-                    timeout_ms,
-                )
+            let rc = if self.pwait2 {
+                let timeout = Timespec {
+                    tv_sec: (timeout_us / 1_000_000) as c_long,
+                    tv_nsec: (timeout_us % 1_000_000 * 1_000) as c_long,
+                };
+                // SAFETY: `buf` is a live allocation of `buf.len()`
+                // correctly laid out events and the kernel writes at most
+                // that many; `timeout` outlives the call and is only read;
+                // a null signal mask leaves the thread's mask alone.
+                unsafe {
+                    epoll_pwait2(
+                        self.fd,
+                        self.buf.as_mut_ptr(),
+                        self.buf.len() as c_int,
+                        &timeout,
+                        std::ptr::null(),
+                    )
+                }
+            } else {
+                let timeout_ms = timeout_us.div_ceil(1_000).min(c_int::MAX as u64) as c_int;
+                // SAFETY: `buf` as above; the timeout is passed by value.
+                unsafe {
+                    epoll_wait(
+                        self.fd,
+                        self.buf.as_mut_ptr(),
+                        self.buf.len() as c_int,
+                        timeout_ms,
+                    )
+                }
             };
             if rc >= 0 {
                 break rc as usize;
             }
             let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
+            if self.pwait2 && err.raw_os_error() == Some(ENOSYS) {
+                self.pwait2 = false;
+            } else if err.kind() != io::ErrorKind::Interrupted {
                 return Err(err);
             }
         };
@@ -321,7 +366,7 @@ mod tests {
         assert!(events.is_empty(), "no data yet, no events");
 
         a.write_all(b"ping").unwrap();
-        ep.wait(&mut events, 1_000).unwrap();
+        ep.wait(&mut events, 1_000_000).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 0xfeed);
         assert!(events[0].is_readable());
@@ -335,7 +380,7 @@ mod tests {
         ep.add(b.as_raw_fd(), 1, EPOLLIN).unwrap();
         ep.modify(b.as_raw_fd(), 2, EPOLLOUT).unwrap();
         let mut events = Vec::new();
-        ep.wait(&mut events, 1_000).unwrap();
+        ep.wait(&mut events, 1_000_000).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 2, "modify replaces the token too");
         assert!(events[0].is_writable(), "an idle socket is writable");
@@ -349,7 +394,7 @@ mod tests {
         a.write_all(b"x").unwrap();
         ep.delete(b.as_raw_fd()).unwrap();
         let mut events = Vec::new();
-        ep.wait(&mut events, 50).unwrap();
+        ep.wait(&mut events, 50_000).unwrap();
         assert!(events.is_empty(), "deregistered fd must not report");
     }
 
@@ -362,7 +407,7 @@ mod tests {
         ep.add(b.as_raw_fd(), 4, EPOLLIN | EPOLLRDHUP).unwrap();
         drop(a);
         let mut events = Vec::new();
-        ep.wait(&mut events, 1_000).unwrap();
+        ep.wait(&mut events, 1_000_000).unwrap();
         assert_eq!(events.len(), 1);
         assert!(events[0].is_readable());
         let mut buf = [0u8; 8];
@@ -376,9 +421,9 @@ mod tests {
         ep.add(b.as_raw_fd(), 5, EPOLLIN).unwrap();
         a.write_all(b"abc").unwrap();
         let mut events = Vec::new();
-        ep.wait(&mut events, 1_000).unwrap();
+        ep.wait(&mut events, 1_000_000).unwrap();
         assert_eq!(events.len(), 1, "first report");
-        ep.wait(&mut events, 1_000).unwrap();
+        ep.wait(&mut events, 1_000_000).unwrap();
         assert_eq!(events.len(), 1, "still readable, reported again");
         let mut buf = [0u8; 8];
         let _ = b.read(&mut buf).unwrap();
@@ -409,6 +454,40 @@ mod tests {
         let mut events = Vec::new();
         ep.wait(&mut events, 0).unwrap();
         assert!(start.elapsed() < std::time::Duration::from_millis(100));
+    }
+
+    fn idle_wait(ep: &mut Epoll, timeout_us: u64) -> std::time::Duration {
+        let mut events = Vec::new();
+        let start = std::time::Instant::now();
+        ep.wait(&mut events, timeout_us).unwrap();
+        assert!(events.is_empty(), "nothing is registered");
+        start.elapsed()
+    }
+
+    #[test]
+    fn a_microsecond_timeout_is_neither_cut_short_nor_rounded_to_a_tick() {
+        let mut ep = Epoll::new().unwrap();
+        // The best of a few tries: the host may take the CPU away for
+        // longer than the bound, but not every time.
+        let slept = (0..5).map(|_| idle_wait(&mut ep, 300)).min().unwrap();
+        assert!(slept >= std::time::Duration::from_micros(300), "{slept:?}");
+        if ep.pwait2 {
+            assert!(slept < std::time::Duration::from_millis(20), "{slept:?}");
+        }
+    }
+
+    #[test]
+    fn the_millisecond_fallback_rounds_up_and_never_returns_early() {
+        let mut ep = Epoll::new().unwrap();
+        ep.pwait2 = false; // what an ENOSYS from the kernel leaves behind
+        for timeout_us in [1, 300, 1_000, 1_001, 2_500] {
+            let slept = idle_wait(&mut ep, timeout_us);
+            assert!(
+                slept >= std::time::Duration::from_micros(timeout_us),
+                "{timeout_us} us wait returned after {slept:?}"
+            );
+        }
+        assert_eq!(idle_wait(&mut ep, 0).as_secs(), 0, "0 still polls");
     }
 
     #[test]

@@ -67,28 +67,38 @@ impl Handler for TestHandler {
     }
 }
 
+type ReactorThread = std::thread::JoinHandle<std::io::Result<()>>;
+
+/// Runs `handler` on a reactor thread of its own behind a fresh loopback
+/// listener.
+fn serve<H: Handler<Cmd = ()> + Send + 'static>(
+    cfg: ReactorConfig,
+    mut handler: H,
+) -> (std::net::SocketAddr, p2ps_net::Handle<()>, ReactorThread) {
+    let (reactor, handle) = Reactor::new(cfg).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    handle.add_listener(listener, 7).unwrap();
+    let thread = std::thread::spawn(move || reactor.run(&mut handler));
+    (addr, handle, thread)
+}
+
 fn start(
     handler_cfg: (u64, Option<(u64, u32)>),
 ) -> (
     std::net::SocketAddr,
     p2ps_net::Handle<()>,
-    std::thread::JoinHandle<std::io::Result<()>>,
+    ReactorThread,
     Arc<AtomicUsize>,
 ) {
-    let (reactor, handle) = Reactor::new(ReactorConfig::default()).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    handle.add_listener(listener, 7).unwrap();
     let closed = Arc::new(AtomicUsize::new(0));
-    let closed2 = Arc::clone(&closed);
     let (read_timeout_ms, ticks) = handler_cfg;
-    let thread = std::thread::spawn(move || {
-        reactor.run(&mut TestHandler {
-            read_timeout_ms,
-            ticks,
-            closed: closed2,
-        })
-    });
+    let handler = TestHandler {
+        read_timeout_ms,
+        ticks,
+        closed: Arc::clone(&closed),
+    };
+    let (addr, handle, thread) = serve(ReactorConfig::default(), handler);
     (addr, handle, thread, closed)
 }
 
@@ -277,10 +287,16 @@ impl Handler for BurstHandler {
     }
 }
 
+/// One of a reactor's own monitor rows.
+fn counter(monitor: &Monitor, name: &str) -> i64 {
+    let snap = monitor.snapshot();
+    snap.find(&[], name).expect("registered").value().as_i64()
+}
+
 struct Burst {
     addr: std::net::SocketAddr,
     handle: p2ps_net::Handle<()>,
-    thread: std::thread::JoinHandle<std::io::Result<()>>,
+    thread: ReactorThread,
     closed: Arc<AtomicUsize>,
     monitor: Monitor,
 }
@@ -288,18 +304,16 @@ struct Burst {
 impl Burst {
     fn start(max_write_buffer: usize) -> Burst {
         let monitor = Monitor::root();
-        let (reactor, handle) = Reactor::new(ReactorConfig {
+        let cfg = ReactorConfig {
             max_write_buffer,
             monitor: monitor.clone(),
             ..ReactorConfig::default()
-        })
-        .unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        handle.add_listener(listener, 0).unwrap();
+        };
         let closed = Arc::new(AtomicUsize::new(0));
-        let closed2 = Arc::clone(&closed);
-        let thread = std::thread::spawn(move || reactor.run(&mut BurstHandler { closed: closed2 }));
+        let handler = BurstHandler {
+            closed: Arc::clone(&closed),
+        };
+        let (addr, handle, thread) = serve(cfg, handler);
         Burst {
             addr,
             handle,
@@ -319,9 +333,7 @@ impl Burst {
     /// totals over every reactor of the process, which here includes the
     /// sibling tests' reactors.
     fn writevs(&self) -> i64 {
-        let snap = self.monitor.snapshot();
-        let writevs = snap.find(&[], "syscalls_writev_total");
-        writevs.expect("registered").value().as_i64()
+        counter(&self.monitor, "syscalls_writev_total")
     }
 
     fn stop(self) {
@@ -400,4 +412,144 @@ fn overrunning_the_write_buffer_inside_one_callback_closes_with_on_close() {
         "on_close delivered"
     );
     burst.stop();
+}
+
+/// Counts what reaches `on_data`: callbacks, bytes, and callbacks that
+/// filled the reactor's whole 64 KiB read buffer.
+#[derive(Default)]
+struct ReadLog {
+    calls: AtomicUsize,
+    bytes: AtomicUsize,
+    full: AtomicUsize,
+}
+
+struct SinkHandler(Arc<ReadLog>);
+
+const READ_BUFFER: usize = 64 * 1024;
+
+impl Handler for SinkHandler {
+    type Cmd = ();
+
+    fn on_command(&mut self, _: &mut Ctx<'_>, (): ()) {}
+    fn on_timer(&mut self, _: &mut Ctx<'_>, _: ConnId, _: u32) {}
+    fn on_close(&mut self, _: &mut Ctx<'_>, _: ConnId) {}
+
+    fn on_accept(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _: u64) {
+        ctx.set_timer(conn, K_READ, 30_000);
+    }
+
+    fn on_data(&mut self, _: &mut Ctx<'_>, _: ConnId, data: &[u8]) {
+        self.0.calls.fetch_add(1, Ordering::Relaxed);
+        self.0
+            .full
+            .fetch_add(usize::from(data.len() == READ_BUFFER), Ordering::Relaxed);
+        self.0.bytes.fetch_add(data.len(), Ordering::Release);
+    }
+}
+
+struct Sink {
+    addr: std::net::SocketAddr,
+    handle: p2ps_net::Handle<()>,
+    thread: ReactorThread,
+    log: Arc<ReadLog>,
+    monitor: Monitor,
+}
+
+impl Sink {
+    fn start() -> Sink {
+        let monitor = Monitor::root();
+        let cfg = ReactorConfig {
+            monitor: monitor.clone(),
+            ..ReactorConfig::default()
+        };
+        let log = Arc::new(ReadLog::default());
+        let (addr, handle, thread) = serve(cfg, SinkHandler(Arc::clone(&log)));
+        Sink {
+            addr,
+            handle,
+            thread,
+            log,
+            monitor,
+        }
+    }
+
+    /// Blocks until the handler has seen `bytes` bytes in total.
+    fn await_bytes(&self, bytes: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.log.bytes.load(Ordering::Acquire) < bytes {
+            assert!(
+                Instant::now() < deadline,
+                "the reactor never read {bytes} bytes"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn stop(self) {
+        self.handle.shutdown();
+        self.thread.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn a_short_read_is_not_followed_by_a_probe_read() {
+    let sink = Sink::start();
+    let mut c = TcpStream::connect(sink.addr).unwrap();
+    c.write_all(b"warm").unwrap();
+    sink.await_bytes(4); // the listener wake-up and the accept are behind us
+
+    // One small message: one readiness event, one read. The read came
+    // back short of the buffer, which proves the socket empty.
+    let reads = counter(&sink.monitor, "syscalls_read_total");
+    c.write_all(b"hello").unwrap();
+    sink.await_bytes(4 + 5);
+    // Were an EAGAIN probe to follow, it would have been issued before
+    // the handler could be seen to have the bytes — or right after.
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(counter(&sink.monitor, "syscalls_read_total") - reads, 1);
+
+    // A message of many buffers: every read returns bytes, and only one
+    // that filled the buffer (which proves nothing) is followed by
+    // another. How the kernel cuts the stream into readiness events is
+    // its business, so the bound is per read: reads = callbacks, plus at
+    // most one empty-handed probe per buffer-filling read.
+    const BIG: usize = 10 * READ_BUFFER + 1_000;
+    let (reads, calls, full) = (
+        counter(&sink.monitor, "syscalls_read_total"),
+        sink.log.calls.load(Ordering::Relaxed),
+        sink.log.full.load(Ordering::Relaxed),
+    );
+    c.write_all(&vec![7u8; BIG]).unwrap();
+    sink.await_bytes(4 + 5 + BIG);
+    std::thread::sleep(Duration::from_millis(20));
+    let reads = (counter(&sink.monitor, "syscalls_read_total") - reads) as usize;
+    let calls = sink.log.calls.load(Ordering::Relaxed) - calls;
+    let full = sink.log.full.load(Ordering::Relaxed) - full;
+    assert!(
+        reads >= BIG.div_ceil(READ_BUFFER),
+        "{reads} reads for {BIG} bytes"
+    );
+    assert!(
+        (calls..=calls + full).contains(&reads),
+        "{reads} reads for {calls} callbacks, {full} of them buffer-filling"
+    );
+    sink.stop();
+}
+
+#[test]
+fn an_idle_reactor_with_a_far_timer_sleeps_its_idle_wait() {
+    // One connection, one 30 s read timer, no traffic: the loop has
+    // nothing to wake for but its 100 ms idle wait. (A wheel that reports
+    // "the next non-empty slot" regardless of the rotation the timer
+    // belongs to wakes once per rotation instead.)
+    let sink = Sink::start();
+    let mut c = TcpStream::connect(sink.addr).unwrap();
+    c.write_all(b"warm").unwrap();
+    sink.await_bytes(4);
+    let waits = counter(&sink.monitor, "syscalls_epoll_wait_total");
+    std::thread::sleep(Duration::from_millis(300));
+    let waits = counter(&sink.monitor, "syscalls_epoll_wait_total") - waits;
+    assert!(waits <= 5, "{waits} epoll waits in 300 idle ms");
+    assert_eq!(counter(&sink.monitor, "timer_entries"), 1);
+    sink.stop();
 }

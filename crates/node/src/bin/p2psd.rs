@@ -264,6 +264,10 @@ fn render_status(text: &str) -> String {
             "queued-bytes",
             "bytes-in",
             "bytes-out",
+            "late-wakes",
+            "wake-max-us",
+            "overruns",
+            "turn-max-us",
         ]);
         for r in &reactors {
             let labels = [("reactor", *r)];
@@ -281,6 +285,10 @@ fn render_status(text: &str) -> String {
                 cell("p2ps_reactor_queued_write_bytes"),
                 cell("p2ps_reactor_bytes_read_total"),
                 cell("p2ps_reactor_bytes_written_total"),
+                cell("p2ps_reactor_wake_late_total"),
+                cell("p2ps_reactor_wake_late_us_max"),
+                cell("p2ps_reactor_turn_overrun_total"),
+                cell("p2ps_reactor_turn_us_max"),
             ]);
         }
         out.push_str("reactors:\n");
@@ -301,7 +309,7 @@ fn render_status(text: &str) -> String {
         out.push_str("\nsessions: none in flight\n");
     } else {
         let mut table = Table::new([
-            "session", "reactor", "state", "received", "total", "owed", "lag-ms",
+            "session", "reactor", "state", "received", "total", "owed", "lag-ms", "late-us",
         ]);
         for (reactor, session) in &sessions {
             let labels = [("reactor", *reactor), ("session", *session)];
@@ -333,6 +341,7 @@ fn render_status(text: &str) -> String {
                 cell("p2ps_session_total_segments"),
                 cell("p2ps_session_owed_segments"),
                 lag,
+                cell("p2ps_session_startup_lateness_us"),
             ]);
         }
         out.push_str("\nsessions:\n");
@@ -426,8 +435,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                     .collect::<Vec<_>>()
             );
             println!(
-                "buffering delay: measured {} ms, Theorem-1 optimum {} ms; session {} ms",
-                outcome.measured_delay_ms, outcome.theoretical_delay_ms, outcome.duration_ms
+                "buffering delay: measured {} us ({} ms), Theorem-1 optimum {} ms; session {} ms",
+                outcome.measured_delay_us,
+                outcome.measured_delay_ms,
+                outcome.theoretical_delay_ms,
+                outcome.duration_ms
             );
             if serve_secs > 0 {
                 println!("now supplying on port {} for {serve_secs}s…", node.port());

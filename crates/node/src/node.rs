@@ -84,8 +84,13 @@ pub struct StreamOutcome {
     pub supplier_count: usize,
     /// Their classes, in assignment (descending-bandwidth) order.
     pub supplier_classes: Vec<PeerClass>,
-    /// Empirical minimum buffering delay (ms) measured from real segment
-    /// arrival times.
+    /// Empirical minimum buffering delay measured from real segment
+    /// arrival times on the reactor's µs clock: `max_s(arrival_s − s·δt)`
+    /// over each segment's earliest arrival. Never below
+    /// `theoretical_delay_ms · 1000` — a paced segment is not sent early.
+    pub measured_delay_us: u64,
+    /// [`measured_delay_us`](Self::measured_delay_us) in whole
+    /// milliseconds (truncated).
     pub measured_delay_ms: u64,
     /// Theorem-1 delay `n·δt` in ms, for comparison.
     pub theoretical_delay_ms: u64,

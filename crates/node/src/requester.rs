@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::Sender;
 
 use p2ps_core::PeerClass;
-use p2ps_media::{MediaInfo, PlaybackBuffer, Segment, SegmentStore};
+use p2ps_media::{MediaInfo, Segment, SegmentStore};
 use p2ps_monitor::{monotonic_ms, Counter, Gauge, Monitor, Recorder, StateCell};
 use p2ps_net::{ConnId, Ctx};
 use p2ps_policy::{SelectionPolicy, SessionContext, SharedPolicy};
@@ -80,6 +80,10 @@ pub(crate) struct SessionProbe {
     /// largest per-supplier `spp · δt` stride in the plan).
     stride_ms: Gauge,
     bytes_received: Counter,
+    /// How far the start-up delay the arrivals so far demand
+    /// (`max_s(arrival_s − s·δt)`) is past Theorem 1's `n·δt`, in µs;
+    /// negative until the segment that sets the delay has arrived.
+    startup_lateness_us: Gauge,
     /// The session's flight recorder: the structured protocol timeline
     /// (`p2ps_proto::SessionEvent` codes) served as `/trace/<session>`.
     events: Recorder,
@@ -107,6 +111,10 @@ impl SessionProbe {
                 "worst-case healthy ms between consecutive segments",
             ),
             bytes_received: scope.counter("bytes_received_total", "segment payload bytes received"),
+            startup_lateness_us: scope.gauge(
+                "startup_lateness_us",
+                "start-up delay demanded by the arrivals so far minus Theorem 1's n*dt, in us",
+            ),
             events: scope.events("events", "structured protocol events recorded"),
         };
         probe.last_progress_ms.set(monotonic_ms() as i64);
@@ -121,8 +129,9 @@ impl SessionProbe {
 
     /// The reactor adopted the lanes: record the plan's worst stride and
     /// reset the progress clock so the watchdog measures from launch.
-    fn launched(&self, sm: &RequesterSession, stride_ms: u64) {
+    fn launched(&self, sm: &RequesterSession, stride_ms: u64, theoretical_us: u64) {
         self.stride_ms.set(stride_ms as i64);
+        self.startup_lateness_us.set(-(theoretical_us as i64));
         self.last_progress_ms.set(monotonic_ms() as i64);
         self.sync(sm);
     }
@@ -135,6 +144,16 @@ impl SessionProbe {
         self.bytes_received.add(payload_bytes);
         self.last_progress_ms.set(monotonic_ms() as i64);
         self.sync(sm);
+    }
+
+    /// A segment arrived for the first time, `lateness_us` past its
+    /// play-out offset `s·δt`.
+    fn arrived(&self, lateness_us: u64, theoretical_us: u64) {
+        let past = lateness_us as i64 - theoretical_us as i64;
+        // Only the hosting reactor thread writes this gauge.
+        if past > self.startup_lateness_us.get() {
+            self.startup_lateness_us.set(past);
+        }
     }
 
     /// Re-publishes phase, received and owed after any state-machine
@@ -157,11 +176,11 @@ fn record(events: &Recorder, ev: SessionEvent) {
 pub(crate) type SessionResult = Result<FinishedSession, NodeError>;
 
 /// A completed session as the reactor left it: the reassembly machine
-/// with every payload and arrival time, plus what the outcome report
-/// needs. The reactor only moves it into the result channel;
-/// [`into_outcome`](Self::into_outcome) — building the store and
-/// replaying the arrivals through a `PlaybackBuffer` — runs on the thread
-/// that waits for the session.
+/// with every payload and arrival time (µs since launch), plus what the
+/// outcome report needs. The reactor only moves it into the result
+/// channel; [`into_outcome`](Self::into_outcome) — building the store and
+/// folding the arrivals into the start-up delay — runs on the thread that
+/// waits for the session.
 pub(crate) struct FinishedSession {
     info: MediaInfo,
     machine: RequesterSession,
@@ -174,27 +193,34 @@ pub(crate) struct FinishedSession {
 impl FinishedSession {
     /// Builds the outcome + store.
     pub(crate) fn into_outcome(self) -> (StreamOutcome, SegmentStore) {
-        let total = self.machine.total_segments();
-        let mut store = SegmentStore::new(total);
-        let mut buffer = PlaybackBuffer::new(total, self.info.segment_duration());
+        let dt_ms = self.info.segment_duration().as_millis();
+        let mut store = SegmentStore::new(self.machine.total_segments());
+        // The smallest delay under which playback would have been smooth,
+        // as `PlaybackBuffer::min_feasible_delay_ms` defines it: the
+        // machine kept each segment's earliest arrival.
+        let mut measured_delay_us = 0;
         for (index, entry) in self.machine.into_segments().into_iter().enumerate() {
-            if let Some((payload, at_ms)) = entry {
-                buffer.record_arrival(index as u64, at_ms);
+            if let Some((payload, at_us)) = entry {
+                measured_delay_us = measured_delay_us.max(lateness_us(at_us, index as u64, dt_ms));
                 store.insert(Segment::new(index as u64, payload));
             }
         }
-        let measured = buffer
-            .min_feasible_delay_ms()
-            .expect("session completed, so did the buffer");
         let outcome = StreamOutcome {
             supplier_count: self.supplier_classes.len(),
             supplier_classes: self.supplier_classes,
-            measured_delay_ms: measured,
+            measured_delay_us,
+            measured_delay_ms: measured_delay_us / 1_000,
             theoretical_delay_ms: self.theoretical_delay_ms,
             duration_ms: self.duration_ms,
         };
         (outcome, store)
     }
+}
+
+/// How long after its play-out offset `index · δt` a segment arrived
+/// (`at_us` since launch) — what it alone demands of the start-up delay.
+fn lateness_us(at_us: u64, index: u64, dt_ms: u64) -> u64 {
+    at_us.saturating_sub(index * dt_ms * 1_000)
 }
 
 /// One granted supplier ready for session launch: its already-adopted
@@ -289,8 +315,12 @@ struct ReqSession {
     driver: SessionDriver,
     /// Lane → live connection (None once ended or failed).
     lane_conns: Vec<Option<ConnId>>,
-    theoretical_slots: u64,
-    start_ms: u64,
+    /// The plan's minimum feasible delay (Theorem 1's `n·δt` for
+    /// `Otsp2p`), in ms.
+    theoretical_delay_ms: u64,
+    /// Reactor time of the launch, in µs: segment arrivals are recorded
+    /// relative to it.
+    start_us: u64,
     /// Watchdog-driven recovery rounds burned since the last segment
     /// arrival (any arrival resets it; `MAX_RECOVERY_ATTEMPTS` caps it).
     recovery_attempts: u32,
@@ -356,7 +386,7 @@ impl ReqSessions {
         );
         let mut lane_conns = Vec::with_capacity(conns.len());
         let mut dead_lanes = Vec::new();
-        let start_ms = ctx.now_ms();
+        let start_us = ctx.now_us();
         for (lane_idx, conn) in conns.into_iter().enumerate() {
             match conn {
                 Some(conn) => {
@@ -366,7 +396,7 @@ impl ReqSessions {
                             session,
                             lane: lane_idx,
                             dec: FrameDecoder::new(),
-                            last_ms: start_ms,
+                            last_ms: start_us / 1_000,
                         },
                     );
                     probe.record(SessionEvent::PlanSent {
@@ -394,15 +424,20 @@ impl ReqSessions {
                 }
             }
         }
-        probe.launched(driver.machine(), driver.stride_ms());
+        let theoretical_delay_ms = theoretical_slots * dt_ms;
+        probe.launched(
+            driver.machine(),
+            driver.stride_ms(),
+            theoretical_delay_ms * 1_000,
+        );
         self.sessions.insert(
             session,
             ReqSession {
                 info,
                 driver,
                 lane_conns,
-                theoretical_slots,
-                start_ms,
+                theoretical_delay_ms,
+                start_us,
                 recovery_attempts: 0,
                 probe,
                 done,
@@ -499,9 +534,16 @@ impl ReqSessions {
                 index,
                 payload,
             } if session == rc.session => {
-                let at = ctx.now_ms().saturating_sub(sess.start_ms);
+                let at_us = ctx.now_us() - sess.start_us;
                 *burst_bytes.get_or_insert(0) += payload.len() as u64;
-                let step = sess.driver.on_segment(rc.lane, index, payload, at);
+                let had = sess.driver.machine().received();
+                let step = sess.driver.on_segment(rc.lane, index, payload, at_us);
+                if sess.driver.machine().received() > had {
+                    sess.probe.arrived(
+                        lateness_us(at_us, index, sess.driver.dt_ms()),
+                        sess.theoretical_delay_ms * 1_000,
+                    );
+                }
                 // Real progress pays back the recovery budget.
                 sess.recovery_attempts = 0;
                 sess.probe.record(SessionEvent::SegmentArrived {
@@ -694,14 +736,15 @@ impl ReqSessions {
                 sess.probe.record(SessionEvent::Completed {
                     received: sess.driver.machine().received(),
                 });
-                let theoretical_delay_ms = sess.theoretical_slots * sess.driver.dt_ms();
                 let (machine, supplier_classes) = sess.driver.into_parts();
                 Ok(FinishedSession {
                     info: sess.info,
                     machine,
                     supplier_classes,
-                    theoretical_delay_ms,
-                    duration_ms: ctx.now_ms().saturating_sub(sess.start_ms),
+                    theoretical_delay_ms: sess.theoretical_delay_ms,
+                    // To the nearest ms, so that sums and differences of
+                    // durations are not half a millisecond short each.
+                    duration_ms: (ctx.now_us() - sess.start_us + 500) / 1_000,
                 })
             }
         };
@@ -737,10 +780,19 @@ mod tests {
         let mut machine = RequesterSession::new(4);
         machine.add_supplier([0, 2]);
         machine.add_supplier([1, 3]);
-        // Arrival minus play-out offset s·δt: 12, 15, 11, 18 → 18 ms.
-        for (lane, index, at_ms) in [(0, 0, 12), (1, 1, 25), (0, 2, 31), (1, 3, 48)] {
-            machine.on_segment(lane, index, Bytes::from(vec![index as u8; 3]), at_ms);
+        // Arrival minus play-out offset s·δt: 12.4, 15.0, 11.9, 18.25 ms
+        // → 18,250 µs, 18 whole ms.
+        for (lane, index, at_us) in [
+            (0, 0, 12_400),
+            (1, 1, 25_000),
+            (0, 2, 31_900),
+            (1, 3, 48_250),
+        ] {
+            machine.on_segment(lane, index, Bytes::from(vec![index as u8; 3]), at_us);
         }
+        // A duplicate that comes later does not count: the earliest
+        // arrival of a segment is the one playback waits for.
+        machine.on_segment(0, 3, Bytes::from(vec![3u8; 3]), 90_000);
         let classes = vec![PeerClass::new(2).unwrap(), PeerClass::new(2).unwrap()];
         let finished = FinishedSession {
             info,
@@ -755,6 +807,7 @@ mod tests {
             StreamOutcome {
                 supplier_count: 2,
                 supplier_classes: classes,
+                measured_delay_us: 18_250,
                 measured_delay_ms: 18,
                 theoretical_delay_ms: 20,
                 duration_ms: 48,

@@ -103,8 +103,9 @@ struct StreamState {
     /// replan shares, §3 pacing stride) — the same machine the
     /// deterministic simulation harness drives without sockets.
     sched: SupplierSchedule,
-    /// Reactor time at `StartSession`.
-    start_ms: u64,
+    /// Reactor time at `StartSession`, in µs: the origin of every §3
+    /// deadline of the stream.
+    start_us: u64,
 }
 
 struct ConnState {
@@ -388,7 +389,7 @@ impl NodeServeHandler {
             session,
             file,
             sched,
-            start_ms: ctx.now_ms(),
+            start_us: ctx.now_us(),
         };
         ctx.cancel_timer(conn, K_READ);
         st.phase = Phase::Streaming(Box::new(stream));
@@ -419,10 +420,12 @@ impl NodeServeHandler {
                 send(ctx, conn, &Message::EndSession { session });
                 return Flow::CloseAfterFlush;
             };
-            let deadline = s.sched.next_deadline_ms(s.start_ms);
-            let now = ctx.now_ms();
-            if deadline > now {
-                ctx.set_timer(conn, K_PACE, deadline - now);
+            // The schedule counts in ms (simnet drives it on a virtual ms
+            // clock); the deadline is absolute, so neither the clock's
+            // sub-ms part nor a late wake-up carries into the next one.
+            let deadline_us = s.start_us + 1_000 * s.sched.next_deadline_ms(0);
+            if deadline_us > ctx.now_us() {
+                ctx.set_timer_at_us(conn, K_PACE, deadline_us);
                 return Flow::Keep;
             }
             if ctx.pending_write_bytes(conn) > PACE_BACKPRESSURE_BYTES {

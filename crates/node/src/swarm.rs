@@ -262,14 +262,24 @@ mod tests {
     #[test]
     fn measured_delay_tracks_theorem_one() {
         let mut swarm = Swarm::start(tiny_info(32), 1).unwrap();
-        let outcome = swarm.stream_one(PeerClass::new(3).unwrap(), 8).unwrap();
-        // Real scheduling jitter exists, but the measured minimum feasible
-        // delay must be within a couple of slots of n·δt.
+        // Pacing is exact to the microsecond and never early; what is
+        // left is the host taking the CPU away for milliseconds now and
+        // then, which no one of three sessions in a row is likely to meet.
+        let mut past_us = Vec::new();
+        for _ in 0..3 {
+            let outcome = swarm.stream_one(PeerClass::new(3).unwrap(), 8).unwrap();
+            let theorem_us = outcome.theoretical_delay_ms * 1_000;
+            assert!(
+                outcome.measured_delay_us >= theorem_us,
+                "measured {} us, before the theoretical {} us",
+                outcome.measured_delay_us,
+                theorem_us
+            );
+            past_us.push(outcome.measured_delay_us - theorem_us);
+        }
         assert!(
-            outcome.measured_delay_ms <= outcome.theoretical_delay_ms + 30,
-            "measured {}ms vs theoretical {}ms",
-            outcome.measured_delay_ms,
-            outcome.theoretical_delay_ms
+            past_us.iter().any(|us| *us <= 2_000),
+            "every session started more than 2 ms past n·δt: {past_us:?} us"
         );
         swarm.shutdown();
     }

@@ -232,7 +232,14 @@ fn status_subcommand_renders_a_live_directory() {
         .unwrap();
     assert_eq!(out.status.code(), Some(0));
     let rendered = String::from_utf8_lossy(&out.stdout);
-    for needle in ["reactors:", "queued-bytes", "index stripes: 16", "sessions"] {
+    for needle in [
+        "reactors:",
+        "queued-bytes",
+        "late-wakes",
+        "turn-max-us",
+        "index stripes: 16",
+        "sessions",
+    ] {
         assert!(
             rendered.contains(needle),
             "status output lacks {needle:?}: {rendered}"

@@ -274,7 +274,7 @@ fn net_module_is_complete() {
     use std::io::Write;
     (&a).write_all(b"x").unwrap();
     let mut events = Vec::new();
-    ep.wait(&mut events, 1_000).unwrap();
+    ep.wait(&mut events, 1_000_000).unwrap();
     assert_eq!(events[0].token, 9);
     assert!(events[0].is_readable());
 
