@@ -22,12 +22,45 @@ pub enum Scale {
     Quick,
 }
 
+/// A `P2PS_SCALE` value that is neither `paper` nor `quick`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadScale(pub String);
+
+impl std::fmt::Display for BadScale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "P2PS_SCALE={:?} is not a scale: use `paper` (default) or `quick`",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for BadScale {}
+
+impl std::str::FromStr for Scale {
+    type Err = BadScale;
+
+    /// Exactly `paper` or `quick`: a typo must not start the 100-seed /
+    /// 144 h run in place of the smoke run that was asked for.
+    fn from_str(value: &str) -> Result<Self, BadScale> {
+        match value {
+            "paper" => Ok(Scale::Paper),
+            "quick" => Ok(Scale::Quick),
+            other => Err(BadScale(other.to_owned())),
+        }
+    }
+}
+
 impl Scale {
-    /// Reads `P2PS_SCALE` (`paper`/`quick`), defaulting to `Paper`.
-    pub fn from_env() -> Self {
-        match std::env::var("P2PS_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Paper,
+    /// Reads `P2PS_SCALE` (`paper`/`quick`); unset means `Paper`.
+    pub fn from_env() -> Result<Self, BadScale> {
+        match std::env::var("P2PS_SCALE") {
+            Ok(value) => value.parse(),
+            Err(std::env::VarError::NotPresent) => Ok(Scale::Paper),
+            Err(std::env::VarError::NotUnicode(raw)) => {
+                Err(BadScale(raw.to_string_lossy().into_owned()))
+            }
         }
     }
 }
@@ -50,11 +83,6 @@ impl Harness {
             out_dir,
             cache: HashMap::new(),
         }
-    }
-
-    /// Creates a harness from the `P2PS_SCALE` environment variable.
-    pub fn from_env() -> Self {
-        Harness::new(Scale::from_env())
     }
 
     /// The active scale.
@@ -140,7 +168,15 @@ mod tests {
     fn scale_from_env_defaults_to_paper() {
         // The test environment does not set P2PS_SCALE.
         if std::env::var("P2PS_SCALE").is_err() {
-            assert_eq!(Scale::from_env(), Scale::Paper);
+            assert_eq!(Scale::from_env(), Ok(Scale::Paper));
+        }
+        assert_eq!("paper".parse(), Ok(Scale::Paper));
+        assert_eq!("quick".parse(), Ok(Scale::Quick));
+        // Anything else is refused by name, not run at paper scale.
+        for typo in ["Quick", "qiuck", "", " quick"] {
+            let err = typo.parse::<Scale>().unwrap_err();
+            assert_eq!(err, BadScale(typo.to_owned()));
+            assert!(err.to_string().contains(&format!("{typo:?}")), "{err}");
         }
     }
 

@@ -39,7 +39,12 @@ impl ChordId {
         self.0
     }
 
-    /// Hashes a media item name onto the circle (FNV-1a then avalanche).
+    /// Hashes a media item name onto the circle: an FNV-style fold (FNV
+    /// offset basis, xor then multiply) with this crate's own multiplier
+    /// `0x1000_0000_01b3` — *not* the FNV-1a prime
+    /// `0x0000_0100_0000_01b3` — then an avalanche. Every item's ring
+    /// position depends on the constant, so it stays as it is and is not
+    /// folded into a hasher shared with the real FNV-1a users.
     pub fn of_item(name: &str) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.as_bytes() {

@@ -66,7 +66,7 @@ proptest! {
     /// Chord routing from any start node finds the ground-truth successor
     /// of any key, for any membership. (Sizes kept small: ring joins
     /// recompute all finger tables, so large memberships belong in the
-    /// Criterion benches, not here.)
+    /// repo benchmark's `lookup.chord_route_ns` probe, not here.)
     #[test]
     fn chord_routes_to_true_successor(
         members in prop::collection::hash_set(0u64..10_000, 1..16),

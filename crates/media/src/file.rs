@@ -198,6 +198,13 @@ impl MediaFile {
 
 /// Deterministic per-segment payload appended to `out`: a keyed xorshift
 /// stream seeded from the file name and segment index.
+///
+/// The name is folded FNV-style (the FNV offset basis, xor then
+/// multiply) but with this crate's own multiplier `0x1000_0000_01b3`,
+/// which is *not* the FNV-1a prime `0x0000_0100_0000_01b3`. Every
+/// synthesized payload byte depends on it and the pinned simnet digests
+/// (`crates/simnet/tests/pinned_runs.rs`) hold it in place: do not
+/// "correct" it, and do not share a hasher with the real FNV-1a users.
 fn synthesize_payload_into(info: &MediaInfo, index: u64, out: &mut Vec<u8>) {
     let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
     for b in info.name.as_bytes() {

@@ -19,9 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 //
 // Every kernel crossing the reactor makes is tallied here with one relaxed
 // atomic increment (the counters are never used for synchronization). The
-// totals feed the perf trajectory: `bench` snapshots them so a regression
-// that doubles the syscalls per session fails `bench compare` even when
-// wall-clock noise hides it.
+// totals feed the repo benchmark's ledger (`net.syscalls_per_session`,
+// `net.syscalls_per_segment`, …), so a regression that doubles the
+// syscalls per session shows there even when wall-clock noise hides it.
 
 static READS: AtomicU64 = AtomicU64::new(0);
 static WRITES: AtomicU64 = AtomicU64::new(0);

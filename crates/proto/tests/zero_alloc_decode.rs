@@ -13,48 +13,12 @@
 //! The allocator counts per thread, so the tests of this binary, which
 //! the default harness runs on several threads, do not see each other.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use bytes::Bytes;
 use p2ps_proto::{FrameDecoder, FrameEncoder, Message};
-
-/// System allocator wrapper counting every allocation (and reallocation)
-/// the current thread makes.
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialized and without a destructor: touching it from
-    // inside the allocator never allocates.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter update touches no allocator
-// state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use p2ps_testkit::thread_allocs;
 
 #[global_allocator]
-static A: CountingAlloc = CountingAlloc;
+static A: p2ps_testkit::CountingAlloc = p2ps_testkit::CountingAlloc;
 
 /// The wire bytes of `msgs`, back to back.
 fn wire(msgs: &[Message]) -> Vec<u8> {
@@ -102,11 +66,11 @@ fn steady_segment_data_decode_allocates_nothing() {
         decode_one(&mut dec);
     }
 
-    let before = allocs();
+    let before = thread_allocs();
     for _ in 0..MEASURED {
         decode_one(&mut dec);
     }
-    let delta = allocs() - before;
+    let delta = thread_allocs() - before;
     assert_eq!(
         delta, 0,
         "steady-path decode of {MEASURED} SegmentData frames allocated {delta} times \
@@ -151,9 +115,9 @@ fn a_retaining_consumer_pays_one_allocation_pair_per_feed() {
     // allocation its whole frames are lifted into — and no more.
     for cut in 0..=wire.len() {
         for part in [&wire[..cut], &wire[cut..]] {
-            let before = allocs();
+            let before = thread_allocs();
             dec.feed(part);
-            let delta = allocs() - before;
+            let delta = thread_allocs() - before;
             assert!(
                 delta <= 2,
                 "cut at byte {cut}: feeding {} bytes allocated {delta} times",

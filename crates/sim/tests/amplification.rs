@@ -130,6 +130,42 @@ fn capacity_curve_and_fold_crossings_are_consistent() {
     assert_eq!(rejects, report.rejects);
 }
 
+/// One 10,000-peer flash crowd pinned bit for bit: its trace digest at
+/// 1, 2 and 4 shards and its event count. The invariance tests above
+/// hold the digests equal to *each other*; this holds them equal to what
+/// they were at the last commit, so a silent change in the §4 admission
+/// dynamics, the arrival process or the trace fold shows up here.
+#[test]
+fn ten_thousand_peer_flash_crowd_is_pinned_at_1_2_4_shards() {
+    const TRACE_HASH: u64 = 0x2ffb6c1eb4612c30;
+    const EVENTS: u64 = 373_632;
+
+    let mut builder = AmpConfig::builder();
+    builder
+        .requesting_peers(10_000)
+        .seed_suppliers(64)
+        .catalog_items(16)
+        .process(ArrivalProcess::flash_crowd())
+        .arrival_window_secs(3_600)
+        .horizon_secs(4 * 3_600)
+        .epoch_secs(60)
+        .threads(1);
+    for shards in [1u32, 2, 4] {
+        let report = AmpEngine::new(builder.shards(shards).build().unwrap(), 7).run();
+        assert!(
+            report.trace_hash == TRACE_HASH && report.events == EVENTS,
+            "10k-peer flash crowd, seed 7, {shards} shard(s): trace_hash 0x{:016x} events {} \
+             — pinned 0x{TRACE_HASH:016x} / {EVENTS}. These values are machine-independent, \
+             so the model's behaviour changed. If that is intended, put the new values into \
+             TRACE_HASH / EVENTS in crates/sim/tests/amplification.rs in the same commit \
+             (all three shard counts must agree on them) and say in its message what moved \
+             them; if not, it is a regression.",
+            report.trace_hash,
+            report.events
+        );
+    }
+}
+
 /// The acceptance-criterion smoke run: one million flash-crowd peers
 /// on 4 threads in under a minute. Run in nightly CI via
 /// `cargo test -p p2ps-sim --release -- --ignored million_peer`.

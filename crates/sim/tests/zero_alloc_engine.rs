@@ -4,38 +4,14 @@
 //! allocations — every store, queue, outbox, trace buffer, and curve
 //! retained its capacity across the reset.
 //!
-//! This file deliberately contains exactly ONE test: the counting
-//! allocator below is process-global, and the default test harness runs
-//! tests on several threads, so any sibling test in the same binary
-//! would pollute the count.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The allocator counts per thread; with one worker the engine runs on
+//! the calling thread, so the count is this test's own.
 
 use p2ps_sim::{AmpConfig, AmpEngine};
-
-/// System allocator wrapper counting every allocation (and
-/// reallocation) — relaxed atomics, no locking.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use p2ps_testkit::thread_allocs;
 
 #[global_allocator]
-static A: CountingAlloc = CountingAlloc;
+static A: p2ps_testkit::CountingAlloc = p2ps_testkit::CountingAlloc;
 
 #[test]
 fn warmed_engine_executes_without_allocating() {
@@ -61,9 +37,9 @@ fn warmed_engine_executes_without_allocating() {
     // Reset re-seeds the same population without shrinking a single
     // buffer, then the measured replay must stay on the steady path.
     engine.reset(seed);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     engine.execute();
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = thread_allocs() - before;
     assert_eq!(
         delta, 0,
         "warmed single-thread execute() of {} events allocated {delta} times \
