@@ -152,8 +152,9 @@ pub struct SupplierState {
     relax_anchor: u64,
     /// Did a favored-class request arrive while busy in this session?
     saw_favored_request: bool,
-    /// Classes of reminders left during the current session.
-    reminders: Vec<PeerClass>,
+    /// The highest class that left a reminder during the current session
+    /// — all §4.1(c) ever reads, so a remote peer cannot grow it.
+    reminder: Option<PeerClass>,
 }
 
 impl SupplierState {
@@ -175,7 +176,7 @@ impl SupplierState {
             busy_since: None,
             relax_anchor: now,
             saw_favored_request: false,
-            reminders: Vec::new(),
+            reminder: None,
         })
     }
 
@@ -260,7 +261,7 @@ impl SupplierState {
     /// idle supplier are ignored (the requester raced a session end).
     pub fn leave_reminder(&mut self, from: PeerClass) {
         if self.is_busy() {
-            self.reminders.push(from);
+            self.reminder = Some(self.reminder.map_or(from, |held| held.min(from)));
         }
     }
 
@@ -279,7 +280,7 @@ impl SupplierState {
         );
         self.busy_since = Some(now);
         self.saw_favored_request = false;
-        self.reminders.clear();
+        self.reminder = None;
     }
 
     /// Ends the current session and applies the paper's §4.1(c) update:
@@ -301,13 +302,13 @@ impl SupplierState {
                     self.vector.relax();
                 }
             } else if self.config.reminders_enabled {
-                if let Some(highest) = self.reminders.iter().min() {
-                    self.vector.tighten(*highest);
+                if let Some(highest) = self.reminder {
+                    self.vector.tighten(highest);
                 }
             }
         }
         self.saw_favored_request = false;
-        self.reminders.clear();
+        self.reminder = None;
         self.relax_anchor = now;
     }
 }
@@ -456,6 +457,27 @@ mod tests {
         let _ = s.handle_request(1, class(1), &mut r); // favored, no reminder
         s.end_session(100);
         assert_eq!(*s.vector_at(100), AdmissionVector::all_ones(4).unwrap());
+    }
+
+    #[test]
+    fn a_flood_of_reminders_is_the_single_highest_one() {
+        let mut flooded = SupplierState::new(class(4), dac_config(0), 0).unwrap();
+        let mut single = flooded.clone();
+        let mut r = rng();
+        for s in [&mut flooded, &mut single] {
+            s.begin_session(0);
+            let _ = s.handle_request(1, class(2), &mut r); // favored while busy
+        }
+        for i in 0..100_000u32 {
+            flooded.leave_reminder(class(2 + (i % 3) as u8));
+        }
+        single.leave_reminder(class(2));
+        assert_eq!(flooded, single, "state must not grow with the frame count");
+        flooded.end_session(100);
+        single.end_session(100);
+        let mut expect = AdmissionVector::all_ones(4).unwrap();
+        expect.tighten(class(2));
+        assert_eq!(*flooded.vector_at(100), expect);
     }
 
     #[test]

@@ -235,13 +235,12 @@ impl PeerNode {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
 
         let shared = Arc::new(SupplierShared {
-            id: config.id,
             class: config.class,
             clock,
             admission: Mutex::new(AdmissionGuard {
                 state,
                 rng: SmallRng::seed_from_u64(config.id.get() ^ 0xda7a_5eed),
-                reserved_at: None,
+                reserved: false,
             }),
             file: Mutex::new(file),
             stop: std::sync::atomic::AtomicBool::new(false),

@@ -3,47 +3,36 @@
 //! A [`NodeReactor`] is a [`ReactorPool`] of 1..N epoll threads carrying
 //! *both* halves of any number of peer nodes. The supplier side — the
 //! `DACp2p` admission handshake, reminder collection, and §3 paced
-//! segment streaming — runs as event-driven per-connection state
-//! machines, pacing on timer-wheel deadlines instead of `thread::sleep`.
-//! The requester side ([`crate::requester`]) hands its granted
-//! connections here too: a sans-io `RequesterSession` per session
-//! receives the paced stream, with supplier departures replanned live.
-//! A session occupies connection slots and timers — never a thread — so
-//! one process sustains thousands of full-duplex sessions, sharded
-//! across reactor threads by node tag (supplier side) and session id
-//! (requester side).
+//! segment streaming — is one sans-io [`SupplierConn`] per accepted
+//! connection; this module is only its adapter: it decodes frames in,
+//! sends replies and segments out, and arms the machine's deadlines on
+//! the timer wheel instead of `thread::sleep`. The requester side
+//! ([`crate::requester`]) hands its granted connections here too: a
+//! sans-io `RequesterSession` per session receives the paced stream,
+//! with supplier departures replanned live. A session occupies
+//! connection slots and timers — never a thread — so one process
+//! sustains thousands of full-duplex sessions, sharded across reactor
+//! threads by node tag (supplier side) and session id (requester side).
 
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-use p2ps_core::admission::RequestDecision;
-use p2ps_core::PeerClass;
 use p2ps_media::MediaFile;
 use p2ps_monitor::{Counter, Gauge, Monitor};
 use p2ps_net::{ConnId, Ctx, Handler, PoolHandle, ReactorConfig, ReactorPool};
-use p2ps_proto::{FrameDecoder, FrameEncoder, Message, SessionPlan, SupplierSchedule};
+use p2ps_proto::{Flow, FrameDecoder, FrameEncoder, Message, Pace, SupplierConn};
 
 use crate::admission_host::{AdmissionLaunch, Admissions};
 use crate::requester::ReqSessions;
-use crate::supplier::{SupplierShared, GRANT_TTL_MS};
+use crate::supplier::SupplierShared;
 use crate::watchdog::{Watchdog, WatchdogConfig};
 
-/// Read-progress timer: fires when the peer goes quiet in a phase that
-/// expects it to speak.
-const K_READ: u32 = 0;
-/// Pacing timer: fires at the next segment's §3 arrival deadline.
-const K_PACE: u32 = 1;
-
-/// Soft backpressure bound: while more than this many bytes sit unsent
-/// in the socket queue, pacing yields and retries shortly instead of
-/// piling on (only reachable when deadlines are far behind, e.g. dt=0
-/// throughput runs).
-const PACE_BACKPRESSURE_BYTES: usize = 1 << 20;
+/// A supplier connection's one timer: whatever deadline its
+/// [`SupplierConn`] asked for last (a quiet peer during the handshake,
+/// the next segment's §3 arrival deadline while streaming).
+const K_CONN: u32 = 0;
 
 /// Commands other threads send a running node reactor.
 pub(crate) enum NodeCmd {
@@ -78,51 +67,16 @@ pub(crate) enum NodeCmd {
     },
 }
 
-/// Per-connection protocol phase (the supplier half of §4.2).
-enum Phase {
-    /// Fresh connection: the first frame must be a `StreamRequest`.
-    AwaitRequest,
-    /// Grant sent; a `StartSession` must confirm within the grant TTL.
-    AwaitStart { session: u64 },
-    /// Busy denial sent; absorbing `Reminder`s until the peer hangs up or
-    /// stays quiet for the grant TTL past `heard_ms` (reactor time of the
-    /// denial or of the last reminder). One `K_READ` timer stays armed:
-    /// a reminder only moves `heard_ms`, and the timer re-arms itself for
-    /// the remainder when it fires.
-    Reminders { heard_ms: u64 },
-    /// Boxed: the stream state dwarfs the handshake phases.
-    Streaming(Box<StreamState>),
-}
-
-/// An in-flight paced streaming session.
-struct StreamState {
-    session: u64,
-    /// O(1) snapshot: a shared view of the node's media allocation.
-    file: MediaFile,
-    /// The sans-io transmission schedule (base plan expansion, appended
-    /// replan shares, §3 pacing stride) — the same machine the
-    /// deterministic simulation harness drives without sockets.
-    sched: SupplierSchedule,
-    /// Reactor time at `StartSession`, in µs: the origin of every §3
-    /// deadline of the stream.
-    start_us: u64,
-}
-
+/// One accepted connection of an attached node.
 struct ConnState {
     tag: u64,
     shared: Arc<SupplierShared>,
     dec: FrameDecoder,
-    phase: Phase,
-}
-
-/// What to do with a connection after handling one message.
-enum Flow {
-    /// Keep decoding.
-    Keep,
-    /// Protocol violation or finished without pending bytes: close now.
-    CloseNow,
-    /// Goodbye frames queued; close once they flush.
-    CloseAfterFlush,
+    conn: SupplierConn,
+    /// O(1) snapshot of the node's media allocation, taken when the
+    /// stream starts: held exactly while this connection counts in
+    /// `active_streams`.
+    file: Option<MediaFile>,
 }
 
 /// Supplier-side shard metrics, registered on the shard's
@@ -175,19 +129,9 @@ pub(crate) struct NodeServeHandler {
     giveups: Counter,
 }
 
-impl Default for NodeServeHandler {
-    /// A handler reporting to a detached monitor (tests and embedders
-    /// that don't scrape).
-    fn default() -> Self {
-        let detached = Monitor::default();
-        let (recoveries, giveups) = recovery_counters(&detached);
-        NodeServeHandler::new(&detached, recoveries, giveups)
-    }
-}
-
 /// Registers the watchdog-recovery outcome counters on `root` (shared by
 /// every shard's handler, so the totals are process-wide).
-pub(crate) fn recovery_counters(root: &Monitor) -> (Counter, Counter) {
+fn recovery_counters(root: &Monitor) -> (Counter, Counter) {
     (
         root.counter(
             "watchdog_recoveries_total",
@@ -229,278 +173,21 @@ impl NodeServeHandler {
         }
     }
 
-    /// Runs the admission decision for a fresh `StreamRequest` — the same
-    /// logic the blocking path used, shared state and all.
-    fn decide(shared: &SupplierShared, requester_class: PeerClass) -> RequestDecision {
-        let now = shared.clock.now_ms();
-        let has_file = shared.file.lock().is_some();
-        let mut guard = shared.admission.lock();
-        if !has_file {
-            // Not yet a supplier: refuse outright (never advertised in the
-            // directory, but a stale candidate record could still point
-            // here).
-            RequestDecision::Refused
-        } else if guard.reservation_active(now) {
-            // Reserved by a concurrent requester: behave as busy. The
-            // favored flag still reflects the current vector so the
-            // requester's reminder logic stays sound.
-            let favored = guard.state.vector_at(now).favors(requester_class);
-            RequestDecision::Busy { favored }
-        } else {
-            let mut rng = std::mem::replace(&mut guard.rng, SmallRng::seed_from_u64(0));
-            let d = guard.state.handle_request(now, requester_class, &mut rng);
-            guard.rng = rng;
-            if d.is_granted() {
-                guard.reserved_at = Some(now);
-            }
-            d
-        }
-    }
-
-    fn on_message(
-        &self,
-        ctx: &mut Ctx<'_>,
-        conn: ConnId,
-        st: &mut ConnState,
-        msg: Message,
-    ) -> Flow {
-        match (&mut st.phase, msg) {
-            (Phase::AwaitRequest, Message::StreamRequest { session, class }) => {
-                match Self::decide(&st.shared, class) {
-                    RequestDecision::Granted => {
-                        send(
-                            ctx,
-                            conn,
-                            &Message::Grant {
-                                session,
-                                class: st.shared.class,
-                            },
-                        );
-                        st.phase = Phase::AwaitStart { session };
-                        ctx.set_timer(conn, K_READ, GRANT_TTL_MS);
-                        Flow::Keep
-                    }
-                    RequestDecision::Refused => {
-                        send(
-                            ctx,
-                            conn,
-                            &Message::Deny {
-                                session,
-                                busy: false,
-                                favored: false,
-                            },
-                        );
-                        Flow::CloseAfterFlush
-                    }
-                    RequestDecision::Busy { favored } => {
-                        send(
-                            ctx,
-                            conn,
-                            &Message::Deny {
-                                session,
-                                busy: true,
-                                favored,
-                            },
-                        );
-                        st.phase = Phase::Reminders {
-                            heard_ms: ctx.now_ms(),
-                        };
-                        ctx.set_timer(conn, K_READ, GRANT_TTL_MS);
-                        Flow::Keep
-                    }
-                }
-            }
-            (
-                Phase::AwaitStart { session },
-                Message::StartSession {
-                    session: confirmed,
-                    plan,
-                },
-            ) if confirmed == *session => {
-                let session = *session;
-                match self.start_streaming(ctx, conn, st, session, plan) {
-                    Ok(()) => Flow::Keep,
-                    Err(_) => {
-                        st.shared.admission.lock().reserved_at = None;
-                        Flow::CloseNow
-                    }
-                }
-            }
-            (Phase::AwaitStart { .. }, _) => {
-                // Release, junk, or a mismatched session id: drop the
-                // reservation and hang up.
-                st.shared.admission.lock().reserved_at = None;
-                Flow::CloseNow
-            }
-            (Phase::Reminders { heard_ms }, Message::Reminder { class, .. }) => {
-                st.shared.admission.lock().state.leave_reminder(class);
-                *heard_ms = ctx.now_ms();
-                Flow::Keep
-            }
-            (Phase::Reminders { .. }, _) => Flow::CloseNow,
-            // Mid-stream replan: after losing another supplier the
-            // requester appends an *explicit* share of the lost segments
-            // to this one's schedule. Served after the running plan, at
-            // the same pacing stride.
-            (
-                Phase::Streaming(ref mut s),
-                Message::StartSession {
-                    session: confirmed,
-                    plan,
-                },
-            ) if confirmed == s.session && plan.is_explicit() => {
-                s.sched.append(plan.segments.iter().copied());
-                Flow::Keep
-            }
-            // Otherwise the requester does not speak during streaming;
-            // tolerate noise (e.g. an early EndSession) without dropping
-            // pacing.
-            (Phase::Streaming(_), _) => Flow::Keep,
-            (Phase::AwaitRequest, _) => Flow::CloseNow,
-        }
-    }
-
-    /// Confirms the grant and arms the first pacing deadline.
-    fn start_streaming(
-        &self,
-        ctx: &mut Ctx<'_>,
-        conn: ConnId,
-        st: &mut ConnState,
-        session: u64,
-        plan: SessionPlan,
-    ) -> io::Result<()> {
-        let file = st
-            .shared
-            .file
-            .lock()
-            .clone()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "media file vanished"))?;
-        // The schedule validates the plan and derives the pacing stride
-        // (periodic §3 plans tile their period; explicit one-shot plans
-        // pace at this supplier's own class rate).
-        let sched = SupplierSchedule::new(plan, u64::from(st.shared.class.slots_per_segment()))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        {
-            let mut guard = st.shared.admission.lock();
-            guard.reserved_at = None;
-            guard.state.begin_session(st.shared.clock.now_ms());
-        }
-        let stream = StreamState {
-            session,
-            file,
-            sched,
-            start_us: ctx.now_us(),
+    /// Takes `conn` out of the table — the machine gives back whatever
+    /// it still held (a reservation, a session cut short) — and closes
+    /// it as `flow` says; `Keep` when the transport is already gone.
+    fn finish(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, flow: Flow) {
+        let Some(mut st) = self.conns.remove(&conn) else {
+            return;
         };
-        ctx.cancel_timer(conn, K_READ);
-        st.phase = Phase::Streaming(Box::new(stream));
-        self.stats.active_streams.add(1);
-        // First deadline may be 0 ms out (dt=0 plans): fire promptly.
-        ctx.set_timer(conn, K_PACE, 0);
-        Ok(())
-    }
-
-    /// Sends every segment whose §3 deadline `(p+1)·spp·δt` has passed,
-    /// then re-arms the pacing timer for the next one. Returns the flow
-    /// for the connection.
-    fn pace(&self, ctx: &mut Ctx<'_>, conn: ConnId, st: &mut ConnState) -> Flow {
-        let Phase::Streaming(ref mut s) = st.phase else {
-            return Flow::Keep; // stale pace timer from a replaced phase
-        };
-        if st.shared.stop.load(Ordering::Relaxed) {
-            // Supplier shutting down mid-session (modelling a crash): the
-            // requester sees the connection drop, not an EndSession.
-            return Flow::CloseNow;
-        }
-        // The plan already bounds by its own total; a shorter local file
-        // copy additionally caps what can be served.
-        let cap = s.file.info().segment_count();
-        loop {
-            let Some(seg) = s.sched.next_unsent(cap) else {
-                let session = s.session;
-                send(ctx, conn, &Message::EndSession { session });
-                return Flow::CloseAfterFlush;
-            };
-            // The schedule counts in ms (simnet drives it on a virtual ms
-            // clock); the deadline is absolute, so neither the clock's
-            // sub-ms part nor a late wake-up carries into the next one.
-            let deadline_us = s.start_us + 1_000 * s.sched.next_deadline_ms(0);
-            if deadline_us > ctx.now_us() {
-                ctx.set_timer_at_us(conn, K_PACE, deadline_us);
-                return Flow::Keep;
-            }
-            if ctx.pending_write_bytes(conn) > PACE_BACKPRESSURE_BYTES {
-                // Far behind schedule and the socket can't drain: yield
-                // briefly instead of ballooning the outbound queue.
-                ctx.set_timer(conn, K_PACE, 1);
-                return Flow::Keep;
-            }
-            let payload = s.file.segment(seg).into_payload();
-            self.stats.segments_sent.incr();
-            self.stats.bytes_sent.add(payload.len() as u64);
-            send(
-                ctx,
-                conn,
-                &Message::SegmentData {
-                    session: s.session,
-                    index: seg,
-                    payload,
-                },
-            );
-            s.sched.consume();
-        }
-    }
-
-    /// Rolls back shared admission state for a connection that is going
-    /// away in whatever phase it reached.
-    fn settle(&self, st: &ConnState) {
-        match st.phase {
-            Phase::AwaitStart { .. } => {
-                st.shared.admission.lock().reserved_at = None;
-            }
-            Phase::Streaming(_) => {
-                self.stats.active_streams.add(-1);
-                st.shared
-                    .admission
-                    .lock()
-                    .state
-                    .end_session(st.shared.clock.now_ms());
-            }
-            Phase::AwaitRequest | Phase::Reminders { .. } => {}
-        }
-    }
-
-    /// Applies a [`Flow`] verdict, re-inserting live state.
-    fn apply(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, st: ConnState, flow: Flow) -> bool {
-        match flow {
-            Flow::Keep => {
-                self.conns.insert(conn, st);
-                true
-            }
-            Flow::CloseNow => {
-                self.settle(&st);
-                ctx.close(conn);
-                false
-            }
-            Flow::CloseAfterFlush => {
-                self.settle_finished(&st);
-                ctx.close_after_flush(conn);
-                false
-            }
-        }
-    }
-
-    /// Like [`settle`](Self::settle) but for a cleanly finished exchange:
-    /// a completed stream ends its session; other phases have nothing
-    /// reserved.
-    fn settle_finished(&self, st: &ConnState) {
-        if let Phase::Streaming(_) = st.phase {
+        st.conn.close(&mut &*st.shared);
+        if st.file.is_some() {
             self.stats.active_streams.add(-1);
-            self.stats.streams_completed.incr();
-            st.shared
-                .admission
-                .lock()
-                .state
-                .end_session(st.shared.clock.now_ms());
+        }
+        match flow {
+            Flow::Keep => {}
+            Flow::Close => ctx.close(conn),
+            Flow::CloseAfterFlush => ctx.close_after_flush(conn),
         }
     }
 }
@@ -526,10 +213,7 @@ impl Handler for NodeServeHandler {
                     .map(|(id, _)| *id)
                     .collect();
                 for id in doomed {
-                    if let Some(st) = self.conns.remove(&id) {
-                        self.settle(&st);
-                        ctx.close(id);
-                    }
+                    self.finish(ctx, id, Flow::Close);
                 }
             }
             NodeCmd::StartAdmission(launch) => {
@@ -549,16 +233,20 @@ impl Handler for NodeServeHandler {
             ctx.close(conn);
             return;
         };
+        let machine = SupplierConn::new(shared.class, ctx.now_us());
+        if let Some(deadline_us) = machine.deadline_us() {
+            ctx.set_timer_at_us(conn, K_CONN, deadline_us);
+        }
         self.conns.insert(
             conn,
             ConnState {
                 tag: listener_tag,
                 shared: Arc::clone(shared),
                 dec: FrameDecoder::new(),
-                phase: Phase::AwaitRequest,
+                conn: machine,
+                file: None,
             },
         );
-        ctx.set_timer(conn, K_READ, GRANT_TTL_MS * 2);
     }
 
     fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
@@ -572,27 +260,37 @@ impl Handler for NodeServeHandler {
             }
             return;
         }
-        let Some(mut st) = self.conns.remove(&conn) else {
+        let Some(st) = self.conns.get_mut(&conn) else {
             return;
         };
         st.dec.feed(data);
-        loop {
-            match st.dec.poll() {
-                Ok(Some(msg)) => {
-                    let flow = self.on_message(ctx, conn, &mut st, msg);
-                    if !matches!(flow, Flow::Keep) {
-                        self.apply(ctx, conn, st, flow);
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    self.apply(ctx, conn, st, Flow::CloseNow);
-                    return;
-                }
+        let flow = loop {
+            let msg = match st.dec.poll() {
+                Ok(Some(msg)) => msg,
+                Ok(None) => return,
+                Err(_) => break Flow::Close,
+            };
+            let step = st.conn.on_message(msg, ctx.now_us(), &mut &*st.shared);
+            if let Some(reply) = &step.reply {
+                send(ctx, conn, reply);
             }
-        }
-        self.conns.insert(conn, st);
+            if let Some(deadline_us) = step.timer_us {
+                ctx.set_timer_at_us(conn, K_CONN, deadline_us);
+            }
+            if st.file.is_none() && st.conn.is_streaming() {
+                // The grant was decided against this file; it never
+                // goes away again.
+                let Some(file) = st.shared.file.lock().clone() else {
+                    break Flow::Close;
+                };
+                st.file = Some(file);
+                self.stats.active_streams.add(1);
+            }
+            if step.flow != Flow::Keep {
+                break step.flow;
+            }
+        };
+        self.finish(ctx, conn, flow);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, kind: u32) {
@@ -606,29 +304,55 @@ impl Handler for NodeServeHandler {
             }
             return;
         }
-        let Some(mut st) = self.conns.remove(&conn) else {
+        let Some(st) = self.conns.get_mut(&conn) else {
             return;
         };
-        match kind {
-            K_PACE => {
-                let flow = self.pace(ctx, conn, &mut st);
-                self.apply(ctx, conn, st, flow);
-            }
-            // K_READ (and anything unknown): the peer went quiet in a
-            // phase that expected progress — unless a reminder arrived
-            // since the timer was armed, then it waits out the rest.
-            _ => {
-                if let Phase::Reminders { heard_ms } = st.phase {
-                    let quiet_ms = ctx.now_ms().saturating_sub(heard_ms);
-                    if quiet_ms < GRANT_TTL_MS {
-                        ctx.set_timer(conn, K_READ, GRANT_TTL_MS - quiet_ms);
-                        self.conns.insert(conn, st);
-                        return;
-                    }
-                }
-                self.apply(ctx, conn, st, Flow::CloseNow);
-            }
+        if st.file.is_some() && st.shared.stop.load(Ordering::Relaxed) {
+            // Supplier shutting down mid-session (modelling a crash): the
+            // requester sees the connection drop, not an EndSession.
+            self.finish(ctx, conn, Flow::Close);
+            return;
         }
+        // Sends every segment whose §3 deadline `(p+1)·spp·δt` has
+        // passed, then re-arms the timer for the next one.
+        let flow = loop {
+            let backlog = ctx.pending_write_bytes(conn);
+            match st.conn.on_timer(ctx.now_us(), backlog, &mut &*st.shared) {
+                Pace::Send(index) => {
+                    let Some(file) = &st.file else {
+                        break Flow::Close;
+                    };
+                    let payload = file.segment(index).into_payload();
+                    self.stats.segments_sent.incr();
+                    self.stats.bytes_sent.add(payload.len() as u64);
+                    let session = st.conn.session();
+                    let msg = Message::SegmentData {
+                        session,
+                        index,
+                        payload,
+                    };
+                    send(ctx, conn, &msg);
+                }
+                Pace::Wait(deadline_us) => {
+                    ctx.set_timer_at_us(conn, K_CONN, deadline_us);
+                    return;
+                }
+                Pace::Yield => {
+                    // Far behind schedule and the socket can't drain:
+                    // yield briefly instead of ballooning the queue.
+                    ctx.set_timer(conn, K_CONN, 1);
+                    return;
+                }
+                Pace::End => {
+                    let session = st.conn.session();
+                    send(ctx, conn, &Message::EndSession { session });
+                    self.stats.streams_completed.incr();
+                    break Flow::CloseAfterFlush;
+                }
+                Pace::Close => break Flow::Close,
+            }
+        };
+        self.finish(ctx, conn, flow);
     }
 
     fn on_close(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
@@ -642,9 +366,7 @@ impl Handler for NodeServeHandler {
             }
             return;
         }
-        if let Some(st) = self.conns.remove(&conn) {
-            self.settle(&st);
-        }
+        self.finish(ctx, conn, Flow::Keep);
     }
 }
 

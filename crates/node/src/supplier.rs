@@ -1,30 +1,28 @@
 //! Shared supplier-side state: admission guard, media file, clock.
 //!
-//! The connection handling itself is event-driven and lives in
+//! The per-connection protocol is `p2ps_proto::SupplierConn`, hosted by
 //! [`crate::serve`]; this module owns the state a node's public handle
-//! and its reactor-hosted connections share.
+//! and its reactor-hosted connections share, and is the machine's
+//! [`SupplierAdmission`] seam onto it — the real §4.1 `SupplierState`,
+//! its RNG and the grant reservation.
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 
-use p2ps_core::admission::SupplierState;
-use p2ps_core::{PeerClass, PeerId};
+use p2ps_core::admission::{RequestDecision, SupplierState};
+use p2ps_core::PeerClass;
 use p2ps_media::MediaFile;
+use p2ps_proto::SupplierAdmission;
 
 use crate::Clock;
-
-/// How long a grant reserves the supplier while the requester assembles
-/// its supplier set (see the crate docs on the grant/confirm race).
-pub(crate) const GRANT_TTL_MS: u64 = 3_000;
 
 /// State shared between a node's reactor-hosted connections and its
 /// public handle.
 pub(crate) struct SupplierShared {
-    /// Kept for diagnostics/log context even though the protocol itself
-    /// never needs the supplier's own id after registration.
-    #[allow(dead_code)]
-    pub id: PeerId,
     pub class: PeerClass,
+    /// The admission state's tick source (ms), shared by every node of a
+    /// deployment. Protocol timeouts run on the hosting reactor's clock
+    /// instead, inside the connection machine.
     pub clock: Clock,
     pub admission: Mutex<AdmissionGuard>,
     /// The media file, present once the peer owns a complete copy.
@@ -38,50 +36,59 @@ pub(crate) struct SupplierShared {
 pub(crate) struct AdmissionGuard {
     pub state: SupplierState,
     pub rng: SmallRng,
-    /// Tick (ms) at which an unconfirmed grant was issued, if any.
-    pub reserved_at: Option<u64>,
+    /// An unconfirmed grant is out: the connection it went to frees it
+    /// on `Release`, hang-up or grant-TTL expiry, or turns it into the
+    /// session.
+    pub reserved: bool,
 }
 
-impl AdmissionGuard {
-    pub(crate) fn reservation_active(&mut self, now: u64) -> bool {
-        match self.reserved_at {
-            Some(at) if now.saturating_sub(at) <= GRANT_TTL_MS => true,
-            Some(_) => {
-                self.reserved_at = None; // expired: requester went away
-                false
-            }
-            None => false,
+/// Locks only inside the calls the machine actually makes, so the paced
+/// send path takes no lock until its session ends.
+impl SupplierAdmission for &SupplierShared {
+    fn decide(&mut self, class: PeerClass) -> RequestDecision {
+        let now = self.clock.now_ms();
+        let has_file = self.file.lock().is_some();
+        let mut guard = self.admission.lock();
+        let guard = &mut *guard;
+        if !has_file {
+            // Not yet a supplier: refuse outright (never advertised in the
+            // directory, but a stale candidate record could still point
+            // here).
+            RequestDecision::Refused
+        } else if guard.reserved {
+            // Reserved by a concurrent requester: behave as busy. The
+            // favored flag still reflects the current vector so the
+            // requester's reminder logic stays sound.
+            let favored = guard.state.vector_at(now).favors(class);
+            RequestDecision::Busy { favored }
+        } else {
+            let d = guard.state.handle_request(now, class, &mut guard.rng);
+            guard.reserved = d.is_granted();
+            d
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use p2ps_core::admission::{Protocol, SupplierConfig};
-    use rand::SeedableRng;
+    fn release(&mut self) {
+        self.admission.lock().reserved = false;
+    }
 
-    fn guard() -> AdmissionGuard {
-        let cfg = SupplierConfig::new(4, 0, Protocol::Dac).unwrap();
-        AdmissionGuard {
-            state: SupplierState::new(PeerClass::HIGHEST, cfg, 0).unwrap(),
-            rng: SmallRng::seed_from_u64(1),
-            reserved_at: None,
+    fn begin_session(&mut self) -> u64 {
+        {
+            let mut guard = self.admission.lock();
+            guard.reserved = false;
+            guard.state.begin_session(self.clock.now_ms());
         }
+        // The plan already bounds by its own total; a shorter local file
+        // copy additionally caps what can be served.
+        let file = self.file.lock();
+        file.as_ref().map_or(0, |f| f.info().segment_count())
     }
 
-    #[test]
-    fn reservation_expires_after_ttl() {
-        let mut g = guard();
-        g.reserved_at = Some(1_000);
-        assert!(g.reservation_active(1_000 + GRANT_TTL_MS));
-        assert!(!g.reservation_active(1_001 + GRANT_TTL_MS));
-        assert_eq!(g.reserved_at, None, "expired reservation is cleared");
+    fn end_session(&mut self) {
+        self.admission.lock().state.end_session(self.clock.now_ms());
     }
 
-    #[test]
-    fn no_reservation_is_inactive() {
-        let mut g = guard();
-        assert!(!g.reservation_active(0));
+    fn leave_reminder(&mut self, class: PeerClass) {
+        self.admission.lock().state.leave_reminder(class);
     }
 }

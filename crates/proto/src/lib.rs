@@ -51,6 +51,7 @@ mod message;
 mod requester;
 mod sansio;
 mod supplier;
+mod supplier_conn;
 
 pub use admission::{AdmissionAction, AdmissionDriver, AdmissionVerdict};
 pub use chunks::{ChunkQueue, MAX_GATHER_SLICES};
@@ -61,3 +62,6 @@ pub use message::{CandidateRecord, Message, SessionPlan};
 pub use requester::{RequesterSession, SessionPhase};
 pub use sansio::{FrameDecoder, FrameEncoder};
 pub use supplier::{ScheduleError, SupplierSchedule};
+pub use supplier_conn::{
+    Flow, Pace, Step, SupplierAdmission, SupplierConn, GRANT_TTL_MS, PACE_BACKPRESSURE_BYTES,
+};

@@ -186,9 +186,17 @@ impl SupplierSchedule {
     /// Appends an explicit replan share (the wire-level replan extension:
     /// the requester lost another supplier and this one absorbs part of
     /// the owed segments). Served after the base plan at the same pacing
-    /// stride.
+    /// stride. Indices past the plan's `total_segments` could never be
+    /// sent and are dropped here, so the queue only ever holds real work.
     pub fn append<I: IntoIterator<Item = u32>>(&mut self, extra: I) {
-        self.appended.extend(extra);
+        let total = self.plan.total_segments;
+        self.appended
+            .extend(extra.into_iter().filter(|&seg| u64::from(seg) < total));
+    }
+
+    /// Appended segments not yet transmitted.
+    pub fn pending_appended(&self) -> usize {
+        self.appended.len()
     }
 }
 
@@ -240,7 +248,8 @@ mod tests {
     #[test]
     fn appended_shares_serve_after_the_base_plan() {
         let mut s = SupplierSchedule::new(plan(vec![0], 2, 4), 1).unwrap();
-        s.append([3, 9]); // 9 is out of range and must be skipped
+        s.append([3, 9]); // 9 is out of range and must be dropped, not queued
+        assert_eq!(s.pending_appended(), 1);
         let mut sent = Vec::new();
         while let Some(seg) = s.next_unsent(4) {
             sent.push(seg);

@@ -1,5 +1,6 @@
-//! Pins what the receive path costs in heap allocations, with a counting
-//! global allocator:
+//! Pins what the receive path — and the supplier's pacing decisions on
+//! the send path — cost in heap allocations, with a counting global
+//! allocator:
 //!
 //! * once a `FrameDecoder` has warmed up, decoding a `SegmentData` frame
 //!   whose payload the consumer drops performs **zero** allocations —
@@ -8,13 +9,19 @@
 //! * a consumer that retains every payload (a reassembling session)
 //!   pays at most one allocation pair — storage plus shared block — per
 //!   `feed`, however many small frames the burst carries and wherever
-//!   the burst is cut.
+//!   the burst is cut;
+//! * a streaming `SupplierConn` decides every paced segment, and the end
+//!   of the session, with **zero** allocations.
 //!
 //! The allocator counts per thread, so the tests of this binary, which
 //! the default harness runs on several threads, do not see each other.
 
 use bytes::Bytes;
-use p2ps_proto::{FrameDecoder, FrameEncoder, Message};
+use p2ps_core::admission::RequestDecision;
+use p2ps_core::PeerClass;
+use p2ps_proto::{
+    FrameDecoder, FrameEncoder, Message, Pace, SessionPlan, SupplierAdmission, SupplierConn,
+};
 use p2ps_testkit::thread_allocs;
 
 #[global_allocator]
@@ -127,4 +134,56 @@ fn a_retaining_consumer_pays_one_allocation_pair_per_feed() {
         }
     }
     assert_eq!(kept.len() as u64, FRAMES * (wire.len() as u64 + 2));
+}
+
+#[test]
+fn the_supplier_pace_loop_allocates_nothing() {
+    const SEGMENTS: u64 = 4_096;
+
+    struct Idle;
+    impl SupplierAdmission for Idle {
+        fn decide(&mut self, _: PeerClass) -> RequestDecision {
+            RequestDecision::Granted
+        }
+        fn release(&mut self) {}
+        fn begin_session(&mut self) -> u64 {
+            SEGMENTS
+        }
+        fn end_session(&mut self) {}
+        fn leave_reminder(&mut self, _: PeerClass) {}
+    }
+
+    let class = PeerClass::HIGHEST;
+    let mut conn = SupplierConn::new(class, 0);
+    conn.on_message(Message::StreamRequest { session: 7, class }, 0, &mut Idle);
+    let plan = SessionPlan {
+        item: "t".into(),
+        segments: vec![0, 1],
+        period: 2,
+        total_segments: SEGMENTS,
+        dt_ms: 1,
+    };
+    conn.on_message(Message::StartSession { session: 7, plan }, 0, &mut Idle);
+    assert!(conn.is_streaming());
+
+    // A host hopelessly late on every deadline: each call releases the
+    // next segment, the last one ends the session.
+    let late = u64::MAX / 2;
+    let before = thread_allocs();
+    let mut sent = 0;
+    let end = loop {
+        match conn.on_timer(late, 0, &mut Idle) {
+            Pace::Send(index) => {
+                assert_eq!(index, sent);
+                sent += 1;
+            }
+            end => break end,
+        }
+    };
+    let allocs = thread_allocs() - before;
+    assert_eq!((sent, end), (SEGMENTS, Pace::End));
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations over {SEGMENTS} paced segments"
+    );
 }

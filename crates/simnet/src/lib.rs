@@ -2,8 +2,9 @@
 //!
 //! `p2ps-simnet` drives the **actual** protocol machines the live node
 //! runs — `p2ps_proto::RequesterSession` (via `p2ps_node::SessionDriver`),
-//! `p2ps_proto::SupplierSchedule`, the `FrameDecoder`/`FrameEncoder`
-//! framing, and `p2ps-policy` planning/replanning — over a simulated
+//! `p2ps_proto::SupplierConn` (the supplier's per-connection machine and
+//! its §3 schedule), the `FrameDecoder`/`FrameEncoder` framing, and
+//! `p2ps-policy` planning/replanning — over a simulated
 //! transport instead of epoll and TCP: **no threads, no sockets, no wall
 //! clock**. Where `p2ps-sim` models the paper's protocol abstractly at
 //! slot granularity (its own arrival/departure processes, no wire
@@ -19,9 +20,10 @@
 //!
 //! Every run opens with the real §4.2 admission round: the pipelined
 //! `p2ps_proto::AdmissionDriver` sends its `StreamRequest` burst over
-//! the simulated links and folds each supplier's scripted reply into a
-//! verdict before a single segment moves — the same code path the live
-//! reactor hosts.
+//! the simulated links, each supplier's real connection machine answers
+//! with the decision the schedule scripted for its node, and the driver
+//! folds the replies into a verdict before a single segment moves — the
+//! same code on both ends that the live reactor hosts.
 //!
 //! Five [`ScenarioKind`] adversity profiles are swept: `Steady` (latency
 //! and fragmentation only), `Churn` (suppliers die mid-stream, up to all

@@ -6,14 +6,18 @@
 //!
 //! * the session opens with the real §4.2 round: a pipelined
 //!   [`AdmissionDriver`] sends `StreamRequest` on every lane, each
-//!   supplier's scripted `Grant`/`Deny` travels back over its link, and
+//!   supplier machine's `Grant`/`Deny` travels back over its link, and
 //!   the round's verdict (including `Release`s and `Reminder`s on
 //!   rejection) is the driver's own greedy fold;
 //! * the requester side is a [`SessionDriver`] (reassembly, lane
 //!   liveness, policy replans, completion/failure verdicts) fed through
 //!   a per-lane [`FrameDecoder`];
-//! * each supplier side is a [`SupplierSchedule`] (§3 pacing, appended
-//!   replan shares) whose frames leave through [`FrameEncoder`] framing;
+//! * each supplier side is a [`SupplierConn`] — the per-connection
+//!   machine the reactor hosts: handshake phases, the grant reservation,
+//!   reminder validation, §3 pacing with appended replan shares — fed
+//!   through its own [`FrameDecoder`], its frames leaving through
+//!   [`FrameEncoder`] framing; only its *decision* is scripted
+//!   ([`AdmissionReply`] behind the [`SupplierAdmission`] seam);
 //! * plans come from a real `p2ps-policy` [`SharedPolicy`].
 //!
 //! Only the transport is simulated: per-lane [`Link`]s impose latency,
@@ -30,6 +34,7 @@ use std::collections::BinaryHeap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use p2ps_core::admission::RequestDecision;
 use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::PeerClass;
 use p2ps_media::{MediaFile, MediaInfo};
@@ -37,8 +42,8 @@ use p2ps_monitor::Recorder;
 use p2ps_node::{DriverStep, NodeError, SessionDriver};
 use p2ps_policy::{SessionContext, SharedPolicy};
 use p2ps_proto::{
-    AdmissionAction, AdmissionDriver, AdmissionVerdict, FrameDecoder, FrameEncoder, Message,
-    SessionEvent, SessionPlan, SupplierSchedule,
+    AdmissionAction, AdmissionDriver, AdmissionVerdict, FrameDecoder, FrameEncoder, Message, Pace,
+    SessionEvent, SessionPlan, SupplierAdmission, SupplierConn,
 };
 
 use crate::link::Link;
@@ -133,21 +138,42 @@ fn adm_code(msg: &Message) -> u64 {
     }
 }
 
-/// One supplier's in-world state around its real [`SupplierSchedule`].
+/// One supplier's in-world state around its real [`SupplierConn`].
 #[derive(Debug)]
 struct SimSupplier {
     class: PeerClass,
-    /// Scripted §4.2 decision for this run.
-    reply: AdmissionReply,
+    conn: SupplierConn,
+    adm: Scripted,
     dec: FrameDecoder,
-    /// Built when the wire `StartSession` arrives (like the live node).
-    sched: Option<SupplierSchedule>,
-    start_ms: u64,
     alive: bool,
-    /// `EndSession` already sent; late replans are ignored (the live
-    /// node's closed connection) and recovered via the driver's
-    /// leftover path.
-    done: bool,
+}
+
+/// The node behind a simulated supplier: its §4.2 decision is the
+/// schedule's script, it is never double-booked (one requester), and it
+/// owns the whole file.
+#[derive(Debug)]
+struct Scripted {
+    reply: AdmissionReply,
+    segment_count: u64,
+}
+
+impl SupplierAdmission for Scripted {
+    fn decide(&mut self, _class: PeerClass) -> RequestDecision {
+        match self.reply {
+            AdmissionReply::Grant => RequestDecision::Granted,
+            AdmissionReply::Deny {
+                busy: true,
+                favored,
+            } => RequestDecision::Busy { favored },
+            AdmissionReply::Deny { busy: false, .. } => RequestDecision::Refused,
+        }
+    }
+    fn release(&mut self) {}
+    fn begin_session(&mut self) -> u64 {
+        self.segment_count
+    }
+    fn end_session(&mut self) {}
+    fn leave_reminder(&mut self, _class: PeerClass) {}
 }
 
 /// How the session ended, before outcome mapping.
@@ -241,12 +267,13 @@ impl SimWorld {
             .zip(&schedule.replies)
             .map(|(&class, &reply)| SimSupplier {
                 class,
-                reply,
+                conn: SupplierConn::new(class, 0),
+                adm: Scripted {
+                    reply,
+                    segment_count: schedule.segment_count,
+                },
                 dec: FrameDecoder::new(),
-                sched: None,
-                start_ms: 0,
                 alive: true,
-                done: false,
             })
             .collect();
         let links: Vec<[Link; 2]> = schedule
@@ -558,43 +585,33 @@ impl SimWorld {
         }
     }
 
-    /// Supplier pacing deadline: transmit the next scheduled segment, or
-    /// `EndSession` when the schedule (base + appends) is exhausted.
+    /// Supplier pacing deadline: transmit the segment the machine says is
+    /// due (one per tick — virtual time never runs late), or
+    /// `EndSession` when its schedule (base + appends) is exhausted.
     fn tick(&mut self, lane: usize) {
-        if !self.suppliers[lane].alive
-            || self.suppliers[lane].done
-            || self.suppliers[lane].sched.is_none()
-        {
+        let s = &mut self.suppliers[lane];
+        if !s.alive {
             return;
         }
-        let cap = self.file.info().segment_count();
-        let start_ms = self.suppliers[lane].start_ms;
-        let sched = self.suppliers[lane].sched.as_mut().expect("checked above");
-        let action = match sched.next_unsent(cap) {
-            Some(seg) => {
-                sched.consume();
-                Some((seg, sched.next_deadline_ms(start_ms)))
-            }
-            None => None,
-        };
-        match action {
-            Some((seg, next)) => {
-                self.trace.record(T_SEND, &[self.now, lane as u64, seg]);
+        let session = self.session;
+        match s.conn.on_timer(self.now * 1_000, 0, &mut s.adm) {
+            Pace::Send(index) => {
+                let next = s.conn.deadline_us().expect("still streaming") / 1_000;
+                self.trace.record(T_SEND, &[self.now, lane as u64, index]);
+                let payload = self.file.segment(index).into_payload();
                 let bytes = wire_bytes(&Message::SegmentData {
-                    session: self.session,
-                    index: seg,
-                    payload: self.file.segment(seg).into_payload(),
+                    session,
+                    index,
+                    payload,
                 });
                 self.send_stream(lane, Dir::ToRequester, &bytes);
                 self.push(next.max(self.now), Event::SupplierTick { lane });
             }
-            None => {
-                self.suppliers[lane].done = true;
-                let bytes = wire_bytes(&Message::EndSession {
-                    session: self.session,
-                });
+            Pace::End => {
+                let bytes = wire_bytes(&Message::EndSession { session });
                 self.send_stream(lane, Dir::ToRequester, &bytes);
             }
+            Pace::Wait(_) | Pace::Yield | Pace::Close => {}
         }
     }
 
@@ -702,10 +719,12 @@ impl SimWorld {
         }
     }
 
-    /// Setup/replan bytes reach a supplier: decode with the real decoder
-    /// and answer like the live supplier — `StreamRequest` draws the
-    /// scripted §4.2 decision, `StartSession`s build/extend the real
-    /// schedule, reminders and releases are acknowledged into the trace.
+    /// Admission, setup and replan bytes reach a supplier: decode with
+    /// the real decoder and let the real machine answer. The handshake
+    /// deadlines it asks for are not scheduled — no simulated peer goes
+    /// quiet for [`GRANT_TTL_MS`](p2ps_proto::GRANT_TTL_MS), it answers
+    /// or dies — so only a started stream's first §3 deadline becomes an
+    /// event.
     fn deliver_to_supplier(&mut self, lane: usize, chunk: &[u8]) {
         if !self.suppliers[lane].alive {
             return;
@@ -713,71 +732,36 @@ impl SimWorld {
         self.trace
             .record(T_CHUNK, &[self.now, lane as u64, 1, chunk.len() as u64]);
         self.suppliers[lane].dec.feed(chunk);
-        loop {
-            match self.suppliers[lane].dec.poll() {
-                Ok(Some(Message::StreamRequest { session, .. })) if session == self.session => {
-                    let reply = match self.suppliers[lane].reply {
-                        AdmissionReply::Grant => {
-                            self.grants += 1;
-                            Message::Grant {
-                                session,
-                                class: self.suppliers[lane].class,
-                            }
-                        }
-                        AdmissionReply::Deny { busy, favored } => {
-                            self.denials += 1;
-                            Message::Deny {
-                                session,
-                                busy,
-                                favored,
-                            }
-                        }
-                    };
-                    self.trace
-                        .record(T_ADM_TX, &[self.now, lane as u64, adm_code(&reply)]);
-                    let bytes = wire_bytes(&reply);
-                    self.send_stream(lane, Dir::ToRequester, &bytes);
-                }
-                Ok(Some(Message::StartSession { session, plan })) if session == self.session => {
-                    self.trace.record(
-                        T_START,
-                        &[self.now, lane as u64, plan.segments.len() as u64],
-                    );
-                    self.start_or_append(lane, plan);
-                }
-                Ok(Some(Message::Reminder { session, .. })) if session == self.session => {
+        while let Ok(Some(msg)) = self.suppliers[lane].dec.poll() {
+            match &msg {
+                Message::StartSession { plan, .. } => self.trace.record(
+                    T_START,
+                    &[self.now, lane as u64, plan.segments.len() as u64],
+                ),
+                Message::Reminder { .. } => {
                     self.reminders += 1;
-                    self.trace.record(T_ADM_RX, &[self.now, lane as u64, 4]);
+                    self.trace
+                        .record(T_ADM_RX, &[self.now, lane as u64, adm_code(&msg)]);
                 }
-                Ok(Some(_)) => {}
-                Ok(None) | Err(_) => return,
+                _ => {}
+            }
+            let s = &mut self.suppliers[lane];
+            let step = s.conn.on_message(msg, self.now * 1_000, &mut s.adm);
+            let first_tick = step.timer_us.filter(|_| s.conn.is_streaming());
+            if let Some(reply) = step.reply {
+                match reply {
+                    Message::Grant { .. } => self.grants += 1,
+                    _ => self.denials += 1,
+                }
+                self.trace
+                    .record(T_ADM_TX, &[self.now, lane as u64, adm_code(&reply)]);
+                let bytes = wire_bytes(&reply);
+                self.send_stream(lane, Dir::ToRequester, &bytes);
+            }
+            if let Some(at_us) = first_tick {
+                self.push(at_us / 1_000, Event::SupplierTick { lane });
             }
         }
-    }
-
-    /// The supplier half of `StartSession` handling, mirroring the live
-    /// node: first plan builds the schedule and starts pacing; later
-    /// (explicit replan) plans append to the running schedule.
-    fn start_or_append(&mut self, lane: usize, plan: SessionPlan) {
-        if self.suppliers[lane].done {
-            // EndSession already left: the requester's leftover path
-            // re-replans this share (the live node's closed connection).
-            return;
-        }
-        if let Some(sched) = self.suppliers[lane].sched.as_mut() {
-            sched.append(plan.segments.iter().copied());
-            return;
-        }
-        let spp = u64::from(self.suppliers[lane].class.slots_per_segment());
-        let Ok(sched) = SupplierSchedule::new(plan, spp) else {
-            // Malformed plan — our own policy never emits one; dropping
-            // it stalls the lane, which the sweep would flag.
-            return;
-        };
-        self.suppliers[lane].start_ms = self.now;
-        let first = sched.next_deadline_ms(self.now);
-        self.suppliers[lane].sched = Some(sched);
-        self.push(first, Event::SupplierTick { lane });
     }
 
     /// A scheduled death: the dying supplier's next frame is cut at an
@@ -790,13 +774,9 @@ impl SimWorld {
         self.suppliers[lane].alive = false;
         self.deaths += 1;
         self.trace.record(T_DIE, &[self.now, lane as u64]);
-        let cap = self.file.info().segment_count();
-        let mut partial = None;
-        if !self.suppliers[lane].done {
-            if let Some(sched) = self.suppliers[lane].sched.as_mut() {
-                partial = sched.next_unsent(cap);
-            }
-        }
+        let s = &mut self.suppliers[lane];
+        let partial = s.conn.peek_unsent();
+        s.conn.close(&mut s.adm);
         if let Some(seg) = partial {
             let bytes = wire_bytes(&Message::SegmentData {
                 session: self.session,
