@@ -58,6 +58,43 @@ fn trace_hash_is_thread_count_invariant() {
     }
 }
 
+/// The whole grid, with churn on: shard counts that are odd, prime or
+/// the benchmark's 64, thread counts that do not divide them or exceed
+/// them. A supplier lifetime well under one session puts every ordering
+/// the boundary exchange must get right on the path — pool adds and
+/// removes of one peer in one epoch, departures deferred to the end of a
+/// running session, and probes answered by a supplier that left after
+/// the pool snapshot they were sampled from.
+#[test]
+fn trace_is_invariant_over_the_shard_and_thread_grid_under_churn() {
+    let mut builder = base_config();
+    builder.supplier_lifetime_secs(900);
+    let run = |shards: u32, threads: usize| {
+        let mut b = builder.clone();
+        b.shards(shards).threads(threads);
+        AmpEngine::new(b.build().unwrap(), 23).run()
+    };
+    let base = run(1, 1);
+    assert!(base.admits > 0 && base.departures > 0, "{base:?}");
+    for shards in [1u32, 2, 3, 7, 64] {
+        for threads in [1usize, 2, 3, 4] {
+            let r = run(shards, threads);
+            assert_eq!(
+                (r.trace_hash, r.events, r.departures, r.final_capacity_raw),
+                (
+                    base.trace_hash,
+                    base.events,
+                    base.departures,
+                    base.final_capacity_raw
+                ),
+                "{shards} shard(s) on {threads} thread(s) diverged from 1 × 1"
+            );
+            assert_eq!(r.capacity_curve, base.capacity_curve);
+            assert_eq!(r.rejection_curve, base.rejection_curve);
+        }
+    }
+}
+
 /// Different seeds must *not* collide: the digest actually depends on
 /// the trace, not just the configuration.
 #[test]
@@ -131,14 +168,22 @@ fn capacity_curve_and_fold_crossings_are_consistent() {
 }
 
 /// One 10,000-peer flash crowd pinned bit for bit: its trace digest at
-/// 1, 2 and 4 shards and its event count. The invariance tests above
-/// hold the digests equal to *each other*; this holds them equal to what
-/// they were at the last commit, so a silent change in the §4 admission
-/// dynamics, the arrival process or the trace fold shows up here.
+/// 1, 2 and 4 shards, its event count and its outcome counters. The
+/// invariance tests above hold the digests equal to *each other*; this
+/// holds them equal to what they were at the last commit, so a silent
+/// change in the §4 admission dynamics, the arrival process or the trace
+/// fold shows up here — and a re-pin of the digest alone cannot hide a
+/// behaviour change, because the counters beside it would have to move
+/// too.
 #[test]
 fn ten_thousand_peer_flash_crowd_is_pinned_at_1_2_4_shards() {
     const TRACE_HASH: u64 = 0x2ffb6c1eb4612c30;
     const EVENTS: u64 = 373_632;
+    const ATTEMPTS: u64 = 49_779;
+    const ADMITS: u64 = 133;
+    const REJECTS: u64 = 49_646;
+    const SUPPLIES: u64 = 117;
+    const FINAL_CAPACITY_RAW: i64 = 4_067_328;
 
     let mut builder = AmpConfig::builder();
     builder
@@ -152,16 +197,35 @@ fn ten_thousand_peer_flash_crowd_is_pinned_at_1_2_4_shards() {
         .threads(1);
     for shards in [1u32, 2, 4] {
         let report = AmpEngine::new(builder.shards(shards).build().unwrap(), 7).run();
+        let counters = (
+            report.events,
+            report.attempts,
+            report.admits,
+            report.rejects,
+            report.supplies,
+            report.final_capacity_raw,
+        );
         assert!(
-            report.trace_hash == TRACE_HASH && report.events == EVENTS,
-            "10k-peer flash crowd, seed 7, {shards} shard(s): trace_hash 0x{:016x} events {} \
-             — pinned 0x{TRACE_HASH:016x} / {EVENTS}. These values are machine-independent, \
-             so the model's behaviour changed. If that is intended, put the new values into \
-             TRACE_HASH / EVENTS in crates/sim/tests/amplification.rs in the same commit \
-             (all three shard counts must agree on them) and say in its message what moved \
-             them; if not, it is a regression.",
-            report.trace_hash,
-            report.events
+            report.trace_hash == TRACE_HASH
+                && counters
+                    == (
+                        EVENTS,
+                        ATTEMPTS,
+                        ADMITS,
+                        REJECTS,
+                        SUPPLIES,
+                        FINAL_CAPACITY_RAW
+                    ),
+            "10k-peer flash crowd, seed 7, {shards} shard(s): trace_hash 0x{:016x}, (events, \
+             attempts, admits, rejects, supplies, final_capacity_raw) {counters:?} — pinned \
+             0x{TRACE_HASH:016x}, ({EVENTS}, {ATTEMPTS}, {ADMITS}, {REJECTS}, {SUPPLIES}, \
+             {FINAL_CAPACITY_RAW}). These values are machine-independent, so the model's \
+             behaviour changed. If that is intended, put the new values into TRACE_HASH / \
+             EVENTS / ATTEMPTS / ADMITS / REJECTS / SUPPLIES / FINAL_CAPACITY_RAW in \
+             crates/sim/tests/amplification.rs in the same commit (all three shard counts \
+             must agree on them) and say in its message what moved them; if not, it is a \
+             regression. A change to the trace fold alone moves TRACE_HASH and nothing else.",
+            report.trace_hash
         );
     }
 }
