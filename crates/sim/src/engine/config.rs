@@ -6,6 +6,11 @@ use p2ps_core::admission::Protocol;
 
 use crate::{ArrivalProcess, HOUR, MINUTE};
 
+/// The largest population (seeds + requesters) an engine accepts:
+/// `2^28` peers. The engine's boundary messages carry 28-bit peer ids so
+/// that each packs, sort key and payload, into one `u64`.
+pub(crate) const MAX_PEERS: u32 = 1 << 28;
+
 /// Configuration errors raised by [`AmpConfigBuilder::build`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -34,6 +39,12 @@ pub enum AmpConfigError {
     ZeroSessionDuration,
     /// The horizon exceeds the engine's `u32` second clock.
     HorizonOverflow,
+    /// `T_bkf` or `E_bkf` is zero: a rejected peer would retry at the
+    /// instant of its rejection, forever.
+    ZeroBackoff,
+    /// Seeds plus requesters (the value carried) exceed the `2^28`
+    /// peers the engine's 28-bit message ids can address.
+    TooManyPeers(u64),
 }
 
 impl std::fmt::Display for AmpConfigError {
@@ -56,6 +67,18 @@ impl std::fmt::Display for AmpConfigError {
             AmpConfigError::ZeroSessionDuration => write!(f, "session duration must be positive"),
             AmpConfigError::HorizonOverflow => {
                 write!(f, "horizon exceeds the engine's u32 second clock")
+            }
+            AmpConfigError::ZeroBackoff => {
+                write!(
+                    f,
+                    "backoff base T_bkf and factor E_bkf must both be at least 1"
+                )
+            }
+            AmpConfigError::TooManyPeers(n) => {
+                write!(
+                    f,
+                    "{n} peers exceed the engine's limit of {MAX_PEERS} (28-bit ids)"
+                )
             }
         }
     }
@@ -130,7 +153,7 @@ impl AmpConfig {
         self.requesting_peers
     }
 
-    /// Total population (seeds + requesters).
+    /// Total population (seeds + requesters), at most `2^28`.
     pub fn total_peers(&self) -> u32 {
         self.seed_suppliers + self.requesting_peers
     }
@@ -227,6 +250,11 @@ impl AmpConfig {
     /// Worker threads executing the shards.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Workers an engine actually runs: `threads`, at most one a shard.
+    pub(crate) fn workers(&self) -> usize {
+        self.threads.min(self.shards as usize)
     }
 
     /// Number of epochs in the run (horizon / epoch, rounded up).
@@ -416,6 +444,10 @@ impl AmpConfigBuilder {
         if c.seed_suppliers == 0 || c.requesting_peers == 0 {
             return Err(AmpConfigError::EmptySystem);
         }
+        let peers = u64::from(c.seed_suppliers) + u64::from(c.requesting_peers);
+        if peers > u64::from(MAX_PEERS) {
+            return Err(AmpConfigError::TooManyPeers(peers));
+        }
         if c.m == 0 {
             return Err(AmpConfigError::ZeroCandidates);
         }
@@ -439,6 +471,11 @@ impl AmpConfigBuilder {
         }
         if c.session_secs == 0 {
             return Err(AmpConfigError::ZeroSessionDuration);
+        }
+        // A zero delay re-queues a rejected attempt at its own timestamp;
+        // against an empty frozen pool the epoch would never end.
+        if c.t_bkf_secs == 0 || c.e_bkf == 0 {
+            return Err(AmpConfigError::ZeroBackoff);
         }
         // Session ends and departures must stay addressable on the u32
         // second clock even when scheduled at the horizon.
@@ -523,6 +560,8 @@ mod tests {
             err(&|b| b.bandwidth_shift(13)),
             AmpConfigError::BadClassCount(17)
         );
+        assert_eq!(err(&|b| b.t_bkf_secs(0)), AmpConfigError::ZeroBackoff);
+        assert_eq!(err(&|b| b.e_bkf(0)), AmpConfigError::ZeroBackoff);
         for e in [
             AmpConfigError::BadClassCount(0),
             AmpConfigError::BadClassMix,
@@ -536,8 +575,30 @@ mod tests {
             AmpConfigError::WindowExceedsHorizon,
             AmpConfigError::ZeroSessionDuration,
             AmpConfigError::HorizonOverflow,
+            AmpConfigError::ZeroBackoff,
+            AmpConfigError::TooManyPeers(0),
         ] {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn population_is_bounded_by_the_message_id_width() {
+        let mut b = AmpConfig::builder();
+        let at_bound = b
+            .seed_suppliers(1)
+            .requesting_peers(MAX_PEERS - 1)
+            .build()
+            .unwrap();
+        assert_eq!(at_bound.total_peers(), 1 << 28);
+        assert_eq!(
+            b.requesting_peers(MAX_PEERS).build().unwrap_err(),
+            AmpConfigError::TooManyPeers((1 << 28) + 1)
+        );
+        // The sum is taken in u64: u32::MAX + 1 used to wrap to 0 peers.
+        assert_eq!(
+            b.requesting_peers(u32::MAX).build().unwrap_err(),
+            AmpConfigError::TooManyPeers(1 << 32)
+        );
     }
 }

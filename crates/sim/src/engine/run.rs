@@ -4,12 +4,16 @@
 //!
 //! Peers are partitioned over `shards()` logical shards by
 //! `shard = id % S` (`local = id / S`). Each shard owns a
-//! [`PeerStore`], an [`IndexedHeap`] event queue, and reusable message
-//! buffers. Virtual time advances in epochs of `epoch_secs()`; within
-//! an epoch every shard processes its own events (arrivals, retries,
+//! [`PeerStore`], an [`IndexedHeap`] event queue and reusable inboxes;
+//! each worker owns, per message kind, one row of `S` destination
+//! buckets. Virtual time advances in epochs of `epoch_secs()`; within an
+//! epoch every shard processes its own events (arrivals, retries,
 //! session completions, departures) against a *frozen* snapshot of the
 //! supplier pools, and the §4.2 probe protocol runs as three
-//! message-sorted rounds at the epoch boundary:
+//! message-sorted rounds at the epoch boundary. Whoever emits a message
+//! pushes it into its worker's bucket `dest % S`; the consuming shard
+//! concatenates the buckets addressed to it, one per worker, and sorts
+//! them — every message is written once and read once, whatever `S` is:
 //!
 //! 1. **local** — pop events `t < boundary`; admission attempts emit
 //!    `Probe`s to the candidates' shards.
@@ -23,9 +27,16 @@
 //!    grants up to exactly `R0`, emitting `Begin`/`Release` commits; on
 //!    failure it releases everything, picks the reminder set Ω greedily
 //!    over the busy-favored repliers, and schedules its backoff retry.
-//! 4. **round 3** — suppliers commit: `Begin` starts the session (busy
-//!    until `boundary + session`), `Release` clears the provisional
-//!    grant, `Reminder` records the best reminder class.
+//! 4. **round 3** — suppliers commit in sorted
+//!    `(supplier, requester, action)` order: `Begin` starts the session
+//!    (busy until `boundary + session`), `Release` clears the
+//!    provisional grant, `Reminder` records the best reminder class.
+//!
+//! A round of shard `s` reads buckets of one kind — finished before the
+//! barrier it starts behind — and writes only shard `s`'s own state and
+//! its worker's row of the next kind, which is why routing needs no
+//! barrier of its own: a worker crosses five an epoch (after local,
+//! after each round, after finalize).
 //!
 //! A serial **finalize** step then merges every shard's trace records
 //! (sorted, folded into one FNV-1a digest), applies the pool
@@ -60,7 +71,7 @@ use rand::distributions::{Distribution, Zipf};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-use super::config::AmpConfig;
+use super::config::{AmpConfig, MAX_PEERS};
 use super::queue::IndexedHeap;
 use super::report::{AmpReport, FoldCrossing};
 use super::store::{flags, rng_next, rng_range, rng_stream, rng_unit, state, PeerStore};
@@ -99,31 +110,105 @@ fn rec(t: u32, kind: u8, peer: u32, aux: u32) -> u128 {
     (u128::from(t) << 72) | (u128::from(kind) << 64) | (u128::from(peer) << 32) | u128::from(aux)
 }
 
-/// A probe from `requester` to `supplier` (routed to the supplier).
+/// Width of a peer id inside a boundary message. Each message packs
+/// its sort key and payload into one `u64` — two ids, a 5-bit class and
+/// a 2-bit verdict or action — so an inbox sorts as plain integers;
+/// [`AmpConfig`]'s `build` refuses a population beyond `2^28`.
+const ID_BITS: u32 = 28;
+const _: () = assert!(MAX_PEERS == 1 << ID_BITS);
+const ID_MASK: u64 = (1 << ID_BITS) - 1;
+const CLASS_BITS: u32 = 5;
+const CLASS_MASK: u64 = (1 << CLASS_BITS) - 1;
+
+/// A probe from `requester` (of `class`) to `supplier`, routed to the
+/// supplier. Integer order is `(supplier, requester)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Probe {
-    supplier: u32,
-    requester: u32,
-    class: u8,
+struct Probe(u64);
+
+impl Probe {
+    fn new(supplier: u32, requester: u32, class: u8) -> Self {
+        Probe(
+            u64::from(supplier) << (ID_BITS + CLASS_BITS)
+                | u64::from(requester) << CLASS_BITS
+                | u64::from(class),
+        )
+    }
+
+    fn supplier(self) -> u32 {
+        (self.0 >> (ID_BITS + CLASS_BITS)) as u32
+    }
+
+    fn requester(self) -> u32 {
+        ((self.0 >> CLASS_BITS) & ID_MASK) as u32
+    }
+
+    fn class(self) -> u8 {
+        (self.0 & CLASS_MASK) as u8
+    }
 }
 
-/// A supplier's answer (routed to the requester). Field order makes the
-/// derived sort the requester's greedy order: supplier class ascending.
+/// A supplier's answer, routed to the requester. Integer order is the
+/// requester's greedy order: `(requester, supplier class, supplier)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Reply {
-    requester: u32,
-    sup_class: u8,
-    supplier: u32,
-    verdict: u8,
+struct Reply(u64);
+
+impl Reply {
+    fn new(requester: u32, sup_class: u8, supplier: u32, verdict: u8) -> Self {
+        Reply(
+            u64::from(requester) << (CLASS_BITS + ID_BITS + 2)
+                | u64::from(sup_class) << (ID_BITS + 2)
+                | u64::from(supplier) << 2
+                | u64::from(verdict),
+        )
+    }
+
+    fn requester(self) -> u32 {
+        (self.0 >> (CLASS_BITS + ID_BITS + 2)) as u32
+    }
+
+    fn sup_class(self) -> u8 {
+        ((self.0 >> (ID_BITS + 2)) & CLASS_MASK) as u8
+    }
+
+    fn supplier(self) -> u32 {
+        ((self.0 >> 2) & ID_MASK) as u32
+    }
+
+    fn verdict(self) -> u8 {
+        (self.0 & 3) as u8
+    }
 }
 
-/// A requester's resolution (routed back to the supplier).
+/// A requester's resolution, routed back to the supplier. Integer order
+/// is `(supplier, requester, action)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Commit {
-    supplier: u32,
-    requester: u32,
-    action: u8,
-    class: u8,
+struct Commit(u64);
+
+impl Commit {
+    fn new(supplier: u32, requester: u32, action: u8, class: u8) -> Self {
+        Commit(
+            u64::from(supplier) << (ID_BITS + 2 + CLASS_BITS)
+                | u64::from(requester) << (2 + CLASS_BITS)
+                | u64::from(action) << CLASS_BITS
+                | u64::from(class),
+        )
+    }
+
+    fn supplier(self) -> u32 {
+        (self.0 >> (ID_BITS + 2 + CLASS_BITS)) as u32
+    }
+
+    fn requester(self) -> u32 {
+        ((self.0 >> (2 + CLASS_BITS)) & ID_MASK) as u32
+    }
+
+    fn action(self) -> u8 {
+        ((self.0 >> CLASS_BITS) & 3) as u8
+    }
+
+    fn class(self) -> u8 {
+        (self.0 & CLASS_MASK) as u8
+    }
 }
 
 /// A deferred supplier-pool mutation, applied at finalize in globally
@@ -151,12 +236,56 @@ impl PartialOrd for PoolOp {
     }
 }
 
-/// Per-shard outgoing messages for the current boundary.
-#[derive(Debug, Default)]
-struct Outbox {
-    probes: Vec<Probe>,
-    replies: Vec<Reply>,
-    commits: Vec<Commit>,
+/// One kind of boundary message in flight, bucketed
+/// `[emitting worker][destination shard]`. A worker is the only writer
+/// of its row, and only in the phase that emits the kind; the phase
+/// after the next barrier reads, for destination `d`, bucket `d` of
+/// every row. Which row carried a message is not observable — inboxes
+/// are content-sorted — so rows per worker rather than per shard cost
+/// nothing in determinism and keep a delivery at `threads` buckets, not
+/// `S`. Buckets start empty and keep their high-water capacity.
+type Exchange<T> = Vec<RwLock<Vec<Vec<T>>>>;
+
+fn exchange<T>(workers: usize, shard_count: usize) -> Exchange<T> {
+    (0..workers)
+        .map(|_| RwLock::new((0..shard_count).map(|_| Vec::new()).collect()))
+        .collect()
+}
+
+/// Runs one emitting `phase` over a worker's `shards`, handing it the
+/// worker's emptied row. The write guard is gone before the caller
+/// reaches the barrier the readers wait behind.
+fn emit<T>(
+    row: &RwLock<Vec<Vec<T>>>,
+    shards: impl Iterator<Item = usize>,
+    mut phase: impl FnMut(usize, &mut [Vec<T>]),
+) {
+    let mut row = row.write().expect("a worker panicked");
+    for bucket in row.iter_mut() {
+        bucket.clear();
+    }
+    for s in shards {
+        phase(s, &mut row);
+    }
+}
+
+/// Emits `msg` for peer `dest` into the emitting worker's `row`.
+#[inline]
+fn post<T>(row: &mut [Vec<T>], dest: u32, msg: T) {
+    let shard = dest as usize % row.len();
+    row[shard].push(msg);
+}
+
+/// Delivers to shard `s` the messages addressed to it — one bucket of
+/// every row — in content order, so neither the emitters' layout nor
+/// the order of emission is observable.
+fn collect<T: Copy + Ord>(exchange: &Exchange<T>, s: usize, inbox: &mut Vec<T>) {
+    inbox.clear();
+    for row in exchange {
+        let row = row.read().expect("a worker panicked");
+        inbox.extend_from_slice(&row[s]);
+    }
+    inbox.sort_unstable();
 }
 
 /// The frozen supplier directory: per-item pools plus each peer's
@@ -278,7 +407,9 @@ pub struct AmpEngine {
     class_cdf: Vec<f64>,
     zipf: Zipf,
     shards: Vec<Mutex<Shard>>,
-    outboxes: Vec<RwLock<Outbox>>,
+    probes: Exchange<Probe>,
+    replies: Exchange<Reply>,
+    commits: Exchange<Commit>,
     pools: RwLock<Pools>,
     global: Mutex<Global>,
     consumed: bool,
@@ -319,6 +450,7 @@ impl AmpEngine {
             .collect();
         let zipf = Zipf::new(u64::from(config.catalog_items()), config.zipf_exponent());
         let shard_count = config.shards() as usize;
+        let workers = config.workers();
         let per_shard = (config.total_peers() as usize).div_ceil(shard_count);
         let mut engine = AmpEngine {
             shards: (0..shard_count)
@@ -332,9 +464,9 @@ impl AmpEngine {
                     })
                 })
                 .collect(),
-            outboxes: (0..shard_count)
-                .map(|_| RwLock::new(Outbox::default()))
-                .collect(),
+            probes: exchange(workers, shard_count),
+            replies: exchange(workers, shard_count),
+            commits: exchange(workers, shard_count),
             pools: RwLock::new(Pools {
                 by_item: vec![Vec::new(); config.catalog_items() as usize],
                 pos: vec![NONE_U32; config.total_peers() as usize],
@@ -504,12 +636,13 @@ impl AmpEngine {
         );
         self.consumed = true;
         let start = Instant::now();
-        let threads = self.config.threads().min(self.config.shards() as usize);
+        let threads = self.config.workers();
+        let barrier = Barrier::new(threads);
         if threads == 1 {
-            self.run_inline();
+            // `thread::scope` allocates even when nothing is spawned.
+            self.worker(0, 1, &barrier);
         } else {
             let this = &*self;
-            let barrier = Barrier::new(threads);
             std::thread::scope(|scope| {
                 for w in 1..threads {
                     let barrier = &barrier;
@@ -522,43 +655,15 @@ impl AmpEngine {
         self.threads_used = threads;
     }
 
-    /// Single-threaded driver: the same phase sequence, no barriers, no
-    /// spawns — the allocation-free measurement path.
-    fn run_inline(&self) {
-        let epochs = self.config.epochs();
-        let horizon = self.config.horizon_secs();
-        let shard_count = self.shards.len();
-        for epoch in 0..epochs {
-            let t_end = ((u64::from(epoch) + 1) * u64::from(self.config.epoch_secs()))
-                .min(u64::from(horizon)) as u32;
-            for s in 0..shard_count {
-                self.local_phase(s, t_end);
-            }
-            for s in 0..shard_count {
-                self.route_probes(s);
-            }
-            for s in 0..shard_count {
-                self.supplier_phase(s, t_end);
-            }
-            for s in 0..shard_count {
-                self.route_replies(s);
-            }
-            for s in 0..shard_count {
-                self.requester_phase(s, t_end);
-            }
-            for s in 0..shard_count {
-                self.route_commits(s);
-            }
-            for s in 0..shard_count {
-                self.commit_phase(s, t_end);
-            }
-            self.finalize(epoch, t_end);
-        }
-    }
-
-    /// One worker of the multi-threaded driver: executes shards
-    /// `w, w + threads, …` through the eight barrier-separated phases;
-    /// worker 0 runs the serial finalize.
+    /// One worker: executes shards `w, w + threads, …` through the five
+    /// barrier-separated phases of every epoch; worker 0 runs the serial
+    /// finalize. Each of the three middle phases first collects what the
+    /// phase before it emitted — finished buckets, read-only by now —
+    /// and then writes only its own shard's state and this worker's row
+    /// of the next kind, so routing and consuming need no barrier
+    /// between them.
+    /// With `threads = 1` the caller is the one worker and the barrier
+    /// never blocks: the allocation-free measurement path.
     fn worker(&self, w: usize, threads: usize, barrier: &Barrier) {
         let epochs = self.config.epochs();
         let horizon = self.config.horizon_secs();
@@ -567,29 +672,17 @@ impl AmpEngine {
         for epoch in 0..epochs {
             let t_end = ((u64::from(epoch) + 1) * u64::from(self.config.epoch_secs()))
                 .min(u64::from(horizon)) as u32;
-            for s in mine() {
-                self.local_phase(s, t_end);
-            }
+            emit(&self.probes[w], mine(), |s, out| {
+                self.local_phase(s, t_end, out)
+            });
             barrier.wait();
-            for s in mine() {
-                self.route_probes(s);
-            }
+            emit(&self.replies[w], mine(), |s, out| {
+                self.supplier_phase(s, t_end, out)
+            });
             barrier.wait();
-            for s in mine() {
-                self.supplier_phase(s, t_end);
-            }
-            barrier.wait();
-            for s in mine() {
-                self.route_replies(s);
-            }
-            barrier.wait();
-            for s in mine() {
-                self.requester_phase(s, t_end);
-            }
-            barrier.wait();
-            for s in mine() {
-                self.route_commits(s);
-            }
+            emit(&self.commits[w], mine(), |s, out| {
+                self.requester_phase(s, t_end, out)
+            });
             barrier.wait();
             for s in mine() {
                 self.commit_phase(s, t_end);
@@ -603,12 +696,10 @@ impl AmpEngine {
     }
 
     /// Phase 1: drain this shard's events up to (excluding) `t_end`.
-    fn local_phase(&self, s: usize, t_end: u32) {
+    fn local_phase(&self, s: usize, t_end: u32, out: &mut [Vec<Probe>]) {
         let cfg = &self.config;
         let mut shard = self.shards[s].lock().unwrap();
         let sh = &mut *shard;
-        let mut out = self.outboxes[s].write().unwrap();
-        out.probes.clear();
         let pools = self.pools.read().unwrap();
         let shard_count = cfg.shards();
         let horizon = cfg.horizon_secs();
@@ -653,11 +744,7 @@ impl AmpEngine {
                         }
                     }
                     for &supplier in &sh.cand {
-                        out.probes.push(Probe {
-                            supplier,
-                            requester: id,
-                            class,
-                        });
+                        post(out, supplier, Probe::new(supplier, id, class));
                     }
                 }
                 K_COMPLETE => {
@@ -733,34 +820,18 @@ impl AmpEngine {
         }
     }
 
-    /// Routes probes addressed to shard `s` into its sorted inbox.
-    fn route_probes(&self, s: usize) {
-        let shard_count = self.config.shards();
-        let mut shard = self.shards[s].lock().unwrap();
-        shard.probes_in.clear();
-        for outbox in &self.outboxes {
-            let outbox = outbox.read().unwrap();
-            for p in &outbox.probes {
-                if p.supplier % shard_count == s as u32 {
-                    shard.probes_in.push(*p);
-                }
-            }
-        }
-        shard.probes_in.sort_unstable();
-    }
-
-    /// Round 1: suppliers answer their probes at boundary `tb`.
-    fn supplier_phase(&self, s: usize, tb: u32) {
+    /// Round 1: suppliers answer the probes addressed to shard `s` at
+    /// boundary `tb`.
+    fn supplier_phase(&self, s: usize, tb: u32, out: &mut [Vec<Reply>]) {
         let cfg = &self.config;
         let mut shard = self.shards[s].lock().unwrap();
         let sh = &mut *shard;
-        let mut out = self.outboxes[s].write().unwrap();
-        out.replies.clear();
+        collect(&self.probes, s, &mut sh.probes_in);
         let shard_count = cfg.shards();
         for i in 0..sh.probes_in.len() {
             let p = sh.probes_in[i];
             sh.e_events += 1;
-            let local = (p.supplier / shard_count) as usize;
+            let local = (p.supplier() / shard_count) as usize;
             let sup_class = sh.store.class[local];
             let verdict = if sh.store.state[local] != state::SUPPLYING {
                 // Candidate departed during this epoch's local phase —
@@ -770,7 +841,7 @@ impl AmpEngine {
                 sh.store
                     .sync_supplier(local, tb, cfg.t_out_secs(), cfg.protocol());
                 if sh.store.flags[local] & flags::BUSY != 0 {
-                    if sh.store.vector[local].favors(p.class) {
+                    if sh.store.vector[local].favors(p.class()) {
                         sh.store.flags[local] |= flags::SAW_FAVORED;
                         V_BUSY_FAVORED
                     } else {
@@ -780,54 +851,38 @@ impl AmpEngine {
                     // Already granted this boundary; to a second
                     // requester the slot is taken.
                     V_BUSY
-                } else if sh.store.vector[local].decide(p.class, rng_next(&mut sh.store.rng[local]))
+                } else if sh.store.vector[local]
+                    .decide(p.class(), rng_next(&mut sh.store.rng[local]))
                 {
-                    sh.store.provisional[local] = p.requester;
+                    sh.store.provisional[local] = p.requester();
                     V_GRANTED
                 } else {
                     V_REFUSED
                 }
             };
-            out.replies.push(Reply {
-                requester: p.requester,
-                sup_class,
-                supplier: p.supplier,
-                verdict,
-            });
+            post(
+                out,
+                p.requester(),
+                Reply::new(p.requester(), sup_class, p.supplier(), verdict),
+            );
         }
     }
 
-    /// Routes replies addressed to shard `s` into its sorted inbox.
-    fn route_replies(&self, s: usize) {
-        let shard_count = self.config.shards();
-        let mut shard = self.shards[s].lock().unwrap();
-        shard.replies_in.clear();
-        for outbox in &self.outboxes {
-            let outbox = outbox.read().unwrap();
-            for r in &outbox.replies {
-                if r.requester % shard_count == s as u32 {
-                    shard.replies_in.push(*r);
-                }
-            }
-        }
-        shard.replies_in.sort_unstable();
-    }
-
-    /// Round 2: requesters fold their reply groups at boundary `tb`.
-    fn requester_phase(&self, s: usize, tb: u32) {
+    /// Round 2: the requesters of shard `s` fold their reply groups at
+    /// boundary `tb`.
+    fn requester_phase(&self, s: usize, tb: u32, out: &mut [Vec<Commit>]) {
         let cfg = &self.config;
         let mut shard = self.shards[s].lock().unwrap();
         let sh = &mut *shard;
-        let mut out = self.outboxes[s].write().unwrap();
-        out.commits.clear();
+        collect(&self.replies, s, &mut sh.replies_in);
         let shard_count = cfg.shards();
         let horizon = cfg.horizon_secs();
         let full = i64::from(Bandwidth::FULL_RATE.raw());
         let mut i = 0;
         while i < sh.replies_in.len() {
-            let id = sh.replies_in[i].requester;
+            let id = sh.replies_in[i].requester();
             let mut j = i;
-            while j < sh.replies_in.len() && sh.replies_in[j].requester == id {
+            while j < sh.replies_in.len() && sh.replies_in[j].requester() == id {
                 j += 1;
             }
             sh.e_events += 1;
@@ -839,8 +894,8 @@ impl AmpEngine {
             sh.accept.clear();
             let mut total = 0i64;
             for (gi, r) in sh.replies_in[i..j].iter().enumerate() {
-                if r.verdict == V_GRANTED && total < full {
-                    let offer = self.offers[r.sup_class as usize];
+                if r.verdict() == V_GRANTED && total < full {
+                    let offer = self.offers[r.sup_class() as usize];
                     if total + offer <= full {
                         total += offer;
                         sh.accept.push(gi as u32);
@@ -849,18 +904,14 @@ impl AmpEngine {
             }
             if total == full {
                 for (gi, r) in sh.replies_in[i..j].iter().enumerate() {
-                    if r.verdict == V_GRANTED {
+                    if r.verdict() == V_GRANTED {
                         let action = if sh.accept.contains(&(gi as u32)) {
                             A_BEGIN
                         } else {
                             A_RELEASE
                         };
-                        out.commits.push(Commit {
-                            supplier: r.supplier,
-                            requester: id,
-                            action,
-                            class,
-                        });
+                        let supplier = r.supplier();
+                        post(out, supplier, Commit::new(supplier, id, action, class));
                     }
                 }
                 sh.store.state[local] = state::STREAMING;
@@ -878,23 +929,16 @@ impl AmpEngine {
                 let shortfall = full - total;
                 let mut covered = 0i64;
                 for r in &sh.replies_in[i..j] {
-                    match r.verdict {
-                        V_GRANTED => out.commits.push(Commit {
-                            supplier: r.supplier,
-                            requester: id,
-                            action: A_RELEASE,
-                            class,
-                        }),
+                    let supplier = r.supplier();
+                    match r.verdict() {
+                        V_GRANTED => {
+                            post(out, supplier, Commit::new(supplier, id, A_RELEASE, class))
+                        }
                         V_BUSY_FAVORED => {
-                            let offer = self.offers[r.sup_class as usize];
+                            let offer = self.offers[r.sup_class() as usize];
                             if covered < shortfall && covered + offer <= shortfall {
                                 covered += offer;
-                                out.commits.push(Commit {
-                                    supplier: r.supplier,
-                                    requester: id,
-                                    action: A_REMIND,
-                                    class,
-                                });
+                                post(out, supplier, Commit::new(supplier, id, A_REMIND, class));
                             }
                         }
                         _ => {}
@@ -906,36 +950,22 @@ impl AmpEngine {
         }
     }
 
-    /// Routes commits addressed to shard `s` into its sorted inbox.
-    fn route_commits(&self, s: usize) {
-        let shard_count = self.config.shards();
-        let mut shard = self.shards[s].lock().unwrap();
-        shard.commits_in.clear();
-        for outbox in &self.outboxes {
-            let outbox = outbox.read().unwrap();
-            for c in &outbox.commits {
-                if c.supplier % shard_count == s as u32 {
-                    shard.commits_in.push(*c);
-                }
-            }
-        }
-        shard.commits_in.sort_unstable();
-    }
-
-    /// Round 3: suppliers apply begins, releases, and reminders.
+    /// Round 3: the suppliers of shard `s` apply begins, releases, and
+    /// reminders.
     fn commit_phase(&self, s: usize, tb: u32) {
         let cfg = &self.config;
         let mut shard = self.shards[s].lock().unwrap();
         let sh = &mut *shard;
+        collect(&self.commits, s, &mut sh.commits_in);
         let shard_count = cfg.shards();
         let horizon = cfg.horizon_secs();
         for i in 0..sh.commits_in.len() {
             let c = sh.commits_in[i];
             sh.e_events += 1;
-            let local = (c.supplier / shard_count) as usize;
-            match c.action {
+            let local = (c.supplier() / shard_count) as usize;
+            match c.action() {
                 A_BEGIN => {
-                    debug_assert_eq!(sh.store.provisional[local], c.requester);
+                    debug_assert_eq!(sh.store.provisional[local], c.requester());
                     debug_assert_eq!(sh.store.state[local], state::SUPPLYING);
                     sh.store.provisional[local] = NONE_U32;
                     sh.store.flags[local] &= !flags::SAW_FAVORED;
@@ -943,11 +973,11 @@ impl AmpEngine {
                     sh.store.best_reminder[local] = 0;
                     let done = u64::from(tb) + u64::from(cfg.session_secs());
                     if done < u64::from(horizon) {
-                        sh.queue.push((done as u32, K_RELEASE, c.supplier));
+                        sh.queue.push((done as u32, K_RELEASE, c.supplier()));
                     }
                 }
                 A_RELEASE => {
-                    if sh.store.provisional[local] == c.requester {
+                    if sh.store.provisional[local] == c.requester() {
                         sh.store.provisional[local] = NONE_U32;
                     }
                 }
@@ -956,8 +986,8 @@ impl AmpEngine {
                     // the supplier is busy.
                     if sh.store.flags[local] & flags::BUSY != 0 {
                         let best = sh.store.best_reminder[local];
-                        if best == 0 || c.class < best {
-                            sh.store.best_reminder[local] = c.class;
+                        if best == 0 || c.class() < best {
+                            sh.store.best_reminder[local] = c.class();
                         }
                     }
                 }
@@ -1116,6 +1146,135 @@ mod tests {
             .epoch_secs(60)
             .build()
             .unwrap()
+    }
+
+    /// The exchange as it was before bucketing, kept as the oracle:
+    /// every shard scans every message of every outbox and keeps its own.
+    fn scan<T: Copy + Ord>(outboxes: &[Vec<(u32, T)>], shard_count: u32, s: u32) -> Vec<T> {
+        let mut inbox = Vec::new();
+        for outbox in outboxes {
+            for &(dest, msg) in outbox {
+                if dest % shard_count == s {
+                    inbox.push(msg);
+                }
+            }
+        }
+        inbox.sort_unstable();
+        inbox
+    }
+
+    #[test]
+    fn bucketed_delivery_matches_the_scan_it_replaced() {
+        for shard_count in [1u32, 2, 3, 7, 64] {
+            for workers in 1..=4 {
+                let mut rng = rng_stream(workers as u64, u64::from(shard_count));
+                let exchange = exchange(workers, shard_count as usize);
+                let mut inbox = Vec::new();
+                // Two boundaries on one exchange: the second must see
+                // nothing of the first.
+                for _boundary in 0..2 {
+                    // Few distinct ids, so duplicates and empty buckets occur.
+                    let outboxes: Vec<Vec<(u32, Probe)>> = (0..workers)
+                        .map(|_| {
+                            (0..rng_range(&mut rng, 400))
+                                .map(|_| {
+                                    let supplier = rng_range(&mut rng, 300);
+                                    let requester = rng_range(&mut rng, 300);
+                                    (supplier, Probe::new(supplier, requester, 1))
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    for (row, outbox) in exchange.iter().zip(&outboxes) {
+                        emit(row, 0..1, |_, out| {
+                            for &(dest, msg) in outbox {
+                                post(out, dest, msg);
+                            }
+                        });
+                    }
+                    let mut delivered = 0;
+                    for s in 0..shard_count {
+                        collect(&exchange, s as usize, &mut inbox);
+                        assert_eq!(
+                            inbox,
+                            scan(&outboxes, shard_count, s),
+                            "{workers} worker(s), shard {s} of {shard_count}"
+                        );
+                        delivered += inbox.len();
+                    }
+                    let sent: usize = outboxes.iter().map(Vec::len).sum();
+                    assert_eq!(delivered, sent, "every message is delivered exactly once");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_messages_round_trip_and_sort_like_their_fields() {
+        let mut rng = rng_stream(1, 2);
+        // (id, id, class, 2-bit verdict or action), ids dense at both ends.
+        let fields: Vec<(u32, u32, u8, u8)> = (0..2_000)
+            .map(|_| {
+                let mut id = || match rng_range(&mut rng, 4) {
+                    0 => 0,
+                    1 => MAX_PEERS - 1,
+                    _ => rng_range(&mut rng, MAX_PEERS),
+                };
+                let (a, b) = (id(), id());
+                let class = 1 + rng_range(&mut rng, 16) as u8;
+                (a, b, class, rng_range(&mut rng, 4) as u8)
+            })
+            .collect();
+        for &(a, b, class, two) in &fields {
+            let p = Probe::new(a, b, class);
+            assert_eq!((p.supplier(), p.requester(), p.class()), (a, b, class));
+            let r = Reply::new(a, class, b, two);
+            assert_eq!(
+                (r.requester(), r.sup_class(), r.supplier(), r.verdict()),
+                (a, class, b, two)
+            );
+            let c = Commit::new(a, b, two, class);
+            assert_eq!(
+                (c.supplier(), c.requester(), c.action(), c.class()),
+                (a, b, two, class)
+            );
+        }
+        for w in fields.windows(2) {
+            let ((a, b, class, two), (a2, b2, class2, two2)) = (w[0], w[1]);
+            assert_eq!(
+                Probe::new(a, b, class).cmp(&Probe::new(a2, b2, class2)),
+                (a, b, class).cmp(&(a2, b2, class2))
+            );
+            assert_eq!(
+                Reply::new(a, class, b, two).cmp(&Reply::new(a2, class2, b2, two2)),
+                (a, class, b, two).cmp(&(a2, class2, b2, two2))
+            );
+            assert_eq!(
+                Commit::new(a, b, two, class).cmp(&Commit::new(a2, b2, two2, class2)),
+                (a, b, two, class).cmp(&(a2, b2, two2, class2))
+            );
+        }
+    }
+
+    #[test]
+    fn minimal_backoff_against_an_unseeded_item_terminates() {
+        // One seed over two items: item 1 never has a supplier, so its
+        // requesters are rejected locally and retry one second later
+        // until the horizon. (A zero delay — which `build` now refuses —
+        // re-queued them inside the same epoch forever.)
+        let mut builder = AmpConfig::builder();
+        builder
+            .requesting_peers(100)
+            .seed_suppliers(1)
+            .catalog_items(2)
+            .t_bkf_secs(1)
+            .e_bkf(1)
+            .arrival_window_secs(60)
+            .horizon_secs(600)
+            .epoch_secs(60);
+        let r = AmpEngine::new(builder.build().unwrap(), 1).run();
+        assert!(r.rejects > 600, "a starved requester retries every second");
+        assert_eq!(r.attempts, r.rejects + r.admits);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Pins the zero-allocation steady path of the amplification engine:
 //! on a warmed [`AmpEngine`] (one prior identical run, then `reset`),
 //! `execute()` with one worker thread performs **zero** heap
-//! allocations — every store, queue, outbox, trace buffer, and curve
+//! allocations — every store, queue, inbox, exchange bucket, and curve
 //! retained its capacity across the reset.
 //!
 //! The allocator counts per thread; with one worker the engine runs on
@@ -15,6 +15,18 @@ static A: p2ps_testkit::CountingAlloc = p2ps_testkit::CountingAlloc;
 
 #[test]
 fn warmed_engine_executes_without_allocating() {
+    warmed_execute_allocates_nothing(4);
+}
+
+/// The repo benchmark's shard count (`amp_flash`): the exchange's 64
+/// destination buckets per message kind start empty, and each is back
+/// at its high-water mark after `reset`.
+#[test]
+fn warmed_engine_executes_without_allocating_at_64_shards() {
+    warmed_execute_allocates_nothing(64);
+}
+
+fn warmed_execute_allocates_nothing(shards: u32) {
     let mut builder = AmpConfig::builder();
     builder
         .requesting_peers(3_000)
@@ -23,7 +35,7 @@ fn warmed_engine_executes_without_allocating() {
         .arrival_window_secs(3_600)
         .horizon_secs(4 * 3_600)
         .epoch_secs(60)
-        .shards(4)
+        .shards(shards)
         .threads(1);
     let config = builder.build().unwrap();
     let seed = 7;
@@ -42,8 +54,8 @@ fn warmed_engine_executes_without_allocating() {
     let delta = thread_allocs() - before;
     assert_eq!(
         delta, 0,
-        "warmed single-thread execute() of {} events allocated {delta} times \
-         (must be zero: all engine state is capacity-preserving)",
+        "warmed single-thread execute() of {} events on {shards} shards allocated {delta} \
+         times (must be zero: all engine state is capacity-preserving)",
         warm.events
     );
 
