@@ -38,11 +38,12 @@
 //! barrier of its own: a worker crosses five an epoch (after local,
 //! after each round, after finalize).
 //!
-//! A serial **finalize** step then merges every shard's trace records
-//! (sorted, folded into one FNV-1a digest), applies the pool
-//! adds/removes in globally sorted order, accumulates the exact
-//! fixed-point capacity delta, and samples the capacity/rejection
-//! curves.
+//! Trace records never leave their shard: each is folded, as it is
+//! emitted, into the shard's accumulator of a commutative multiset
+//! digest (see `fold`). A serial **finalize** step then adds the
+//! accumulators, applies the pool adds/removes in globally sorted order,
+//! accumulates the exact fixed-point capacity delta, and samples the
+//! capacity/rejection curves.
 //!
 //! # Determinism
 //!
@@ -101,13 +102,22 @@ const A_BEGIN: u8 = 0;
 const A_RELEASE: u8 = 1;
 const A_REMIND: u8 = 2;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Packs one trace record: `t << 72 | kind << 64 | peer << 32 | aux`.
 #[inline]
 fn rec(t: u32, kind: u8, peer: u32, aux: u32) -> u128 {
     (u128::from(t) << 72) | (u128::from(kind) << 64) | (u128::from(peer) << 32) | u128::from(aux)
+}
+
+/// Folds one trace record into a digest of the *multiset* of records:
+/// the wrapping sum of a 64-bit avalanche mix of each (two rounds of
+/// SplitMix64's finalizer, one per half). Addition commutes, so shards
+/// fold as they emit and sums merge in any order; unlike XOR it also
+/// counts duplicates.
+#[inline]
+fn fold(digest: &mut u64, record: u128) {
+    let mut state = (record >> 64) as u64;
+    state = rng_next(&mut state) ^ record as u64;
+    *digest = digest.wrapping_add(rng_next(&mut state));
 }
 
 /// Width of a peer id inside a boundary message. Each message packs
@@ -324,7 +334,7 @@ struct Shard {
     probes_in: Vec<Probe>,
     replies_in: Vec<Reply>,
     commits_in: Vec<Commit>,
-    records: Vec<u128>,
+    digest: u64,
     ops: Vec<PoolOp>,
     cand: Vec<u32>,
     accept: Vec<u32>,
@@ -341,7 +351,6 @@ struct Shard {
 #[derive(Debug, Default)]
 struct Global {
     hash: u64,
-    records: Vec<u128>,
     ops: Vec<PoolOp>,
     capacity_raw: i64,
     initial_capacity_raw: i64,
@@ -535,7 +544,6 @@ impl AmpEngine {
             // keeps its high-water capacity across `reset()`.
             let mut g = self.global.lock().unwrap();
             g.hash = 0;
-            g.records.clear();
             g.ops.clear();
             g.capacity_raw = 0;
             g.initial_capacity_raw = 0;
@@ -562,7 +570,7 @@ impl AmpEngine {
             sh.probes_in.clear();
             sh.replies_in.clear();
             sh.commits_in.clear();
-            sh.records.clear();
+            sh.digest = 0;
             sh.ops.clear();
             sh.cap_delta = 0;
             sh.e_attempts = 0;
@@ -581,7 +589,7 @@ impl AmpEngine {
                     let item = (id % u32::from(items)) as u16;
                     let local = sh.store.push(1, item, state::SUPPLYING, stream);
                     sh.store.vector[local] = PackedVector::initial(1, num_classes, protocol);
-                    sh.records.push(rec(0, R_SUPPLY, id, 1));
+                    fold(&mut sh.digest, rec(0, R_SUPPLY, id, 1));
                     let mut pools = self.pools.write().unwrap();
                     pools.apply(PoolOp {
                         item,
@@ -720,8 +728,7 @@ impl AmpEngine {
                         sh.store.first_request[local] = t;
                     }
                     let rejections = sh.store.rejections[local];
-                    sh.records
-                        .push(rec(t, R_ATTEMPT, id, u32::from(rejections)));
+                    fold(&mut sh.digest, rec(t, R_ATTEMPT, id, u32::from(rejections)));
                     sh.e_attempts += 1;
                     let pool = &pools.by_item[sh.store.item[local] as usize];
                     if pool.is_empty() {
@@ -768,7 +775,7 @@ impl AmpEngine {
                         add: true,
                     });
                     sh.cap_delta += self.offers[class as usize];
-                    sh.records.push(rec(t, R_SUPPLY, id, u32::from(class)));
+                    fold(&mut sh.digest, rec(t, R_SUPPLY, id, u32::from(class)));
                     sh.e_supplies += 1;
                     let lifetime = cfg.supplier_lifetime_secs();
                     if lifetime > 0 {
@@ -915,8 +922,7 @@ impl AmpEngine {
                     }
                 }
                 sh.store.state[local] = state::STREAMING;
-                sh.records
-                    .push(rec(tb, R_ADMIT, id, sh.accept.len() as u32));
+                fold(&mut sh.digest, rec(tb, R_ADMIT, id, sh.accept.len() as u32));
                 sh.e_admits += 1;
                 let done = u64::from(tb) + u64::from(cfg.session_secs());
                 if done < u64::from(horizon) {
@@ -996,14 +1002,15 @@ impl AmpEngine {
         }
     }
 
-    /// Serial epoch finalize: merge traces, apply pool ops, advance
-    /// capacity, and sample curves.
+    /// Serial epoch finalize: add up digests and counters, apply pool
+    /// ops, advance capacity, and sample curves.
     fn finalize(&self, epoch: u32, t_end: u32) {
         let mut g = self.global.lock().unwrap();
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap();
             let sh = &mut *shard;
-            g.records.append(&mut sh.records);
+            g.hash = g.hash.wrapping_add(sh.digest);
+            sh.digest = 0;
             g.ops.append(&mut sh.ops);
             g.capacity_raw += sh.cap_delta;
             sh.cap_delta = 0;
@@ -1022,19 +1029,6 @@ impl AmpEngine {
             sh.e_departs = 0;
             sh.e_events = 0;
         }
-        g.records.sort_unstable();
-        let mut hash = g.hash;
-        if hash == 0 {
-            hash = FNV_OFFSET;
-        }
-        for r in &g.records {
-            for b in r.to_le_bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-        g.hash = hash;
-        g.records.clear();
         g.ops.sort_unstable();
         {
             let mut pools = self.pools.write().unwrap();
@@ -1102,7 +1096,7 @@ impl AmpEngine {
 fn reject(sh: &mut Shard, cfg: &AmpConfig, local: usize, id: u32, t: u32, horizon: u32) {
     let rejections = sh.store.rejections[local].saturating_add(1);
     sh.store.rejections[local] = rejections;
-    sh.records.push(rec(t, R_REJECT, id, u32::from(rejections)));
+    fold(&mut sh.digest, rec(t, R_REJECT, id, u32::from(rejections)));
     sh.e_rejects += 1;
     // §4.2 backoff: T_bkf · E_bkf^(i-1) after the i-th rejection.
     let exp = u32::from(rejections - 1).min(30);
@@ -1127,7 +1121,7 @@ fn depart(sh: &mut Shard, offers: &[i64; 17], local: usize, id: u32, t: u32) {
         add: false,
     });
     sh.cap_delta -= offers[sh.store.class[local] as usize];
-    sh.records.push(rec(t, R_DEPART, id, 0));
+    fold(&mut sh.digest, rec(t, R_DEPART, id, 0));
     sh.e_departs += 1;
 }
 
@@ -1207,6 +1201,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn digest_depends_on_the_record_multiset_and_nothing_else() {
+        let mut rng = rng_stream(3, 4);
+        let mut records: Vec<u128> = (0..500)
+            .map(|_| {
+                let (t, peer) = (rng_range(&mut rng, 14_400), rng_range(&mut rng, 1_000));
+                rec(
+                    t,
+                    rng_range(&mut rng, 5) as u8,
+                    peer,
+                    rng_range(&mut rng, 8),
+                )
+            })
+            .collect();
+        records.push(records[0]); // the multiset has a genuine duplicate
+        let digest = |records: &[u128]| {
+            let mut d = 0;
+            records.iter().for_each(|&r| fold(&mut d, r));
+            d
+        };
+        let base = digest(&records);
+
+        // Emission order, and how the emissions split over shards, are
+        // not observable.
+        let mut permuted = records.clone();
+        permuted.reverse();
+        assert_eq!(digest(&permuted), base);
+        for i in (1..permuted.len()).rev() {
+            permuted.swap(i, rng_range(&mut rng, i as u32 + 1) as usize);
+        }
+        assert_eq!(digest(&permuted), base);
+        let (left, right) = permuted.split_at(123);
+        assert_eq!(digest(left).wrapping_add(digest(right)), base);
+
+        // Every record counts, as often as it occurs.
+        for i in [0, 1, 250, records.len() - 1] {
+            let mut dropped = records.clone();
+            dropped.remove(i);
+            assert_ne!(digest(&dropped), base, "dropping record {i}");
+            let mut doubled = records.clone();
+            doubled.push(records[i]);
+            assert_ne!(digest(&doubled), base, "duplicating record {i}");
+            let mut changed = records.clone();
+            changed[i] ^= 1;
+            assert_ne!(digest(&changed), base, "changing record {i}");
+        }
+        // Under XOR a pair would cancel to the empty trace's digest.
+        assert_ne!(digest(&[records[0], records[0]]), digest(&[]));
     }
 
     #[test]

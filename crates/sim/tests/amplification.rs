@@ -177,7 +177,7 @@ fn capacity_curve_and_fold_crossings_are_consistent() {
 /// too.
 #[test]
 fn ten_thousand_peer_flash_crowd_is_pinned_at_1_2_4_shards() {
-    const TRACE_HASH: u64 = 0x2ffb6c1eb4612c30;
+    const TRACE_HASH: u64 = 0x91ad4085069f5141;
     const EVENTS: u64 = 373_632;
     const ATTEMPTS: u64 = 49_779;
     const ADMITS: u64 = 133;
