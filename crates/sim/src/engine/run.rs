@@ -130,6 +130,13 @@ const ID_MASK: u64 = (1 << ID_BITS) - 1;
 const CLASS_BITS: u32 = 5;
 const CLASS_MASK: u64 = (1 << CLASS_BITS) - 1;
 
+/// Packs one queued event, `t << 30 | kind << 28 | peer`, so the heap
+/// orders `(time, kind, peer)` with one integer comparison.
+#[inline]
+fn event(t: u32, kind: u8, id: u32) -> u64 {
+    u64::from(t) << (ID_BITS + 2) | u64::from(kind) << ID_BITS | u64::from(id)
+}
+
 /// A probe from `requester` (of `class`) to `supplier`, routed to the
 /// supplier. Integer order is `(supplier, requester)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -330,7 +337,7 @@ impl Pools {
 #[derive(Debug, Default)]
 struct Shard {
     store: PeerStore,
-    queue: IndexedHeap<(u32, u8, u32)>,
+    queue: IndexedHeap<u64>,
     probes_in: Vec<Probe>,
     replies_in: Vec<Reply>,
     commits_in: Vec<Commit>,
@@ -604,7 +611,7 @@ impl AmpEngine {
                     let item = (self.zipf.sample(&mut StreamRng(&mut stream)) - 1) as u16;
                     sh.store.push(class, item, state::WAITING, stream);
                     let at = arrivals[(id - seeds) as usize] as u32;
-                    sh.queue.push((at, K_ATTEMPT, id));
+                    sh.queue.push(event(at, K_ATTEMPT, id));
                 }
                 id += s_count;
             }
@@ -712,10 +719,12 @@ impl AmpEngine {
         let shard_count = cfg.shards();
         let horizon = cfg.horizon_secs();
         let m = cfg.m();
-        while let Some(&(t, kind, id)) = sh.queue.peek() {
+        while let Some(&next) = sh.queue.peek() {
+            let t = (next >> (ID_BITS + 2)) as u32;
             if t >= t_end {
                 break;
             }
+            let (kind, id) = ((next >> ID_BITS) as u8 & 3, (next & ID_MASK) as u32);
             sh.queue.pop();
             sh.e_events += 1;
             let local = (id / shard_count) as usize;
@@ -783,7 +792,7 @@ impl AmpEngine {
                         let dt = (-(1.0 - u).ln() * f64::from(lifetime)) as u64;
                         let when = u64::from(t) + dt.max(1);
                         if when < u64::from(horizon) {
-                            sh.queue.push((when as u32, K_DEPART, id));
+                            sh.queue.push(event(when as u32, K_DEPART, id));
                         }
                     }
                 }
@@ -926,7 +935,7 @@ impl AmpEngine {
                 sh.e_admits += 1;
                 let done = u64::from(tb) + u64::from(cfg.session_secs());
                 if done < u64::from(horizon) {
-                    sh.queue.push((done as u32, K_COMPLETE, id));
+                    sh.queue.push(event(done as u32, K_COMPLETE, id));
                 }
             } else {
                 // Failure: release everything, remind the Ω set of
@@ -979,7 +988,7 @@ impl AmpEngine {
                     sh.store.best_reminder[local] = 0;
                     let done = u64::from(tb) + u64::from(cfg.session_secs());
                     if done < u64::from(horizon) {
-                        sh.queue.push((done as u32, K_RELEASE, c.supplier()));
+                        sh.queue.push(event(done as u32, K_RELEASE, c.supplier()));
                     }
                 }
                 A_RELEASE => {
@@ -1104,7 +1113,7 @@ fn reject(sh: &mut Shard, cfg: &AmpConfig, local: usize, id: u32, t: u32, horizo
         u64::from(cfg.t_bkf_secs()).saturating_mul(u64::from(cfg.e_bkf()).saturating_pow(exp));
     let retry = u64::from(t).saturating_add(delay);
     if retry < u64::from(horizon) {
-        sh.queue.push((retry as u32, K_ATTEMPT, id));
+        sh.queue.push(event(retry as u32, K_ATTEMPT, id));
     }
     // Else: backed off past the horizon — the peer gives up.
 }
