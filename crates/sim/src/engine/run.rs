@@ -38,6 +38,15 @@
 //! barrier of its own: a worker crosses five an epoch (after local,
 //! after each round, after finalize).
 //!
+//! Within a phase the workers *claim* shards from a shared counter, one
+//! at a time, instead of each owning a fixed subset: a flash crowd puts
+//! most of a run into a few dozen heavy phases, and with fixed subsets
+//! every one of them lasts as long as the slower worker's half — a core
+//! that another tenant of the machine slows down for a few milliseconds
+//! is waited for in full. Claiming turns a phase's wall into its work
+//! over what the cores deliver together. Which worker ran a shard is not
+//! observable (see Determinism).
+//!
 //! Trace records never leave their shard: each is folded, as it is
 //! emitted, into the shard's accumulator of a commutative multiset
 //! digest (see `fold`). A serial **finalize** step then adds the
@@ -63,6 +72,7 @@
 //! boundary. Admission outcomes therefore differ in detail while
 //! following the same §4.1/§4.2 rules; see `docs/AMPLIFICATION.md`.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
 
@@ -120,10 +130,11 @@ fn fold(digest: &mut u64, record: u128) {
     *digest = digest.wrapping_add(rng_next(&mut state));
 }
 
-/// Width of a peer id inside a boundary message. Each message packs
-/// its sort key and payload into one `u64` — two ids, a 5-bit class and
-/// a 2-bit verdict or action — so an inbox sorts as plain integers;
-/// [`AmpConfig`]'s `build` refuses a population beyond `2^28`.
+/// Width of a peer id inside a boundary message or a queued event. Each
+/// message packs its sort key and payload into one `u64` — two ids, a
+/// 5-bit class and a 2-bit verdict or action — so an inbox sorts as
+/// plain integers; [`AmpConfig`]'s `build` refuses a population beyond
+/// `2^28`.
 const ID_BITS: u32 = 28;
 const _: () = assert!(MAX_PEERS == 1 << ID_BITS);
 const ID_MASK: u64 = (1 << ID_BITS) - 1;
@@ -305,6 +316,13 @@ fn collect<T: Copy + Ord>(exchange: &Exchange<T>, s: usize, inbox: &mut Vec<T>) 
     inbox.sort_unstable();
 }
 
+/// The four phases whose shards the workers claim, as indices into
+/// `AmpEngine::claims`.
+const LOCAL: usize = 0;
+const SUPPLIER: usize = 1;
+const REQUESTER: usize = 2;
+const COMMIT: usize = 3;
+
 /// The frozen supplier directory: per-item pools plus each peer's
 /// position in its pool (for O(1) swap-removal).
 #[derive(Debug, Default)]
@@ -426,6 +444,8 @@ pub struct AmpEngine {
     probes: Exchange<Probe>,
     replies: Exchange<Reply>,
     commits: Exchange<Commit>,
+    /// Next unclaimed shard of each phase of the running epoch.
+    claims: [AtomicUsize; 4],
     pools: RwLock<Pools>,
     global: Mutex<Global>,
     consumed: bool,
@@ -483,6 +503,7 @@ impl AmpEngine {
             probes: exchange(workers, shard_count),
             replies: exchange(workers, shard_count),
             commits: exchange(workers, shard_count),
+            claims: Default::default(),
             pools: RwLock::new(Pools {
                 by_item: vec![Vec::new(); config.catalog_items() as usize],
                 pos: vec![NONE_U32; config.total_peers() as usize],
@@ -655,56 +676,67 @@ impl AmpEngine {
         let barrier = Barrier::new(threads);
         if threads == 1 {
             // `thread::scope` allocates even when nothing is spawned.
-            self.worker(0, 1, &barrier);
+            self.worker(0, &barrier);
         } else {
             let this = &*self;
             std::thread::scope(|scope| {
                 for w in 1..threads {
                     let barrier = &barrier;
-                    scope.spawn(move || this.worker(w, threads, barrier));
+                    scope.spawn(move || this.worker(w, barrier));
                 }
-                this.worker(0, threads, &barrier);
+                this.worker(0, &barrier);
             });
         }
         self.elapsed_micros = start.elapsed().as_micros() as u64;
         self.threads_used = threads;
     }
 
-    /// One worker: executes shards `w, w + threads, …` through the five
-    /// barrier-separated phases of every epoch; worker 0 runs the serial
-    /// finalize. Each of the three middle phases first collects what the
-    /// phase before it emitted — finished buckets, read-only by now —
-    /// and then writes only its own shard's state and this worker's row
-    /// of the next kind, so routing and consuming need no barrier
-    /// between them.
+    /// The shards of `phase` nobody has claimed yet, one per call, until
+    /// all are taken. Worker 0 re-arms the counters in the serial
+    /// finalize slot, when no worker is inside any phase; the barriers
+    /// order everything else, so the counter itself can be relaxed.
+    fn claim(&self, phase: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::from_fn(move || {
+            let s = self.claims[phase].fetch_add(1, Ordering::Relaxed);
+            (s < self.shards.len()).then_some(s)
+        })
+    }
+
+    /// One worker: claims shards through the five barrier-separated
+    /// phases of every epoch; worker 0 runs the serial finalize. Each of
+    /// the three middle phases first collects what the phase before it
+    /// emitted — finished buckets, read-only by now — and then writes
+    /// only its own shard's state and this worker's row of the next
+    /// kind, so routing and consuming need no barrier between them.
     /// With `threads = 1` the caller is the one worker and the barrier
     /// never blocks: the allocation-free measurement path.
-    fn worker(&self, w: usize, threads: usize, barrier: &Barrier) {
+    fn worker(&self, w: usize, barrier: &Barrier) {
         let epochs = self.config.epochs();
         let horizon = self.config.horizon_secs();
-        let shard_count = self.shards.len();
-        let mine = || (w..shard_count).step_by(threads);
         for epoch in 0..epochs {
             let t_end = ((u64::from(epoch) + 1) * u64::from(self.config.epoch_secs()))
                 .min(u64::from(horizon)) as u32;
-            emit(&self.probes[w], mine(), |s, out| {
+            emit(&self.probes[w], self.claim(LOCAL), |s, out| {
                 self.local_phase(s, t_end, out)
             });
             barrier.wait();
-            emit(&self.replies[w], mine(), |s, out| {
+            emit(&self.replies[w], self.claim(SUPPLIER), |s, out| {
                 self.supplier_phase(s, t_end, out)
             });
             barrier.wait();
-            emit(&self.commits[w], mine(), |s, out| {
+            emit(&self.commits[w], self.claim(REQUESTER), |s, out| {
                 self.requester_phase(s, t_end, out)
             });
             barrier.wait();
-            for s in mine() {
+            for s in self.claim(COMMIT) {
                 self.commit_phase(s, t_end);
             }
             barrier.wait();
             if w == 0 {
                 self.finalize(epoch, t_end);
+                for next in &self.claims {
+                    next.store(0, Ordering::Relaxed);
+                }
             }
             barrier.wait();
         }
@@ -1215,7 +1247,7 @@ mod tests {
     #[test]
     fn digest_depends_on_the_record_multiset_and_nothing_else() {
         let mut rng = rng_stream(3, 4);
-        let mut records: Vec<u128> = (0..500)
+        let mut trace: Vec<u128> = (0..500)
             .map(|_| {
                 let (t, peer) = (rng_range(&mut rng, 14_400), rng_range(&mut rng, 1_000));
                 rec(
@@ -1226,17 +1258,17 @@ mod tests {
                 )
             })
             .collect();
-        records.push(records[0]); // the multiset has a genuine duplicate
-        let digest = |records: &[u128]| {
+        trace.push(trace[0]); // the multiset has a genuine duplicate
+        let digest = |trace: &[u128]| {
             let mut d = 0;
-            records.iter().for_each(|&r| fold(&mut d, r));
+            trace.iter().for_each(|&r| fold(&mut d, r));
             d
         };
-        let base = digest(&records);
+        let base = digest(&trace);
 
         // Emission order, and how the emissions split over shards, are
         // not observable.
-        let mut permuted = records.clone();
+        let mut permuted = trace.clone();
         permuted.reverse();
         assert_eq!(digest(&permuted), base);
         for i in (1..permuted.len()).rev() {
@@ -1247,19 +1279,19 @@ mod tests {
         assert_eq!(digest(left).wrapping_add(digest(right)), base);
 
         // Every record counts, as often as it occurs.
-        for i in [0, 1, 250, records.len() - 1] {
-            let mut dropped = records.clone();
+        for i in [0, 1, 250, trace.len() - 1] {
+            let mut dropped = trace.clone();
             dropped.remove(i);
             assert_ne!(digest(&dropped), base, "dropping record {i}");
-            let mut doubled = records.clone();
-            doubled.push(records[i]);
+            let mut doubled = trace.clone();
+            doubled.push(trace[i]);
             assert_ne!(digest(&doubled), base, "duplicating record {i}");
-            let mut changed = records.clone();
+            let mut changed = trace.clone();
             changed[i] ^= 1;
             assert_ne!(digest(&changed), base, "changing record {i}");
         }
         // Under XOR a pair would cancel to the empty trace's digest.
-        assert_ne!(digest(&[records[0], records[0]]), digest(&[]));
+        assert_ne!(digest(&[trace[0], trace[0]]), digest(&[]));
     }
 
     #[test]
@@ -1381,6 +1413,31 @@ mod tests {
             assert_eq!(r.final_capacity_raw, base.final_capacity_raw);
             assert_eq!(r.admits, base.admits);
         }
+    }
+
+    #[test]
+    fn racing_workers_claim_every_shard_of_a_phase_exactly_once() {
+        let mut builder = AmpConfig::builder();
+        builder.requesting_peers(100).seed_suppliers(7).shards(7);
+        let engine = AmpEngine::new(builder.build().unwrap(), 1);
+        for phase in [LOCAL, SUPPLIER, REQUESTER, COMMIT] {
+            let mut claimed: Vec<usize> = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..3)
+                    .map(|_| scope.spawn(|| engine.claim(phase).collect::<Vec<_>>()))
+                    .collect();
+                racers.into_iter().flat_map(|r| r.join().unwrap()).collect()
+            });
+            claimed.sort_unstable();
+            assert_eq!(claimed, (0..7).collect::<Vec<_>>(), "phase {phase}");
+            assert_eq!(engine.claim(phase).next(), None, "phase {phase} is spent");
+        }
+        // A run leaves the counters armed for the next one.
+        let mut engine = engine;
+        for next in &engine.claims {
+            next.store(0, Ordering::Relaxed);
+        }
+        engine.execute();
+        assert_eq!(engine.claim(LOCAL).count(), 7);
     }
 
     #[test]
