@@ -16,12 +16,13 @@
 //! * [`run`] — [`AmpEngine`]: a bulk-synchronous-parallel event loop.
 //!   Peers are hash-partitioned over a *fixed* logical shard count;
 //!   shards advance in virtual-time epochs and exchange probe/grant
-//!   messages only at epoch boundaries, with inboxes sorted by content,
+//!   messages only at epoch boundaries — bucketed by destination shard,
+//!   each touched once — with inboxes sorted by content,
 //!   so one `u64` seed yields bit-identical traces at 1, 2, or N
 //!   worker threads.
 //! * [`report`] — [`AmpReport`]: capacity-evolution and rejection-rate
-//!   curves, time to N-fold serving capacity, and an FNV-1a trace
-//!   digest for cross-thread equivalence checks.
+//!   curves, time to N-fold serving capacity, and a trace digest for
+//!   cross-shard and cross-thread equivalence checks.
 
 mod config;
 mod queue;

@@ -18,8 +18,8 @@ pub struct FoldCrossing {
 
 /// Everything one [`super::AmpEngine`] run measures: exact integer
 /// counters, the capacity-evolution and rejection-rate curves, the
-/// time-to-N-fold crossings, and the FNV-1a trace digest that pins the
-/// run bit-for-bit across shard and thread counts.
+/// time-to-N-fold crossings, and the trace digest that pins the run
+/// bit-for-bit across shard and thread counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AmpReport {
     /// Total population (seeds + requesters).
@@ -54,7 +54,9 @@ pub struct AmpReport {
     pub capacity_curve: Vec<(u32, i64)>,
     /// `(t_secs, attempts, rejects)` per sampling window.
     pub rejection_curve: Vec<(u32, u64, u64)>,
-    /// FNV-1a digest over the sorted per-epoch trace records.
+    /// Digest of the run's multiset of trace records: the wrapping sum
+    /// of a 64-bit mix of each, so it depends on neither emission order
+    /// nor shard layout.
     pub trace_hash: u64,
     /// Wall-clock duration of the run, in microseconds.
     pub elapsed_micros: u64,

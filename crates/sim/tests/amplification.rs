@@ -1,10 +1,11 @@
 //! Determinism properties of the capacity-amplification engine.
 //!
 //! The headline guarantee: one `u64` seed fully determines the trace.
-//! The FNV-1a digest over the per-epoch sorted trace records must be
-//! bit-identical no matter how the peer population is sharded or how
-//! many worker threads step the shards. These tests pin that property
-//! over 64 seeds, plus the basic shape of the reported curves.
+//! The digest of the run's trace records (a commutative sum over the
+//! record multiset) must be bit-identical no matter how the peer
+//! population is sharded or how many worker threads step the shards.
+//! These tests pin that property over 64 seeds and over a shard × thread
+//! grid under churn, plus the basic shape of the reported curves.
 
 use p2ps_sim::{AmpConfig, AmpConfigBuilder, AmpEngine, ArrivalProcess};
 
@@ -231,7 +232,10 @@ fn ten_thousand_peer_flash_crowd_is_pinned_at_1_2_4_shards() {
 }
 
 /// The acceptance-criterion smoke run: one million flash-crowd peers
-/// on 4 threads in under a minute. Run in nightly CI via
+/// on 4 threads, well under a minute — the budget is 30 s, where the
+/// run took ~23 s while every shard still scanned every message and
+/// takes a few seconds now, so a return of that scan fails here. Run in
+/// nightly CI via
 /// `cargo test -p p2ps-sim --release -- --ignored million_peer`.
 #[test]
 #[ignore = "million-peer smoke: run explicitly with --ignored in release mode"]
@@ -255,8 +259,8 @@ fn million_peer_flash_crowd_under_a_minute() {
         "flash crowd failed to amplify"
     );
     assert!(
-        report.elapsed().as_secs() < 60,
-        "10^6-peer flash crowd took {:?} (budget: 60 s on 4 threads)",
+        report.elapsed().as_secs() < 30,
+        "10^6-peer flash crowd took {:?} (budget: 30 s on 4 threads)",
         report.elapsed()
     );
 }
