@@ -618,12 +618,6 @@ impl AmpEngine {
                     let local = sh.store.push(1, item, state::SUPPLYING, stream);
                     sh.store.vector[local] = PackedVector::initial(1, num_classes, protocol);
                     fold(&mut sh.digest, rec(0, R_SUPPLY, id, 1));
-                    let mut pools = self.pools.write().unwrap();
-                    pools.apply(PoolOp {
-                        item,
-                        id,
-                        add: true,
-                    });
                     initial_capacity += self.offers[1];
                 } else {
                     let u = rng_unit(&mut stream);
@@ -637,6 +631,19 @@ impl AmpEngine {
                 id += s_count;
             }
         }
+        // Seeds join their pools in global id order, as finalize applies
+        // every later add: candidates are drawn from a pool by index, so
+        // a shard-by-shard order would make the trace depend on `S`.
+        let mut pools = self.pools.write().unwrap();
+        for id in 0..seeds {
+            let item = (id % u32::from(items)) as u16;
+            pools.apply(PoolOp {
+                item,
+                id,
+                add: true,
+            });
+        }
+        drop(pools);
         let mut g = self.global.lock().unwrap();
         g.capacity_raw = initial_capacity;
         g.initial_capacity_raw = initial_capacity;
