@@ -5,8 +5,10 @@
 //! record multiset) must be bit-identical no matter how the peer
 //! population is sharded or how many worker threads step the shards.
 //! These tests pin that property over 64 seeds and over a shard × thread
-//! grid under churn, plus the basic shape of the reported curves.
+//! grid under churn, pin seven runs to literal values, and check the
+//! basic shape of the reported curves.
 
+use p2ps_core::admission::Protocol;
 use p2ps_sim::{AmpConfig, AmpConfigBuilder, AmpEngine, ArrivalProcess};
 
 /// A small but non-degenerate population: every item has four seed
@@ -230,6 +232,73 @@ fn ten_thousand_peer_flash_crowd_is_pinned_at_1_2_4_shards() {
              regression. A change to the trace fold alone moves TRACE_HASH and nothing else.",
             report.trace_hash
         );
+    }
+}
+
+/// Six small flash crowds pinned like the 10k-peer one, each at 1, 3 and
+/// 64 shards, chosen for the paths that crowd rarely takes: NDAC (every
+/// busy supplier favours every class, so reminders are the rule), `M = 2`
+/// (candidates drawn from pools larger than `M`), a 30 s backoff (retries
+/// inside one epoch), churn (probes to suppliers that left after the
+/// pool snapshot), and five classes at `bandwidth_shift(0)` (idle
+/// suppliers refusing the classes they do not favour).
+#[test]
+fn path_covering_runs_are_pinned_at_1_3_64_shards() {
+    type Tweak = fn(&mut AmpConfigBuilder);
+    // (trace_hash, (events, attempts, admits, rejects, supplies,
+    //  departures, final_capacity_raw))
+    type Pin = (u64, (u64, u64, u64, u64, u64, u64, i64));
+    #[rustfmt::skip]
+    let cases: [(&str, Tweak, Pin); 6] = [
+        ("ndac", |b| { b.protocol(Protocol::Ndac); },
+         (0xad29d041994c57a5, (160_641, 14_911, 49, 14_862, 37, 0, 1_089_536))),
+        ("m2", |b| { b.m(2); },
+         (0x1302117e475ec715, (62_952, 14_950, 31, 14_919, 27, 0, 1_241_088))),
+        ("short_backoff", |b| { b.t_bkf_secs(30); },
+         (0xadb239ab8e61a1e8, (235_059, 26_875, 44, 26_831, 42, 0, 1_519_616))),
+        ("churn", |b| { b.supplier_lifetime_secs(900); },
+         (0x37e5a621f26c544e, (129_926, 14_920, 42, 14_878, 38, 36, 811_008))),
+        ("five_classes", |b| { b.class_mix(vec![1.0; 5]).bandwidth_shift(0); },
+         (0xc3053ea791f02492, (135_544, 14_798, 137, 14_661, 119, 0, 5_648_384))),
+        ("ndac_m2_churn_short_backoff",
+         |b| { b.protocol(Protocol::Ndac).m(2).supplier_lifetime_secs(900).t_bkf_secs(30); },
+         (0x2b1022537fa019e2, (146_342, 26_897, 35, 26_862, 34, 32, 802_816))),
+    ];
+    for (name, tweak, (hash, counters)) in cases {
+        let mut builder = AmpConfig::builder();
+        builder
+            .requesting_peers(3_000)
+            .seed_suppliers(24)
+            .catalog_items(4)
+            .process(ArrivalProcess::flash_crowd())
+            .arrival_window_secs(3_600)
+            .horizon_secs(4 * 3_600)
+            .epoch_secs(60)
+            .threads(1);
+        tweak(&mut builder);
+        for shards in [1u32, 3, 64] {
+            let r = AmpEngine::new(builder.shards(shards).build().unwrap(), 7).run();
+            let got = (
+                r.events,
+                r.attempts,
+                r.admits,
+                r.rejects,
+                r.supplies,
+                r.departures,
+                r.final_capacity_raw,
+            );
+            assert!(
+                (r.trace_hash, got) == (hash, counters),
+                "pinned run {name:?}, seed 7, {shards} shard(s): trace_hash 0x{:016x}, (events, \
+                 attempts, admits, rejects, supplies, departures, final_capacity_raw) {got:?} — \
+                 pinned 0x{hash:016x}, {counters:?}. These values are machine-independent, so the \
+                 model's behaviour changed. If that is intended, put the new values into this \
+                 case in crates/sim/tests/amplification.rs in the same commit (all three shard \
+                 counts must agree on them) and say in its message what moved them; if not, it \
+                 is a regression.",
+                r.trace_hash
+            );
+        }
     }
 }
 
