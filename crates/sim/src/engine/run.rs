@@ -4,33 +4,39 @@
 //!
 //! Peers are partitioned over `shards()` logical shards by
 //! `shard = id % S` (`local = id / S`). Each shard owns a
-//! [`PeerStore`], an [`IndexedHeap`] event queue and reusable inboxes;
+//! [`PeerStore`], an [`IndexedHeap`] event queue and reusable scratch;
 //! each worker owns, per message kind, one row of `S` destination
 //! buckets. Virtual time advances in epochs of `epoch_secs()`; within an
 //! epoch every shard processes its own events (arrivals, retries,
 //! session completions, departures) against a *frozen* snapshot of the
-//! supplier pools, and the §4.2 probe protocol runs as three
-//! message-sorted rounds at the epoch boundary. Whoever emits a message
-//! pushes it into its worker's bucket `dest % S`; the consuming shard
-//! concatenates the buckets addressed to it, one per worker, and sorts
-//! them — every message is written once and read once, whatever `S` is:
+//! supplier pools, and the §4.2 probe protocol runs as three rounds at
+//! the epoch boundary. Whoever emits a message pushes it into its
+//! worker's bucket `dest % S`; the consuming shard reads the buckets
+//! addressed to it, one per worker, in place — every message is written
+//! once and read once, whatever `S` is, and no round sorts its inbox:
 //!
 //! 1. **local** — pop events `t < boundary`; admission attempts emit
-//!    `Probe`s to the candidates' shards.
-//! 2. **round 1** — each supplier handles its probes in sorted
-//!    `(supplier, requester)` order: sync idle relaxation, then grant
-//!    (at most one uncommitted grant per boundary, tracked in
-//!    `provisional`), refuse, or report busy(+favored), emitting a
-//!    `Reply`.
-//! 3. **round 2** — each requester folds its replies in sorted
-//!    `(requester, supplier class, supplier)` order: greedily accepts
-//!    grants up to exactly `R0`, emitting `Begin`/`Release` commits; on
-//!    failure it releases everything, picks the reminder set Ω greedily
-//!    over the busy-favored repliers, and schedules its backoff retry.
-//! 4. **round 3** — suppliers commit in sorted
-//!    `(supplier, requester, action)` order: `Begin` starts the session
-//!    (busy until `boundary + session`), `Release` clears the
-//!    provisional grant, `Reminder` records the best reminder class.
+//!    `Probe`s to the candidates' shards, and each probing requester
+//!    joins its shard's attempt list.
+//! 2. **round 1** — suppliers answer: a busy one sends busy-favored
+//!    (and sets `SAW_FAVORED`) or nothing, in any order; an idle one
+//!    takes its probes in sorted `(supplier, requester)` order — the
+//!    only ones sorted — syncs idle relaxation and draws until its first
+//!    grant, tracked in `provisional`. Grants and busy-favored answers
+//!    are the only `Reply`s sent: nothing else changes what a requester
+//!    does.
+//! 3. **round 2** — each requester of the attempt list folds its replies,
+//!    grouped through a per-peer slot and each group of ≤ `M` sorted
+//!    `(supplier class, supplier)`: greedily accepts grants up to
+//!    exactly `R0`, emitting `Begin`/`Release` commits; on failure
+//!    (no reply at all included) it releases everything, picks the
+//!    reminder set Ω greedily over the busy-favored repliers, and
+//!    schedules its backoff retry.
+//! 4. **round 3** — suppliers apply commits as they arrive: `Begin`
+//!    starts the session (busy until `boundary + session`), `Release`
+//!    clears the provisional grant, `Reminder` records the best reminder
+//!    class. A supplier gets one `Begin`/`Release` or only reminders,
+//!    which merge by `min`, so arrival order does not show.
 //!
 //! A round of shard `s` reads buckets of one kind — finished before the
 //! barrier it starts behind — and writes only shard `s`'s own state and
@@ -56,13 +62,17 @@
 //!
 //! # Determinism
 //!
-//! Every cross-shard effect flows through content-sorted boundary
-//! exchanges, every random draw comes from the owning peer's private
+//! Every cross-shard effect flows through a boundary exchange whose
+//! consumer either cannot see arrival order or sorts the messages whose
+//! order it can, every random draw comes from the owning peer's private
 //! SplitMix64 stream, and all merged metrics are integer sums — so a
 //! given `(config, seed)` produces bit-identical traces for **any**
-//! shard count and **any** thread count. The worker threads only pick
-//! which shards they execute between barriers; they never influence
-//! observable order.
+//! shard count and **any** thread count. Requesters resolve in their
+//! shard's local-phase order, which does not show either: everything
+//! one does — a digest term, counters, a queued event (one `u64`, which
+//! the heap orders by value alone), order-free commits — commutes. The
+//! worker threads only pick which shards they execute between barriers;
+//! they never influence observable order.
 //!
 //! # Divergence from the legacy simulator
 //!
@@ -101,13 +111,12 @@ const R_REJECT: u8 = 2;
 const R_SUPPLY: u8 = 3;
 const R_DEPART: u8 = 4;
 
-// Reply verdicts, in sort order.
+// Reply verdicts: the only two a requester acts on, and so the only two
+// sent. A plain "busy" or "refused" answer stays with the supplier.
 const V_GRANTED: u8 = 0;
 const V_BUSY_FAVORED: u8 = 1;
-const V_BUSY: u8 = 2;
-const V_REFUSED: u8 = 3;
 
-// Commit actions, in the order a supplier must apply them.
+// Commit actions.
 const A_BEGIN: u8 = 0;
 const A_RELEASE: u8 = 1;
 const A_REMIND: u8 = 2;
@@ -131,10 +140,10 @@ fn fold(digest: &mut u64, record: u128) {
 }
 
 /// Width of a peer id inside a boundary message or a queued event. Each
-/// message packs its sort key and payload into one `u64` — two ids, a
-/// 5-bit class and a 2-bit verdict or action — so an inbox sorts as
-/// plain integers; [`AmpConfig`]'s `build` refuses a population beyond
-/// `2^28`.
+/// message packs its payload into one `u64` — two ids, a 5-bit class and
+/// a 2-bit verdict or action — with probes and replies laid out so that
+/// integer order is the order their consumer needs; [`AmpConfig`]'s
+/// `build` refuses a population beyond `2^28`.
 const ID_BITS: u32 = 28;
 const _: () = assert!(MAX_PEERS == 1 << ID_BITS);
 const ID_MASK: u64 = (1 << ID_BITS) - 1;
@@ -207,9 +216,9 @@ impl Reply {
     }
 }
 
-/// A requester's resolution, routed back to the supplier. Integer order
-/// is `(supplier, requester, action)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A requester's resolution, routed back to the supplier and applied in
+/// arrival order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Commit(u64);
 
 impl Commit {
@@ -268,10 +277,12 @@ impl PartialOrd for PoolOp {
 /// `[emitting worker][destination shard]`. A worker is the only writer
 /// of its row, and only in the phase that emits the kind; the phase
 /// after the next barrier reads, for destination `d`, bucket `d` of
-/// every row. Which row carried a message is not observable — inboxes
-/// are content-sorted — so rows per worker rather than per shard cost
-/// nothing in determinism and keep a delivery at `threads` buckets, not
-/// `S`. Buckets start empty and keep their high-water capacity.
+/// every row. Which row carried a message, and where in it, is not
+/// observable — each round either does not depend on arrival order or
+/// puts in order the few messages whose order matters — so rows per
+/// worker rather than per shard cost nothing in determinism and keep a
+/// delivery at `threads` buckets, not `S`. Buckets start empty and keep
+/// their high-water capacity.
 type Exchange<T> = Vec<RwLock<Vec<Vec<T>>>>;
 
 fn exchange<T>(workers: usize, shard_count: usize) -> Exchange<T> {
@@ -304,16 +315,57 @@ fn post<T>(row: &mut [Vec<T>], dest: u32, msg: T) {
     row[shard].push(msg);
 }
 
-/// Delivers to shard `s` the messages addressed to it — one bucket of
-/// every row — in content order, so neither the emitters' layout nor
-/// the order of emission is observable.
-fn collect<T: Copy + Ord>(exchange: &Exchange<T>, s: usize, inbox: &mut Vec<T>) {
-    inbox.clear();
+/// Hands `f` the messages addressed to shard `s` — bucket `s` of every
+/// row, read in place — in arrival order, which the caller must not let
+/// show.
+fn deliver<T: Copy>(exchange: &Exchange<T>, s: usize, mut f: impl FnMut(T)) {
     for row in exchange {
         let row = row.read().expect("a worker panicked");
-        inbox.extend_from_slice(&row[s]);
+        for &msg in &row[s] {
+            f(msg);
+        }
     }
-    inbox.sort_unstable();
+}
+
+/// Groups the replies addressed to shard `s` by requester, through each
+/// requester's store `slot`: a count, an exclusive prefix sum in
+/// `attempts` order, a scatter into `grouped`, then each group of ≤ `M`
+/// sorted into its greedy order. Afterwards the group of `attempts[k]`
+/// runs from the previous requester's end (0 for `k = 0`) to its own
+/// `slot`. O(attempts + replies); a requester nothing answered has an
+/// empty group.
+fn group_replies(
+    exchange: &Exchange<Reply>,
+    s: usize,
+    shard_count: u32,
+    attempts: &[u32],
+    slot: &mut [u32],
+    grouped: &mut Vec<Reply>,
+) {
+    let local = |id: u32| (id / shard_count) as usize;
+    for &id in attempts {
+        slot[local(id)] = 0;
+    }
+    deliver(exchange, s, |r| slot[local(r.requester())] += 1);
+    let mut at = 0;
+    for &id in attempts {
+        let count = slot[local(id)];
+        slot[local(id)] = at;
+        at += count;
+    }
+    grouped.clear();
+    grouped.resize(at as usize, Reply(0));
+    deliver(exchange, s, |r| {
+        let cursor = &mut slot[local(r.requester())];
+        grouped[*cursor as usize] = r;
+        *cursor += 1;
+    });
+    let mut begin = 0;
+    for &id in attempts {
+        let end = slot[local(id)] as usize;
+        grouped[begin..end].sort_unstable();
+        begin = end;
+    }
 }
 
 /// The four phases whose shards the workers claim, as indices into
@@ -350,15 +402,18 @@ impl Pools {
     }
 }
 
-/// One shard: peer state, event queue, inboxes, and epoch-local
+/// One shard: peer state, event queue, boundary scratch, and epoch-local
 /// accumulators. All buffers are reused across epochs.
 #[derive(Debug, Default)]
 struct Shard {
     store: PeerStore,
     queue: IndexedHeap<u64>,
-    probes_in: Vec<Probe>,
-    replies_in: Vec<Reply>,
-    commits_in: Vec<Commit>,
+    /// Requesters that sent probes this epoch, in local-phase order.
+    attempts: Vec<u32>,
+    /// The probes addressed to this shard's idle suppliers.
+    idle: Vec<Probe>,
+    /// This shard's replies, grouped by requester (see `group_replies`).
+    grouped: Vec<Reply>,
     digest: u64,
     ops: Vec<PoolOp>,
     cand: Vec<u32>,
@@ -595,9 +650,9 @@ impl AmpEngine {
             let sh = &mut *shard;
             sh.store.clear();
             sh.queue.clear();
-            sh.probes_in.clear();
-            sh.replies_in.clear();
-            sh.commits_in.clear();
+            sh.attempts.clear();
+            sh.idle.clear();
+            sh.grouped.clear();
             sh.digest = 0;
             sh.ops.clear();
             sh.cap_delta = 0;
@@ -711,10 +766,10 @@ impl AmpEngine {
 
     /// One worker: claims shards through the five barrier-separated
     /// phases of every epoch; worker 0 runs the serial finalize. Each of
-    /// the three middle phases first collects what the phase before it
-    /// emitted — finished buckets, read-only by now — and then writes
-    /// only its own shard's state and this worker's row of the next
-    /// kind, so routing and consuming need no barrier between them.
+    /// the three middle phases reads what the phase before it emitted —
+    /// finished buckets, read-only by now — and writes only its own
+    /// shard's state and this worker's row of the next kind, so routing
+    /// and consuming need no barrier between them.
     /// With `threads = 1` the caller is the one worker and the barrier
     /// never blocks: the allocation-free measurement path.
     fn worker(&self, w: usize, barrier: &Barrier) {
@@ -758,6 +813,7 @@ impl AmpEngine {
         let shard_count = cfg.shards();
         let horizon = cfg.horizon_secs();
         let m = cfg.m();
+        sh.attempts.clear();
         while let Some(&next) = sh.queue.peek() {
             let t = (next >> (ID_BITS + 2)) as u32;
             if t >= t_end {
@@ -801,6 +857,10 @@ impl AmpEngine {
                     for &supplier in &sh.cand {
                         post(out, supplier, Probe::new(supplier, id, class));
                     }
+                    // One probing attempt a peer an epoch: the pools are
+                    // frozen, and only an empty one rejects before the
+                    // boundary.
+                    sh.attempts.push(id);
                 }
                 K_COMPLETE => {
                     if sh.store.state[local] != state::STREAMING {
@@ -876,79 +936,95 @@ impl AmpEngine {
     }
 
     /// Round 1: suppliers answer the probes addressed to shard `s` at
-    /// boundary `tb`.
+    /// boundary `tb`, reading them in place. A departed supplier's
+    /// refusal changes nothing its requester does and is not sent. A busy
+    /// supplier answers each probe the same in any order — `sync_supplier`
+    /// is idempotent within a boundary and `SAW_FAVORED` is only ever set
+    /// — and sends only busy-favored answers. Only an idle supplier's
+    /// probes need an order: it draws from its own stream, in requester
+    /// order, until its first grant, so those alone are sorted.
     fn supplier_phase(&self, s: usize, tb: u32, out: &mut [Vec<Reply>]) {
         let cfg = &self.config;
         let mut shard = self.shards[s].lock().unwrap();
         let sh = &mut *shard;
-        collect(&self.probes, s, &mut sh.probes_in);
         let shard_count = cfg.shards();
-        for i in 0..sh.probes_in.len() {
-            let p = sh.probes_in[i];
+        sh.idle.clear();
+        deliver(&self.probes, s, |p| {
             sh.e_events += 1;
             let local = (p.supplier() / shard_count) as usize;
-            let sup_class = sh.store.class[local];
-            let verdict = if sh.store.state[local] != state::SUPPLYING {
+            if sh.store.state[local] != state::SUPPLYING {
                 // Candidate departed during this epoch's local phase —
                 // the pool snapshot it was sampled from predates that.
-                V_REFUSED
-            } else {
-                sh.store
-                    .sync_supplier(local, tb, cfg.t_out_secs(), cfg.protocol());
-                if sh.store.flags[local] & flags::BUSY != 0 {
-                    if sh.store.vector[local].favors(p.class()) {
-                        sh.store.flags[local] |= flags::SAW_FAVORED;
-                        V_BUSY_FAVORED
-                    } else {
-                        V_BUSY
-                    }
-                } else if sh.store.provisional[local] != NONE_U32 {
-                    // Already granted this boundary; to a second
-                    // requester the slot is taken.
-                    V_BUSY
-                } else if sh.store.vector[local]
-                    .decide(p.class(), rng_next(&mut sh.store.rng[local]))
-                {
-                    sh.store.provisional[local] = p.requester();
-                    V_GRANTED
-                } else {
-                    V_REFUSED
-                }
-            };
-            post(
-                out,
-                p.requester(),
-                Reply::new(p.requester(), sup_class, p.supplier(), verdict),
-            );
+                return;
+            }
+            sh.store
+                .sync_supplier(local, tb, cfg.t_out_secs(), cfg.protocol());
+            if sh.store.flags[local] & flags::BUSY == 0 {
+                sh.idle.push(p);
+            } else if sh.store.vector[local].favors(p.class()) {
+                sh.store.flags[local] |= flags::SAW_FAVORED;
+                let reply = Reply::new(
+                    p.requester(),
+                    sh.store.class[local],
+                    p.supplier(),
+                    V_BUSY_FAVORED,
+                );
+                post(out, p.requester(), reply);
+            }
+        });
+        sh.idle.sort_unstable();
+        for i in 0..sh.idle.len() {
+            let p = sh.idle[i];
+            let local = (p.supplier() / shard_count) as usize;
+            // Once granted this boundary, the slot is taken for every
+            // later requester.
+            if sh.store.provisional[local] == NONE_U32
+                && sh.store.vector[local].decide(p.class(), rng_next(&mut sh.store.rng[local]))
+            {
+                sh.store.provisional[local] = p.requester();
+                let reply = Reply::new(
+                    p.requester(),
+                    sh.store.class[local],
+                    p.supplier(),
+                    V_GRANTED,
+                );
+                post(out, p.requester(), reply);
+            }
         }
     }
 
-    /// Round 2: the requesters of shard `s` fold their reply groups at
-    /// boundary `tb`.
+    /// Round 2: the requesters of shard `s` that probed this epoch fold
+    /// their reply groups at boundary `tb`. One nothing answered fails,
+    /// as one that heard only "busy" or "refused" always did.
     fn requester_phase(&self, s: usize, tb: u32, out: &mut [Vec<Commit>]) {
         let cfg = &self.config;
         let mut shard = self.shards[s].lock().unwrap();
         let sh = &mut *shard;
-        collect(&self.replies, s, &mut sh.replies_in);
         let shard_count = cfg.shards();
+        group_replies(
+            &self.replies,
+            s,
+            shard_count,
+            &sh.attempts,
+            &mut sh.store.slot,
+            &mut sh.grouped,
+        );
         let horizon = cfg.horizon_secs();
         let full = i64::from(Bandwidth::FULL_RATE.raw());
-        let mut i = 0;
-        while i < sh.replies_in.len() {
-            let id = sh.replies_in[i].requester();
-            let mut j = i;
-            while j < sh.replies_in.len() && sh.replies_in[j].requester() == id {
-                j += 1;
-            }
-            sh.e_events += 1;
+        let mut begin = 0;
+        for k in 0..sh.attempts.len() {
+            let id = sh.attempts[k];
             let local = (id / shard_count) as usize;
+            let (i, j) = (begin, sh.store.slot[local] as usize);
+            begin = j;
+            sh.e_events += 1;
             let class = sh.store.class[local];
             // Greedy securing pass over the class-sorted grants
             // (`greedy_take` semantics; powers of two reach R0 exactly
             // whenever any subset does).
             sh.accept.clear();
             let mut total = 0i64;
-            for (gi, r) in sh.replies_in[i..j].iter().enumerate() {
+            for (gi, r) in sh.grouped[i..j].iter().enumerate() {
                 if r.verdict() == V_GRANTED && total < full {
                     let offer = self.offers[r.sup_class() as usize];
                     if total + offer <= full {
@@ -958,7 +1034,7 @@ impl AmpEngine {
                 }
             }
             if total == full {
-                for (gi, r) in sh.replies_in[i..j].iter().enumerate() {
+                for (gi, r) in sh.grouped[i..j].iter().enumerate() {
                     if r.verdict() == V_GRANTED {
                         let action = if sh.accept.contains(&(gi as u32)) {
                             A_BEGIN
@@ -982,39 +1058,35 @@ impl AmpEngine {
                 // shortfall R0 - secured (paper §4.2).
                 let shortfall = full - total;
                 let mut covered = 0i64;
-                for r in &sh.replies_in[i..j] {
+                for r in &sh.grouped[i..j] {
                     let supplier = r.supplier();
-                    match r.verdict() {
-                        V_GRANTED => {
-                            post(out, supplier, Commit::new(supplier, id, A_RELEASE, class))
+                    if r.verdict() == V_GRANTED {
+                        post(out, supplier, Commit::new(supplier, id, A_RELEASE, class));
+                    } else {
+                        let offer = self.offers[r.sup_class() as usize];
+                        if covered < shortfall && covered + offer <= shortfall {
+                            covered += offer;
+                            post(out, supplier, Commit::new(supplier, id, A_REMIND, class));
                         }
-                        V_BUSY_FAVORED => {
-                            let offer = self.offers[r.sup_class() as usize];
-                            if covered < shortfall && covered + offer <= shortfall {
-                                covered += offer;
-                                post(out, supplier, Commit::new(supplier, id, A_REMIND, class));
-                            }
-                        }
-                        _ => {}
                     }
                 }
                 reject(sh, cfg, local, id, tb, horizon);
             }
-            i = j;
         }
     }
 
     /// Round 3: the suppliers of shard `s` apply begins, releases, and
-    /// reminders.
+    /// reminders in arrival order. A supplier receives either the one
+    /// `Begin` or `Release` for its one grant, or — having been busy, so
+    /// it granted nothing — only reminders, which merge by `min`: no
+    /// order among them shows.
     fn commit_phase(&self, s: usize, tb: u32) {
         let cfg = &self.config;
         let mut shard = self.shards[s].lock().unwrap();
         let sh = &mut *shard;
-        collect(&self.commits, s, &mut sh.commits_in);
         let shard_count = cfg.shards();
         let horizon = cfg.horizon_secs();
-        for i in 0..sh.commits_in.len() {
-            let c = sh.commits_in[i];
+        deliver(&self.commits, s, |c| {
             sh.e_events += 1;
             let local = (c.supplier() / shard_count) as usize;
             match c.action() {
@@ -1031,9 +1103,8 @@ impl AmpEngine {
                     }
                 }
                 A_RELEASE => {
-                    if sh.store.provisional[local] == c.requester() {
-                        sh.store.provisional[local] = NONE_U32;
-                    }
+                    debug_assert_eq!(sh.store.provisional[local], c.requester());
+                    sh.store.provisional[local] = NONE_U32;
                 }
                 A_REMIND => {
                     // Reference semantics: reminders only stick while
@@ -1047,7 +1118,7 @@ impl AmpEngine {
                 }
                 _ => unreachable!("unknown commit action"),
             }
-        }
+        });
     }
 
     /// Serial epoch finalize: add up digests and counters, apply pool
@@ -1191,18 +1262,38 @@ mod tests {
     }
 
     /// The exchange as it was before bucketing, kept as the oracle:
-    /// every shard scans every message of every outbox and keeps its own.
-    fn scan<T: Copy + Ord>(outboxes: &[Vec<(u32, T)>], shard_count: u32, s: u32) -> Vec<T> {
-        let mut inbox = Vec::new();
-        for outbox in outboxes {
-            for &(dest, msg) in outbox {
-                if dest % shard_count == s {
-                    inbox.push(msg);
-                }
-            }
-        }
+    /// every shard scans every message sent, keeps its own and sorts
+    /// them.
+    fn scan<T: Copy + Ord>(messages: &[(u32, T)], shard_count: u32, s: u32) -> Vec<T> {
+        let mut inbox: Vec<T> = messages
+            .iter()
+            .filter(|&&(dest, _)| dest % shard_count == s)
+            .map(|&(_, msg)| msg)
+            .collect();
         inbox.sort_unstable();
         inbox
+    }
+
+    fn shuffle<T>(items: &mut [T], rng: &mut u64) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng_range(rng, i as u32 + 1) as usize);
+        }
+    }
+
+    /// Posts `messages` (destination, message) into the rows of
+    /// `exchange`, each to a row drawn at random.
+    fn post_scattered<T: Copy>(exchange: &Exchange<T>, messages: &[(u32, T)], rng: &mut u64) {
+        let mut rows = vec![Vec::new(); exchange.len()];
+        for &m in messages {
+            rows[rng_range(rng, exchange.len() as u32) as usize].push(m);
+        }
+        for (row, outbox) in exchange.iter().zip(&rows) {
+            emit(row, 0..1, |_, out| {
+                for &(dest, msg) in outbox {
+                    post(out, dest, msg);
+                }
+            });
+        }
     }
 
     #[test]
@@ -1211,43 +1302,209 @@ mod tests {
             for workers in 1..=4 {
                 let mut rng = rng_stream(workers as u64, u64::from(shard_count));
                 let exchange = exchange(workers, shard_count as usize);
-                let mut inbox = Vec::new();
+                let mut slot = vec![0; 300 / shard_count as usize + 1];
+                let mut grouped = Vec::new();
                 // Two boundaries on one exchange: the second must see
                 // nothing of the first.
                 for _boundary in 0..2 {
-                    // Few distinct ids, so duplicates and empty buckets occur.
-                    let outboxes: Vec<Vec<(u32, Probe)>> = (0..workers)
+                    // Few distinct ids, so duplicates, empty buckets and
+                    // requesters nothing answered occur.
+                    let sent: Vec<(u32, Reply)> = (0..rng_range(&mut rng, 1_600))
                         .map(|_| {
-                            (0..rng_range(&mut rng, 400))
-                                .map(|_| {
-                                    let supplier = rng_range(&mut rng, 300);
-                                    let requester = rng_range(&mut rng, 300);
-                                    (supplier, Probe::new(supplier, requester, 1))
-                                })
-                                .collect()
+                            let requester = rng_range(&mut rng, 300);
+                            let class = 1 + rng_range(&mut rng, 16) as u8;
+                            let supplier = rng_range(&mut rng, 300);
+                            let verdict = rng_range(&mut rng, 2) as u8;
+                            (requester, Reply::new(requester, class, supplier, verdict))
                         })
                         .collect();
-                    for (row, outbox) in exchange.iter().zip(&outboxes) {
-                        emit(row, 0..1, |_, out| {
-                            for &(dest, msg) in outbox {
-                                post(out, dest, msg);
-                            }
-                        });
-                    }
+                    post_scattered(&exchange, &sent, &mut rng);
                     let mut delivered = 0;
                     for s in 0..shard_count {
-                        collect(&exchange, s as usize, &mut inbox);
-                        assert_eq!(
-                            inbox,
-                            scan(&outboxes, shard_count, s),
-                            "{workers} worker(s), shard {s} of {shard_count}"
+                        // Every requester of the shard probed, in some
+                        // local-phase order.
+                        let mut attempts: Vec<u32> =
+                            (s..300).step_by(shard_count as usize).collect();
+                        shuffle(&mut attempts, &mut rng);
+                        group_replies(
+                            &exchange,
+                            s as usize,
+                            shard_count,
+                            &attempts,
+                            &mut slot,
+                            &mut grouped,
                         );
-                        delivered += inbox.len();
+                        let inbox = scan(&sent, shard_count, s);
+                        let mut begin = 0;
+                        for &id in &attempts {
+                            let end = slot[(id / shard_count) as usize] as usize;
+                            let expected: Vec<Reply> = inbox
+                                .iter()
+                                .copied()
+                                .filter(|r| r.requester() == id)
+                                .collect();
+                            assert_eq!(
+                                grouped[begin..end],
+                                expected[..],
+                                "{workers} worker(s), shard {s} of {shard_count}, requester {id}"
+                            );
+                            begin = end;
+                        }
+                        assert_eq!(begin, inbox.len(), "no reply outside a group");
+                        delivered += begin;
                     }
-                    let sent: usize = outboxes.iter().map(Vec::len).sum();
-                    assert_eq!(delivered, sent, "every message is delivered exactly once");
+                    assert_eq!(delivered, sent.len(), "every message is delivered once");
                 }
             }
+        }
+    }
+
+    /// Boundary `t` of the round tests: two `T_out` periods in, so an
+    /// idle DAC supplier relaxes on its first probe.
+    const TB: u32 = 2_500;
+
+    /// An engine whose shard 0 (of 4, so 4 rows per exchange) holds
+    /// twelve seeds in every state a probe can meet: departed, busy
+    /// (favoring classes 1–2), idle (favoring class 1 only), and idle
+    /// with relaxation pending. Also the canonical probe set: every
+    /// requester probes up to four of them, with its own class.
+    fn boundary_fixture() -> (AmpEngine, Vec<(u32, Probe)>) {
+        let mut builder = AmpConfig::builder();
+        builder
+            .requesting_peers(200)
+            .seed_suppliers(48)
+            .catalog_items(4)
+            .shards(4)
+            .threads(4);
+        let engine = AmpEngine::new(builder.build().unwrap(), 3);
+        {
+            let mut shard = engine.shards[0].lock().unwrap();
+            let store = &mut shard.store;
+            for local in 0..12 {
+                match local % 4 {
+                    0 => store.state[local] = state::DEPARTED,
+                    1 => {
+                        store.flags[local] = flags::BUSY;
+                        store.vector[local] = PackedVector::initial(2, 4, Protocol::Dac);
+                    }
+                    2 => store.relax_anchor[local] = TB,
+                    _ => store.vector[local] = PackedVector::initial(3, 4, Protocol::Dac),
+                }
+            }
+        }
+        let mut rng = rng_stream(9, 9);
+        let mut probes = Vec::new();
+        for requester in 48..248 {
+            let class = 1 + rng_range(&mut rng, 4) as u8;
+            let mut sampled = Vec::new();
+            for _ in 0..4 {
+                let supplier = 4 * rng_range(&mut rng, 12);
+                if !sampled.contains(&supplier) {
+                    sampled.push(supplier);
+                    probes.push((supplier, Probe::new(supplier, requester, class)));
+                }
+            }
+        }
+        (engine, probes)
+    }
+
+    /// Runs shard 0's supplier round on `probes`, scattered over the rows
+    /// in the given order, and returns the sent replies as a sorted
+    /// multiset.
+    fn supplier_round(engine: &AmpEngine, probes: &[(u32, Probe)], rng: &mut u64) -> Vec<Reply> {
+        post_scattered(&engine.probes, probes, rng);
+        let mut out = vec![Vec::new(); 4];
+        engine.supplier_phase(0, TB, &mut out);
+        let mut sent: Vec<Reply> = out.concat();
+        sent.sort_unstable();
+        sent
+    }
+
+    #[test]
+    fn supplier_round_ignores_the_order_and_rows_of_its_probes() {
+        let (base, probes) = boundary_fixture();
+        let mut rng = rng_stream(1, 1);
+        let sent = supplier_round(&base, &probes, &mut rng);
+        let verdicts = |v: u8| sent.iter().filter(|r| r.verdict() == v).count();
+        let granted = verdicts(V_GRANTED);
+        assert!(
+            (1..=6).contains(&granted),
+            "one grant at most per idle supplier"
+        );
+        assert!(verdicts(V_BUSY_FAVORED) > 0);
+        assert_eq!(
+            granted + verdicts(V_BUSY_FAVORED),
+            sent.len(),
+            "busy and refused answers are not sent"
+        );
+        assert!(sent.iter().all(|r| (r.supplier() / 4) % 4 != 0), "departed");
+        for round in 0..8 {
+            let (engine, mut probes) = boundary_fixture();
+            shuffle(&mut probes, &mut rng);
+            assert_eq!(
+                supplier_round(&engine, &probes, &mut rng),
+                sent,
+                "permutation {round}"
+            );
+            let (a, b) = (
+                base.shards[0].lock().unwrap(),
+                engine.shards[0].lock().unwrap(),
+            );
+            assert!(a.store == b.store, "permutation {round}: supplier state");
+            assert_eq!(a.e_events, b.e_events);
+        }
+    }
+
+    #[test]
+    fn commit_round_ignores_the_order_and_rows_of_its_commits() {
+        // Commits as requesters would send them after the canonical
+        // supplier round: each grant begun or released, and every
+        // busy-favored answer reminded — several, of different classes,
+        // per busy supplier.
+        let (fixture, probes) = boundary_fixture();
+        let mut rng = rng_stream(2, 2);
+        let sent = supplier_round(&fixture, &probes, &mut rng);
+        let commits: Vec<(u32, Commit)> = sent
+            .iter()
+            .map(|r| {
+                let action = match r.verdict() {
+                    V_GRANTED => [A_BEGIN, A_RELEASE][rng_range(&mut rng, 2) as usize],
+                    _ => A_REMIND,
+                };
+                let class = 1 + rng_range(&mut rng, 2) as u8;
+                let commit = Commit::new(r.supplier(), r.requester(), action, class);
+                (r.supplier(), commit)
+            })
+            .collect();
+        let run = |commits: &[(u32, Commit)], rng: &mut u64| {
+            let (engine, probes) = boundary_fixture();
+            supplier_round(&engine, &probes, &mut rng_stream(2, 2));
+            post_scattered(&engine.commits, commits, rng);
+            engine.commit_phase(0, TB);
+            engine
+        };
+        let base = run(&commits, &mut rng);
+        let queue = |engine: &AmpEngine| {
+            let mut queue = engine.shards[0].lock().unwrap().queue.clone();
+            std::iter::from_fn(move || queue.pop()).collect::<Vec<_>>()
+        };
+        {
+            let sh = base.shards[0].lock().unwrap();
+            assert!(sh.store.provisional.iter().all(|&p| p == NONE_U32));
+            assert!(sh.store.best_reminder.iter().any(|&b| b > 0));
+        }
+        for round in 0..8 {
+            let mut commits = commits.clone();
+            shuffle(&mut commits, &mut rng);
+            let engine = run(&commits, &mut rng);
+            let (a, b) = (
+                base.shards[0].lock().unwrap(),
+                engine.shards[0].lock().unwrap(),
+            );
+            assert!(a.store == b.store, "permutation {round}: supplier state");
+            assert_eq!(a.e_events, b.e_events);
+            drop((a, b));
+            assert_eq!(queue(&engine), queue(&base), "permutation {round}");
         }
     }
 
@@ -1278,9 +1535,7 @@ mod tests {
         let mut permuted = trace.clone();
         permuted.reverse();
         assert_eq!(digest(&permuted), base);
-        for i in (1..permuted.len()).rev() {
-            permuted.swap(i, rng_range(&mut rng, i as u32 + 1) as usize);
-        }
+        shuffle(&mut permuted, &mut rng);
         assert_eq!(digest(&permuted), base);
         let (left, right) = permuted.split_at(123);
         assert_eq!(digest(left).wrapping_add(digest(right)), base);
@@ -1340,10 +1595,6 @@ mod tests {
             assert_eq!(
                 Reply::new(a, class, b, two).cmp(&Reply::new(a2, class2, b2, two2)),
                 (a, class, b, two).cmp(&(a2, class2, b2, two2))
-            );
-            assert_eq!(
-                Commit::new(a, b, two, class).cmp(&Commit::new(a2, b2, two2, class2)),
-                (a, b, two, class).cmp(&(a2, b2, two2, class2))
             );
         }
     }

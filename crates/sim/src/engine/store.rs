@@ -123,7 +123,7 @@ impl PackedVector {
 /// index; the engine maps global id `p` to shard `p % shards`, local
 /// index `p / shards`. Every array is allocated once at setup — the
 /// event loop never allocates per peer or per event.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct PeerStore {
     /// Protocol class (1-based).
     pub class: Vec<u8>,
@@ -151,6 +151,10 @@ pub struct PeerStore {
     /// comes from its own stream, so outcomes are independent of event
     /// interleaving across shards and threads.
     pub rng: Vec<u64>,
+    /// Scratch of the boundary's requester round: a probing requester's
+    /// reply count, then its write cursor into the grouped replies, then
+    /// the end of its group. Meaningless outside that round.
+    pub slot: Vec<u32>,
 }
 
 impl PeerStore {
@@ -168,6 +172,7 @@ impl PeerStore {
             provisional: Vec::with_capacity(capacity),
             best_reminder: Vec::with_capacity(capacity),
             rng: Vec::with_capacity(capacity),
+            slot: Vec::with_capacity(capacity),
         }
     }
 
@@ -195,6 +200,7 @@ impl PeerStore {
         self.provisional.clear();
         self.best_reminder.clear();
         self.rng.clear();
+        self.slot.clear();
     }
 
     /// Appends one peer and returns its local index.
@@ -211,6 +217,7 @@ impl PeerStore {
         self.provisional.push(NONE_U32);
         self.best_reminder.push(0);
         self.rng.push(rng_state);
+        self.slot.push(0);
         idx
     }
 
@@ -239,7 +246,7 @@ impl PeerStore {
     /// Approximate bytes of store state per peer (for capacity planning
     /// and the docs; excludes `Vec` headers).
     #[allow(dead_code)] // pinned by the layout tests, quoted in the docs
-    pub const BYTES_PER_PEER: usize = 1 + 2 + 1 + 1 + 2 + 4 + 8 + 4 + 4 + 1 + 8;
+    pub const BYTES_PER_PEER: usize = 1 + 2 + 1 + 1 + 2 + 4 + 8 + 4 + 4 + 1 + 8 + 4;
 }
 
 /// Advances a SplitMix64 stream and returns the next draw — the
