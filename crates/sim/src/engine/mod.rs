@@ -5,7 +5,7 @@
 //! per-peer heap objects and a single event loop; it is exact but tops
 //! out around 10⁴ peers. This module trades generality for scale:
 //!
-//! * [`store`] — struct-of-arrays peer state (~40 bytes/peer, zero
+//! * [`store`] — struct-of-arrays peer state (40 bytes/peer, zero
 //!   allocations per event on the steady path) with the §4.1 admission
 //!   vector nibble-packed into a `u64`.
 //! * [`queue`] — a flat indexed binary heap backing both the legacy
@@ -17,7 +17,8 @@
 //!   Peers are hash-partitioned over a *fixed* logical shard count;
 //!   shards advance in virtual-time epochs and exchange probe/grant
 //!   messages only at epoch boundaries — bucketed by destination shard,
-//!   each touched once — with inboxes sorted by content,
+//!   each touched once, and only the answers a requester acts on sent —
+//!   in rounds that sort nothing but the few messages whose order shows,
 //!   so one `u64` seed yields bit-identical traces at 1, 2, or N
 //!   worker threads.
 //! * [`report`] — [`AmpReport`]: capacity-evolution and rejection-rate

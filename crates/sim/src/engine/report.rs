@@ -32,7 +32,10 @@ pub struct AmpReport {
     pub threads: usize,
     /// The run's seed.
     pub seed: u64,
-    /// Events processed (local events + protocol messages).
+    /// Events processed: local events, plus probes, plus one per
+    /// requester that probed at a boundary, plus commits. Replies are not
+    /// counted, and no longer match probes one to one: only grants and
+    /// busy-favored answers are sent.
     pub events: u64,
     /// Admission attempts issued.
     pub attempts: u64,

@@ -686,19 +686,21 @@ impl AmpEngine {
                 id += s_count;
             }
         }
-        // Seeds join their pools in global id order, as finalize applies
-        // every later add: candidates are drawn from a pool by index, so
-        // a shard-by-shard order would make the trace depend on `S`.
-        let mut pools = self.pools.write().unwrap();
-        for id in 0..seeds {
-            let item = (id % u32::from(items)) as u16;
-            pools.apply(PoolOp {
-                item,
-                id,
-                add: true,
-            });
+        {
+            // Seeds join their pools in global id order, as finalize
+            // applies every later add: candidates are drawn from a pool
+            // by index, so a shard-by-shard order would make the trace
+            // depend on `S`.
+            let mut pools = self.pools.write().unwrap();
+            for id in 0..seeds {
+                let item = (id % u32::from(items)) as u16;
+                pools.apply(PoolOp {
+                    item,
+                    id,
+                    add: true,
+                });
+            }
         }
-        drop(pools);
         let mut g = self.global.lock().unwrap();
         g.capacity_raw = initial_capacity;
         g.initial_capacity_raw = initial_capacity;
@@ -857,9 +859,9 @@ impl AmpEngine {
                     for &supplier in &sh.cand {
                         post(out, supplier, Probe::new(supplier, id, class));
                     }
-                    // One probing attempt a peer an epoch: the pools are
-                    // frozen, and only an empty one rejects before the
-                    // boundary.
+                    // At most once per peer per epoch: the pools are
+                    // frozen, so only an empty one rejects (and queues a
+                    // retry) before the boundary.
                     sh.attempts.push(id);
                 }
                 K_COMPLETE => {

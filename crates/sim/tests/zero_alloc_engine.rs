@@ -1,8 +1,8 @@
 //! Pins the zero-allocation steady path of the amplification engine:
 //! on a warmed [`AmpEngine`] (one prior identical run, then `reset`),
 //! `execute()` with one worker thread performs **zero** heap
-//! allocations — every store, queue, inbox, exchange bucket, and curve
-//! retained its capacity across the reset.
+//! allocations — every store, queue, boundary scratch buffer, exchange
+//! bucket, and curve retained its capacity across the reset.
 //!
 //! The allocator counts per thread; with one worker the engine runs on
 //! the calling thread, so the count is this test's own.
