@@ -1,7 +1,7 @@
-//! Transport-agnostic requester session orchestration.
+//! Transport-agnostic streaming half of a requester session.
 //!
-//! [`SessionDriver`] is the decision layer between the sans-io
-//! [`RequesterSession`] state machine and whatever transport feeds it:
+//! [`SessionDriver`] is the decision layer over the sans-io
+//! [`RequesterSession`] reassembly machine once a session is planned:
 //! it owns the per-lane liveness bookkeeping, routes a lost supplier's
 //! undelivered share through [`SelectionPolicy::replan`] over the
 //! survivors, converts recovered shares into explicit wire
@@ -9,16 +9,12 @@
 //! recovery ([`NodeError::SuppliersLost`] /
 //! [`NodeError::IncompleteStream`]).
 //!
-//! Two transports drive the same driver:
-//!
-//! * the epoll reactor path ([`crate::requester`]'s `ReqSessions`), which
-//!   maps lanes to live TCP connections and ships the emitted plans as
-//!   `StartSession` frames;
-//! * the deterministic simulation harness (`p2ps-simnet`), which maps
-//!   lanes to in-memory links under injected latency, churn and loss.
-//!
-//! Every replan decision exercised by a simulated schedule is therefore
-//! the decision the live node makes.
+//! Its lanes are the planned shares, in plan order. The
+//! [`RequesterMachine`](crate::RequesterMachine) builds one when its §4.2
+//! round admits and maps the lanes back to candidates; the epoll reactor
+//! and the deterministic simulation harness (`p2ps-simnet`) both host
+//! that machine, so every replan decision exercised by a simulated
+//! schedule is the decision the live node makes.
 //!
 //! # Examples
 //!

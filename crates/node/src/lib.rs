@@ -28,11 +28,12 @@
 //! wheel. A [`NodeReactor`] is a pool of 1..N such reactor threads:
 //! nodes shard across it by tag, requester sessions by session id, so
 //! one process carries thousands of full-duplex sessions and scales
-//! across cores ([`NodeReactor::with_threads`]). The §4.2 admission
-//! round is reactor-hosted too: a pipelined sans-io
-//! [`AdmissionDriver`](p2ps_proto::AdmissionDriver) probes every
-//! candidate lane *concurrently*, so `M` candidates cost ~max(RTT)
-//! instead of Σ(RTT) and a frozen candidate burns only its own timeout.
+//! across cores ([`NodeReactor::with_threads`]). A requester's whole
+//! session is one sans-io [`RequesterMachine`] — the same one
+//! `p2ps-simnet` hosts — from the §4.2 round, which probes every
+//! candidate lane *concurrently* (`M` candidates cost ~max(RTT) instead
+//! of Σ(RTT), a frozen candidate burns only its own timeout), through
+//! the §3 plan to the last segment and every replan in between.
 //! [`PeerNode::begin_stream`] just connects and returns a
 //! [`PendingStream`] — the verdict (including
 //! [`NodeError::Rejected`]) surfaces at [`PendingStream::wait`] — so
@@ -64,12 +65,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod admission_host;
 mod args;
 mod clock;
 mod directory;
 mod driver;
 mod error;
+mod machine;
 mod node;
 mod requester;
 mod serve;
@@ -82,6 +83,7 @@ pub use clock::Clock;
 pub use directory::{query_candidates, register_supplier, DirectoryServer, ShardedRegistry};
 pub use driver::{DriverStep, SessionDriver};
 pub use error::NodeError;
+pub use machine::{RequesterAction, RequesterMachine};
 pub use node::{NodeConfig, PeerNode, PendingStream, StreamOutcome};
 pub use serve::NodeReactor;
 pub use swarm::Swarm;

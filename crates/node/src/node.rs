@@ -16,9 +16,8 @@ use p2ps_media::{MediaFile, MediaInfo};
 use p2ps_monitor::Monitor;
 use p2ps_net::PoolHandle;
 
-use crate::admission_host::AdmissionLaunch;
 use crate::directory::{query_candidates, register_supplier};
-use crate::requester::{SessionProbe, SessionResult};
+use crate::requester::{RequestLaunch, SessionProbe, SessionResult};
 use crate::serve::{NodeCmd, NodeReactor};
 use crate::supplier::{AdmissionGuard, SupplierShared};
 use crate::{Clock, NodeError};
@@ -354,13 +353,13 @@ impl PeerNode {
     }
 
     /// Starts one streaming session without blocking: connects to the
-    /// candidates (loopback, bounded), then hands the whole round to
-    /// the node's reactor pool, where a pipelined sans-io
-    /// [`AdmissionDriver`](p2ps_proto::AdmissionDriver) probes **every**
+    /// candidates (loopback, bounded), then hands the whole session to
+    /// the node's reactor pool, where a sans-io
+    /// [`RequesterMachine`](crate::RequesterMachine) probes **every**
     /// candidate lane concurrently — N candidates cost ~max(RTT), not
-    /// Σ(RTT) — and, on admission, the granted connections flow
-    /// straight into the event-driven receiving session. No reader
-    /// threads anywhere. The returned [`PendingStream`] resolves to the
+    /// Σ(RTT) — and, on admission, plans and receives the stream over
+    /// the granted connections it already holds. No reader threads
+    /// anywhere. The returned [`PendingStream`] resolves to the
     /// outcome; hundreds of sessions can be in flight per process this
     /// way (sharded across the pool's reactor threads by session id).
     ///
@@ -411,7 +410,7 @@ impl PeerNode {
         }
         let (done, rx) = std::sync::mpsc::channel();
         pool.shard(session)
-            .send(NodeCmd::StartAdmission(Box::new(AdmissionLaunch {
+            .send(NodeCmd::Request(Box::new(RequestLaunch {
                 session,
                 class: self.config.class,
                 info: self.config.info.clone(),

@@ -1,38 +1,44 @@
-//! Requester side: session planning and the reactor-hosted session.
+//! Requester side: the reactor host of the requester machine.
 //!
-//! The §4.2 admission handshake itself is reactor-hosted too (see
-//! [`crate::admission_host`]): every candidate lane is probed
-//! concurrently by a sans-io
-//! [`AdmissionDriver`](p2ps_proto::AdmissionDriver), so the caller's
-//! thread never blocks on a slow candidate. Once the round is admitted,
-//! [`plan_session`] runs the [`SelectionPolicy`] over the granted
-//! classes and the already-adopted connections transition straight into
-//! a receiving session ([`ReqSessions::start_adopted`]) where a sans-io
-//! [`RequesterSession`] state machine receives the paced stream —
-//! **no reader threads, no blocking reads**. One reactor thread hosts any
-//! number of receiving sessions; a [`ReactorPool`](p2ps_net::ReactorPool)
-//! spreads them across cores by session hash.
+//! A requesting peer's whole session — the §4.2 probe of every candidate
+//! at once, the §3 plan over the grants, the paced stream and any
+//! replan after a supplier loss — is one sans-io
+//! [`RequesterMachine`] (the same one `p2ps-simnet` hosts). This module
+//! is only its adapter on a reactor shard: it adopts one connection per
+//! candidate lane, decodes frames in, ships the machine's sends and
+//! closes, arms the lanes' read timers, and publishes progress on the
+//! session's monitor scope — **no reader threads, no blocking reads**.
+//! One reactor thread hosts any number of sessions; a
+//! [`ReactorPool`](p2ps_net::ReactorPool) spreads them across cores by
+//! session hash.
 //!
 //! Mid-stream supplier loss is a structured per-supplier event, not a
 //! session abort: the lost supplier's undelivered share feeds
-//! [`SelectionPolicy::replan`] over the survivors, and the recovered
-//! shares ride the wire as *explicit* `SessionPlan`s that surviving
-//! suppliers append to their schedules. Only when no survivor remains
-//! (or a replan cannot cover the gap) does the session fail, with
-//! [`NodeError::SuppliersLost`].
+//! [`SelectionPolicy::replan`](p2ps_policy::SelectionPolicy::replan) over
+//! the survivors, and the recovered shares ride the wire as *explicit*
+//! `SessionPlan`s that surviving suppliers append to their schedules.
+//! Only when no survivor remains (or a replan cannot cover the gap) does
+//! the session fail, with [`NodeError::SuppliersLost`].
 
 use std::collections::HashMap;
+use std::net::TcpStream;
 use std::sync::mpsc::Sender;
 
 use p2ps_core::PeerClass;
 use p2ps_media::{MediaInfo, Segment, SegmentStore};
 use p2ps_monitor::{monotonic_ms, Counter, Gauge, Monitor, Recorder, StateCell};
 use p2ps_net::{ConnId, Ctx};
-use p2ps_policy::{SelectionPolicy, SessionContext, SharedPolicy};
-use p2ps_proto::{FrameDecoder, Message, RequesterSession, SessionEvent, SessionPlan};
+use p2ps_policy::SharedPolicy;
+use p2ps_proto::{Flow, FrameDecoder, Message, RequesterSession, SessionEvent};
 
 use crate::serve::send;
-use crate::{DriverStep, NodeError, SessionDriver, StreamOutcome};
+use crate::{NodeError, RequesterAction, RequesterMachine, StreamOutcome};
+
+/// How long a candidate may stay silent after its `StreamRequest` before
+/// its lane settles as refused. One frozen candidate delays the round by
+/// at most this much (and only when it precedes the deciding prefix in
+/// class order).
+const ADMISSION_REPLY_TIMEOUT_MS: u64 = 2_000;
 
 /// A supplier that goes quiet for this long mid-stream is treated as
 /// departed. One read timer per lane sits on the reactor wheel: inbound
@@ -65,7 +71,7 @@ const SESSION_STATES: &[&str] = &[
 ///
 /// Created on the caller's thread *before* admission (so the `probing`
 /// phase is visible while the §4.2 handshake runs) and carried into the
-/// reactor with the admission launch. The handles keep the
+/// reactor with the [`RequestLaunch`]. The handles keep the
 /// `reactor={shard} / session={id}` scope alive; dropping the probe —
 /// admission failure, session finish — removes the subtree from
 /// subsequent snapshots. Every update is a relaxed atomic store.
@@ -121,14 +127,15 @@ impl SessionProbe {
         probe
     }
 
-    /// The session's flight recorder (the admission host records the
-    /// §4.2 handshake through it too).
-    pub(crate) fn record(&self, ev: SessionEvent) {
-        record(&self.events, ev);
+    /// Puts one [`SessionEvent`] on the session's flight recorder.
+    fn record(&self, ev: SessionEvent) {
+        let (a, b) = ev.fields();
+        self.events.record(ev.code(), a, b);
     }
 
-    /// The reactor adopted the lanes: record the plan's worst stride and
-    /// reset the progress clock so the watchdog measures from launch.
+    /// The round admitted and the plan shipped: record the plan's worst
+    /// stride and reset the progress clock so the watchdog measures from
+    /// the hand-off.
     fn launched(&self, sm: &RequesterSession, stride_ms: u64, theoretical_us: u64) {
         self.stride_ms.set(stride_ms as i64);
         self.startup_lateness_us.set(-(theoretical_us as i64));
@@ -164,12 +171,6 @@ impl SessionProbe {
         self.owed.set(sm.owed_total() as i64);
         self.state.set(sm.phase().name());
     }
-}
-
-/// Encodes one [`SessionEvent`] into a flight-recorder ring.
-fn record(events: &Recorder, ev: SessionEvent) {
-    let (a, b) = ev.fields();
-    events.record(ev.code(), a, b);
 }
 
 /// What a finished reactor-hosted session delivers back to the caller.
@@ -223,104 +224,36 @@ fn lateness_us(at_us: u64, index: u64, dt_ms: u64) -> u64 {
     at_us.saturating_sub(index * dt_ms * 1_000)
 }
 
-/// One granted supplier ready for session launch: its already-adopted
-/// connection and the wire plan the reactor will send as `StartSession`.
-pub(crate) struct AdoptedLane {
-    pub class: PeerClass,
-    /// `None` when the lane's connection died between grant and
-    /// hand-off; the lane is marked dead at launch and replanned like
-    /// any other loss.
-    pub conn: Option<ConnId>,
-    pub plan: SessionPlan,
-}
-
-/// An admitted, planned session ready to start receiving — produced by
-/// the admission host once the §4.2 round settles, consumed by
-/// [`ReqSessions::start_adopted`] on the same reactor shard.
-pub(crate) struct ReadyLaunch {
+/// Everything a reactor shard needs to host one requester session.
+pub(crate) struct RequestLaunch {
     pub session: u64,
+    /// The requesting peer's class (sent in every `StreamRequest`).
+    pub class: PeerClass,
     pub info: MediaInfo,
     pub policy: SharedPolicy,
-    pub lanes: Vec<AdoptedLane>,
-    /// The plan's minimum feasible delay in slots of `δt` (Theorem 1 for
-    /// `Otsp2p`), for the outcome report.
-    pub theoretical_slots: u64,
-    /// The session's monitor scope, registered by the caller while
-    /// probing.
+    /// One advertised class per candidate lane.
+    pub classes: Vec<PeerClass>,
+    /// One connected stream per lane; `None` when the connect itself
+    /// failed (the lane settles refused at start).
+    pub streams: Vec<Option<TcpStream>>,
+    /// The session's monitor scope, registered by the caller (phase
+    /// `probing` while the round runs).
     pub probe: SessionProbe,
     pub done: Sender<SessionResult>,
 }
 
-/// Runs the [`SelectionPolicy`] over the granted classes: one
-/// `SessionPlan` per supplier slot (`None` when the policy left that
-/// grant unused — its reservation must be released), plus the plan's
-/// theoretical delay.
-///
-/// With the default `Otsp2p` policy the emitted `SessionPlan`s are
-/// byte-identical to the pre-policy code path (the plan *is* the §3
-/// assignment, back-mapped to the granted order); other policies ship
-/// explicit one-shot plans over the same wire format.
-pub(crate) fn plan_session(
-    classes: &[PeerClass],
-    session: u64,
-    info: &MediaInfo,
-    policy: &dyn SelectionPolicy,
-) -> Result<(Vec<Option<SessionPlan>>, u64), NodeError> {
-    let ctx = SessionContext::full(classes, info.segment_count()).with_seed(session);
-    let plan = policy
-        .plan(&ctx)
-        .map_err(|e| NodeError::Protocol(format!("policy '{}' failed: {e}", policy.name())))?;
-    if plan.slot_count() != classes.len() {
-        return Err(NodeError::Protocol(format!(
-            "policy '{}' planned {} slots for {} suppliers",
-            policy.name(),
-            plan.slot_count(),
-            classes.len()
-        )));
-    }
-    let theoretical_slots = plan.min_delay_slots(&ctx);
-    let dt_ms = info.segment_duration().as_millis();
-
-    let mut slot_plans: Vec<Option<SessionPlan>> = Vec::with_capacity(classes.len());
-    for slot in 0..classes.len() {
-        let segments = plan.slot(slot);
-        if segments.is_empty() {
-            slot_plans.push(None);
-            continue;
-        }
-        slot_plans.push(Some(SessionPlan {
-            item: info.name().to_owned(),
-            segments: segments.to_vec(),
-            period: plan.period(),
-            total_segments: info.segment_count(),
-            dt_ms: dt_ms as u32,
-        }));
-    }
-    if slot_plans.iter().all(Option::is_none) {
-        return Err(NodeError::Protocol(format!(
-            "policy '{}' assigned no segments to any supplier",
-            policy.name()
-        )));
-    }
-    Ok((slot_plans, theoretical_slots))
-}
-
-/// One reactor-hosted receiving session: the transport-agnostic
-/// [`SessionDriver`] plus the connection bookkeeping around it. All
-/// streaming *decisions* (replan routing, completion, failure) live in
-/// the driver — this struct only maps lanes to reactor connections and
-/// ships what the driver says to ship.
+/// One reactor-hosted session: the transport-agnostic
+/// [`RequesterMachine`] plus the connection bookkeeping around it. Every
+/// protocol *decision* — the §4.2 fold, the plan, replans, completion —
+/// lives in the machine; this struct only maps its lanes to reactor
+/// connections and ships what it says to ship.
 struct ReqSession {
-    info: MediaInfo,
-    driver: SessionDriver,
-    /// Lane → live connection (None once ended or failed).
+    machine: RequesterMachine,
+    /// Candidate lane → live connection (None once closed).
     lane_conns: Vec<Option<ConnId>>,
-    /// The plan's minimum feasible delay (Theorem 1's `n·δt` for
-    /// `Otsp2p`), in ms.
-    theoretical_delay_ms: u64,
-    /// Reactor time of the launch, in µs: segment arrivals are recorded
-    /// relative to it.
-    start_us: u64,
+    /// Reactor time of the hand-off to streaming, in µs: segment
+    /// arrivals are recorded relative to it. `None` while probing.
+    start_us: Option<u64>,
     /// Watchdog-driven recovery rounds burned since the last segment
     /// arrival (any arrival resets it; `MAX_RECOVERY_ATTEMPTS` caps it).
     recovery_attempts: u32,
@@ -333,14 +266,16 @@ struct ReqConn {
     session: u64,
     lane: usize,
     dec: FrameDecoder,
-    /// Reactor time of the lane's last inbound bytes (or of launch):
-    /// per-lane staleness for stall recovery's pick-the-worst-lane step.
+    /// Reactor time of the lane's last inbound bytes (or of the
+    /// hand-off): what its read timer and stall recovery's
+    /// pick-the-worst-lane step measure quiet from.
     last_ms: u64,
 }
 
-/// All receiving sessions hosted on one reactor shard. Owned by the
-/// node's serve handler; every callback is dispatched here when the
-/// connection belongs to a requester lane.
+/// All requester sessions hosted on one reactor shard, from the first
+/// `StreamRequest` to the last segment. Owned by the node's serve
+/// handler; every callback is dispatched here when the connection
+/// belongs to a requester lane.
 #[derive(Default)]
 pub(crate) struct ReqSessions {
     sessions: HashMap<u64, ReqSession>,
@@ -353,104 +288,58 @@ impl ReqSessions {
         self.conns.contains_key(&conn)
     }
 
-    /// Hosts a new session over connections the admission phase already
-    /// adopted: sends each lane's `StartSession` and arms the read
-    /// timers (replacing the admission-phase timer in place — same
-    /// kind). Lanes that lost their connection between grant and
-    /// hand-off are immediate departures (replanned like any other
-    /// loss).
-    pub(crate) fn start_adopted(&mut self, ctx: &mut Ctx<'_>, launch: ReadyLaunch) {
-        let ReadyLaunch {
+    /// Hosts a new session: adopts every lane's connection, arms its
+    /// read timer and lets the machine burst the `StreamRequest`s. Lanes
+    /// whose connect or adoption failed settle as refused. May resolve
+    /// at once (no live candidate).
+    pub(crate) fn start(&mut self, ctx: &mut Ctx<'_>, launch: RequestLaunch) {
+        let RequestLaunch {
             session,
+            class,
             info,
             policy,
-            lanes,
-            theoretical_slots,
+            classes,
+            streams,
             probe,
             done,
         } = launch;
-        let dt_ms = info.segment_duration().as_millis();
-        let mut specs = Vec::with_capacity(lanes.len());
-        let mut conns = Vec::with_capacity(lanes.len());
-        for lane in lanes {
-            specs.push((lane.class, lane.plan));
-            conns.push(lane.conn);
-        }
-        let mut driver = SessionDriver::new(
-            session,
-            info.name(),
-            info.segment_count(),
-            dt_ms,
-            policy,
-            &specs,
-        );
-        let mut lane_conns = Vec::with_capacity(conns.len());
-        let mut dead_lanes = Vec::new();
-        let start_us = ctx.now_us();
-        for (lane_idx, conn) in conns.into_iter().enumerate() {
-            match conn {
-                Some(conn) => {
+        let mut machine = RequesterMachine::new(session, class, info, policy, &classes);
+        let now_ms = ctx.now_ms();
+        let mut lane_conns = Vec::with_capacity(streams.len());
+        for (lane, stream) in streams.into_iter().enumerate() {
+            match stream.map(|s| ctx.adopt(s)) {
+                Some(Ok(conn)) => {
                     self.conns.insert(
                         conn,
                         ReqConn {
                             session,
-                            lane: lane_idx,
+                            lane,
                             dec: FrameDecoder::new(),
-                            last_ms: start_us / 1_000,
+                            last_ms: now_ms,
                         },
                     );
-                    probe.record(SessionEvent::PlanSent {
-                        lane: lane_idx as u64,
-                        segments: specs[lane_idx].1.segments.len() as u64,
-                    });
-                    send(
-                        ctx,
-                        conn,
-                        &Message::StartSession {
-                            session,
-                            plan: specs[lane_idx].1.clone(),
-                        },
-                    );
-                    ctx.set_timer(conn, K_REQ_READ, STREAM_READ_TIMEOUT_MS);
+                    ctx.set_timer(conn, K_REQ_READ, ADMISSION_REPLY_TIMEOUT_MS);
                     lane_conns.push(Some(conn));
                 }
-                None => {
-                    // Mark every doomed lane dead *before* settling any of
-                    // them, so the first replan does not count the others
-                    // as survivors.
-                    driver.mark_dead(lane_idx);
+                Some(Err(_)) | None => {
+                    machine.on_lane_closed(lane);
                     lane_conns.push(None);
-                    dead_lanes.push(lane_idx);
                 }
             }
         }
-        let theoretical_delay_ms = theoretical_slots * dt_ms;
-        probe.launched(
-            driver.machine(),
-            driver.stride_ms(),
-            theoretical_delay_ms * 1_000,
-        );
+        machine.start();
         self.sessions.insert(
             session,
             ReqSession {
-                info,
-                driver,
+                machine,
                 lane_conns,
-                theoretical_delay_ms,
-                start_us,
+                start_us: None,
                 recovery_attempts: 0,
                 probe,
                 done,
             },
         );
-        for lane in dead_lanes {
-            self.fail_lane(ctx, session, lane);
-        }
-        if let Some(sess) = self.sessions.get(&session) {
-            // A zero-segment file is complete right at launch.
-            let step = sess.driver.status();
-            self.apply(ctx, session, step);
-        }
+        self.pump(ctx, session);
     }
 
     /// Bytes arrived on a requester connection.
@@ -463,49 +352,92 @@ impl ReqSessions {
         // Payload bytes of the segments this burst delivered; `Some` once
         // one arrived. The probe's gauges are published once per burst.
         let mut burst_bytes = None;
-        let flow = loop {
-            match rc.dec.poll() {
-                Ok(Some(msg)) => match self.on_message(ctx, conn, &rc, msg, &mut burst_bytes) {
-                    LaneFlow::Keep => {}
-                    LaneFlow::Settled => break LaneFlow::Settled,
-                },
-                Ok(None) => break LaneFlow::Keep,
-                Err(_) => {
-                    // Corrupt stream: a structured per-supplier failure,
-                    // not a session abort.
-                    self.close_lane_conn(ctx, &rc, conn);
-                    self.fail_lane(ctx, rc.session, rc.lane);
-                    break LaneFlow::Settled;
-                }
+        while let Some(sess) = self.sessions.get_mut(&rc.session) {
+            if sess.lane_conns[rc.lane] != Some(conn) {
+                break; // the lane was closed, or the session is over
             }
-        };
-        if let (Some(bytes), Some(sess)) = (burst_bytes, self.sessions.get(&rc.session)) {
-            sess.probe.progress(sess.driver.machine(), bytes);
+            let lane_settled = match rc.dec.poll() {
+                Ok(Some(msg)) => {
+                    let segment = match &msg {
+                        Message::SegmentData {
+                            session,
+                            index,
+                            payload,
+                        } if *session == rc.session => Some((*index, payload.len() as u64)),
+                        _ => None,
+                    };
+                    let had = sess.machine.driver().map_or(0, |d| d.machine().received());
+                    let at_us = sess.start_us.map_or(0, |start| ctx.now_us() - start);
+                    let flow = sess.machine.on_message(rc.lane, msg, at_us);
+                    if let (Some((index, bytes)), Some(driver)) = (segment, sess.machine.driver()) {
+                        *burst_bytes.get_or_insert(0) += bytes;
+                        if driver.machine().received() > had {
+                            sess.probe.arrived(
+                                lateness_us(at_us, index, driver.dt_ms()),
+                                sess.machine.theoretical_delay_ms() * 1_000,
+                            );
+                        }
+                        // Real progress pays back the recovery budget.
+                        sess.recovery_attempts = 0;
+                    }
+                    if flow != Flow::Keep {
+                        sess.lane_conns[rc.lane] = None;
+                        ctx.close(conn);
+                    }
+                    flow != Flow::Keep
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    // Corrupt stream: it costs only its own lane.
+                    sess.lane_conns[rc.lane] = None;
+                    ctx.close(conn);
+                    sess.machine.on_lane_closed(rc.lane);
+                    true
+                }
+            };
+            if drain(ctx, &mut self.conns, sess) {
+                self.finish(ctx, rc.session);
+            } else if lane_settled {
+                sess.sync();
+            }
         }
-        if matches!(flow, LaneFlow::Keep) {
+        let Some(sess) = self.sessions.get(&rc.session) else {
+            return;
+        };
+        if let (Some(bytes), Some(driver)) = (burst_bytes, sess.machine.driver()) {
+            sess.probe.progress(driver.machine(), bytes);
+        }
+        if sess.lane_conns[rc.lane] == Some(conn) {
             self.conns.insert(conn, rc);
         }
     }
 
-    /// The lane's read timer fired: the supplier went quiet, unless bytes
-    /// arrived since the timer was armed — then it waits out the rest.
+    /// The lane's read timer fired. A candidate gets
+    /// [`ADMISSION_REPLY_TIMEOUT_MS`] to answer the round, a streaming
+    /// supplier [`STREAM_READ_TIMEOUT_MS`] between bursts; a lane that
+    /// spoke since the timer was armed waits out the rest.
     pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _kind: u32) {
         let Some(rc) = self.conns.get(&conn) else {
             return;
         };
-        let quiet_ms = ctx.now_ms().saturating_sub(rc.last_ms);
-        if quiet_ms < STREAM_READ_TIMEOUT_MS {
-            ctx.set_timer(conn, K_REQ_READ, STREAM_READ_TIMEOUT_MS - quiet_ms);
-            return;
-        }
-        let Some(rc) = self.conns.remove(&conn) else {
+        let Some(sess) = self.sessions.get(&rc.session) else {
             return;
         };
-        self.close_lane_conn(ctx, &rc, conn);
-        self.fail_lane(ctx, rc.session, rc.lane);
+        let quiet_bound = if sess.machine.streams_on(rc.lane) {
+            STREAM_READ_TIMEOUT_MS
+        } else {
+            ADMISSION_REPLY_TIMEOUT_MS
+        };
+        let quiet_ms = ctx.now_ms().saturating_sub(rc.last_ms);
+        if quiet_ms < quiet_bound {
+            ctx.set_timer(conn, K_REQ_READ, quiet_bound - quiet_ms);
+            return;
+        }
+        let (session, lane) = (rc.session, rc.lane);
+        self.fail_lane(ctx, session, lane);
     }
 
-    /// The supplier's connection dropped (peer close or I/O error).
+    /// The lane's connection dropped (peer close or I/O error).
     pub(crate) fn on_close(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         let Some(rc) = self.conns.remove(&conn) else {
             return;
@@ -516,74 +448,9 @@ impl ReqSessions {
         self.fail_lane(ctx, rc.session, rc.lane);
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        conn: ConnId,
-        rc: &ReqConn,
-        msg: Message,
-        burst_bytes: &mut Option<u64>,
-    ) -> LaneFlow {
-        let Some(sess) = self.sessions.get_mut(&rc.session) else {
-            ctx.close(conn);
-            return LaneFlow::Settled;
-        };
-        match msg {
-            Message::SegmentData {
-                session,
-                index,
-                payload,
-            } if session == rc.session => {
-                let at_us = ctx.now_us() - sess.start_us;
-                *burst_bytes.get_or_insert(0) += payload.len() as u64;
-                let had = sess.driver.machine().received();
-                let step = sess.driver.on_segment(rc.lane, index, payload, at_us);
-                if sess.driver.machine().received() > had {
-                    sess.probe.arrived(
-                        lateness_us(at_us, index, sess.driver.dt_ms()),
-                        sess.theoretical_delay_ms * 1_000,
-                    );
-                }
-                // Real progress pays back the recovery budget.
-                sess.recovery_attempts = 0;
-                sess.probe.record(SessionEvent::SegmentArrived {
-                    lane: rc.lane as u64,
-                    index,
-                });
-                if matches!(step, DriverStep::Complete) {
-                    self.finish(ctx, rc.session, None);
-                    return LaneFlow::Settled;
-                }
-                LaneFlow::Keep
-            }
-            Message::EndSession { session } if session == rc.session => {
-                sess.lane_conns[rc.lane] = None;
-                ctx.close(conn);
-                let step = sess.driver.on_end(rc.lane);
-                sess.probe.sync(sess.driver.machine());
-                self.apply(ctx, rc.session, step);
-                LaneFlow::Settled
-            }
-            _ => {
-                // Anything else mid-stream is a protocol violation by this
-                // supplier alone.
-                self.close_lane_conn(ctx, rc, conn);
-                self.fail_lane(ctx, rc.session, rc.lane);
-                LaneFlow::Settled
-            }
-        }
-    }
-
-    /// Marks the lane's connection gone (map + session + socket).
-    fn close_lane_conn(&mut self, ctx: &mut Ctx<'_>, rc: &ReqConn, conn: ConnId) {
-        if let Some(sess) = self.sessions.get_mut(&rc.session) {
-            sess.lane_conns[rc.lane] = None;
-        }
-        ctx.close(conn);
-    }
-
-    /// A supplier was lost: the driver collects what it owed and replans
-    /// onto the survivors; this side ships the verdict.
+    /// The lane's transport is gone or given up on: close what is left
+    /// of it and let the machine settle the lane — refused during the
+    /// round, replanned over the survivors once streaming.
     fn fail_lane(&mut self, ctx: &mut Ctx<'_>, session: u64, lane: usize) {
         let Some(sess) = self.sessions.get_mut(&session) else {
             return;
@@ -592,9 +459,8 @@ impl ReqSessions {
             self.conns.remove(&conn);
             ctx.close(conn);
         }
-        let step = sess.driver.on_failure(lane);
-        sess.probe.sync(sess.driver.machine());
-        self.apply(ctx, session, step);
+        sess.machine.on_lane_closed(lane);
+        self.pump_and_sync(ctx, session);
     }
 
     /// Watchdog-escalated stall recovery: fail the *stalest* live lane
@@ -627,14 +493,19 @@ impl ReqSessions {
         let Some(sess) = self.sessions.get_mut(&session) else {
             return; // already finished — the flag raced the outcome
         };
+        let Some(driver) = sess.machine.driver() else {
+            return; // still probing: the round's own timers settle it
+        };
         let now = ctx.now_ms();
-        let quiet_bound = sess.driver.stride_ms() + grace_ms;
-        // The stalest live lane: oldest last inbound bytes, and only if
-        // genuinely quiet past the watchdog's own bound.
-        let stalest = self
-            .conns
-            .values()
-            .filter(|rc| rc.session == session)
+        let quiet_bound = driver.stride_ms() + grace_ms;
+        // The stalest streaming lane: oldest last inbound bytes, and only
+        // if genuinely quiet past the watchdog's own bound.
+        let stalest = sess
+            .lane_conns
+            .iter()
+            .flatten()
+            .filter_map(|conn| self.conns.get(conn))
+            .filter(|rc| sess.machine.streams_on(rc.lane))
             .filter(|rc| now.saturating_sub(rc.last_ms) > quiet_bound)
             .min_by_key(|rc| rc.last_ms)
             .map(|rc| rc.lane);
@@ -643,110 +514,82 @@ impl ReqSessions {
         };
         sess.recovery_attempts += 1;
         let attempt = sess.recovery_attempts;
-        let outstanding = sess.driver.machine().total_segments() - sess.driver.machine().received();
-        // Clone the recorder handle first: the give-up paths below tear
-        // the session (and its probe) down, and the terminal event must
-        // still land in the ring any held snapshot shares.
-        let events = sess.probe.events.clone();
-        record(
-            &events,
-            SessionEvent::RecoveryStarted {
-                lane: lane as u64,
-                attempt: u64::from(attempt),
-            },
-        );
+        sess.probe.record(SessionEvent::RecoveryStarted {
+            lane: lane as u64,
+            attempt: u64::from(attempt),
+        });
         if attempt > MAX_RECOVERY_ATTEMPTS {
             giveups.incr();
-            record(
-                &events,
-                SessionEvent::GaveUp {
-                    missing: outstanding,
-                },
-            );
-            self.finish(
-                ctx,
-                session,
-                Some(NodeError::SuppliersLost {
-                    missing: outstanding,
-                }),
-            );
+            sess.machine.give_up();
+            self.pump(ctx, session);
             return;
         }
         self.fail_lane(ctx, session, lane);
-        if self.sessions.contains_key(&session) {
+        match self.sessions.get(&session) {
             // Survivors absorbed the share: the session is recovering.
-            recoveries.incr();
-            record(
-                &events,
-                SessionEvent::Recovered {
+            Some(sess) => {
+                recoveries.incr();
+                sess.probe.record(SessionEvent::Recovered {
                     attempt: u64::from(attempt),
-                },
-            );
-        } else {
-            // The failed lane was the last hope: the loss path already
+                });
+            }
+            // The failed lane was the last hope: the machine already
             // finished the session with its own verdict.
-            giveups.incr();
-            record(
-                &events,
-                SessionEvent::GaveUp {
-                    missing: outstanding,
-                },
-            );
+            None => giveups.incr(),
         }
     }
 
-    /// Executes a [`DriverStep`]: ships replanned shares as explicit
-    /// `StartSession`s (surviving suppliers append them to their running
-    /// schedule and keep pacing at their class rate), finishes on
-    /// `Complete`/`Failed`.
-    fn apply(&mut self, ctx: &mut Ctx<'_>, session: u64, step: DriverStep) {
-        match step {
-            DriverStep::Continue => {}
-            DriverStep::Replanned(plans) => {
-                let Some(sess) = self.sessions.get_mut(&session) else {
-                    return;
-                };
-                for (lane, plan) in plans {
-                    let conn = sess.lane_conns[lane].expect("survivor has a live connection");
-                    sess.probe.record(SessionEvent::Replanned {
-                        lane: lane as u64,
-                        segments: plan.segments.len() as u64,
-                    });
-                    send(ctx, conn, &Message::StartSession { session, plan });
-                }
-                sess.probe.sync(sess.driver.machine());
-            }
-            DriverStep::Complete => self.finish(ctx, session, None),
-            DriverStep::Failed(e) => self.finish(ctx, session, Some(e)),
+    /// Ships the machine's pending actions and finishes the session once
+    /// it has a verdict.
+    fn pump(&mut self, ctx: &mut Ctx<'_>, session: u64) {
+        let Some(sess) = self.sessions.get_mut(&session) else {
+            return;
+        };
+        if drain(ctx, &mut self.conns, sess) {
+            self.finish(ctx, session);
+        }
+    }
+
+    /// [`pump`](Self::pump), then re-publishes phase, received and owed
+    /// after a lane-level transition (end, failure, replan).
+    fn pump_and_sync(&mut self, ctx: &mut Ctx<'_>, session: u64) {
+        let Some(sess) = self.sessions.get_mut(&session) else {
+            return;
+        };
+        if drain(ctx, &mut self.conns, sess) {
+            self.finish(ctx, session);
+        } else {
+            sess.sync();
         }
     }
 
     /// Tears the session down and reports to the waiting caller.
-    fn finish(&mut self, ctx: &mut Ctx<'_>, session: u64, err: Option<NodeError>) {
-        let Some(mut sess) = self.sessions.remove(&session) else {
+    fn finish(&mut self, ctx: &mut Ctx<'_>, session: u64) {
+        let Some(sess) = self.sessions.remove(&session) else {
             return;
         };
-        for conn in sess.lane_conns.iter_mut().filter_map(Option::take) {
+        for conn in sess.lane_conns.into_iter().flatten() {
             self.conns.remove(&conn);
             ctx.close(conn);
         }
-        let result = match err {
-            Some(e) => Err(e),
-            None => {
-                sess.probe.record(SessionEvent::Completed {
-                    received: sess.driver.machine().received(),
-                });
-                let (machine, supplier_classes) = sess.driver.into_parts();
+        let info = sess.machine.info().clone();
+        let theoretical_delay_ms = sess.machine.theoretical_delay_ms();
+        let result = match sess.machine.into_outcome() {
+            Some(Ok(driver)) => {
+                let (machine, supplier_classes) = driver.into_parts();
+                let start_us = sess.start_us.unwrap_or_else(|| ctx.now_us());
                 Ok(FinishedSession {
-                    info: sess.info,
+                    info,
                     machine,
                     supplier_classes,
-                    theoretical_delay_ms: sess.theoretical_delay_ms,
+                    theoretical_delay_ms,
                     // To the nearest ms, so that sums and differences of
                     // durations are not half a millisecond short each.
-                    duration_ms: (ctx.now_us() - sess.start_us + 500) / 1_000,
+                    duration_ms: (ctx.now_us() - start_us + 500) / 1_000,
                 })
             }
+            Some(Err(e)) => Err(e),
+            None => unreachable!("finish runs on a verdict"),
         };
         // The session's scope leaves the monitor tree before the caller
         // can learn the outcome and look.
@@ -757,13 +600,54 @@ impl ReqSessions {
     }
 }
 
-/// What to do with a requester connection after one message.
-enum LaneFlow {
-    /// Keep decoding on this connection.
-    Keep,
-    /// The connection's lane settled (ended, failed, or session over);
-    /// maps are already updated and the conn must not be re-inserted.
-    Settled,
+impl ReqSession {
+    /// Re-publishes phase, received and owed on the session's probe.
+    fn sync(&self) {
+        if let Some(driver) = self.machine.driver() {
+            self.probe.sync(driver.machine());
+        }
+    }
+}
+
+/// Ships `sess`'s pending machine actions on its lanes' connections and
+/// publishes the hand-off to streaming. Returns whether the machine has
+/// a verdict, after which the session must be finished.
+fn drain(ctx: &mut Ctx<'_>, conns: &mut HashMap<ConnId, ReqConn>, sess: &mut ReqSession) -> bool {
+    while let Some(action) = sess.machine.pop_action() {
+        match action {
+            RequesterAction::Send { lane, msg } => {
+                if let Some(conn) = sess.lane_conns[lane] {
+                    send(ctx, conn, &msg);
+                }
+            }
+            RequesterAction::Close { lane } => {
+                if let Some(conn) = sess.lane_conns[lane].take() {
+                    conns.remove(&conn);
+                    // Queued goodbyes (Release, Reminder) leave first.
+                    ctx.close_after_flush(conn);
+                }
+            }
+            RequesterAction::Record(ev) => sess.probe.record(ev),
+        }
+    }
+    if sess.start_us.is_none() {
+        if let Some(driver) = sess.machine.driver() {
+            // Admitted and planned: the watchdog measures from here.
+            let now_us = ctx.now_us();
+            sess.start_us = Some(now_us);
+            for conn in sess.lane_conns.iter().flatten() {
+                if let Some(rc) = conns.get_mut(conn) {
+                    rc.last_ms = now_us / 1_000;
+                }
+            }
+            sess.probe.launched(
+                driver.machine(),
+                driver.stride_ms(),
+                sess.machine.theoretical_delay_ms() * 1_000,
+            );
+        }
+    }
+    sess.machine.outcome().is_some()
 }
 
 #[cfg(test)]

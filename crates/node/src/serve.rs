@@ -7,9 +7,9 @@
 //! connection; this module is only its adapter: it decodes frames in,
 //! sends replies and segments out, and arms the machine's deadlines on
 //! the timer wheel instead of `thread::sleep`. The requester side
-//! ([`crate::requester`]) hands its granted connections here too: a
-//! sans-io `RequesterSession` per session receives the paced stream,
-//! with supplier departures replanned live. A session occupies
+//! ([`crate::requester`]) is hosted here too: one sans-io
+//! `RequesterMachine` per session probes the candidates, plans, receives
+//! the paced stream and replans supplier departures live. A session occupies
 //! connection slots and timers — never a thread — so one process
 //! sustains thousands of full-duplex sessions, sharded across reactor
 //! threads by node tag (supplier side) and session id (requester side).
@@ -24,8 +24,7 @@ use p2ps_monitor::{Counter, Gauge, Monitor};
 use p2ps_net::{ConnId, Ctx, Handler, PoolHandle, ReactorConfig, ReactorPool};
 use p2ps_proto::{Flow, FrameDecoder, FrameEncoder, Message, Pace, SupplierConn};
 
-use crate::admission_host::{AdmissionLaunch, Admissions};
-use crate::requester::ReqSessions;
+use crate::requester::{ReqSessions, RequestLaunch};
 use crate::supplier::SupplierShared;
 use crate::watchdog::{Watchdog, WatchdogConfig};
 
@@ -49,12 +48,11 @@ pub(crate) enum NodeCmd {
         /// The tag passed at attach time.
         tag: u64,
     },
-    /// Run a requesting peer's §4.2 admission round on this shard:
-    /// adopt one connection per candidate lane, drive the pipelined
-    /// sans-io `AdmissionDriver`, and on admission transition the
-    /// granted lanes straight into a receiving session (boxed: the
-    /// launch carries streams, classes and a result channel).
-    StartAdmission(Box<AdmissionLaunch>),
+    /// Host a requesting peer's session on this shard: adopt one
+    /// connection per candidate lane and run its `RequesterMachine` from
+    /// the §4.2 round to the last segment (boxed: the launch carries
+    /// streams, classes and a result channel).
+    Request(Box<RequestLaunch>),
     /// The stall watchdog flagged `session` on this shard: fail its
     /// stalest quiet lane and replan the share over the survivors
     /// (`grace_ms` is the watchdog's own quiet bound, reused for the
@@ -116,10 +114,8 @@ impl ServeStats {
 pub(crate) struct NodeServeHandler {
     nodes: HashMap<u64, Arc<SupplierShared>>,
     conns: HashMap<ConnId, ConnState>,
-    /// Reactor-hosted receiving sessions (the requester half).
+    /// Reactor-hosted requester sessions, probe to last segment.
     req: ReqSessions,
-    /// Reactor-hosted admission rounds (the requester's §4.2 probe).
-    adm: Admissions,
     stats: ServeStats,
     /// Root counter: watchdog-escalated recoveries where survivors
     /// absorbed the stalest lane's share.
@@ -166,7 +162,6 @@ impl NodeServeHandler {
             nodes: HashMap::new(),
             conns: HashMap::new(),
             req: ReqSessions::default(),
-            adm: Admissions::default(),
             stats: ServeStats::register(monitor),
             recoveries,
             giveups,
@@ -216,11 +211,7 @@ impl Handler for NodeServeHandler {
                     self.finish(ctx, id, Flow::Close);
                 }
             }
-            NodeCmd::StartAdmission(launch) => {
-                if let Some(ready) = self.adm.start(ctx, *launch) {
-                    self.req.start_adopted(ctx, ready);
-                }
-            }
+            NodeCmd::Request(launch) => self.req.start(ctx, *launch),
             NodeCmd::Recover { session, grace_ms } => {
                 self.req
                     .recover(ctx, session, grace_ms, &self.recoveries, &self.giveups);
@@ -252,12 +243,6 @@ impl Handler for NodeServeHandler {
     fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
         if self.req.owns(conn) {
             self.req.on_data(ctx, conn, data);
-            return;
-        }
-        if self.adm.owns(conn) {
-            if let Some(ready) = self.adm.on_data(ctx, conn, data) {
-                self.req.start_adopted(ctx, ready);
-            }
             return;
         }
         let Some(st) = self.conns.get_mut(&conn) else {
@@ -296,12 +281,6 @@ impl Handler for NodeServeHandler {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, kind: u32) {
         if self.req.owns(conn) {
             self.req.on_timer(ctx, conn, kind);
-            return;
-        }
-        if self.adm.owns(conn) {
-            if let Some(ready) = self.adm.on_timer(ctx, conn, kind) {
-                self.req.start_adopted(ctx, ready);
-            }
             return;
         }
         let Some(st) = self.conns.get_mut(&conn) else {
@@ -358,12 +337,6 @@ impl Handler for NodeServeHandler {
     fn on_close(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         if self.req.owns(conn) {
             self.req.on_close(ctx, conn);
-            return;
-        }
-        if self.adm.owns(conn) {
-            if let Some(ready) = self.adm.on_close(ctx, conn) {
-                self.req.start_adopted(ctx, ready);
-            }
             return;
         }
         self.finish(ctx, conn, Flow::Keep);

@@ -5,6 +5,7 @@
 //! session completing byte-for-byte either way.
 
 use std::net::TcpListener;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use p2ps_core::assignment::SegmentDuration;
@@ -65,6 +66,31 @@ fn frozen_candidate() -> u16 {
         let _ = read_message(&mut conn);
     });
     port
+}
+
+/// A class-`class` candidate that grants only after `delay`, then
+/// reports the next frame the requester sends it (`None` if the
+/// connection just closed). Returns the listener's port and the report.
+fn late_grant_candidate(
+    class: PeerClass,
+    delay: Duration,
+) -> (u16, mpsc::Receiver<Option<Message>>) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let port = listener.local_addr().unwrap().port();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let Ok((mut conn, _)) = listener.accept() else {
+            return;
+        };
+        let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
+        let Ok(Message::StreamRequest { session, .. }) = read_message(&mut conn) else {
+            return;
+        };
+        std::thread::sleep(delay);
+        let _ = write_message(&mut conn, &Message::Grant { session, class });
+        let _ = tx.send(read_message(&mut conn).ok());
+    });
+    (port, rx)
 }
 
 /// Full byte verification of a completed session.
@@ -195,6 +221,57 @@ fn frozen_candidate_delays_admission_only_by_its_own_timeout() {
     );
 
     assert_eq!(outcome.supplier_count, 1, "the one real seed supplies");
+    assert_streamed_exactly(&requester, &info);
+
+    requester.shutdown();
+    seed.shutdown();
+    reactor.shutdown();
+    dir.shutdown();
+}
+
+/// A grant that lands after the round already admitted holds a
+/// reservation the requester will never use: the requester releases it
+/// at once instead of leaving the supplier to find out when the
+/// connection drops or its grant TTL runs out.
+#[test]
+fn a_grant_arriving_after_admission_is_released() {
+    let info = test_info("admission-late-grant");
+    let dir = DirectoryServer::start().unwrap();
+    let clock = Clock::new();
+    let reactor = NodeReactor::with_threads(1).unwrap();
+
+    let seed_cfg = NodeConfig::new(PeerId::new(1), PeerClass::HIGHEST, info.clone(), dir.addr());
+    let seed = PeerNode::spawn_seed_on(seed_cfg, clock.clone(), &reactor).unwrap();
+    // The class-1 seed alone secures R0, so the round admits on its
+    // grant; the class-2 candidate answers 300 ms later.
+    let class2 = PeerClass::new(2).unwrap();
+    let (late_port, late) = late_grant_candidate(class2, Duration::from_millis(300));
+    let candidates = vec![
+        CandidateRecord {
+            id: seed.id(),
+            class: seed.class(),
+            port: seed.port(),
+        },
+        CandidateRecord {
+            id: PeerId::new(99),
+            class: class2,
+            port: late_port,
+        },
+    ];
+
+    let req_cfg = NodeConfig::new(PeerId::new(2), PeerClass::HIGHEST, info.clone(), dir.addr());
+    let requester = PeerNode::spawn_on(req_cfg, clock.clone(), &reactor).unwrap();
+    let outcome = requester
+        .begin_stream_from(candidates)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(outcome.supplier_count, 1, "the late grant is not used");
+
+    match late.recv_timeout(Duration::from_secs(10)).unwrap() {
+        Some(Message::Release { .. }) => {}
+        other => panic!("the late grant was answered with {other:?}, not a Release"),
+    }
     assert_streamed_exactly(&requester, &info);
 
     requester.shutdown();

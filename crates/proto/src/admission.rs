@@ -4,9 +4,10 @@
 //! admission round: which candidate lanes to contact, what each reply
 //! means, when the round is decided, and which grants must be released.
 //! The caller owns the *transport* half — connects, timers, feeding
-//! decoded [`Message`]s back in — so the same state machine runs on the
-//! epoll reactor (`p2ps-node`), under the deterministic simulator
-//! (`p2ps-simnet`), and in plain unit tests.
+//! decoded [`Message`]s back in. In `p2ps-node` the caller is the
+//! requester machine, which plans and streams once the round admits; the
+//! epoll reactor and the deterministic simulator (`p2ps-simnet`) host
+//! that machine, and plain unit tests drive this driver directly.
 //!
 //! The paper's protocol contacts candidates *sequentially* in descending
 //! class order, stopping once `R0` aggregate bandwidth is secured

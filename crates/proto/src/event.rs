@@ -3,8 +3,11 @@
 //!
 //! The recorder itself (`p2ps-monitor`) stores raw `(at_ms, code, a, b)`
 //! tuples so it needs no protocol knowledge; this module is the shared
-//! vocabulary both ends speak. Producers (`p2ps-node`'s reactor and
-//! watchdog, `p2ps-simnet`'s deterministic world) call
+//! vocabulary both ends speak. Every `lane` is the candidate's position
+//! in the requester's §4.2 round, in every phase. Producers
+//! (`p2ps-node`'s requester machine, which the reactor and
+//! `p2ps-simnet`'s deterministic world both host, and the node's
+//! watchdog) call
 //! [`SessionEvent::code`]/[`SessionEvent::fields`] when recording;
 //! consumers (`p2psd status --trace`, tests) call
 //! [`SessionEvent::decode`] to turn a dumped ring back into a readable
@@ -45,14 +48,14 @@ pub enum SessionEvent {
     },
     /// The round admitted and a lane's `StartSession` plan shipped.
     PlanSent {
-        /// Streaming lane index (assignment slot order).
+        /// Candidate lane index within the round.
         lane: u64,
         /// Number of segments in the lane's share.
         segments: u64,
     },
     /// A media segment arrived and was accepted into reassembly.
     SegmentArrived {
-        /// Streaming lane index that delivered it.
+        /// Candidate lane index that delivered it.
         lane: u64,
         /// Segment index within the media item.
         index: u64,
@@ -60,7 +63,7 @@ pub enum SessionEvent {
     /// A surviving lane received a replanned share (`StartSession`
     /// append) after another lane failed.
     Replanned {
-        /// Surviving streaming lane index.
+        /// Surviving candidate lane index.
         lane: u64,
         /// Number of segments in the reassigned share.
         segments: u64,
@@ -72,7 +75,7 @@ pub enum SessionEvent {
     },
     /// Stall recovery failed the stalest quiet lane to force a replan.
     RecoveryStarted {
-        /// The lane being failed.
+        /// The candidate lane being failed.
         lane: u64,
         /// 1-based recovery attempt number for this session.
         attempt: u64,
@@ -83,8 +86,9 @@ pub enum SessionEvent {
         /// The attempt number that produced the replan.
         attempt: u64,
     },
-    /// Recovery gave up: no survivors (or attempts exhausted) and the
-    /// session failed structurally with `SuppliersLost`.
+    /// The session failed structurally with `SuppliersLost`: the last
+    /// supplier was lost with segments missing, or stall recovery ran
+    /// out of attempts.
     GaveUp {
         /// Segments still missing at give-up.
         missing: u64,

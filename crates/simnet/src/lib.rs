@@ -1,10 +1,10 @@
 //! Deterministic in-memory simulation of the real streaming stack.
 //!
 //! `p2ps-simnet` drives the **actual** protocol machines the live node
-//! runs — `p2ps_proto::RequesterSession` (via `p2ps_node::SessionDriver`),
+//! runs — `p2ps_node::RequesterMachine` (the requester's whole session:
+//! §4.2 round, §3 plan, reassembly and `p2ps-policy` replans),
 //! `p2ps_proto::SupplierConn` (the supplier's per-connection machine and
-//! its §3 schedule), the `FrameDecoder`/`FrameEncoder` framing, and
-//! `p2ps-policy` planning/replanning — over a simulated
+//! its §3 schedule) and the `FrameDecoder`/`FrameEncoder` framing — over a simulated
 //! transport instead of epoll and TCP: **no threads, no sockets, no wall
 //! clock**. Where `p2ps-sim` models the paper's protocol abstractly at
 //! slot granularity (its own arrival/departure processes, no wire
@@ -18,12 +18,12 @@
 //! witnessed by the [`SimReport::trace_hash`] digest — so any failure in
 //! a thousand-seed sweep is one `SIMNET_SEED=…` away from a debugger.
 //!
-//! Every run opens with the real §4.2 admission round: the pipelined
-//! `p2ps_proto::AdmissionDriver` sends its `StreamRequest` burst over
-//! the simulated links, each supplier's real connection machine answers
-//! with the decision the schedule scripted for its node, and the driver
-//! folds the replies into a verdict before a single segment moves — the
-//! same code on both ends that the live reactor hosts.
+//! Every run opens with the real §4.2 admission round: the requester
+//! machine sends its `StreamRequest` burst over the simulated links, each
+//! supplier's real connection machine answers with the decision the
+//! schedule scripted for its node, and the machine folds the replies into
+//! a verdict and plans before a single segment moves — the same code on
+//! both ends that the live reactor hosts.
 //!
 //! Five [`ScenarioKind`] adversity profiles are swept: `Steady` (latency
 //! and fragmentation only), `Churn` (suppliers die mid-stream, up to all

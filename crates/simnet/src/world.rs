@@ -4,14 +4,13 @@
 //! threads, sockets or wall-clock reads. The protocol code is the real
 //! thing — the same types the live node runs on its epoll reactor:
 //!
-//! * the session opens with the real §4.2 round: a pipelined
-//!   [`AdmissionDriver`] sends `StreamRequest` on every lane, each
-//!   supplier machine's `Grant`/`Deny` travels back over its link, and
-//!   the round's verdict (including `Release`s and `Reminder`s on
-//!   rejection) is the driver's own greedy fold;
-//! * the requester side is a [`SessionDriver`] (reassembly, lane
-//!   liveness, policy replans, completion/failure verdicts) fed through
-//!   a per-lane [`FrameDecoder`];
+//! * the requester side is a [`RequesterMachine`] — the session machine
+//!   the reactor hosts: its §4.2 round sends `StreamRequest` on every
+//!   lane and folds each supplier's `Grant`/`Deny` (with `Release`s and
+//!   `Reminder`s on rejection), its §3 plan opens every used grant with
+//!   `StartSession`, and its [`SessionDriver`](p2ps_node::SessionDriver)
+//!   reassembles, replans and rules on completion — fed through a
+//!   per-lane [`FrameDecoder`];
 //! * each supplier side is a [`SupplierConn`] — the per-connection
 //!   machine the reactor hosts: handshake phases, the grant reservation,
 //!   reminder validation, §3 pacing with appended replan shares — fed
@@ -39,11 +38,10 @@ use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::PeerClass;
 use p2ps_media::{MediaFile, MediaInfo};
 use p2ps_monitor::Recorder;
-use p2ps_node::{DriverStep, NodeError, SessionDriver};
-use p2ps_policy::{SessionContext, SharedPolicy};
+use p2ps_node::{NodeError, RequesterAction, RequesterMachine};
+use p2ps_policy::SharedPolicy;
 use p2ps_proto::{
-    AdmissionAction, AdmissionDriver, AdmissionVerdict, FrameDecoder, FrameEncoder, Message, Pace,
-    SessionEvent, SessionPlan, SupplierAdmission, SupplierConn,
+    FrameDecoder, FrameEncoder, Message, Pace, SessionEvent, SupplierAdmission, SupplierConn,
 };
 
 use crate::link::Link;
@@ -141,7 +139,6 @@ fn adm_code(msg: &Message) -> u64 {
 /// One supplier's in-world state around its real [`SupplierConn`].
 #[derive(Debug)]
 struct SimSupplier {
-    class: PeerClass,
     conn: SupplierConn,
     adm: Scripted,
     dec: FrameDecoder,
@@ -176,12 +173,6 @@ impl SupplierAdmission for Scripted {
     fn leave_reminder(&mut self, _class: PeerClass) {}
 }
 
-/// How the session ended, before outcome mapping.
-enum RawOutcome {
-    Complete,
-    Failed(NodeError),
-}
-
 /// One deterministic run: virtual clock, event queue, links, and the
 /// real admission/requester/supplier/policy stack. Build with
 /// [`SimWorld::new`], consume with [`SimWorld::run`].
@@ -198,24 +189,13 @@ pub struct SimWorld {
 
     session: u64,
     file: MediaFile,
-    policy: SharedPolicy,
     suppliers: Vec<SimSupplier>,
     /// Per lane: `[to_requester, to_supplier]`. Lane = mix position.
     links: Vec<[Link; 2]>,
-    /// Transport-open flag per lane (requester's view).
-    lane_open: Vec<bool>,
     req_decs: Vec<FrameDecoder>,
-    /// The §4.2 round, live until its verdict lands.
-    adm: Option<AdmissionDriver>,
-    /// The streaming session, built when the round admits.
-    driver: Option<SessionDriver>,
-    /// Which driver lane (if any) each mix lane streams as.
-    driver_lane_of_mix: Vec<Option<usize>>,
-    /// The mix lane behind each driver lane.
-    mix_of_driver_lane: Vec<usize>,
-    /// Reminders the verdict left, once the round was rejected.
-    rejected: Option<u64>,
-    outcome: Option<RawOutcome>,
+    /// The requester: the session machine the reactor hosts, its lanes
+    /// the mix positions.
+    req: RequesterMachine,
 
     events: u64,
     segments_delivered: u64,
@@ -241,10 +221,8 @@ fn wire_bytes(msg: &Message) -> Vec<u8> {
 
 impl SimWorld {
     /// Builds the world for one schedule: synthesizes the media file,
-    /// constructs the admission driver and supplier machines, queues the
-    /// `StreamRequest` burst plus every scheduled death. Planning and
-    /// the [`SessionDriver`] wait for the round's verdict, exactly like
-    /// the live node.
+    /// constructs the requester and supplier machines, queues the
+    /// `StreamRequest` burst plus every scheduled death.
     pub fn new(schedule: Schedule) -> SimWorld {
         let session = schedule.seed;
         let info = MediaInfo::new(
@@ -253,7 +231,7 @@ impl SimWorld {
             SegmentDuration::from_millis(schedule.dt_ms),
             schedule.segment_bytes,
         );
-        let file = MediaFile::synthesize(info);
+        let file = MediaFile::synthesize(info.clone());
 
         let classes: Vec<PeerClass> = schedule
             .mix
@@ -266,7 +244,6 @@ impl SimWorld {
             .iter()
             .zip(&schedule.replies)
             .map(|(&class, &reply)| SimSupplier {
-                class,
                 conn: SupplierConn::new(class, 0),
                 adm: Scripted {
                     reply,
@@ -286,8 +263,9 @@ impl SimWorld {
         let rng_seed = schedule.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ schedule.scenario.salt();
         let scheduled_deaths = schedule.deaths.clone();
 
-        let mut adm = AdmissionDriver::new(session, req_class, &classes);
-        adm.start();
+        let mut req =
+            RequesterMachine::new(session, req_class, info, SharedPolicy::default(), &classes);
+        req.start();
 
         let mut world = SimWorld {
             schedule,
@@ -302,17 +280,10 @@ impl SimWorld {
             recorder: Recorder::standalone(segment_capacity),
             session,
             file,
-            policy: SharedPolicy::default(),
             suppliers,
             links,
-            lane_open: vec![true; lane_count],
             req_decs: (0..lane_count).map(|_| FrameDecoder::new()).collect(),
-            adm: Some(adm),
-            driver: None,
-            driver_lane_of_mix: vec![None; lane_count],
-            mix_of_driver_lane: Vec::new(),
-            rejected: None,
-            outcome: None,
+            req,
             events: 0,
             segments_delivered: 0,
             bytes_on_wire: 0,
@@ -325,7 +296,7 @@ impl SimWorld {
 
         // The opening StreamRequest burst travels the wire like
         // everything else, framed and fragmented per lane.
-        world.pump_admission();
+        world.pump();
         for &(mix_idx, at) in &scheduled_deaths {
             world.push(at, Event::Die { lane: mix_idx });
         }
@@ -334,52 +305,46 @@ impl SimWorld {
 
     /// Runs the world to quiescence and reports.
     pub fn run(mut self) -> SimReport {
-        while self.outcome.is_none() {
+        while !self.settled() {
             let Some(s) = self.queue.pop() else { break };
             debug_assert!(s.at >= self.now, "virtual time must be monotone");
             self.now = s.at;
             self.events += 1;
             self.dispatch(s.ev);
         }
-        let outcome = match self.outcome.take() {
-            Some(RawOutcome::Complete) => {
-                let mut byte_exact = true;
-                let driver = self.driver.take().expect("completion implies streaming");
+        let received = self
+            .req
+            .driver()
+            .map_or(0, |driver| driver.machine().received());
+        let expected = self.file.info().segment_count();
+        let outcome = match self.req.into_outcome() {
+            Some(Ok(driver)) => {
                 let (sm, _classes) = driver.into_parts();
-                for (i, entry) in sm.into_segments().into_iter().enumerate() {
-                    let expect = self.file.segment(i as u64).into_payload();
-                    match entry {
-                        Some((payload, _at)) if payload[..] == expect[..] => {}
-                        _ => {
-                            byte_exact = false;
-                            break;
-                        }
-                    }
-                }
+                let byte_exact = sm
+                    .into_segments()
+                    .into_iter()
+                    .enumerate()
+                    .all(|(i, entry)| {
+                        let expect = self.file.segment(i as u64).into_payload();
+                        matches!(entry, Some((payload, _at)) if payload[..] == expect[..])
+                    });
                 SimOutcome::Completed { byte_exact }
             }
-            Some(RawOutcome::Failed(e)) => match e {
+            Some(Err(e)) => match e {
+                // The queue drained after the releases and reminders
+                // landed — the structured end of a rejected round.
+                NodeError::Rejected { reminders_left } => SimOutcome::Rejected {
+                    reminders: reminders_left as u64,
+                },
                 NodeError::SuppliersLost { missing } => SimOutcome::SuppliersLost { missing },
                 NodeError::IncompleteStream { received, expected } => {
                     SimOutcome::Incomplete { received, expected }
                 }
                 other => SimOutcome::ProtocolError(other.to_string()),
             },
-            None => match (self.rejected, &self.driver) {
-                // The round was rejected: the queue drained after the
-                // releases and reminders landed — the structured end.
-                (Some(reminders), _) => SimOutcome::Rejected { reminders },
-                (None, Some(driver)) => SimOutcome::Stalled {
-                    received: driver.machine().received(),
-                    expected: driver.machine().total_segments(),
-                },
-                // Admission never resolved — a harness bug by
-                // construction (every lane replies or dies).
-                (None, None) => SimOutcome::Stalled {
-                    received: 0,
-                    expected: self.file.info().segment_count(),
-                },
-            },
+            // The queue drained with the session unsettled — a harness
+            // bug by construction (every lane replies or dies).
+            None => SimOutcome::Stalled { received, expected },
         };
         self.trace.record(T_OUTCOME, &[outcome.tag()]);
         SimReport {
@@ -397,6 +362,16 @@ impl SimWorld {
             reminders: self.reminders,
             recorder: self.recorder.events(),
         }
+    }
+
+    /// Whether the run is over: the session completed or failed. A
+    /// rejected round keeps running until its releases and reminders
+    /// have reached the suppliers.
+    fn settled(&self) -> bool {
+        !matches!(
+            self.req.outcome(),
+            None | Some(Err(NodeError::Rejected { .. }))
+        )
     }
 
     /// Records `ev` into the flight recorder (virtual-clock stamped) and
@@ -458,128 +433,28 @@ impl SimWorld {
         }
     }
 
-    /// Executes the admission driver's queued transport actions and acts
-    /// on its verdict: admitted rounds plan and start streaming,
-    /// rejected rounds record the structured end (their releases and
-    /// reminders are already on the wire).
-    fn pump_admission(&mut self) {
-        let Some(mut adm) = self.adm.take() else {
-            return;
-        };
-        while let Some(action) = adm.pop_action() {
+    /// Executes the requester machine's queued actions: frames go on
+    /// the wire, closes and timeline entries go into the trace.
+    fn pump(&mut self) {
+        while let Some(action) = self.req.pop_action() {
             match action {
-                AdmissionAction::Send { lane, msg } => {
-                    self.trace
-                        .record(T_ADM_TX, &[self.now, lane as u64, adm_code(&msg)]);
-                    match &msg {
-                        Message::StreamRequest { .. } => {
-                            self.event(SessionEvent::AdmissionRequest { lane: lane as u64 })
-                        }
-                        Message::Reminder { .. } => {
-                            self.event(SessionEvent::AdmissionReminder { lane: lane as u64 })
-                        }
-                        _ => {}
+                RequesterAction::Send { lane, msg } => {
+                    let code = adm_code(&msg);
+                    if code != 0 {
+                        self.trace.record(T_ADM_TX, &[self.now, lane as u64, code]);
                     }
                     let bytes = wire_bytes(&msg);
                     self.send_stream(lane, Dir::ToSupplier, &bytes);
                 }
-                AdmissionAction::Close { lane } => {
+                RequesterAction::Close { lane } => {
                     self.trace.record(T_CLOSED, &[self.now, lane as u64]);
-                    self.lane_open[lane] = false;
                 }
-            }
-        }
-        match adm.verdict().clone() {
-            AdmissionVerdict::Pending => self.adm = Some(adm),
-            AdmissionVerdict::Admitted { granted } => self.begin_streaming(&granted),
-            AdmissionVerdict::Rejected { reminders, .. } => {
-                self.rejected = Some(reminders.len() as u64);
-            }
-        }
-    }
-
-    /// The round admitted: run the real policy over the granted classes,
-    /// build the [`SessionDriver`], and open every granted lane with its
-    /// `StartSession` — the sim's copy of the reactor's adopted-lane
-    /// hand-off.
-    fn begin_streaming(&mut self, granted: &[usize]) {
-        let classes: Vec<PeerClass> = granted.iter().map(|&m| self.suppliers[m].class).collect();
-        let total = self.file.info().segment_count();
-        let dt_ms = self.schedule.dt_ms;
-        let ctx = SessionContext::full(&classes, total).with_seed(self.session);
-        let plan = self
-            .policy
-            .plan(&ctx)
-            .expect("the default policy plans rate-matched mixes");
-        assert_eq!(plan.slot_count(), classes.len(), "one slot per grant");
-
-        // Driver lanes are the slots the policy actually used; a grant
-        // the policy left empty is closed, like the reactor's Release.
-        let mut lanes: Vec<(PeerClass, SessionPlan)> = Vec::new();
-        for (slot, &mix_idx) in granted.iter().enumerate() {
-            let segments = plan.slot(slot);
-            if segments.is_empty() {
-                self.lane_open[mix_idx] = false;
-                continue;
-            }
-            self.driver_lane_of_mix[mix_idx] = Some(lanes.len());
-            self.mix_of_driver_lane.push(mix_idx);
-            lanes.push((
-                classes[slot],
-                SessionPlan {
-                    item: self.file.info().name().to_owned(),
-                    segments: segments.to_vec(),
-                    period: plan.period(),
-                    total_segments: total,
-                    dt_ms: dt_ms as u32,
-                },
-            ));
-        }
-
-        let driver = SessionDriver::new(
-            self.session,
-            self.file.info().name(),
-            total,
-            dt_ms,
-            self.policy.clone(),
-            &lanes,
-        );
-        for (driver_lane, (_, plan)) in lanes.into_iter().enumerate() {
-            let mix_idx = self.mix_of_driver_lane[driver_lane];
-            if !self.lane_open[mix_idx] {
-                continue; // granted, then died mid-round: failed below
-            }
-            self.event(SessionEvent::PlanSent {
-                lane: mix_idx as u64,
-                segments: plan.segments.len() as u64,
-            });
-            let bytes = wire_bytes(&Message::StartSession {
-                session: self.session,
-                plan,
-            });
-            self.send_stream(mix_idx, Dir::ToSupplier, &bytes);
-        }
-        self.driver = Some(driver);
-        let step = self.driver.as_mut().expect("just set").status();
-        self.apply(step);
-        // A lane can grant and then die before the hand-off, with its
-        // close observed while the round was still pending: the grant
-        // stood (the fold keeps settled grants), but the transport is
-        // gone. The reactor discovers exactly this on its first write to
-        // the adopted connection; the sim fails those lanes here so the
-        // driver replans their shares instead of waiting forever.
-        for mix_idx in 0..self.lane_open.len() {
-            if self.outcome.is_some() {
-                break;
-            }
-            if let Some(driver_lane) = self.driver_lane_of_mix[mix_idx] {
-                if !self.lane_open[mix_idx] {
-                    let step = self
-                        .driver
-                        .as_mut()
-                        .expect("just set")
-                        .on_failure(driver_lane);
-                    self.apply(step);
+                RequesterAction::Record(ev) => {
+                    if let SessionEvent::Replanned { lane, segments } = ev {
+                        self.replans += 1;
+                        self.trace.record(T_REPLAN, &[self.now, lane, segments]);
+                    }
+                    self.event(ev);
                 }
             }
         }
@@ -615,107 +490,58 @@ impl SimWorld {
         }
     }
 
-    /// Bytes reach the requester: feed the lane's real decoder, then
-    /// drive whichever phase the session is in — the admission driver
-    /// before the verdict, the session driver after.
+    /// Bytes reach the requester: feed the lane's real decoder and every
+    /// frame it yields to the requester machine.
     fn deliver_to_requester(&mut self, lane: usize, chunk: &[u8]) {
-        if !self.lane_open[lane] {
+        if !self.req.is_open(lane) {
             return;
         }
         self.trace
             .record(T_CHUNK, &[self.now, lane as u64, 0, chunk.len() as u64]);
         self.req_decs[lane].feed(chunk);
-        if self.adm.is_some() {
-            self.admission_rx(lane);
-            return;
-        }
-        while self.outcome.is_none() && self.lane_open[lane] {
-            let Some(driver_lane) = self.driver_lane_of_mix[lane] else {
-                return; // a lane the round never adopted (rejected tail)
-            };
+        while !self.settled() && self.req.is_open(lane) {
             match self.req_decs[lane].poll() {
-                Ok(Some(Message::SegmentData {
-                    session,
-                    index,
-                    payload,
-                })) if session == self.session => {
-                    self.segments_delivered += 1;
-                    self.trace.record(
-                        T_SEGMENT,
-                        &[self.now, lane as u64, index, payload.len() as u64],
-                    );
-                    self.event(SessionEvent::SegmentArrived {
-                        lane: lane as u64,
-                        index,
-                    });
-                    let step = self.driver.as_mut().expect("streaming phase").on_segment(
-                        driver_lane,
-                        index,
-                        payload,
-                        self.now,
-                    );
-                    self.apply(step);
-                }
-                Ok(Some(Message::EndSession { session })) if session == self.session => {
-                    self.trace.record(T_END, &[self.now, lane as u64]);
-                    self.lane_open[lane] = false;
-                    let step = self
-                        .driver
-                        .as_mut()
-                        .expect("streaming phase")
-                        .on_end(driver_lane);
-                    self.apply(step);
+                Ok(Some(msg)) => {
+                    self.trace_rx(lane, &msg);
+                    self.req.on_message(lane, msg, self.now);
+                    self.pump();
                 }
                 Ok(None) => return,
-                Ok(Some(_)) | Err(_) => {
-                    // A frame this harness never sends, or a corrupt
-                    // stream: the reactor treats both as a structured
-                    // per-lane failure, so does the simulation.
-                    self.lane_open[lane] = false;
-                    let step = self
-                        .driver
-                        .as_mut()
-                        .expect("streaming phase")
-                        .on_failure(driver_lane);
-                    self.apply(step);
+                Err(_) => {
+                    // A corrupt stream: the reactor treats it as a
+                    // structured per-lane failure, so does the simulation.
+                    self.req.on_lane_closed(lane);
+                    self.pump();
+                    return;
                 }
             }
         }
     }
 
-    /// Admission-phase frames reaching the requester: `Grant`/`Deny`
-    /// replies feed the admission driver's fold (anything else refuses
-    /// the lane, inside the driver itself).
-    fn admission_rx(&mut self, lane: usize) {
-        while self.adm.is_some() && self.lane_open[lane] {
-            match self.req_decs[lane].poll() {
-                Ok(Some(msg)) => {
-                    self.trace
-                        .record(T_ADM_RX, &[self.now, lane as u64, adm_code(&msg)]);
-                    match &msg {
-                        Message::Grant { .. } => {
-                            self.event(SessionEvent::AdmissionGrant { lane: lane as u64 })
-                        }
-                        Message::Deny { .. } => {
-                            self.event(SessionEvent::AdmissionDeny { lane: lane as u64 })
-                        }
-                        _ => {}
-                    }
-                    let mut adm = self.adm.take().expect("checked above");
-                    adm.on_message(lane, &msg);
-                    self.adm = Some(adm);
-                    self.pump_admission();
-                }
-                Ok(None) => return,
-                Err(_) => {
-                    self.lane_open[lane] = false;
-                    let mut adm = self.adm.take().expect("checked above");
-                    adm.on_lane_error(lane);
-                    self.adm = Some(adm);
-                    self.pump_admission();
-                    return;
-                }
+    /// Folds a frame reaching the requester into the trace: an answer
+    /// to the round, or a segment or end of a planned share.
+    fn trace_rx(&mut self, lane: usize, msg: &Message) {
+        if !self.req.streams_on(lane) {
+            self.trace
+                .record(T_ADM_RX, &[self.now, lane as u64, adm_code(msg)]);
+            return;
+        }
+        match msg {
+            Message::SegmentData {
+                session,
+                index,
+                payload,
+            } if *session == self.session => {
+                self.segments_delivered += 1;
+                self.trace.record(
+                    T_SEGMENT,
+                    &[self.now, lane as u64, *index, payload.len() as u64],
+                );
             }
+            Message::EndSession { session } if *session == self.session => {
+                self.trace.record(T_END, &[self.now, lane as u64]);
+            }
+            _ => {}
         }
     }
 
@@ -796,66 +622,11 @@ impl SimWorld {
     /// death settles the admission lane, a mid-stream one fails the
     /// session lane.
     fn closed(&mut self, lane: usize) {
-        if !self.lane_open[lane] {
+        if !self.req.is_open(lane) {
             return;
         }
         self.trace.record(T_CLOSED, &[self.now, lane as u64]);
-        self.lane_open[lane] = false;
-        if self.adm.is_some() {
-            let mut adm = self.adm.take().expect("checked above");
-            adm.on_lane_error(lane);
-            self.adm = Some(adm);
-            self.pump_admission();
-            return;
-        }
-        if let Some(driver_lane) = self.driver_lane_of_mix[lane] {
-            let step = self
-                .driver
-                .as_mut()
-                .expect("streaming phase")
-                .on_failure(driver_lane);
-            self.apply(step);
-        }
-    }
-
-    /// Executes a [`DriverStep`], shipping replanned shares back over
-    /// the wire exactly as the reactor does.
-    fn apply(&mut self, step: DriverStep) {
-        match step {
-            DriverStep::Continue => {}
-            DriverStep::Replanned(plans) => {
-                self.replans += plans.len() as u64;
-                for (driver_lane, plan) in plans {
-                    let mix_idx = self.mix_of_driver_lane[driver_lane];
-                    self.trace.record(
-                        T_REPLAN,
-                        &[self.now, mix_idx as u64, plan.segments.len() as u64],
-                    );
-                    self.event(SessionEvent::Replanned {
-                        lane: mix_idx as u64,
-                        segments: plan.segments.len() as u64,
-                    });
-                    let bytes = wire_bytes(&Message::StartSession {
-                        session: self.session,
-                        plan,
-                    });
-                    self.send_stream(mix_idx, Dir::ToSupplier, &bytes);
-                }
-            }
-            DriverStep::Complete => {
-                self.event(SessionEvent::Completed {
-                    received: self.segments_delivered,
-                });
-                self.outcome = Some(RawOutcome::Complete);
-            }
-            DriverStep::Failed(e) => {
-                if let NodeError::SuppliersLost { missing } = &e {
-                    let missing = *missing;
-                    self.event(SessionEvent::GaveUp { missing });
-                }
-                self.outcome = Some(RawOutcome::Failed(e));
-            }
-            _ => unreachable!("non-exhaustive DriverStep grew a variant"),
-        }
+        self.req.on_lane_closed(lane);
+        self.pump();
     }
 }

@@ -53,6 +53,22 @@ fn check_one(seed: u64, scenario: ScenarioKind) -> p2ps_simnet::SimReport {
         scenario.name(),
         repro_hint(seed, scenario)
     );
+    // A replanned share goes to a survivor: a lane that was sent its
+    // own plan and has not been lost since. A lane that died between its
+    // grant and the hand-off never streamed, so it can never be one.
+    let mut planned = Vec::new();
+    for ev in &first.recorder {
+        match SessionEvent::decode(ev.code, ev.a, ev.b) {
+            Some(SessionEvent::PlanSent { lane, .. }) => planned.push(lane),
+            Some(SessionEvent::Replanned { lane, .. }) => assert!(
+                planned.contains(&lane),
+                "seed {seed} ({}) replanned onto lane {lane}, which never streamed\n{}",
+                scenario.name(),
+                repro_hint(seed, scenario)
+            ),
+            _ => {}
+        }
+    }
     if matches!(first.outcome, SimOutcome::Completed { .. }) {
         let last = first.recorder.last().expect("checked non-empty");
         assert_eq!(
