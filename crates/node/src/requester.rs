@@ -143,14 +143,14 @@ impl SessionProbe {
         self.sync(sm);
     }
 
-    /// Segments arrived: refresh every per-session row, once per read
-    /// burst however many segments it carried. Also the stall *recovery*
-    /// path — the state write moves a `stalled` session back to its live
-    /// phase.
-    fn progress(&self, sm: &RequesterSession, payload_bytes: u64) {
+    /// Segments of a planned share arrived: count their payload and move
+    /// the progress clock, once per read burst however many segments it
+    /// carried. The [`sync`](Self::sync) that follows every burst is the
+    /// stall *recovery* path — its state write moves a `stalled` session
+    /// back to its live phase.
+    fn progress(&self, payload_bytes: u64) {
         self.bytes_received.add(payload_bytes);
         self.last_progress_ms.set(monotonic_ms() as i64);
-        self.sync(sm);
     }
 
     /// A segment arrived for the first time, `lateness_us` past its
@@ -349,42 +349,34 @@ impl ReqSessions {
         };
         rc.last_ms = ctx.now_ms();
         rc.dec.feed(data);
-        // Payload bytes of the segments this burst delivered; `Some` once
-        // one arrived. The probe's gauges are published once per burst.
+        // Payload bytes of the planned-share segments this burst
+        // delivered; `Some` once one arrived.
         let mut burst_bytes = None;
         while let Some(sess) = self.sessions.get_mut(&rc.session) {
             if sess.lane_conns[rc.lane] != Some(conn) {
                 break; // the lane was closed, or the session is over
             }
-            let lane_settled = match rc.dec.poll() {
+            match rc.dec.poll() {
                 Ok(Some(msg)) => {
-                    let segment = match &msg {
+                    let at_us = sess.start_us.map_or(0, |start| ctx.now_us() - start);
+                    let flow = match msg {
+                        // Only a planned share's segments are progress: one
+                        // from a lane still answering the round goes to the
+                        // admission fold, which refuses the lane.
                         Message::SegmentData {
                             session,
                             index,
-                            payload,
-                        } if *session == rc.session => Some((*index, payload.len() as u64)),
-                        _ => None,
-                    };
-                    let had = sess.machine.driver().map_or(0, |d| d.machine().received());
-                    let at_us = sess.start_us.map_or(0, |start| ctx.now_us() - start);
-                    let flow = sess.machine.on_message(rc.lane, msg, at_us);
-                    if let (Some((index, bytes)), Some(driver)) = (segment, sess.machine.driver()) {
-                        *burst_bytes.get_or_insert(0) += bytes;
-                        if driver.machine().received() > had {
-                            sess.probe.arrived(
-                                lateness_us(at_us, index, driver.dt_ms()),
-                                sess.machine.theoretical_delay_ms() * 1_000,
-                            );
+                            ref payload,
+                        } if session == rc.session && sess.machine.streams_on(rc.lane) => {
+                            *burst_bytes.get_or_insert(0) += payload.len() as u64;
+                            sess.on_segment(rc.lane, index, msg, at_us)
                         }
-                        // Real progress pays back the recovery budget.
-                        sess.recovery_attempts = 0;
-                    }
+                        _ => sess.machine.on_message(rc.lane, msg, at_us),
+                    };
                     if flow != Flow::Keep {
                         sess.lane_conns[rc.lane] = None;
                         ctx.close(conn);
                     }
-                    flow != Flow::Keep
                 }
                 Ok(None) => break,
                 Err(_) => {
@@ -392,22 +384,25 @@ impl ReqSessions {
                     sess.lane_conns[rc.lane] = None;
                     ctx.close(conn);
                     sess.machine.on_lane_closed(rc.lane);
-                    true
                 }
-            };
+            }
             if drain(ctx, &mut self.conns, sess) {
                 self.finish(ctx, rc.session);
-            } else if lane_settled {
-                sess.sync();
             }
         }
         let Some(sess) = self.sessions.get(&rc.session) else {
             return;
         };
-        if let (Some(bytes), Some(driver)) = (burst_bytes, sess.machine.driver()) {
-            sess.probe.progress(driver.machine(), bytes);
+        // The probe's rows are published once per burst that delivered
+        // segments or ended the lane, however many frames it carried.
+        let lane_open = sess.lane_conns[rc.lane] == Some(conn);
+        if let Some(bytes) = burst_bytes {
+            sess.probe.progress(bytes);
         }
-        if sess.lane_conns[rc.lane] == Some(conn) {
+        if burst_bytes.is_some() || !lane_open {
+            sess.sync();
+        }
+        if lane_open {
             self.conns.insert(conn, rc);
         }
     }
@@ -460,7 +455,7 @@ impl ReqSessions {
             ctx.close(conn);
         }
         sess.machine.on_lane_closed(lane);
-        self.pump_and_sync(ctx, session);
+        self.pump(ctx, session);
     }
 
     /// Watchdog-escalated stall recovery: fail the *stalest* live lane
@@ -539,20 +534,9 @@ impl ReqSessions {
         }
     }
 
-    /// Ships the machine's pending actions and finishes the session once
-    /// it has a verdict.
+    /// Ships the machine's pending actions, then finishes the session once
+    /// it has a verdict or re-publishes its phase, received and owed.
     fn pump(&mut self, ctx: &mut Ctx<'_>, session: u64) {
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        if drain(ctx, &mut self.conns, sess) {
-            self.finish(ctx, session);
-        }
-    }
-
-    /// [`pump`](Self::pump), then re-publishes phase, received and owed
-    /// after a lane-level transition (end, failure, replan).
-    fn pump_and_sync(&mut self, ctx: &mut Ctx<'_>, session: u64) {
         let Some(sess) = self.sessions.get_mut(&session) else {
             return;
         };
@@ -601,6 +585,24 @@ impl ReqSessions {
 }
 
 impl ReqSession {
+    /// Feeds segment `index` of `lane`'s planned share (`msg`) to the
+    /// machine. A first arrival moves the start-up lateness gauge, and
+    /// any arrival pays back the recovery budget.
+    fn on_segment(&mut self, lane: usize, index: u64, msg: Message, at_us: u64) -> Flow {
+        let received = |m: &RequesterMachine| m.driver().map_or(0, |d| d.machine().received());
+        let had = received(&self.machine);
+        let flow = self.machine.on_message(lane, msg, at_us);
+        if received(&self.machine) > had {
+            let dt_ms = self.machine.info().segment_duration().as_millis();
+            self.probe.arrived(
+                lateness_us(at_us, index, dt_ms),
+                self.machine.theoretical_delay_ms() * 1_000,
+            );
+        }
+        self.recovery_attempts = 0;
+        flow
+    }
+
     /// Re-publishes phase, received and owed on the session's probe.
     fn sync(&self) {
         if let Some(driver) = self.machine.driver() {

@@ -8,6 +8,7 @@ use std::net::TcpListener;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::{PeerClass, PeerId};
 use p2ps_media::{MediaFile, MediaInfo};
@@ -93,13 +94,46 @@ fn late_grant_candidate(
     (port, rx)
 }
 
+/// A candidate that answers the round, after `delay`, with a
+/// `SegmentData` of `bytes` payload bytes instead of a grant or a
+/// denial, then reports once the requester has hung up on it. Returns
+/// the listener's port and the report.
+fn stray_segment_candidate(delay: Duration, bytes: usize) -> (u16, mpsc::Receiver<()>) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let port = listener.local_addr().unwrap().port();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let Ok((mut conn, _)) = listener.accept() else {
+            return;
+        };
+        let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
+        let Ok(Message::StreamRequest { session, .. }) = read_message(&mut conn) else {
+            return;
+        };
+        std::thread::sleep(delay);
+        let payload = Bytes::from(vec![0xAB; bytes]);
+        let _ = write_message(
+            &mut conn,
+            &Message::SegmentData {
+                session,
+                index: 0,
+                payload,
+            },
+        );
+        if read_message(&mut conn).is_err() {
+            let _ = tx.send(());
+        }
+    });
+    (port, rx)
+}
+
 /// Full byte verification of a completed session.
 fn assert_streamed_exactly(node: &PeerNode, info: &MediaInfo) {
     let reference = MediaFile::synthesize(info.clone());
     let file = node
         .media_file()
         .expect("completed session stores the file");
-    for s in 0..SEGMENTS {
+    for s in 0..info.segment_count() {
         assert_eq!(
             file.segment(s).into_payload(),
             reference.segment(s).into_payload(),
@@ -272,6 +306,83 @@ fn a_grant_arriving_after_admission_is_released() {
         Some(Message::Release { .. }) => {}
         other => panic!("the late grant was answered with {other:?}, not a Release"),
     }
+    assert_streamed_exactly(&requester, &info);
+
+    requester.shutdown();
+    seed.shutdown();
+    reactor.shutdown();
+    dir.shutdown();
+}
+
+/// A candidate still answering the round is no supplier: a segment it
+/// sends once the round has admitted costs it its lane, and its bytes
+/// are not the stream's progress. They must not reach the session's
+/// byte counter (nor pay back the watchdog's recovery budget).
+#[test]
+fn a_segment_from_a_lane_that_streams_nothing_is_not_progress() {
+    // 2 s of stream at 20 ms: the stray lands mid-session.
+    const LONG: u64 = 100;
+    const SEGMENT_BYTES: u32 = 64;
+    let info = MediaInfo::new(
+        "admission-stray-segment",
+        LONG,
+        SegmentDuration::from_millis(DT_MS),
+        SEGMENT_BYTES,
+    );
+    let dir = DirectoryServer::start().unwrap();
+    let clock = Clock::new();
+    let reactor = NodeReactor::with_threads(1).unwrap();
+
+    let seed_cfg = NodeConfig::new(PeerId::new(1), PeerClass::HIGHEST, info.clone(), dir.addr());
+    let seed = PeerNode::spawn_seed_on(seed_cfg, clock.clone(), &reactor).unwrap();
+    // The class-1 seed alone secures R0; the class-2 candidate answers
+    // 150 ms later with a segment nobody asked it for.
+    let class2 = PeerClass::new(2).unwrap();
+    let (stray_port, hung_up) = stray_segment_candidate(Duration::from_millis(150), 50_000);
+    let candidates = vec![
+        CandidateRecord {
+            id: seed.id(),
+            class: seed.class(),
+            port: seed.port(),
+        },
+        CandidateRecord {
+            id: PeerId::new(99),
+            class: class2,
+            port: stray_port,
+        },
+    ];
+
+    let req_cfg = NodeConfig::new(PeerId::new(2), PeerClass::HIGHEST, info.clone(), dir.addr());
+    let requester = PeerNode::spawn_on(req_cfg, clock.clone(), &reactor).unwrap();
+    let pending = requester.begin_stream_from(candidates).unwrap();
+    hung_up
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the stray lane is closed");
+
+    // Sample the session's byte counter until the session leaves the
+    // monitor tree: it never holds more than the file's own payload.
+    let counted = || {
+        reactor
+            .monitor()
+            .snapshot()
+            .nodes()
+            .iter()
+            .find_map(|n| n.metric("bytes_received_total"))
+            .map(|m| m.value().as_i64())
+    };
+    let mut samples = 0;
+    while let Some(bytes) = counted() {
+        assert!(
+            bytes <= (LONG * u64::from(SEGMENT_BYTES)) as i64,
+            "the stray segment was counted: {bytes} payload bytes received"
+        );
+        samples += 1;
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(samples > 0, "the session ended before it could be sampled");
+
+    let outcome = pending.wait().unwrap();
+    assert_eq!(outcome.supplier_count, 1, "the stray lane supplies nothing");
     assert_streamed_exactly(&requester, &info);
 
     requester.shutdown();
