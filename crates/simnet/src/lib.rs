@@ -4,7 +4,7 @@
 //! runs — `p2ps_node::RequesterMachine` (the requester's whole session:
 //! §4.2 round, §3 plan, reassembly and `p2ps-policy` replans),
 //! `p2ps_proto::SupplierConn` (the supplier's per-connection machine and
-//! its §3 schedule) and the `FrameDecoder`/`FrameEncoder` framing — over a simulated
+//! its §3 schedule) and the `encode_frame`/`FrameDecoder` framing — over a simulated
 //! transport instead of epoll and TCP: **no threads, no sockets, no wall
 //! clock**. Where `p2ps-sim` models the paper's protocol abstractly at
 //! slot granularity (its own arrival/departure processes, no wire

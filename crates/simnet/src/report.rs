@@ -51,8 +51,8 @@ pub enum SimOutcome {
 impl SimOutcome {
     /// Whether this outcome is acceptable for a sweep run: byte-exact
     /// completion, or a *structured* failure (`SuppliersLost` /
-    /// `Incomplete`) — never a stall, protocol error or corrupt
-    /// reassembly.
+    /// `Incomplete` / `Rejected`) — never a stall, protocol error or
+    /// corrupt reassembly.
     pub fn is_acceptable(&self) -> bool {
         matches!(
             self,
@@ -143,6 +143,7 @@ mod tests {
             expected: 2
         }
         .is_acceptable());
+        assert!(SimOutcome::Rejected { reminders: 1 }.is_acceptable());
         assert!(!SimOutcome::Completed { byte_exact: false }.is_acceptable());
         assert!(!SimOutcome::ProtocolError("x".into()).is_acceptable());
         assert!(!SimOutcome::Stalled {

@@ -14,8 +14,8 @@
 //! * each supplier side is a [`SupplierConn`] — the per-connection
 //!   machine the reactor hosts: handshake phases, the grant reservation,
 //!   reminder validation, §3 pacing with appended replan shares — fed
-//!   through its own [`FrameDecoder`], its frames leaving through
-//!   [`FrameEncoder`] framing; only its *decision* is scripted
+//!   through its own [`FrameDecoder`], its frames encoded by the real
+//!   [`encode_frame`]; only its *decision* is scripted
 //!   ([`AdmissionReply`] behind the [`SupplierAdmission`] seam);
 //! * plans come from a real `p2ps-policy` [`SharedPolicy`].
 //!
@@ -26,13 +26,22 @@
 //! milliseconds, with a strictly increasing sequence number breaking
 //! ties — two runs of the same [`Schedule`] replay the identical event
 //! order, asserted via the run's [`trace_hash`](SimReport::trace_hash).
+//!
+//! The transport allocates nothing per chunk. Each lane direction is a
+//! `Pipe`: frames are encoded in place at the end of one reused
+//! buffer, a chunk in flight is only a length, and its delivery feeds
+//! the decoder the next `len` bytes of the pipe. A link never reorders,
+//! so each one keeps its chunks in a FIFO and only the FIFO's head sits
+//! in the `Queue`'s heap; merging the heads by `(at, seq)` pops the
+//! same order one heap over every chunk would.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use bytes::{Buf, BytesMut};
 use p2ps_core::admission::RequestDecision;
 use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::PeerClass;
@@ -41,7 +50,7 @@ use p2ps_monitor::Recorder;
 use p2ps_node::{NodeError, RequesterAction, RequesterMachine};
 use p2ps_policy::SharedPolicy;
 use p2ps_proto::{
-    FrameDecoder, FrameEncoder, Message, Pace, SessionEvent, SupplierAdmission, SupplierConn,
+    encode_frame, FrameDecoder, Message, Pace, SessionEvent, SupplierAdmission, SupplierConn,
 };
 
 use crate::link::Link;
@@ -58,16 +67,13 @@ enum Dir {
 }
 
 /// One thing that happens at a virtual instant.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     /// Supplier `lane`'s next §3 pacing deadline.
     SupplierTick { lane: usize },
-    /// A chunk of raw bytes reaches one end of `lane`'s connection.
-    Deliver {
-        lane: usize,
-        dir: Dir,
-        chunk: Vec<u8>,
-    },
+    /// The next `len` bytes of `lane`'s `dir` pipe reach that end of the
+    /// connection.
+    Deliver { lane: usize, dir: Dir, len: usize },
     /// The requester observes `lane`'s connection close.
     Closed { lane: usize },
     /// Supplier `lane` dies now.
@@ -104,6 +110,118 @@ impl Ord for Scheduled {
             .at
             .cmp(&self.at)
             .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// A chunk in flight on one lane direction: its arrival, its sequence
+/// number, and how many of the pipe's bytes it carries.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    at: u64,
+    seq: u64,
+    len: usize,
+}
+
+impl Chunk {
+    fn deliver(self, lane: usize, dir: Dir) -> Scheduled {
+        Scheduled {
+            at: self.at,
+            seq: self.seq,
+            ev: Event::Deliver {
+                lane,
+                dir,
+                len: self.len,
+            },
+        }
+    }
+}
+
+/// The event queue: pops in `(at, seq)` order, every push taking the
+/// next sequence number. Chunks wait in their link's FIFO, whose
+/// arrivals are monotone and whose sequence numbers rise, so a FIFO's
+/// head is its least entry and only the heads need to sit in the heap:
+/// it holds O(links + ticks) entries, not every chunk in flight.
+#[derive(Debug)]
+struct Queue {
+    heap: BinaryHeap<Scheduled>,
+    /// Per lane, `[to_requester, to_supplier]`: the chunks in flight in
+    /// arrival order. The front one, if any, is also in `heap`.
+    in_flight: Vec<[VecDeque<Chunk>; 2]>,
+    seq: u64,
+}
+
+impl Queue {
+    fn new(lanes: usize) -> Queue {
+        Queue {
+            heap: BinaryHeap::new(),
+            in_flight: (0..lanes).map(|_| Default::default()).collect(),
+            seq: 0,
+        }
+    }
+
+    /// Schedules `ev` at `at`; chunks go through [`push_chunk`](Self::push_chunk).
+    fn push(&mut self, at: u64, ev: Event) {
+        debug_assert!(!matches!(ev, Event::Deliver { .. }));
+        self.seq += 1;
+        self.heap.push(Scheduled {
+            at,
+            seq: self.seq,
+            ev,
+        });
+    }
+
+    /// Schedules the delivery of `len` bytes on `lane`'s `dir` link at
+    /// `at`, no earlier than the link's previous chunk.
+    fn push_chunk(&mut self, lane: usize, dir: Dir, at: u64, len: usize) {
+        self.seq += 1;
+        let chunk = Chunk {
+            at,
+            seq: self.seq,
+            len,
+        };
+        let fifo = &mut self.in_flight[lane][dir as usize];
+        debug_assert!(
+            fifo.back().is_none_or(|prev| prev.at <= at),
+            "links are FIFO"
+        );
+        fifo.push_back(chunk);
+        if fifo.len() == 1 {
+            self.heap.push(chunk.deliver(lane, dir));
+        }
+    }
+
+    /// The earliest event; a delivery hands its link's next chunk to
+    /// the heap.
+    fn pop(&mut self) -> Option<Scheduled> {
+        let s = self.heap.pop()?;
+        if let Event::Deliver { lane, dir, .. } = s.ev {
+            let fifo = &mut self.in_flight[lane][dir as usize];
+            let head = fifo.pop_front();
+            debug_assert_eq!(head.map(|c| c.seq), Some(s.seq));
+            if let Some(&next) = fifo.front() {
+                self.heap.push(next.deliver(lane, dir));
+            }
+        }
+        Some(s)
+    }
+}
+
+/// One direction of one lane's connection: the [`Link`] that times its
+/// chunks and the bytes sent over it and not yet delivered — one buffer
+/// with a read cursor, reused for the whole run, so a chunk in flight
+/// costs no allocation.
+#[derive(Debug)]
+struct Pipe {
+    link: Link,
+    bytes: BytesMut,
+}
+
+impl Pipe {
+    /// Encodes `msg`'s frame at the end of the pipe; returns its length.
+    fn encode(&mut self, msg: &Message) -> usize {
+        let start = self.bytes.len();
+        encode_frame(msg, &mut self.bytes);
+        self.bytes.len() - start
     }
 }
 
@@ -179,8 +297,7 @@ impl SupplierAdmission for Scripted {
 pub struct SimWorld {
     schedule: Schedule,
     now: u64,
-    seq: u64,
-    queue: BinaryHeap<Scheduled>,
+    queue: Queue,
     rng: SmallRng,
     trace: TraceHasher,
     /// The session's flight recorder, virtual-clock stamped — the same
@@ -191,7 +308,7 @@ pub struct SimWorld {
     file: MediaFile,
     suppliers: Vec<SimSupplier>,
     /// Per lane: `[to_requester, to_supplier]`. Lane = mix position.
-    links: Vec<[Link; 2]>,
+    pipes: Vec<[Pipe; 2]>,
     req_decs: Vec<FrameDecoder>,
     /// The requester: the session machine the reactor hosts, its lanes
     /// the mix positions.
@@ -205,18 +322,6 @@ pub struct SimWorld {
     grants: u64,
     denials: u64,
     reminders: u64,
-}
-
-/// A message's full wire bytes (header chunk + zero-copy payload chunk,
-/// concatenated — byte-identical to what the reactor writes).
-fn wire_bytes(msg: &Message) -> Vec<u8> {
-    let (head, payload) = FrameEncoder::frame(msg);
-    let mut v = Vec::with_capacity(head.len() + payload.as_ref().map_or(0, |p| p.len()));
-    v.extend_from_slice(&head);
-    if let Some(p) = payload {
-        v.extend_from_slice(&p);
-    }
-    v
 }
 
 impl SimWorld {
@@ -253,10 +358,15 @@ impl SimWorld {
                 alive: true,
             })
             .collect();
-        let links: Vec<[Link; 2]> = schedule
+        let pipes: Vec<[Pipe; 2]> = schedule
             .links
             .iter()
-            .map(|&spec| [Link::new(spec), Link::new(spec)])
+            .map(|&spec| {
+                [spec, spec].map(|spec| Pipe {
+                    link: Link::new(spec),
+                    bytes: BytesMut::new(),
+                })
+            })
             .collect();
         let lane_count = classes.len();
         let segment_capacity = schedule.segment_count as usize * 2 + 64;
@@ -270,8 +380,7 @@ impl SimWorld {
         let mut world = SimWorld {
             schedule,
             now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: Queue::new(lane_count),
             rng: SmallRng::seed_from_u64(rng_seed),
             trace: TraceHasher::new(),
             // Sized to retain the whole run (one arrival per segment
@@ -281,7 +390,7 @@ impl SimWorld {
             session,
             file,
             suppliers,
-            links,
+            pipes,
             req_decs: (0..lane_count).map(|_| FrameDecoder::new()).collect(),
             req,
             events: 0,
@@ -298,7 +407,7 @@ impl SimWorld {
         // everything else, framed and fragmented per lane.
         world.pump();
         for &(mix_idx, at) in &scheduled_deaths {
-            world.push(at, Event::Die { lane: mix_idx });
+            world.queue.push(at, Event::Die { lane: mix_idx });
         }
         world
     }
@@ -385,51 +494,49 @@ impl SimWorld {
             .record(T_EVENT, &[self.now, u64::from(ev.code()), a, b]);
     }
 
-    /// Schedules `ev` at virtual time `at` (tie-broken by push order).
-    fn push(&mut self, at: u64, ev: Event) {
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            ev,
-        });
-    }
-
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::SupplierTick { lane } => self.tick(lane),
             Event::Deliver {
                 lane,
                 dir: Dir::ToRequester,
-                chunk,
-            } => self.deliver_to_requester(lane, &chunk),
+                len,
+            } => self.deliver_to_requester(lane, len),
             Event::Deliver {
                 lane,
                 dir: Dir::ToSupplier,
-                chunk,
-            } => self.deliver_to_supplier(lane, &chunk),
+                len,
+            } => self.deliver_to_supplier(lane, len),
             Event::Closed { lane } => self.closed(lane),
             Event::Die { lane } => self.die(lane),
         }
     }
 
-    /// Fragments `bytes` at arbitrary boundaries and schedules each
-    /// chunk's FIFO delivery over the lane's link.
-    fn send_stream(&mut self, lane: usize, dir: Dir, bytes: &[u8]) {
-        self.bytes_on_wire += bytes.len() as u64;
+    /// Puts `msg`'s frame on the wire.
+    fn send(&mut self, lane: usize, dir: Dir, msg: &Message) {
+        let len = self.pipes[lane][dir as usize].encode(msg);
+        self.fragment(lane, dir, len);
+    }
+
+    /// Fragments the last `len` bytes encoded into the pipe at arbitrary
+    /// boundaries and schedules each chunk's FIFO delivery over the
+    /// lane's link.
+    fn fragment(&mut self, lane: usize, dir: Dir, len: usize) {
+        self.bytes_on_wire += len as u64;
         let max_chunk = self.schedule.max_chunk.max(1);
-        let mut off = 0;
-        while off < bytes.len() {
-            let cap = (bytes.len() - off).min(max_chunk);
+        let mut left = len;
+        while left > 0 {
+            let cap = left.min(max_chunk);
             let take = if cap == 1 {
                 1
             } else {
                 self.rng.gen_range(1..=cap)
             };
-            let chunk = bytes[off..off + take].to_vec();
-            off += take;
-            let at = self.links[lane][dir as usize].send(self.now, chunk.len(), &mut self.rng);
-            self.push(at, Event::Deliver { lane, dir, chunk });
+            left -= take;
+            let at = self.pipes[lane][dir as usize]
+                .link
+                .send(self.now, take, &mut self.rng);
+            self.queue.push_chunk(lane, dir, at, take);
         }
     }
 
@@ -443,8 +550,7 @@ impl SimWorld {
                     if code != 0 {
                         self.trace.record(T_ADM_TX, &[self.now, lane as u64, code]);
                     }
-                    let bytes = wire_bytes(&msg);
-                    self.send_stream(lane, Dir::ToSupplier, &bytes);
+                    self.send(lane, Dir::ToSupplier, &msg);
                 }
                 RequesterAction::Close { lane } => {
                     self.trace.record(T_CLOSED, &[self.now, lane as u64]);
@@ -474,31 +580,31 @@ impl SimWorld {
                 let next = s.conn.deadline_us().expect("still streaming") / 1_000;
                 self.trace.record(T_SEND, &[self.now, lane as u64, index]);
                 let payload = self.file.segment(index).into_payload();
-                let bytes = wire_bytes(&Message::SegmentData {
+                let msg = Message::SegmentData {
                     session,
                     index,
                     payload,
-                });
-                self.send_stream(lane, Dir::ToRequester, &bytes);
-                self.push(next.max(self.now), Event::SupplierTick { lane });
+                };
+                self.send(lane, Dir::ToRequester, &msg);
+                self.queue
+                    .push(next.max(self.now), Event::SupplierTick { lane });
             }
-            Pace::End => {
-                let bytes = wire_bytes(&Message::EndSession { session });
-                self.send_stream(lane, Dir::ToRequester, &bytes);
-            }
+            Pace::End => self.send(lane, Dir::ToRequester, &Message::EndSession { session }),
             Pace::Wait(_) | Pace::Yield | Pace::Close => {}
         }
     }
 
     /// Bytes reach the requester: feed the lane's real decoder and every
     /// frame it yields to the requester machine.
-    fn deliver_to_requester(&mut self, lane: usize, chunk: &[u8]) {
-        if !self.req.is_open(lane) {
-            return;
+    fn deliver_to_requester(&mut self, lane: usize, len: usize) {
+        let pipe = &mut self.pipes[lane][Dir::ToRequester as usize].bytes;
+        let open = self.req.is_open(lane);
+        if open {
+            self.trace
+                .record(T_CHUNK, &[self.now, lane as u64, 0, len as u64]);
+            self.req_decs[lane].feed(&pipe[..len]);
         }
-        self.trace
-            .record(T_CHUNK, &[self.now, lane as u64, 0, chunk.len() as u64]);
-        self.req_decs[lane].feed(chunk);
+        pipe.advance(len);
         while !self.settled() && self.req.is_open(lane) {
             match self.req_decs[lane].poll() {
                 Ok(Some(msg)) => {
@@ -551,13 +657,18 @@ impl SimWorld {
     /// quiet for [`GRANT_TTL_MS`](p2ps_proto::GRANT_TTL_MS), it answers
     /// or dies — so only a started stream's first §3 deadline becomes an
     /// event.
-    fn deliver_to_supplier(&mut self, lane: usize, chunk: &[u8]) {
-        if !self.suppliers[lane].alive {
+    fn deliver_to_supplier(&mut self, lane: usize, len: usize) {
+        let pipe = &mut self.pipes[lane][Dir::ToSupplier as usize].bytes;
+        let alive = self.suppliers[lane].alive;
+        if alive {
+            self.trace
+                .record(T_CHUNK, &[self.now, lane as u64, 1, len as u64]);
+            self.suppliers[lane].dec.feed(&pipe[..len]);
+        }
+        pipe.advance(len);
+        if !alive {
             return;
         }
-        self.trace
-            .record(T_CHUNK, &[self.now, lane as u64, 1, chunk.len() as u64]);
-        self.suppliers[lane].dec.feed(chunk);
         while let Ok(Some(msg)) = self.suppliers[lane].dec.poll() {
             match &msg {
                 Message::StartSession { plan, .. } => self.trace.record(
@@ -581,11 +692,10 @@ impl SimWorld {
                 }
                 self.trace
                     .record(T_ADM_TX, &[self.now, lane as u64, adm_code(&reply)]);
-                let bytes = wire_bytes(&reply);
-                self.send_stream(lane, Dir::ToRequester, &bytes);
+                self.send(lane, Dir::ToRequester, &reply);
             }
             if let Some(at_us) = first_tick {
-                self.push(at_us / 1_000, Event::SupplierTick { lane });
+                self.queue.push(at_us / 1_000, Event::SupplierTick { lane });
             }
         }
     }
@@ -604,18 +714,23 @@ impl SimWorld {
         let partial = s.conn.peek_unsent();
         s.conn.close(&mut s.adm);
         if let Some(seg) = partial {
-            let bytes = wire_bytes(&Message::SegmentData {
+            let pipe = &mut self.pipes[lane][Dir::ToRequester as usize];
+            let len = pipe.encode(&Message::SegmentData {
                 session: self.session,
                 index: seg,
                 payload: self.file.segment(seg).into_payload(),
             });
-            let cut = self.rng.gen_range(0..bytes.len());
+            // Only the first `cut` bytes leave before the connection dies.
+            let cut = self.rng.gen_range(0..len);
+            pipe.bytes.resize(pipe.bytes.len() - (len - cut), 0);
             if cut > 0 {
-                self.send_stream(lane, Dir::ToRequester, &bytes[..cut]);
+                self.fragment(lane, Dir::ToRequester, cut);
             }
         }
-        let at = self.links[lane][Dir::ToRequester as usize].send(self.now, 0, &mut self.rng);
-        self.push(at + 1, Event::Closed { lane });
+        let at = self.pipes[lane][Dir::ToRequester as usize]
+            .link
+            .send(self.now, 0, &mut self.rng);
+        self.queue.push(at + 1, Event::Closed { lane });
     }
 
     /// The requester observes a lane's connection close — a mid-round
@@ -628,5 +743,67 @@ impl SimWorld {
         self.trace.record(T_CLOSED, &[self.now, lane as u64]);
         self.req.on_lane_closed(lane);
         self.pump();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pops both queues once and demands the same event.
+    fn pop_both(queue: &mut Queue, oracle: &mut BinaryHeap<Scheduled>) -> Option<u64> {
+        let got = queue.pop().map(|s| (s.at, s.seq, s.ev));
+        let want = oracle.pop().map(|s| (s.at, s.seq, s.ev));
+        assert_eq!(got, want, "per-link FIFOs and one heap disagree");
+        got.map(|(at, ..)| at)
+    }
+
+    /// The per-link FIFOs merged through the heap pop exactly what one
+    /// heap over every event, ordered by `(at, seq)`, pops: random
+    /// monotone arrivals per link, ties frequent, interleaved with
+    /// ticks, closes, deaths and pops.
+    #[test]
+    fn per_link_fifos_pop_in_one_heap_order() {
+        const LANES: usize = 3;
+        for seed in 0..256u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut queue = Queue::new(LANES);
+            let mut oracle = BinaryHeap::new();
+            let (mut seq, mut now) = (0u64, 0u64);
+            let mut link_at = [[0u64; 2]; LANES];
+            for _ in 0..512 {
+                if rng.gen_bool(0.4) {
+                    now = pop_both(&mut queue, &mut oracle).unwrap_or(now);
+                    continue;
+                }
+                let lane = rng.gen_range(0..LANES);
+                // Offsets of 0–2 ms from now: most instants are shared.
+                let mut at = now + rng.gen_range(0..3u64);
+                seq += 1;
+                let ev = match rng.gen_range(0..5) {
+                    0 => Event::SupplierTick { lane },
+                    1 => Event::Closed { lane },
+                    2 => Event::Die { lane },
+                    pick => {
+                        let dir = [Dir::ToRequester, Dir::ToSupplier][pick - 3];
+                        let clamp = &mut link_at[lane][dir as usize];
+                        at = at.max(*clamp);
+                        *clamp = at;
+                        let len = rng.gen_range(1..=64);
+                        queue.push_chunk(lane, dir, at, len);
+                        oracle.push(Scheduled {
+                            at,
+                            seq,
+                            ev: Event::Deliver { lane, dir, len },
+                        });
+                        continue;
+                    }
+                };
+                queue.push(at, ev);
+                oracle.push(Scheduled { at, seq, ev });
+            }
+            while pop_both(&mut queue, &mut oracle).is_some() {}
+            assert!(queue.in_flight.iter().flatten().all(VecDeque::is_empty));
+        }
     }
 }

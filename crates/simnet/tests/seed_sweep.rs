@@ -14,9 +14,9 @@ use p2ps_simnet::{repro_hint, run, ScenarioKind, SimOutcome};
 /// schedules, each executed twice for the determinism check).
 const TIER1_SEEDS: u64 = 256;
 
-/// Seeds per scenario in the extended (`--ignored`, CI nightly-style)
-/// sweep: 5 × 2,500 = 12,500 schedules.
-const EXTENDED_SEEDS: u64 = 2_500;
+/// Seeds per scenario in the extended (`--ignored`, CI nightly) sweep:
+/// 5 × 20,000 = 100,000 schedules, each executed twice.
+const EXTENDED_SEEDS: u64 = 20_000;
 
 /// Runs one `(seed, scenario)` twice, asserts determinism and an
 /// acceptable outcome, and returns the report of the first run.
@@ -162,7 +162,7 @@ fn tier1_seed_sweep() {
 }
 
 #[test]
-#[ignore = "extended 10,000-seed sweep; run with --ignored (CI nightly gate)"]
+#[ignore = "extended 100,000-schedule sweep; run with --ignored --release (CI nightly gate)"]
 fn extended_seed_sweep() {
     if let Some(seed) = pinned_seed() {
         for scenario in ScenarioKind::ALL {
