@@ -184,9 +184,9 @@ impl SessionDriver {
         self.check_progress()
     }
 
-    /// A segment arrived on `lane` at session-relative time `at` on the
-    /// transport's clock (µs on the reactor, virtual ms in simnet); the
-    /// driver only stores it with the segment.
+    /// A segment arrived on `lane` at session-relative time `at`, in µs
+    /// on the transport's clock (the reactor's, or simnet's virtual
+    /// one); the driver only stores it with the segment.
     pub fn on_segment(&mut self, lane: usize, index: u64, payload: Bytes, at: u64) -> DriverStep {
         self.sm.on_segment(lane, index, payload, at);
         if self.sm.is_complete() {

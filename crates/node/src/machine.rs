@@ -235,8 +235,8 @@ impl RequesterMachine {
     }
 
     /// Feeds one decoded frame from `lane`, received at `at` (the
-    /// session-relative time a segment is stored with: µs on the
-    /// reactor, virtual ms in simnet). Returns what becomes of the lane:
+    /// session-relative time a segment is stored with, in µs: the
+    /// reactor's clock, or simnet's virtual one). Returns what becomes of the lane:
     /// [`Flow::Close`] when its supplier ended the stream or broke the
     /// protocol — drop the transport now; [`Flow::Keep`] otherwise.
     pub fn on_message(&mut self, lane: usize, msg: Message, at: u64) -> Flow {

@@ -14,12 +14,12 @@ use rand::Rng;
 
 use crate::LinkSpec;
 
-/// One direction of one lane's connection.
+/// One direction of one lane's connection, on the world's µs clock.
 #[derive(Debug)]
 pub struct Link {
     spec: LinkSpec,
     /// The FIFO clamp: no chunk may arrive before this instant.
-    next_free_ms: u64,
+    next_free_us: u64,
 }
 
 impl Link {
@@ -27,7 +27,7 @@ impl Link {
     pub fn new(spec: LinkSpec) -> Self {
         Link {
             spec,
-            next_free_ms: 0,
+            next_free_us: 0,
         }
     }
 
@@ -36,18 +36,21 @@ impl Link {
         self.spec
     }
 
-    /// Schedules one chunk sent at `now`, returning its arrival time.
-    /// Arrivals are monotone per link: `max(prev_arrival, now + latency
-    /// + jitter) + ⌈len / bandwidth⌉`.
-    pub fn send(&mut self, now_ms: u64, len: usize, rng: &mut SmallRng) -> u64 {
-        let jitter = if self.spec.jitter_ms == 0 {
+    /// Schedules one chunk sent at `now_us`, returning its arrival in
+    /// µs. Arrivals are monotone per link: `max(prev_arrival, now +
+    /// latency + jitter) + ⌈len / bandwidth⌉`. The spec is in whole ms
+    /// and the jitter is drawn in whole ms, so every delay is a multiple
+    /// of 1,000 µs.
+    pub fn send(&mut self, now_us: u64, len: usize, rng: &mut SmallRng) -> u64 {
+        let jitter_ms = if self.spec.jitter_ms == 0 {
             0
         } else {
             rng.gen_range(0..=self.spec.jitter_ms)
         };
-        let tx = (len as u64).div_ceil(self.spec.bytes_per_ms.max(1));
-        let arrival = (now_ms + self.spec.latency_ms + jitter).max(self.next_free_ms) + tx;
-        self.next_free_ms = arrival;
+        let tx_ms = (len as u64).div_ceil(self.spec.bytes_per_ms.max(1));
+        let sent = now_us + (self.spec.latency_ms + jitter_ms) * 1_000;
+        let arrival = sent.max(self.next_free_us) + tx_ms * 1_000;
+        self.next_free_us = arrival;
         arrival
     }
 }
@@ -67,7 +70,7 @@ mod tests {
         });
         let mut prev = 0;
         for i in 0..200 {
-            let at = link.send(i, 16, &mut rng);
+            let at = link.send(i * 1_000, 16, &mut rng);
             assert!(at >= prev, "chunk {i} would overtake its predecessor");
             prev = at;
         }
@@ -83,8 +86,8 @@ mod tests {
         });
         let first = link.send(0, 10, &mut rng);
         let second = link.send(0, 10, &mut rng);
-        assert_eq!(first, 10, "10 bytes at 1 B/ms");
-        assert_eq!(second, 20, "second chunk queues behind the first");
+        assert_eq!(first, 10_000, "10 bytes at 1 B/ms");
+        assert_eq!(second, 20_000, "second chunk queues behind the first");
     }
 
     #[test]
@@ -95,6 +98,6 @@ mod tests {
             jitter_ms: 0,
             bytes_per_ms: 100,
         });
-        assert_eq!(link.send(5, 100, &mut rng), 36);
+        assert_eq!(link.send(5_000, 100, &mut rng), 36_000);
     }
 }

@@ -87,8 +87,8 @@ pub struct SimReport {
     pub scenario: ScenarioKind,
     /// How the session ended.
     pub outcome: SimOutcome,
-    /// FNV-1a digest of the full event trace — identical across runs of
-    /// the same `(seed, scenario)`.
+    /// Word-fold digest ([`TraceHasher`](crate::TraceHasher)) of the full
+    /// event trace — identical across runs of the same `(seed, scenario)`.
     pub trace_hash: u64,
     /// Events processed.
     pub events: u64,

@@ -23,9 +23,11 @@
 //! jitter and bandwidth, the byte stream is fragmented at arbitrary
 //! boundaries, and scheduled deaths cut a frame mid-byte before the
 //! close lands. Everything is driven by one event queue keyed on virtual
-//! milliseconds, with a strictly increasing sequence number breaking
-//! ties — two runs of the same [`Schedule`] replay the identical event
-//! order, asserted via the run's [`trace_hash`](SimReport::trace_hash).
+//! microseconds — the clock `SupplierConn` and the reactor count in —
+//! with a strictly increasing sequence number breaking ties; two runs of
+//! the same [`Schedule`] replay the identical event order, asserted via
+//! the run's [`trace_hash`](SimReport::trace_hash). The flight recorder
+//! is stamped in ms, as on the live node.
 //!
 //! The transport allocates nothing per chunk. Each lane direction is a
 //! `Pipe`: frames are encoded in place at the end of one reused
@@ -242,6 +244,13 @@ const T_ADM_RX: u8 = 11;
 /// into the digest so a recorder divergence breaks determinism loudly.
 const T_EVENT: u8 = 12;
 
+/// The narrow fields of a trace record, packed for its header word: a
+/// lane and a one-byte code (a direction, a frame or outcome code).
+fn narrow(lane: usize, code: u64) -> u64 {
+    debug_assert!(code <= 0xff);
+    ((lane as u64) << 8) | code
+}
+
 /// Small stable code for an admission-phase frame in the trace.
 fn adm_code(msg: &Message) -> u64 {
     match msg {
@@ -296,6 +305,7 @@ impl SupplierAdmission for Scripted {
 /// [`SimWorld::new`], consume with [`SimWorld::run`].
 pub struct SimWorld {
     schedule: Schedule,
+    /// Virtual time in µs.
     now: u64,
     queue: Queue,
     rng: SmallRng,
@@ -406,8 +416,10 @@ impl SimWorld {
         // The opening StreamRequest burst travels the wire like
         // everything else, framed and fragmented per lane.
         world.pump();
-        for &(mix_idx, at) in &scheduled_deaths {
-            world.queue.push(at, Event::Die { lane: mix_idx });
+        for &(mix_idx, at_ms) in &scheduled_deaths {
+            world
+                .queue
+                .push(at_ms * 1_000, Event::Die { lane: mix_idx });
         }
         world
     }
@@ -455,7 +467,7 @@ impl SimWorld {
             // bug by construction (every lane replies or dies).
             None => SimOutcome::Stalled { received, expected },
         };
-        self.trace.record(T_OUTCOME, &[outcome.tag()]);
+        self.trace.record(T_OUTCOME, outcome.tag(), &[]);
         SimReport {
             seed: self.schedule.seed,
             scenario: self.schedule.scenario,
@@ -483,15 +495,16 @@ impl SimWorld {
         )
     }
 
-    /// Records `ev` into the flight recorder (virtual-clock stamped) and
-    /// folds it into the trace digest: the recorder stream is part of
-    /// the determinism contract, so a divergence in *what the session
-    /// observed* breaks the seed sweep even when the wire bytes agree.
+    /// Records `ev` into the flight recorder (virtual-clock stamped, in
+    /// ms like the live node's) and folds it into the trace digest: the
+    /// recorder stream is part of the determinism contract, so a
+    /// divergence in *what the session observed* breaks the seed sweep
+    /// even when the wire bytes agree.
     fn event(&mut self, ev: SessionEvent) {
         let (a, b) = ev.fields();
-        self.recorder.record_at(self.now, ev.code(), a, b);
+        self.recorder.record_at(self.now / 1_000, ev.code(), a, b);
         self.trace
-            .record(T_EVENT, &[self.now, u64::from(ev.code()), a, b]);
+            .record(T_EVENT, u64::from(ev.code()), &[self.now, a, b]);
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -548,17 +561,21 @@ impl SimWorld {
                 RequesterAction::Send { lane, msg } => {
                     let code = adm_code(&msg);
                     if code != 0 {
-                        self.trace.record(T_ADM_TX, &[self.now, lane as u64, code]);
+                        self.trace.record(T_ADM_TX, narrow(lane, code), &[self.now]);
                     }
                     self.send(lane, Dir::ToSupplier, &msg);
                 }
                 RequesterAction::Close { lane } => {
-                    self.trace.record(T_CLOSED, &[self.now, lane as u64]);
+                    self.trace.record(T_CLOSED, narrow(lane, 0), &[self.now]);
                 }
                 RequesterAction::Record(ev) => {
                     if let SessionEvent::Replanned { lane, segments } = ev {
                         self.replans += 1;
-                        self.trace.record(T_REPLAN, &[self.now, lane, segments]);
+                        self.trace.record(
+                            T_REPLAN,
+                            narrow(lane as usize, 0),
+                            &[self.now, segments],
+                        );
                     }
                     self.event(ev);
                 }
@@ -575,10 +592,11 @@ impl SimWorld {
             return;
         }
         let session = self.session;
-        match s.conn.on_timer(self.now * 1_000, 0, &mut s.adm) {
+        match s.conn.on_timer(self.now, 0, &mut s.adm) {
             Pace::Send(index) => {
-                let next = s.conn.deadline_us().expect("still streaming") / 1_000;
-                self.trace.record(T_SEND, &[self.now, lane as u64, index]);
+                let next = s.conn.deadline_us().expect("still streaming");
+                self.trace
+                    .record(T_SEND, narrow(lane, 0), &[self.now, index]);
                 let payload = self.file.segment(index).into_payload();
                 let msg = Message::SegmentData {
                     session,
@@ -600,8 +618,11 @@ impl SimWorld {
         let pipe = &mut self.pipes[lane][Dir::ToRequester as usize].bytes;
         let open = self.req.is_open(lane);
         if open {
-            self.trace
-                .record(T_CHUNK, &[self.now, lane as u64, 0, len as u64]);
+            self.trace.record(
+                T_CHUNK,
+                narrow(lane, Dir::ToRequester as u64),
+                &[self.now, len as u64],
+            );
             self.req_decs[lane].feed(&pipe[..len]);
         }
         pipe.advance(len);
@@ -629,7 +650,7 @@ impl SimWorld {
     fn trace_rx(&mut self, lane: usize, msg: &Message) {
         if !self.req.streams_on(lane) {
             self.trace
-                .record(T_ADM_RX, &[self.now, lane as u64, adm_code(msg)]);
+                .record(T_ADM_RX, narrow(lane, adm_code(msg)), &[self.now]);
             return;
         }
         match msg {
@@ -641,11 +662,12 @@ impl SimWorld {
                 self.segments_delivered += 1;
                 self.trace.record(
                     T_SEGMENT,
-                    &[self.now, lane as u64, *index, payload.len() as u64],
+                    narrow(lane, 0),
+                    &[self.now, *index, payload.len() as u64],
                 );
             }
             Message::EndSession { session } if *session == self.session => {
-                self.trace.record(T_END, &[self.now, lane as u64]);
+                self.trace.record(T_END, narrow(lane, 0), &[self.now]);
             }
             _ => {}
         }
@@ -661,8 +683,11 @@ impl SimWorld {
         let pipe = &mut self.pipes[lane][Dir::ToSupplier as usize].bytes;
         let alive = self.suppliers[lane].alive;
         if alive {
-            self.trace
-                .record(T_CHUNK, &[self.now, lane as u64, 1, len as u64]);
+            self.trace.record(
+                T_CHUNK,
+                narrow(lane, Dir::ToSupplier as u64),
+                &[self.now, len as u64],
+            );
             self.suppliers[lane].dec.feed(&pipe[..len]);
         }
         pipe.advance(len);
@@ -673,17 +698,18 @@ impl SimWorld {
             match &msg {
                 Message::StartSession { plan, .. } => self.trace.record(
                     T_START,
-                    &[self.now, lane as u64, plan.segments.len() as u64],
+                    narrow(lane, 0),
+                    &[self.now, plan.segments.len() as u64],
                 ),
                 Message::Reminder { .. } => {
                     self.reminders += 1;
                     self.trace
-                        .record(T_ADM_RX, &[self.now, lane as u64, adm_code(&msg)]);
+                        .record(T_ADM_RX, narrow(lane, adm_code(&msg)), &[self.now]);
                 }
                 _ => {}
             }
             let s = &mut self.suppliers[lane];
-            let step = s.conn.on_message(msg, self.now * 1_000, &mut s.adm);
+            let step = s.conn.on_message(msg, self.now, &mut s.adm);
             let first_tick = step.timer_us.filter(|_| s.conn.is_streaming());
             if let Some(reply) = step.reply {
                 match reply {
@@ -691,11 +717,11 @@ impl SimWorld {
                     _ => self.denials += 1,
                 }
                 self.trace
-                    .record(T_ADM_TX, &[self.now, lane as u64, adm_code(&reply)]);
+                    .record(T_ADM_TX, narrow(lane, adm_code(&reply)), &[self.now]);
                 self.send(lane, Dir::ToRequester, &reply);
             }
-            if let Some(at_us) = first_tick {
-                self.queue.push(at_us / 1_000, Event::SupplierTick { lane });
+            if let Some(at) = first_tick {
+                self.queue.push(at, Event::SupplierTick { lane });
             }
         }
     }
@@ -709,7 +735,7 @@ impl SimWorld {
         }
         self.suppliers[lane].alive = false;
         self.deaths += 1;
-        self.trace.record(T_DIE, &[self.now, lane as u64]);
+        self.trace.record(T_DIE, narrow(lane, 0), &[self.now]);
         let s = &mut self.suppliers[lane];
         let partial = s.conn.peek_unsent();
         s.conn.close(&mut s.adm);
@@ -730,7 +756,8 @@ impl SimWorld {
         let at = self.pipes[lane][Dir::ToRequester as usize]
             .link
             .send(self.now, 0, &mut self.rng);
-        self.queue.push(at + 1, Event::Closed { lane });
+        // The requester sees the close 1 ms after the link's last byte.
+        self.queue.push(at + 1_000, Event::Closed { lane });
     }
 
     /// The requester observes a lane's connection close — a mid-round
@@ -740,7 +767,7 @@ impl SimWorld {
         if !self.req.is_open(lane) {
             return;
         }
-        self.trace.record(T_CLOSED, &[self.now, lane as u64]);
+        self.trace.record(T_CLOSED, narrow(lane, 0), &[self.now]);
         self.req.on_lane_closed(lane);
         self.pump();
     }

@@ -18,14 +18,14 @@ type Pin = (u64, ScenarioKind, u64, u64, u64, u64, u64, u64);
 
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    (7,  ScenarioKind::Steady,    0x8b0d2606d58fc798, 275, 3400, 5, 0, 0),
-    (7,  ScenarioKind::Churn,     0xf186ac6b01e8b565, 292, 2786, 4, 0, 0),
-    (11, ScenarioKind::Loss,      0x9400291bddaa8b23, 693, 1903, 8, 0, 0),
-    (5,  ScenarioKind::SlowPeer,  0x82d87fde02c04299, 380, 2495, 5, 0, 0),
+    (7,  ScenarioKind::Steady,    0xc70e0e71e05d54d3, 275, 3400, 5, 0, 0),
+    (7,  ScenarioKind::Churn,     0xb861a98c9a104528, 292, 2786, 4, 0, 0),
+    (11, ScenarioKind::Loss,      0xb6421efd347bd7b0, 693, 1903, 8, 0, 0),
+    (5,  ScenarioKind::SlowPeer,  0x2743047d4ebf3833, 380, 2495, 5, 0, 0),
     // Admission twice: seed 3 is granted everywhere and streams, seed 5
     // is denied short of R0 and walks the release/reminder rejection path.
-    (3,  ScenarioKind::Admission, 0x78c0e3ab291aebd7, 217, 2733, 5, 0, 0),
-    (5,  ScenarioKind::Admission, 0x1c7664f3b8129765,  35,  125, 1, 2, 2),
+    (3,  ScenarioKind::Admission, 0x4028f920b0c561c4, 217, 2733, 5, 0, 0),
+    (5,  ScenarioKind::Admission, 0x5f28d231003b5a63,  35,  125, 1, 2, 2),
 ];
 
 #[test]
