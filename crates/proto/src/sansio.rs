@@ -98,7 +98,9 @@ fn whole_frames(bytes: &[u8]) -> usize {
 ///   is no second copy however large the frame;
 /// * only the fragment of a *small* incomplete frame waits in a reusable
 ///   accumulator and is copied again, in front of the burst that
-///   completes it.
+///   completes it. The accumulator makes room for the whole frame once
+///   its 4-byte prefix is there (a prefix still arriving waits inline),
+///   so a frame trickling in byte by byte grows it at most once.
 ///
 /// Decoded `SegmentData` payloads are views, never copies. A view pins
 /// the allocation of its whole burst (one `feed`'s worth of bytes, or the
@@ -116,10 +118,16 @@ pub struct FrameDecoder {
     /// allocation holding one or more frames back to back, prefixes
     /// included.
     ready: VecDeque<Bytes>,
-    /// The frame under assembly; always begins at a frame boundary. Holds
-    /// a whole frame only transiently inside `feed`/`fill_from`. After an
-    /// oversized prefix it keeps that prefix for `poll` to report and the
-    /// decoder takes no more input.
+    /// The first `prefix_len` bytes of the next frame's length prefix,
+    /// while fewer than four of them have arrived; `tail` is empty
+    /// meanwhile.
+    prefix: [u8; 4],
+    prefix_len: usize,
+    /// The frame under assembly, from its complete prefix on; always
+    /// begins at a frame boundary and is empty or at least four bytes
+    /// long. Holds a whole frame only transiently inside
+    /// `feed`/`fill_from`. After an oversized prefix it keeps that prefix
+    /// for `poll` to report and the decoder takes no more input.
     tail: BytesMut,
     /// The allocation `poll` drained last: the next buffer, if the
     /// consumer has let go of every view of it by then.
@@ -137,7 +145,7 @@ impl FrameDecoder {
         // The frame under assembly takes what it lacks: the rest of its
         // prefix first, because only the length says where the body
         // belongs, then the body.
-        while !self.tail.is_empty() {
+        while self.prefix_len > 0 || !self.tail.is_empty() {
             let lacks = match self.tail_lacks() {
                 Err(_) => return, // oversized prefix: poll reports it
                 Ok(0) => break,
@@ -147,18 +155,14 @@ impl FrameDecoder {
                 return;
             }
             let (piece, rest) = bytes.split_at(lacks.min(bytes.len()));
-            self.tail.extend_from_slice(piece);
+            self.assemble(piece);
             bytes = rest;
-            self.place_tail();
         }
         let rest = self.lift(bytes);
         if !rest.is_empty() {
             // An incomplete frame, or an oversized prefix and whatever
             // follows it.
-            if let Some(total) = large_total(rest) {
-                self.tail = self.buffer(total);
-            }
-            self.tail.extend_from_slice(rest);
+            self.assemble(rest);
         }
     }
 
@@ -219,14 +223,20 @@ impl FrameDecoder {
             // straight into it; with nothing under assembly that is the
             // next prefix.
             let piece = self.tail_lacks()?.min(n);
-            let old_len = self.tail.len();
-            self.tail.resize(old_len + piece, 0);
-            if let Err(e) = r.read_exact(&mut self.tail[old_len..]) {
-                self.tail.resize(old_len, 0);
-                return Err(e);
+            if self.tail.is_empty() {
+                let have = self.prefix_len;
+                r.read_exact(&mut self.prefix[have..have + piece])?;
+                self.prefix_len += piece;
+                self.place_prefix();
+            } else {
+                let old_len = self.tail.len();
+                self.tail.resize(old_len + piece, 0);
+                if let Err(e) = r.read_exact(&mut self.tail[old_len..]) {
+                    self.tail.resize(old_len, 0);
+                    return Err(e);
+                }
             }
             n -= piece;
-            self.place_tail();
             if self.tail_lacks() == Ok(0) {
                 self.lift(&[]);
             }
@@ -236,7 +246,7 @@ impl FrameDecoder {
 
     /// Bytes currently buffered but not yet decoded.
     pub fn buffered(&self) -> usize {
-        self.ready.iter().map(Bytes::len).sum::<usize>() + self.tail.len()
+        self.ready.iter().map(Bytes::len).sum::<usize>() + self.prefix_len + self.tail.len()
     }
 
     /// Bytes the frame under assembly still lacks — of its prefix while
@@ -249,24 +259,43 @@ impl FrameDecoder {
     /// [`MAX_FRAME_LEN`].
     fn tail_lacks(&self) -> Result<usize, DecodeError> {
         match frame_total(&self.tail) {
-            None => Ok(4 - self.tail.len()),
+            None => Ok(4 - self.prefix_len),
             Some(total) if total > 4 + MAX_FRAME_LEN => Err(DecodeError::FrameTooLarge(total - 4)),
             Some(total) => Ok(total - self.tail.len()),
         }
     }
 
-    /// Called after every append to the tail: the moment the prefix of a
-    /// large frame completes, the frame moves to a buffer of its own size
-    /// so that its body lands where it will stay.
-    fn place_tail(&mut self) {
-        if self.tail.len() != 4 {
+    /// Appends `piece` to the frame under assembly: to the inline prefix
+    /// until that is complete, then to the tail.
+    fn assemble(&mut self, mut piece: &[u8]) {
+        if self.tail.is_empty() {
+            let have = self.prefix_len;
+            let take = (4 - have).min(piece.len());
+            self.prefix[have..have + take].copy_from_slice(&piece[..take]);
+            self.prefix_len += take;
+            piece = &piece[take..];
+            self.place_prefix();
+        }
+        self.tail.extend_from_slice(piece);
+    }
+
+    /// Moves a complete prefix into the tail, which first makes room for
+    /// the whole frame: a large frame gets a buffer of its own size, so
+    /// that its body lands where it will stay; a small one is reserved in
+    /// the accumulator, so that its body arrives without growing it. An
+    /// oversized prefix reserves nothing.
+    fn place_prefix(&mut self) {
+        if self.prefix_len < 4 {
             return;
         }
-        if let Some(total) = large_total(&self.tail) {
-            let mut exact = self.buffer(total);
-            exact.extend_from_slice(&self.tail);
-            self.tail = exact;
+        let total = frame_total(&self.prefix).expect("four prefix bytes");
+        if let Some(total) = large_total(&self.prefix) {
+            self.tail = self.buffer(total);
+        } else if total <= SMALL_FRAME {
+            self.tail.reserve(total);
         }
+        self.tail.extend_from_slice(&self.prefix);
+        self.prefix_len = 0;
     }
 
     /// Hands the whole frame in the tail (if any) and the run of whole

@@ -10,6 +10,9 @@
 //!   pays at most one allocation pair — storage plus shared block — per
 //!   `feed`, however many small frames the burst carries and wherever
 //!   the burst is cut;
+//! * a small frame fed one byte at a time grows a cold decoder's
+//!   accumulator once, as soon as its length prefix is in, and a warm
+//!   one's not at all;
 //! * a streaming `SupplierConn` decides every paced segment, and the end
 //!   of the session, with **zero** allocations.
 //!
@@ -134,6 +137,48 @@ fn a_retaining_consumer_pays_one_allocation_pair_per_feed() {
         }
     }
     assert_eq!(kept.len() as u64, FRAMES * (wire.len() as u64 + 2));
+}
+
+#[test]
+fn a_small_frame_fed_byte_by_byte_grows_the_tail_at_most_once() {
+    let frames: Vec<Message> = (0..2)
+        .map(|index| Message::SegmentData {
+            session: 7,
+            index,
+            payload: Bytes::from(vec![index as u8; 100]),
+        })
+        .collect();
+    let mut dec = FrameDecoder::new();
+    let mut kept = Vec::with_capacity(frames.len());
+    for (i, msg) in frames.iter().enumerate() {
+        let wire = wire(std::slice::from_ref(msg));
+        let (last, head) = wire.split_last().expect("a frame has bytes");
+        let before = thread_allocs();
+        for byte in head {
+            dec.feed(std::slice::from_ref(byte));
+        }
+        let trickle = thread_allocs() - before;
+        dec.feed(&[*last]);
+        kept.push(dec.poll().unwrap().expect("the whole frame was fed"));
+        let lift = thread_allocs() - before - trickle;
+        // Room for the whole frame is made once its prefix is in, and
+        // kept: the cold decoder allocates its tail once, the warm one
+        // not at all.
+        let tail_budget = u64::from(i == 0);
+        assert!(
+            trickle <= tail_budget,
+            "frame {i}: {} bytes one at a time allocated {trickle} times",
+            head.len()
+        );
+        // The retained payload's storage + shared block, plus, on a cold
+        // decoder, the first slot of its queue of ready bursts.
+        let lift_budget = 2 + u64::from(i == 0);
+        assert!(
+            lift <= lift_budget,
+            "frame {i}: completing and keeping it allocated {lift} times"
+        );
+    }
+    assert_eq!(kept, frames);
 }
 
 #[test]

@@ -29,21 +29,26 @@
 //! the run's [`trace_hash`](SimReport::trace_hash). The flight recorder
 //! is stamped in ms, as on the live node.
 //!
-//! The transport allocates nothing per chunk. Each lane direction is a
-//! `Pipe`: frames are encoded in place at the end of one reused
-//! buffer, a chunk in flight is only a length, and its delivery feeds
-//! the decoder the next `len` bytes of the pipe. A link never reorders,
-//! so each one keeps its chunks in a FIFO and only the FIFO's head sits
-//! in the `Queue`'s heap; merging the heads by `(at, seq)` pops the
-//! same order one heap over every chunk would.
+//! The transport allocates nothing per chunk, and a run allocates little
+//! beyond what it keeps. Every byte the run sends lives in one wire
+//! log, sized from the [`Schedule`] to hold the whole run: frames are
+//! encoded in place at its end, a chunk in flight is a range of it, and
+//! its delivery feeds the decoder those bytes. A link never reorders, so
+//! each one keeps its chunks in a FIFO — a list threaded through one
+//! slab of chunk slots — and only the FIFO's head sits in the `Queue`'s
+//! heap; merging the heads by `(at, seq)` pops the same order one heap
+//! over every chunk would. A heap entry is 16 bytes: `(at, seq)` packed
+//! into one `u64` key and an 8-byte event.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use bytes::{Buf, BytesMut};
+use bytes::BytesMut;
 use p2ps_core::admission::RequestDecision;
 use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::PeerClass;
@@ -56,7 +61,7 @@ use p2ps_proto::{
 };
 
 use crate::link::Link;
-use crate::schedule::AdmissionReply;
+use crate::schedule::{AdmissionReply, LinkSpec};
 use crate::{Schedule, SimOutcome, SimReport, TraceHasher};
 
 /// Which way bytes travel on a lane.
@@ -68,32 +73,61 @@ enum Dir {
     ToSupplier = 1,
 }
 
-/// One thing that happens at a virtual instant.
+/// One thing that happens at a virtual instant. Lanes are `u16`, so an
+/// event takes 8 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     /// Supplier `lane`'s next §3 pacing deadline.
-    SupplierTick { lane: usize },
-    /// The next `len` bytes of `lane`'s `dir` pipe reach that end of the
-    /// connection.
-    Deliver { lane: usize, dir: Dir, len: usize },
+    SupplierTick { lane: u16 },
+    /// The oldest chunk in flight on `lane`'s `dir` link reaches that end
+    /// of the connection.
+    Deliver { lane: u16, dir: Dir },
     /// The requester observes `lane`'s connection close.
-    Closed { lane: usize },
+    Closed { lane: u16 },
     /// Supplier `lane` dies now.
-    Die { lane: usize },
+    Die { lane: u16 },
 }
 
-/// Queue entry: min-ordered by `(at, seq)` so equal-time events replay
-/// in scheduling order.
-#[derive(Debug)]
+/// Bits of a queue key below the arrival time, holding the sequence
+/// number. The time keeps the 40 above: 2^40 µs is over twelve days.
+const SEQ_BITS: u32 = 24;
+
+/// `(at, seq)` packed into one key that orders the same way: `at` in
+/// the high bits, `seq` in the low [`SEQ_BITS`].
+///
+/// # Panics
+///
+/// If either half overflows its bits, which would reorder the queue.
+fn key(at: u64, seq: u64) -> u64 {
+    assert!(
+        at >> (64 - SEQ_BITS) == 0,
+        "virtual time {at} µs overflows the queue key"
+    );
+    assert!(
+        seq >> SEQ_BITS == 0,
+        "event {seq} overflows the queue key's sequence number"
+    );
+    (at << SEQ_BITS) | seq
+}
+
+/// The arrival time a [`key`] holds.
+fn key_at(key: u64) -> u64 {
+    key >> SEQ_BITS
+}
+
+/// Queue entry: min-ordered by its packed `(at, seq)` key, so equal-time
+/// events replay in scheduling order.
+#[derive(Debug, Clone, Copy)]
 struct Scheduled {
-    at: u64,
-    seq: u64,
+    key: u64,
     ev: Event,
 }
 
+const _: () = assert!(std::mem::size_of::<Scheduled>() == 16);
+
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -108,123 +142,172 @@ impl PartialOrd for Scheduled {
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
-/// A chunk in flight on one lane direction: its arrival, its sequence
-/// number, and how many of the pipe's bytes it carries.
+/// The end of a chunk list.
+const NIL: u32 = u32::MAX;
+
+/// A chunk in flight: its queue key, where its bytes sit in the wire
+/// log, and the next chunk on its link (or [`NIL`]); in a free slot,
+/// `next` is the next free slot.
 #[derive(Debug, Clone, Copy)]
 struct Chunk {
-    at: u64,
-    seq: u64,
-    len: usize,
+    key: u64,
+    start: u32,
+    len: u32,
+    next: u32,
 }
 
-impl Chunk {
-    fn deliver(self, lane: usize, dir: Dir) -> Scheduled {
-        Scheduled {
-            at: self.at,
-            seq: self.seq,
-            ev: Event::Deliver {
-                lane,
-                dir,
-                len: self.len,
-            },
+/// A link's chunks in flight, oldest first: the ends of a list threaded
+/// through the [`Queue`]'s chunk slots, both [`NIL`] when the link is
+/// idle. The oldest one, if any, is also in the heap.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+impl Default for Fifo {
+    fn default() -> Self {
+        Fifo {
+            head: NIL,
+            tail: NIL,
         }
     }
 }
 
 /// The event queue: pops in `(at, seq)` order, every push taking the
-/// next sequence number. Chunks wait in their link's FIFO, whose
+/// next sequence number. Chunks wait in their link's [`Fifo`], whose
 /// arrivals are monotone and whose sequence numbers rise, so a FIFO's
 /// head is its least entry and only the heads need to sit in the heap:
 /// it holds O(links + ticks) entries, not every chunk in flight.
 #[derive(Debug)]
 struct Queue {
     heap: BinaryHeap<Scheduled>,
-    /// Per lane, `[to_requester, to_supplier]`: the chunks in flight in
-    /// arrival order. The front one, if any, is also in `heap`.
-    in_flight: Vec<[VecDeque<Chunk>; 2]>,
+    /// Every chunk in flight, each link's linked oldest first; a
+    /// delivered chunk's slot goes on the free list at `free`.
+    chunks: Vec<Chunk>,
+    free: u32,
     seq: u64,
 }
 
 impl Queue {
-    fn new(lanes: usize) -> Queue {
+    fn with_capacity(events: usize, chunks: usize) -> Queue {
         Queue {
-            heap: BinaryHeap::new(),
-            in_flight: (0..lanes).map(|_| Default::default()).collect(),
+            heap: BinaryHeap::with_capacity(events),
+            chunks: Vec::with_capacity(chunks),
+            free: NIL,
             seq: 0,
         }
+    }
+
+    /// The key of the next event scheduled at `at`.
+    fn next_key(&mut self, at: u64) -> u64 {
+        self.seq += 1;
+        key(at, self.seq)
     }
 
     /// Schedules `ev` at `at`; chunks go through [`push_chunk`](Self::push_chunk).
     fn push(&mut self, at: u64, ev: Event) {
         debug_assert!(!matches!(ev, Event::Deliver { .. }));
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            seq: self.seq,
-            ev,
-        });
+        let key = self.next_key(at);
+        self.heap.push(Scheduled { key, ev });
     }
 
-    /// Schedules the delivery of `len` bytes on `lane`'s `dir` link at
-    /// `at`, no earlier than the link's previous chunk.
-    fn push_chunk(&mut self, lane: usize, dir: Dir, at: u64, len: usize) {
-        self.seq += 1;
+    /// Schedules the delivery of the wire log's `bytes` on `lane`'s `dir`
+    /// link, whose chunks are `fifo`, at `at` — no earlier than the
+    /// link's previous chunk.
+    fn push_chunk(&mut self, fifo: &mut Fifo, lane: u16, dir: Dir, at: u64, bytes: Range<usize>) {
+        let key = self.next_key(at);
         let chunk = Chunk {
-            at,
-            seq: self.seq,
-            len,
+            key,
+            start: u32::try_from(bytes.start).expect("the wire log stays under 4 GiB"),
+            len: u32::try_from(bytes.len()).expect("the wire log stays under 4 GiB"),
+            next: NIL,
         };
-        let fifo = &mut self.in_flight[lane][dir as usize];
-        debug_assert!(
-            fifo.back().is_none_or(|prev| prev.at <= at),
-            "links are FIFO"
-        );
-        fifo.push_back(chunk);
-        if fifo.len() == 1 {
-            self.heap.push(chunk.deliver(lane, dir));
+        let slot = if self.free == NIL {
+            self.chunks.push(chunk);
+            u32::try_from(self.chunks.len() - 1).expect("fewer than 2^32 chunks in flight")
+        } else {
+            let slot = self.free;
+            self.free = self.chunks[slot as usize].next;
+            self.chunks[slot as usize] = chunk;
+            slot
+        };
+        if fifo.tail == NIL {
+            fifo.head = slot;
+            self.heap.push(Scheduled {
+                key,
+                ev: Event::Deliver { lane, dir },
+            });
+        } else {
+            let prev = &mut self.chunks[fifo.tail as usize];
+            debug_assert!(key_at(prev.key) <= at, "links are FIFO");
+            prev.next = slot;
         }
+        fifo.tail = slot;
     }
 
-    /// The earliest event; a delivery hands its link's next chunk to
-    /// the heap.
-    fn pop(&mut self) -> Option<Scheduled> {
-        let s = self.heap.pop()?;
-        if let Event::Deliver { lane, dir, .. } = s.ev {
-            let fifo = &mut self.in_flight[lane][dir as usize];
-            let head = fifo.pop_front();
-            debug_assert_eq!(head.map(|c| c.seq), Some(s.seq));
-            if let Some(&next) = fifo.front() {
-                self.heap.push(next.deliver(lane, dir));
-            }
+    /// The earliest event and its instant. A delivery also yields the
+    /// wire log's bytes it carries (empty for any other event) and hands
+    /// its link's next chunk to the heap, in the popped entry's place;
+    /// `fifo` names the link's chunks.
+    fn pop<'a>(
+        &mut self,
+        fifo: impl FnOnce(u16, Dir) -> &'a mut Fifo,
+    ) -> Option<(u64, Event, Range<usize>)> {
+        let mut top = self.heap.peek_mut()?;
+        let Scheduled { key, ev } = *top;
+        let Event::Deliver { lane, dir } = ev else {
+            PeekMut::pop(top);
+            return Some((key_at(key), ev, 0..0));
+        };
+        let fifo = fifo(lane, dir);
+        let slot = fifo.head;
+        let chunk = self.chunks[slot as usize];
+        debug_assert_eq!(chunk.key, key, "only a link's oldest chunk is in the heap");
+        fifo.head = chunk.next;
+        if chunk.next == NIL {
+            fifo.tail = NIL;
+            PeekMut::pop(top);
+        } else {
+            // One sift down instead of a pop and a push.
+            top.key = self.chunks[chunk.next as usize].key;
         }
-        Some(s)
+        self.chunks[slot as usize].next = self.free;
+        self.free = slot;
+        let start = chunk.start as usize;
+        Some((key_at(key), ev, start..start + chunk.len as usize))
     }
 }
 
 /// One direction of one lane's connection: the [`Link`] that times its
-/// chunks and the bytes sent over it and not yet delivered — one buffer
-/// with a read cursor, reused for the whole run, so a chunk in flight
-/// costs no allocation.
+/// chunks and the chunks in flight on it.
 #[derive(Debug)]
 struct Pipe {
     link: Link,
-    bytes: BytesMut,
+    fifo: Fifo,
 }
 
 impl Pipe {
-    /// Encodes `msg`'s frame at the end of the pipe; returns its length.
-    fn encode(&mut self, msg: &Message) -> usize {
-        let start = self.bytes.len();
-        encode_frame(msg, &mut self.bytes);
-        self.bytes.len() - start
+    fn new(spec: LinkSpec) -> Pipe {
+        Pipe {
+            link: Link::new(spec),
+            fifo: Fifo::default(),
+        }
     }
+}
+
+/// One mix position: the supplier at its far end, both directions of
+/// its connection, and the requester's decoder for what arrives on it.
+#[derive(Debug)]
+struct Lane {
+    supplier: SimSupplier,
+    /// `[to_requester, to_supplier]`.
+    pipes: [Pipe; 2],
+    req_dec: FrameDecoder,
 }
 
 /// Trace record tags (folded into the run digest).
@@ -300,6 +383,31 @@ impl SupplierAdmission for Scripted {
     fn leave_reminder(&mut self, _class: PeerClass) {}
 }
 
+/// Wire bytes of a `SegmentData` frame beyond its payload: prefix, tag,
+/// session, index and payload length.
+const SEGMENT_FRAME_OVERHEAD: usize = 4 + 1 + 8 + 8 + 4;
+
+/// Wire bytes a lane's admission frames and its `EndSession` can take.
+const LANE_CONTROL_BYTES: usize = 128;
+
+/// Wire bytes of a `StartSession` frame beyond its 4-byte segment
+/// entries (its item name is 23 bytes).
+const PLAN_FRAME_BYTES: usize = 64;
+
+/// What a run of `schedule` can put on the wire, to size its log: each
+/// segment's frame once and the frame each death cuts, every lane's
+/// admission and setup frames, and the plan frames — one per lane, then
+/// one per survivor a death's share is replanned over, their entries
+/// covering the file once per plan round.
+fn wire_bound(schedule: &Schedule) -> usize {
+    let segments = schedule.segment_count as usize;
+    let lanes = schedule.mix.len();
+    let rounds = 1 + schedule.deaths.len();
+    (segments + schedule.deaths.len()) * (schedule.segment_bytes as usize + SEGMENT_FRAME_OVERHEAD)
+        + lanes * LANE_CONTROL_BYTES
+        + rounds * (lanes * PLAN_FRAME_BYTES + 4 * segments)
+}
+
 /// One deterministic run: virtual clock, event queue, links, and the
 /// real admission/requester/supplier/policy stack. Build with
 /// [`SimWorld::new`], consume with [`SimWorld::run`].
@@ -316,10 +424,11 @@ pub struct SimWorld {
 
     session: u64,
     file: MediaFile,
-    suppliers: Vec<SimSupplier>,
-    /// Per lane: `[to_requester, to_supplier]`. Lane = mix position.
-    pipes: Vec<[Pipe; 2]>,
-    req_decs: Vec<FrameDecoder>,
+    /// Lane = mix position.
+    lanes: Vec<Lane>,
+    /// Every byte sent, in sending order; chunks in flight are ranges of
+    /// it.
+    wire: BytesMut,
     /// The requester: the session machine the reactor hosts, its lanes
     /// the mix positions.
     req: RequesterMachine,
@@ -336,8 +445,9 @@ pub struct SimWorld {
 
 impl SimWorld {
     /// Builds the world for one schedule: synthesizes the media file,
-    /// constructs the requester and supplier machines, queues the
-    /// `StreamRequest` burst plus every scheduled death.
+    /// constructs the requester and supplier machines, sizes the wire
+    /// log and the queue, queues the `StreamRequest` burst plus every
+    /// scheduled death.
     pub fn new(schedule: Schedule) -> SimWorld {
         let session = schedule.seed;
         let info = MediaInfo::new(
@@ -346,51 +456,57 @@ impl SimWorld {
             SegmentDuration::from_millis(schedule.dt_ms),
             schedule.segment_bytes,
         );
-        let file = MediaFile::synthesize(info.clone());
 
         let classes: Vec<PeerClass> = schedule
             .mix
             .iter()
             .map(|&k| PeerClass::new(k).expect("mix classes are valid"))
             .collect();
+        assert!(
+            u16::try_from(classes.len()).is_ok(),
+            "a lane index must fit an event"
+        );
         let req_class = PeerClass::new(schedule.req_class).expect("req_class is valid");
 
-        let suppliers: Vec<SimSupplier> = classes
+        let lanes: Vec<Lane> = classes
             .iter()
             .zip(&schedule.replies)
-            .map(|(&class, &reply)| SimSupplier {
-                conn: SupplierConn::new(class, 0),
-                adm: Scripted {
-                    reply,
-                    segment_count: schedule.segment_count,
+            .zip(&schedule.links)
+            .map(|((&class, &reply), &spec)| Lane {
+                supplier: SimSupplier {
+                    conn: SupplierConn::new(class, 0),
+                    adm: Scripted {
+                        reply,
+                        segment_count: schedule.segment_count,
+                    },
+                    dec: FrameDecoder::new(),
+                    alive: true,
                 },
-                dec: FrameDecoder::new(),
-                alive: true,
+                pipes: [Pipe::new(spec), Pipe::new(spec)],
+                req_dec: FrameDecoder::new(),
             })
             .collect();
-        let pipes: Vec<[Pipe; 2]> = schedule
-            .links
-            .iter()
-            .map(|&spec| {
-                [spec, spec].map(|spec| Pipe {
-                    link: Link::new(spec),
-                    bytes: BytesMut::new(),
-                })
-            })
-            .collect();
-        let lane_count = classes.len();
+        let wire_capacity = wire_bound(&schedule);
+        // Per lane: two link heads, a pacing tick, a close and a death.
+        let event_capacity = 5 * lanes.len();
+        // The whole wire log in flight at once, in chunks of the mean
+        // size.
+        let chunk_capacity = wire_capacity / schedule.max_chunk.max(1).div_ceil(2);
         let segment_capacity = schedule.segment_count as usize * 2 + 64;
         let rng_seed = schedule.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ schedule.scenario.salt();
-        let scheduled_deaths = schedule.deaths.clone();
 
-        let mut req =
-            RequesterMachine::new(session, req_class, info, SharedPolicy::default(), &classes);
+        let mut req = RequesterMachine::new(
+            session,
+            req_class,
+            info.clone(),
+            SharedPolicy::default(),
+            &classes,
+        );
         req.start();
 
         let mut world = SimWorld {
-            schedule,
             now: 0,
-            queue: Queue::new(lane_count),
+            queue: Queue::with_capacity(event_capacity, chunk_capacity),
             rng: SmallRng::seed_from_u64(rng_seed),
             trace: TraceHasher::new(),
             // Sized to retain the whole run (one arrival per segment
@@ -398,11 +514,11 @@ impl SimWorld {
             // the full timeline, not a wrapped tail.
             recorder: Recorder::standalone(segment_capacity),
             session,
-            file,
-            suppliers,
-            pipes,
-            req_decs: (0..lane_count).map(|_| FrameDecoder::new()).collect(),
+            file: MediaFile::synthesize(info),
+            lanes,
+            wire: BytesMut::with_capacity(wire_capacity),
             req,
+            schedule,
             events: 0,
             segments_delivered: 0,
             bytes_on_wire: 0,
@@ -416,10 +532,13 @@ impl SimWorld {
         // The opening StreamRequest burst travels the wire like
         // everything else, framed and fragmented per lane.
         world.pump();
-        for &(mix_idx, at_ms) in &scheduled_deaths {
-            world
-                .queue
-                .push(at_ms * 1_000, Event::Die { lane: mix_idx });
+        for &(mix_idx, at_ms) in &world.schedule.deaths {
+            world.queue.push(
+                at_ms * 1_000,
+                Event::Die {
+                    lane: mix_idx as u16,
+                },
+            );
         }
         world
     }
@@ -427,11 +546,17 @@ impl SimWorld {
     /// Runs the world to quiescence and reports.
     pub fn run(mut self) -> SimReport {
         while !self.settled() {
-            let Some(s) = self.queue.pop() else { break };
-            debug_assert!(s.at >= self.now, "virtual time must be monotone");
-            self.now = s.at;
+            let lanes = &mut self.lanes;
+            let Some((at, ev, bytes)) = self
+                .queue
+                .pop(|lane, dir| &mut lanes[usize::from(lane)].pipes[dir as usize].fifo)
+            else {
+                break;
+            };
+            debug_assert!(at >= self.now, "virtual time must be monotone");
+            self.now = at;
             self.events += 1;
-            self.dispatch(s.ev);
+            self.dispatch(ev, bytes);
         }
         let received = self
             .req
@@ -507,49 +632,50 @@ impl SimWorld {
             .record(T_EVENT, u64::from(ev.code()), &[self.now, a, b]);
     }
 
-    fn dispatch(&mut self, ev: Event) {
+    /// Handles `ev`; a delivery carries the wire log's `bytes`.
+    fn dispatch(&mut self, ev: Event, bytes: Range<usize>) {
         match ev {
-            Event::SupplierTick { lane } => self.tick(lane),
+            Event::SupplierTick { lane } => self.tick(lane.into()),
             Event::Deliver {
                 lane,
                 dir: Dir::ToRequester,
-                len,
-            } => self.deliver_to_requester(lane, len),
+            } => self.deliver_to_requester(lane.into(), bytes),
             Event::Deliver {
                 lane,
                 dir: Dir::ToSupplier,
-                len,
-            } => self.deliver_to_supplier(lane, len),
-            Event::Closed { lane } => self.closed(lane),
-            Event::Die { lane } => self.die(lane),
+            } => self.deliver_to_supplier(lane.into(), bytes),
+            Event::Closed { lane } => self.closed(lane.into()),
+            Event::Die { lane } => self.die(lane.into()),
         }
     }
 
     /// Puts `msg`'s frame on the wire.
     fn send(&mut self, lane: usize, dir: Dir, msg: &Message) {
-        let len = self.pipes[lane][dir as usize].encode(msg);
-        self.fragment(lane, dir, len);
+        let start = self.wire.len();
+        encode_frame(msg, &mut self.wire);
+        self.fragment(lane, dir, start);
     }
 
-    /// Fragments the last `len` bytes encoded into the pipe at arbitrary
+    /// Fragments the wire log's bytes from `start` on at arbitrary
     /// boundaries and schedules each chunk's FIFO delivery over the
     /// lane's link.
-    fn fragment(&mut self, lane: usize, dir: Dir, len: usize) {
-        self.bytes_on_wire += len as u64;
+    fn fragment(&mut self, lane: usize, dir: Dir, start: usize) {
+        let end = self.wire.len();
+        self.bytes_on_wire += (end - start) as u64;
         let max_chunk = self.schedule.max_chunk.max(1);
-        let mut left = len;
-        while left > 0 {
-            let cap = left.min(max_chunk);
+        let pipe = &mut self.lanes[lane].pipes[dir as usize];
+        let mut from = start;
+        while from < end {
+            let cap = (end - from).min(max_chunk);
             let take = if cap == 1 {
                 1
             } else {
                 self.rng.gen_range(1..=cap)
             };
-            left -= take;
-            let at = self.pipes[lane][dir as usize]
-                .link
-                .send(self.now, take, &mut self.rng);
-            self.queue.push_chunk(lane, dir, at, take);
+            let at = pipe.link.send(self.now, take, &mut self.rng);
+            self.queue
+                .push_chunk(&mut pipe.fifo, lane as u16, dir, at, from..from + take);
+            from += take;
         }
     }
 
@@ -587,7 +713,7 @@ impl SimWorld {
     /// due (one per tick — virtual time never runs late), or
     /// `EndSession` when its schedule (base + appends) is exhausted.
     fn tick(&mut self, lane: usize) {
-        let s = &mut self.suppliers[lane];
+        let s = &mut self.lanes[lane].supplier;
         if !s.alive {
             return;
         }
@@ -604,8 +730,10 @@ impl SimWorld {
                     payload,
                 };
                 self.send(lane, Dir::ToRequester, &msg);
-                self.queue
-                    .push(next.max(self.now), Event::SupplierTick { lane });
+                self.queue.push(
+                    next.max(self.now),
+                    Event::SupplierTick { lane: lane as u16 },
+                );
             }
             Pace::End => self.send(lane, Dir::ToRequester, &Message::EndSession { session }),
             Pace::Wait(_) | Pace::Yield | Pace::Close => {}
@@ -614,20 +742,17 @@ impl SimWorld {
 
     /// Bytes reach the requester: feed the lane's real decoder and every
     /// frame it yields to the requester machine.
-    fn deliver_to_requester(&mut self, lane: usize, len: usize) {
-        let pipe = &mut self.pipes[lane][Dir::ToRequester as usize].bytes;
-        let open = self.req.is_open(lane);
-        if open {
+    fn deliver_to_requester(&mut self, lane: usize, bytes: Range<usize>) {
+        if self.req.is_open(lane) {
             self.trace.record(
                 T_CHUNK,
                 narrow(lane, Dir::ToRequester as u64),
-                &[self.now, len as u64],
+                &[self.now, bytes.len() as u64],
             );
-            self.req_decs[lane].feed(&pipe[..len]);
+            self.lanes[lane].req_dec.feed(&self.wire[bytes]);
         }
-        pipe.advance(len);
         while !self.settled() && self.req.is_open(lane) {
-            match self.req_decs[lane].poll() {
+            match self.lanes[lane].req_dec.poll() {
                 Ok(Some(msg)) => {
                     self.trace_rx(lane, &msg);
                     self.req.on_message(lane, msg, self.now);
@@ -679,22 +804,17 @@ impl SimWorld {
     /// quiet for [`GRANT_TTL_MS`](p2ps_proto::GRANT_TTL_MS), it answers
     /// or dies — so only a started stream's first §3 deadline becomes an
     /// event.
-    fn deliver_to_supplier(&mut self, lane: usize, len: usize) {
-        let pipe = &mut self.pipes[lane][Dir::ToSupplier as usize].bytes;
-        let alive = self.suppliers[lane].alive;
-        if alive {
-            self.trace.record(
-                T_CHUNK,
-                narrow(lane, Dir::ToSupplier as u64),
-                &[self.now, len as u64],
-            );
-            self.suppliers[lane].dec.feed(&pipe[..len]);
-        }
-        pipe.advance(len);
-        if !alive {
+    fn deliver_to_supplier(&mut self, lane: usize, bytes: Range<usize>) {
+        if !self.lanes[lane].supplier.alive {
             return;
         }
-        while let Ok(Some(msg)) = self.suppliers[lane].dec.poll() {
+        self.trace.record(
+            T_CHUNK,
+            narrow(lane, Dir::ToSupplier as u64),
+            &[self.now, bytes.len() as u64],
+        );
+        self.lanes[lane].supplier.dec.feed(&self.wire[bytes]);
+        while let Ok(Some(msg)) = self.lanes[lane].supplier.dec.poll() {
             match &msg {
                 Message::StartSession { plan, .. } => self.trace.record(
                     T_START,
@@ -708,7 +828,7 @@ impl SimWorld {
                 }
                 _ => {}
             }
-            let s = &mut self.suppliers[lane];
+            let s = &mut self.lanes[lane].supplier;
             let step = s.conn.on_message(msg, self.now, &mut s.adm);
             let first_tick = step.timer_us.filter(|_| s.conn.is_streaming());
             if let Some(reply) = step.reply {
@@ -721,7 +841,8 @@ impl SimWorld {
                 self.send(lane, Dir::ToRequester, &reply);
             }
             if let Some(at) = first_tick {
-                self.queue.push(at, Event::SupplierTick { lane });
+                self.queue
+                    .push(at, Event::SupplierTick { lane: lane as u16 });
             }
         }
     }
@@ -730,34 +851,39 @@ impl SimWorld {
     /// arbitrary byte boundary (the truncated prefix still arrives,
     /// stressing the decoder), then the close lands on the same FIFO.
     fn die(&mut self, lane: usize) {
-        if !self.suppliers[lane].alive {
+        let s = &mut self.lanes[lane].supplier;
+        if !s.alive {
             return;
         }
-        self.suppliers[lane].alive = false;
-        self.deaths += 1;
-        self.trace.record(T_DIE, narrow(lane, 0), &[self.now]);
-        let s = &mut self.suppliers[lane];
+        s.alive = false;
         let partial = s.conn.peek_unsent();
         s.conn.close(&mut s.adm);
+        self.deaths += 1;
+        self.trace.record(T_DIE, narrow(lane, 0), &[self.now]);
         if let Some(seg) = partial {
-            let pipe = &mut self.pipes[lane][Dir::ToRequester as usize];
-            let len = pipe.encode(&Message::SegmentData {
-                session: self.session,
-                index: seg,
-                payload: self.file.segment(seg).into_payload(),
-            });
+            let start = self.wire.len();
+            encode_frame(
+                &Message::SegmentData {
+                    session: self.session,
+                    index: seg,
+                    payload: self.file.segment(seg).into_payload(),
+                },
+                &mut self.wire,
+            );
             // Only the first `cut` bytes leave before the connection dies.
-            let cut = self.rng.gen_range(0..len);
-            pipe.bytes.resize(pipe.bytes.len() - (len - cut), 0);
+            let cut = self.rng.gen_range(0..self.wire.len() - start);
+            self.wire.resize(start + cut, 0);
             if cut > 0 {
-                self.fragment(lane, Dir::ToRequester, cut);
+                self.fragment(lane, Dir::ToRequester, start);
             }
         }
-        let at = self.pipes[lane][Dir::ToRequester as usize]
-            .link
-            .send(self.now, 0, &mut self.rng);
+        let at =
+            self.lanes[lane].pipes[Dir::ToRequester as usize]
+                .link
+                .send(self.now, 0, &mut self.rng);
         // The requester sees the close 1 ms after the link's last byte.
-        self.queue.push(at + 1_000, Event::Closed { lane });
+        self.queue
+            .push(at + 1_000, Event::Closed { lane: lane as u16 });
     }
 
     /// The requester observes a lane's connection close — a mid-round
@@ -777,34 +903,50 @@ impl SimWorld {
 mod tests {
     use super::*;
 
-    /// Pops both queues once and demands the same event.
-    fn pop_both(queue: &mut Queue, oracle: &mut BinaryHeap<Scheduled>) -> Option<u64> {
-        let got = queue.pop().map(|s| (s.at, s.seq, s.ev));
-        let want = oracle.pop().map(|s| (s.at, s.seq, s.ev));
-        assert_eq!(got, want, "per-link FIFOs and one heap disagree");
+    /// A queued event as the oracle keeps it: `(at, seq, event, bytes)`.
+    type Entry = (u64, u64, Event, Range<usize>);
+
+    /// Pops the queue and the oracle once and demands the same event.
+    fn pop_both(
+        queue: &mut Queue,
+        fifos: &mut [[Fifo; 2]],
+        oracle: &mut Vec<Entry>,
+    ) -> Option<u64> {
+        let got = queue.pop(|lane, dir| &mut fifos[usize::from(lane)][dir as usize]);
+        let least = (0..oracle.len()).min_by_key(|&i| (oracle[i].0, oracle[i].1));
+        let want = least.map(|i| oracle.swap_remove(i));
+        let want = want.map(|(at, _, ev, bytes)| (at, ev, bytes));
+        assert_eq!(got, want, "per-link FIFOs and one (at, seq) order disagree");
         got.map(|(at, ..)| at)
     }
 
-    /// The per-link FIFOs merged through the heap pop exactly what one
-    /// heap over every event, ordered by `(at, seq)`, pops: random
-    /// monotone arrivals per link, ties frequent, interleaved with
-    /// ticks, closes, deaths and pops.
+    /// The per-link FIFOs merged through the heap of packed keys pop
+    /// exactly what one queue over every event, ordered by `(at, seq)`,
+    /// pops: random monotone arrivals per link, ties frequent,
+    /// interleaved with ticks, closes, deaths and pops, at instants
+    /// from zero to the top of the key's time bits.
     #[test]
     fn per_link_fifos_pop_in_one_heap_order() {
-        const LANES: usize = 3;
+        const LANES: u16 = 3;
         for seed in 0..256u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut queue = Queue::new(LANES);
-            let mut oracle = BinaryHeap::new();
-            let (mut seq, mut now) = (0u64, 0u64);
-            let mut link_at = [[0u64; 2]; LANES];
+            let mut queue = Queue::with_capacity(0, 0);
+            let mut fifos = [[Fifo::default(); 2]; LANES as usize];
+            let mut oracle = Vec::new();
+            let base = if seed % 2 == 0 {
+                0
+            } else {
+                (1 << (64 - SEQ_BITS)) - 4_096
+            };
+            let (mut seq, mut now, mut wire) = (0u64, base, 0usize);
+            let mut link_at = [[0u64; 2]; LANES as usize];
             for _ in 0..512 {
                 if rng.gen_bool(0.4) {
-                    now = pop_both(&mut queue, &mut oracle).unwrap_or(now);
+                    now = pop_both(&mut queue, &mut fifos, &mut oracle).unwrap_or(now);
                     continue;
                 }
                 let lane = rng.gen_range(0..LANES);
-                // Offsets of 0–2 ms from now: most instants are shared.
+                // Offsets of 0–2 µs from now: most instants are shared.
                 let mut at = now + rng.gen_range(0..3u64);
                 seq += 1;
                 let ev = match rng.gen_range(0..5) {
@@ -813,24 +955,54 @@ mod tests {
                     2 => Event::Die { lane },
                     pick => {
                         let dir = [Dir::ToRequester, Dir::ToSupplier][pick - 3];
-                        let clamp = &mut link_at[lane][dir as usize];
+                        let clamp = &mut link_at[usize::from(lane)][dir as usize];
                         at = at.max(*clamp);
                         *clamp = at;
-                        let len = rng.gen_range(1..=64);
-                        queue.push_chunk(lane, dir, at, len);
-                        oracle.push(Scheduled {
-                            at,
-                            seq,
-                            ev: Event::Deliver { lane, dir, len },
-                        });
+                        let bytes = wire..wire + rng.gen_range(1..=64usize);
+                        wire = bytes.end;
+                        let fifo = &mut fifos[usize::from(lane)][dir as usize];
+                        queue.push_chunk(fifo, lane, dir, at, bytes.clone());
+                        oracle.push((at, seq, Event::Deliver { lane, dir }, bytes));
                         continue;
                     }
                 };
                 queue.push(at, ev);
-                oracle.push(Scheduled { at, seq, ev });
+                oracle.push((at, seq, ev, 0..0));
             }
-            while pop_both(&mut queue, &mut oracle).is_some() {}
-            assert!(queue.in_flight.iter().flatten().all(VecDeque::is_empty));
+            while pop_both(&mut queue, &mut fifos, &mut oracle).is_some() {}
+            assert!(fifos
+                .iter()
+                .flatten()
+                .all(|f| f.head == NIL && f.tail == NIL));
+            let mut free = 0;
+            let mut slot = queue.free;
+            while slot != NIL {
+                free += 1;
+                slot = queue.chunks[slot as usize].next;
+            }
+            assert_eq!(free, queue.chunks.len(), "every chunk slot is free again");
         }
+    }
+
+    #[test]
+    fn the_packed_key_orders_like_at_then_seq() {
+        let pairs = [(0, 1), (0, 2), (1, 1), (1, (1 << SEQ_BITS) - 1), (2, 1)];
+        for w in pairs.windows(2) {
+            assert!(key(w[0].0, w[0].1) < key(w[1].0, w[1].1));
+        }
+        let top = (1 << (64 - SEQ_BITS)) - 1;
+        assert_eq!(key_at(key(top, 5)), top);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the queue key")]
+    fn a_time_past_the_key_bits_panics() {
+        key(1 << (64 - SEQ_BITS), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the queue key")]
+    fn a_sequence_number_past_the_key_bits_panics() {
+        key(0, 1 << SEQ_BITS);
     }
 }

@@ -46,10 +46,15 @@ fn check_one(seed: u64, scenario: ScenarioKind) -> p2ps_simnet::SimReport {
     );
     // The flight recorder rides the determinism contract: every run
     // opens with an admission request, and a completed run's timeline
-    // must close with the `Completed` event.
+    // must close with the `Completed` event. A ring that wrapped would
+    // have lost the opening.
+    let opening = first
+        .recorder
+        .first()
+        .and_then(|ev| SessionEvent::decode(ev.code, ev.a, ev.b));
     assert!(
-        !first.recorder.is_empty(),
-        "seed {seed} ({}) recorded no flight-recorder events\n{}",
+        matches!(opening, Some(SessionEvent::AdmissionRequest { .. })),
+        "seed {seed} ({}) timeline opens with {opening:?}, not an admission request\n{}",
         scenario.name(),
         repro_hint(seed, scenario)
     );
@@ -70,7 +75,10 @@ fn check_one(seed: u64, scenario: ScenarioKind) -> p2ps_simnet::SimReport {
         }
     }
     if matches!(first.outcome, SimOutcome::Completed { .. }) {
-        let last = first.recorder.last().expect("checked non-empty");
+        let last = first
+            .recorder
+            .last()
+            .expect("checked: it opens with a request");
         assert_eq!(
             last.code,
             SessionEvent::Completed { received: 0 }.code(),
