@@ -91,6 +91,11 @@ impl MediaInfo {
 /// would have produced — the integration tests use this to prove
 /// end-to-end integrity of the streaming path.
 ///
+/// Segment `i`'s payload is a keyed xorshift stream: its seed folds the
+/// file name and `i`, and each step of the stream gives the next eight
+/// bytes, little-endian (the last step of a segment is cut to
+/// `segment_bytes % 8` bytes).
+///
 /// The whole file lives in **one contiguous [`Bytes`] allocation**;
 /// [`segment`](MediaFile::segment) hands out O(1) shared sub-views of it.
 /// Cloning a `MediaFile` is therefore O(1) too — a supplier can snapshot
@@ -104,10 +109,37 @@ pub struct MediaFile {
 
 impl MediaFile {
     /// Synthesizes the file contents for `info`.
+    ///
+    /// One xorshift chain waits on its own last shift at every step, so
+    /// the file is written four segments at a time: their streams
+    /// advance in lockstep, four independent chains, and every step
+    /// stores a whole `u64` into the file's one allocation. The file is
+    /// reserved once and each group of four segments is zeroed just
+    /// before its streams overwrite it, while it is still in cache; the
+    /// last `segment_count % 4` segments run one stream each.
     pub fn synthesize(info: MediaInfo) -> Self {
+        let segment_bytes = info.segment_bytes as usize;
+        let key = name_key(&info.name);
         let mut data = Vec::with_capacity(info.total_bytes() as usize);
-        for i in 0..info.segment_count {
-            synthesize_payload_into(&info, i, &mut data);
+        let mut index = 0;
+        while index < info.segment_count {
+            let lanes = (info.segment_count - index).min(LANES as u64) as usize;
+            let start = data.len();
+            data.resize(start + lanes * segment_bytes, 0);
+            let group = &mut data[start..];
+            if lanes == LANES {
+                let seeds = std::array::from_fn(|j| segment_seed(key, index + j as u64));
+                fill_streams::<LANES>(group, segment_bytes, seeds);
+            } else {
+                for (j, segment) in group.chunks_exact_mut(segment_bytes).enumerate() {
+                    fill_streams(
+                        segment,
+                        segment_bytes,
+                        [segment_seed(key, index + j as u64)],
+                    );
+                }
+            }
+            index += lanes as u64;
         }
         MediaFile {
             info,
@@ -196,38 +228,156 @@ impl MediaFile {
     }
 }
 
-/// Deterministic per-segment payload appended to `out`: a keyed xorshift
-/// stream seeded from the file name and segment index.
-///
-/// The name is folded FNV-style (the FNV offset basis, xor then
+/// Segments whose streams [`MediaFile::synthesize`] advances in lockstep.
+const LANES: usize = 4;
+
+/// The file name folded FNV-style (the FNV offset basis, xor then
 /// multiply) but with this crate's own multiplier `0x1000_0000_01b3`,
 /// which is *not* the FNV-1a prime `0x0000_0100_0000_01b3`. Every
-/// synthesized payload byte depends on it and the pinned simnet digests
-/// (`crates/simnet/tests/pinned_runs.rs`) hold it in place: do not
-/// "correct" it, and do not share a hasher with the real FNV-1a users.
-fn synthesize_payload_into(info: &MediaInfo, index: u64, out: &mut Vec<u8>) {
-    let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in info.name.as_bytes() {
-        seed = (seed ^ *b as u64).wrapping_mul(0x1000_0000_01b3);
+/// synthesized payload byte depends on it, and two tests hold it in
+/// place: `synthesize_writes_the_reference_bytes` compares every byte
+/// with the reference formula below, and `a_small_file_keeps_its_pinned_bytes`
+/// pins one file's bytes as a literal. Do not "correct" the multiplier,
+/// and do not share a hasher with the real FNV-1a users.
+fn name_key(name: &str) -> u64 {
+    let mut key: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in name.as_bytes() {
+        key = (key ^ *b as u64).wrapping_mul(0x1000_0000_01b3);
     }
-    seed ^= index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    if seed == 0 {
-        seed = 1;
+    key
+}
+
+/// Seed of segment `index`'s stream (never 0, xorshift's fixed point).
+fn segment_seed(key: u64, index: u64) -> u64 {
+    match key ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15) {
+        0 => 1,
+        seed => seed,
     }
-    let target = out.len() + info.segment_bytes as usize;
-    let mut x = seed;
-    while out.len() < target {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let need = target - out.len();
-        out.extend_from_slice(&x.to_le_bytes()[..need.min(8)]);
+}
+
+fn xorshift(mut x: u64) -> u64 {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x
+}
+
+/// Writes `N` consecutive segments of `segment_bytes` each into `group`,
+/// segment `j` from the stream seeded `seeds[j]`. The `N` streams step
+/// together, one word of every segment per round.
+fn fill_streams<const N: usize>(group: &mut [u8], segment_bytes: usize, seeds: [u64; N]) {
+    let mut segments = group.chunks_exact_mut(segment_bytes);
+    let mut words: [_; N] = std::array::from_fn(|_| {
+        segments
+            .next()
+            .expect("a group holds N segments")
+            .chunks_exact_mut(8)
+    });
+    let mut x = seeds;
+    for _ in 0..segment_bytes / 8 {
+        for (stream, words) in x.iter_mut().zip(&mut words) {
+            *stream = xorshift(*stream);
+            let word = words
+                .next()
+                .expect("a segment holds segment_bytes / 8 words");
+            word.copy_from_slice(&stream.to_le_bytes());
+        }
+    }
+    for (stream, words) in x.into_iter().zip(words) {
+        let tail = words.into_remainder();
+        let len = tail.len();
+        tail.copy_from_slice(&xorshift(stream).to_le_bytes()[..len]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Today's formula, kept one word at a time as the oracle that
+    /// [`MediaFile::synthesize`]'s four-stream kernel must match byte for
+    /// byte: segment `index`'s payload appended to `out`.
+    fn synthesize_payload_into(info: &MediaInfo, index: u64, out: &mut Vec<u8>) {
+        let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in info.name.as_bytes() {
+            seed = (seed ^ *b as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+        seed ^= index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        if seed == 0 {
+            seed = 1;
+        }
+        let target = out.len() + info.segment_bytes as usize;
+        let mut x = seed;
+        while out.len() < target {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let need = target - out.len();
+            out.extend_from_slice(&x.to_le_bytes()[..need.min(8)]);
+        }
+    }
+
+    /// The whole file by the reference formula.
+    fn reference(info: &MediaInfo) -> Vec<u8> {
+        let mut data = Vec::new();
+        for i in 0..info.segment_count {
+            synthesize_payload_into(info, i, &mut data);
+        }
+        data
+    }
+
+    proptest::proptest! {
+        /// The four-stream kernel writes the reference's bytes for any
+        /// name, group remainder and word tail.
+        #[test]
+        fn synthesize_writes_the_reference_bytes(
+            name in "[a-zA-Z0-9 _.-]{0,24}",
+            segments in 1u64..=40,
+            bytes in 1u32..=300,
+        ) {
+            let info = MediaInfo::new(name, segments, SegmentDuration::from_millis(10), bytes);
+            proptest::prop_assert_eq!(&MediaFile::synthesize(info.clone()).data[..], &reference(&info)[..]);
+        }
+    }
+
+    #[test]
+    fn every_residue_and_the_bulk_shape_match_the_reference() {
+        let grid =
+            (1..=40).flat_map(|segments| (1..=300).map(move |bytes| ("grid", segments, bytes)));
+        for (name, segments, bytes) in grid.chain([("bulk", 64, 65_536)]) {
+            let info = MediaInfo::new(name, segments, SegmentDuration::from_millis(10), bytes);
+            assert!(
+                MediaFile::synthesize(info.clone()).data[..] == reference(&info)[..],
+                "{segments} x {bytes} B differs from the reference"
+            );
+        }
+    }
+
+    /// Five 11-byte segments of file `pin`, computed with the formula the
+    /// reference keeps: a four-segment group, a one-segment remainder and
+    /// a 3-byte tail per segment. Fails if kernel and reference are ever
+    /// changed together.
+    #[test]
+    fn a_small_file_keeps_its_pinned_bytes() {
+        let info = MediaInfo::new("pin", 5, SegmentDuration::from_millis(10), 11);
+        let pinned = [
+            "429e20c13fd32b8cfe0fb1",
+            "efd3d3ca91a43050886fdf",
+            "1805c6d6633c1d3412cf6d",
+            "55bb7037914ea351632f9c",
+            "f6a8edee870d46fe278e0a",
+        ];
+        let file = MediaFile::synthesize(info);
+        assert_eq!(file.iter().count(), pinned.len());
+        for (segment, hex) in file.iter().zip(pinned) {
+            let got: String = segment
+                .payload()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(got, hex, "segment {}", segment.index());
+        }
+    }
 
     fn info() -> MediaInfo {
         MediaInfo::new("test", 8, SegmentDuration::from_millis(100), 256)

@@ -165,16 +165,7 @@ impl PeerNode {
     pub fn spawn_seed(config: NodeConfig, clock: Clock) -> io::Result<Self> {
         let reactor = NodeReactor::with_threads(config.threads)?;
         let monitor = reactor.monitor().clone();
-        let file = MediaFile::synthesize(config.info.clone());
-        let node = Self::spawn_inner(
-            config,
-            clock,
-            Some(file),
-            ReactorRef::Owned(reactor),
-            monitor,
-        )?;
-        node.register()?;
-        Ok(node)
+        Self::spawn_seed_inner(config, clock, ReactorRef::Owned(reactor), monitor)
     }
 
     /// Like [`spawn`](Self::spawn), but hosted on a shared
@@ -206,14 +197,24 @@ impl PeerNode {
         clock: Clock,
         reactor: &NodeReactor,
     ) -> io::Result<Self> {
-        let file = MediaFile::synthesize(config.info.clone());
-        let node = Self::spawn_inner(
+        Self::spawn_seed_inner(
             config,
             clock,
-            Some(file),
             ReactorRef::Shared(reactor.handle().clone()),
             reactor.monitor().clone(),
-        )?;
+        )
+    }
+
+    /// A seed's start: synthesize the whole file, start the node on
+    /// `reactor` with it, register the node with the directory.
+    fn spawn_seed_inner(
+        config: NodeConfig,
+        clock: Clock,
+        reactor: ReactorRef,
+        monitor: Monitor,
+    ) -> io::Result<Self> {
+        let file = MediaFile::synthesize(config.info.clone());
+        let node = Self::spawn_inner(config, clock, Some(file), reactor, monitor)?;
         node.register()?;
         Ok(node)
     }

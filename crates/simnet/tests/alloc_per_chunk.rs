@@ -1,8 +1,9 @@
 //! Pins the simulated transport's allocation contract: a chunk in flight
-//! costs no allocation. Each lane direction is one reused byte pipe,
-//! frames are encoded into it in place, and a link's chunks wait in a
-//! FIFO behind one heap entry — so cutting the same run into far more
-//! chunks adds events, not allocations.
+//! costs no allocation. A run encodes every frame in place into one wire
+//! log, a chunk is a range of that log, and each link's chunks wait in a
+//! FIFO threaded through one chunk slab behind one heap entry — so
+//! cutting the same run into far more chunks adds events, not
+//! allocations.
 //!
 //! Every `(seed, scenario)` below runs twice: with chunks of up to 64
 //! bytes, then with every byte its own chunk. The second run replays the
