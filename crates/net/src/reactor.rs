@@ -21,6 +21,16 @@
 //! `turn_overrun_total` / `turn_us_max` for loop turns that held the
 //! thread too long between two waits.
 //!
+//! A loop turn is **bounded**: it dispatches at most [`TIMERS_PER_TURN`]
+//! (64) timer callbacks. Due timers beyond that wait in a backlog, in the
+//! order they came due, and the next wait only polls (timeout 0), so
+//! sockets, accepts and commands are looked at at least once every 64
+//! timer callbacks however many timers come due at once: hundreds of
+//! paced streams whose deadlines coincide no longer hold a session's
+//! reply behind all of their segments. A backlogged timer fires a turn or
+//! a few after its deadline, never before it; `timers_deferred_total`
+//! counts the timers that did not fire in the turn they came due in.
+//!
 //! Writes are flushed **per dispatch, not per send**: [`Ctx::send`] only
 //! queues the chunk and marks the connection, and when the handler
 //! callback that queued returns, every marked connection is flushed once
@@ -35,9 +45,9 @@
 //! Other threads talk to a running reactor through its cloneable
 //! [`Handle`]: registering listeners, delivering typed commands to the
 //! handler, and shutdown — all woken through a self-pipe so the epoll
-//! wait never has to poll.
+//! wait never has to poll for them.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -63,6 +73,12 @@ const WHEEL_SLOTS: usize = 512;
 /// A timed-out wait that returns this much after its timeout, or a loop
 /// turn that keeps the thread this long, is counted as late.
 const LATE_US: u64 = 2_000;
+/// Most timer callbacks one loop turn dispatches before the loop polls
+/// its sockets again. It has to be far below the number of streams a
+/// busy reactor paces (a turn that fired 512 pace timers due at one
+/// instant held every read, accept and command for ~15 ms) and above
+/// what a lightly loaded turn sees, which then runs as if unbounded.
+const TIMERS_PER_TURN: usize = 64;
 
 /// Tuning knobs for a [`Reactor`].
 #[derive(Debug, Clone)]
@@ -219,12 +235,50 @@ struct Conn {
     /// connection sits in [`Inner::dirty`].
     unflushed: usize,
     interest: u32,
-    /// kind → sequence number of the one live timer of that kind.
-    timers: HashMap<u32, u64>,
+    timers: ArmedTimers,
     close_after_flush: bool,
     closing: bool,
     /// Deliver `on_close` at sweep time (peer/error closes only).
     notify: bool,
+}
+
+/// The one live arming of each timer kind on a connection, as `(kind,
+/// seq)` pairs: the first kind inline, any further ones in `more`. A
+/// handler arms one or two kinds per connection, so arming and firing
+/// compare a pair or two instead of hashing.
+#[derive(Default)]
+struct ArmedTimers {
+    first: Option<(u32, u64)>,
+    more: Vec<(u32, u64)>,
+}
+
+impl ArmedTimers {
+    /// Makes `seq` the live arming of `kind`, replacing any earlier one.
+    fn arm(&mut self, kind: u32, seq: u64) {
+        let mut armed = self.first.iter_mut().chain(&mut self.more);
+        if let Some(entry) = armed.find(|(k, _)| *k == kind) {
+            entry.1 = seq;
+        } else if self.first.is_none() {
+            self.first = Some((kind, seq));
+        } else {
+            self.more.push((kind, seq));
+        }
+    }
+
+    /// Disarms the entry `matches` picks, if any; says whether one was.
+    fn remove(&mut self, matches: impl Fn(&(u32, u64)) -> bool) -> bool {
+        if self.first.as_ref().is_some_and(&matches) {
+            self.first = self.more.pop();
+            return true;
+        }
+        match self.more.iter().position(matches) {
+            Some(i) => {
+                self.more.swap_remove(i);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -244,7 +298,8 @@ struct Stats {
     connections: Gauge,
     /// Bytes sitting in outbound queues, not yet accepted by sockets.
     queued_write_bytes: Gauge,
-    /// Armed entries in the timer wheel (refreshed once per loop turn).
+    /// Armed timer entries, in the wheel or due and waiting their turn
+    /// (refreshed once per loop turn).
     timer_entries: Gauge,
     /// Total bytes read from sockets.
     bytes_read: Counter,
@@ -256,6 +311,9 @@ struct Stats {
     commands: Counter,
     /// Timer callbacks actually dispatched to the handler.
     timer_fires: Counter,
+    /// Due timers a turn left to later turns ([`TIMERS_PER_TURN`]), each
+    /// counted once.
+    timers_deferred: Counter,
     /// `read` syscalls this reactor issued (sockets + self-pipe).
     sys_reads: Counter,
     /// `writev` syscalls this reactor issued flushing outbound queues.
@@ -283,12 +341,16 @@ impl Stats {
                 "queued_write_bytes",
                 "outbound bytes queued but not yet accepted by sockets",
             ),
-            timer_entries: monitor.gauge("timer_entries", "armed entries in the timer wheel"),
+            timer_entries: monitor.gauge("timer_entries", "armed timer entries not yet fired"),
             bytes_read: monitor.counter("bytes_read_total", "bytes read from sockets"),
             bytes_written: monitor.counter("bytes_written_total", "bytes written to sockets"),
             accepts: monitor.counter("accepts_total", "connections accepted from listeners"),
             commands: monitor.counter("commands_total", "typed commands delivered to the handler"),
             timer_fires: monitor.counter("timer_fires_total", "timer callbacks dispatched"),
+            timers_deferred: monitor.counter(
+                "timers_deferred_total",
+                "due timers left to a later loop turn by the per-turn bound",
+            ),
             sys_reads: monitor.counter("syscalls_read_total", "read syscalls issued"),
             sys_writevs: monitor.counter("syscalls_writev_total", "writev syscalls issued"),
             sys_accepts: monitor.counter("syscalls_accept_total", "accept syscalls issued"),
@@ -390,7 +452,7 @@ impl Inner {
             wq: ChunkQueue::new(),
             unflushed: 0,
             interest: BASE_INTEREST,
-            timers: HashMap::new(),
+            timers: ArmedTimers::default(),
             close_after_flush: false,
             closing: false,
             notify: false,
@@ -596,16 +658,18 @@ impl Ctx<'_> {
     /// timer of `conn` to fire at `deadline_us` on the reactor's clock
     /// ([`now_us`](Self::now_us)) — the form for a schedule, whose
     /// deadlines must not drift with the time each one was armed at. The
-    /// loop sleeps until the deadline and the timer fires in the first
-    /// turn at or after it, never before; one already past fires in the
-    /// next turn.
+    /// loop sleeps until the deadline and the timer comes due in the
+    /// first turn at or after it, never before; one already past comes
+    /// due in the next turn. A due timer fires in that turn unless 64
+    /// callbacks of timers that came due before it run first: then it
+    /// waits for a later turn, keeping its place in line.
     pub fn set_timer_at_us(&mut self, conn: ConnId, kind: u32, deadline_us: u64) {
         let seq = self.inner.next_seq;
         self.inner.next_seq += 1;
         let Some(c) = self.inner.conn_mut(conn) else {
             return;
         };
-        c.timers.insert(kind, seq);
+        c.timers.arm(kind, seq);
         self.inner.wheel.insert(
             deadline_us,
             TimerKey {
@@ -620,7 +684,7 @@ impl Ctx<'_> {
     /// Disarms the `kind` timer of `conn`, if armed.
     pub fn cancel_timer(&mut self, conn: ConnId, kind: u32) {
         if let Some(c) = self.inner.conn_mut(conn) {
-            c.timers.remove(&kind);
+            c.timers.remove(|&(k, _)| k == kind);
         }
     }
 
@@ -766,6 +830,8 @@ impl<C: Send + 'static> Reactor<C> {
     pub fn run<H: Handler<Cmd = C>>(mut self, handler: &mut H) -> io::Result<()> {
         let mut events: Vec<Event> = Vec::new();
         let mut fired: Vec<TimerKey> = Vec::new();
+        // Due timers not dispatched yet, in the order they came due.
+        let mut due: VecDeque<TimerKey> = VecDeque::new();
         let mut scratch = vec![0u8; 64 * 1024];
         // When the previous wait returned: where the running turn began.
         let mut woke: Option<u64> = None;
@@ -775,10 +841,15 @@ impl<C: Send + 'static> Reactor<C> {
             if let Some(woke) = woke {
                 Stats::note_latency(&stats.turn_overrun, &stats.turn_us_max, asleep - woke);
             }
-            let timeout = self
-                .inner
-                .wheel
-                .next_timeout(asleep, self.inner.cfg.idle_wait_ms * 1_000);
+            // With due timers left over the wait only polls: it is not
+            // asked to sleep, so it cannot wake late either.
+            let backlog = due.len();
+            let timeout = if backlog > 0 {
+                0
+            } else {
+                let idle_us = self.inner.cfg.idle_wait_ms * 1_000;
+                self.inner.wheel.next_timeout(asleep, idle_us)
+            };
             self.inner.epoll.wait(&mut events, timeout)?;
             self.inner.stats.sys_epoll_waits.incr();
             if self.stop.load(Ordering::Relaxed) {
@@ -787,7 +858,7 @@ impl<C: Send + 'static> Reactor<C> {
             let mut now = self.inner.now_us();
             woke = Some(now);
             let timed_out = events.is_empty();
-            if timed_out {
+            if timed_out && backlog == 0 {
                 let late = now.saturating_sub(asleep + timeout);
                 Stats::note_latency(&stats.wake_late, &stats.wake_late_us_max, late);
             }
@@ -814,14 +885,15 @@ impl<C: Send + 'static> Reactor<C> {
                 now = self.inner.now_us(); // the handlers took their time
             }
             self.inner.wheel.advance(now, &mut fired);
-            for key in fired.drain(..) {
-                self.fire_timer(key, handler);
-            }
+            due.extend(fired.drain(..));
+            let taken = self.fire_due(&mut due, handler);
+            // What is left is the backlog's unfired rest plus this turn's
+            // own newcomers; only the newcomers are counted.
+            let deferred = due.len() - backlog.saturating_sub(taken);
+            self.inner.stats.timers_deferred.add(deferred as u64);
             self.sweep_closed(handler);
-            self.inner
-                .stats
-                .timer_entries
-                .set(self.inner.wheel.len() as i64);
+            let armed = self.inner.wheel.len() + due.len();
+            self.inner.stats.timer_entries.set(armed as i64);
         }
         Ok(())
     }
@@ -960,22 +1032,42 @@ impl<C: Send + 'static> Reactor<C> {
         }
     }
 
-    fn fire_timer<H: Handler<Cmd = C>>(&mut self, key: TimerKey, handler: &mut H) {
+    /// Fires due timers from the front of `due` until [`TIMERS_PER_TURN`]
+    /// callbacks ran or none is left, dropping stale entries on the way.
+    /// Returns how many entries it took.
+    fn fire_due<H: Handler<Cmd = C>>(
+        &mut self,
+        due: &mut VecDeque<TimerKey>,
+        handler: &mut H,
+    ) -> usize {
+        let (mut taken, mut callbacks) = (0, 0);
+        while callbacks < TIMERS_PER_TURN {
+            let Some(key) = due.pop_front() else {
+                break;
+            };
+            taken += 1;
+            callbacks += usize::from(self.fire_timer(key, handler));
+        }
+        taken
+    }
+
+    /// Dispatches `key` unless it is stale; says whether it did.
+    fn fire_timer<H: Handler<Cmd = C>>(&mut self, key: TimerKey, handler: &mut H) -> bool {
         let id = ConnId {
             idx: key.idx,
             gen: key.gen,
         };
         let Some(conn) = self.inner.conn_mut(id) else {
-            return; // connection gone or recycled: stale timer
+            return false; // connection gone or recycled: stale timer
         };
         // Only the latest arming of this kind is live; older ones were
         // cancelled or replaced.
-        if conn.timers.get(&key.kind) != Some(&key.seq) {
-            return;
+        if !conn.timers.remove(|&entry| entry == (key.kind, key.seq)) {
+            return false;
         }
-        conn.timers.remove(&key.kind);
         self.inner.stats.timer_fires.incr();
         self.dispatch(handler, |h, ctx| h.on_timer(ctx, id, key.kind));
+        true
     }
 
     fn sweep_closed<H: Handler<Cmd = C>>(&mut self, handler: &mut H) {

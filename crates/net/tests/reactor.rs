@@ -2,8 +2,8 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -552,4 +552,223 @@ fn an_idle_reactor_with_a_far_timer_sleeps_its_idle_wait() {
     assert!(waits <= 5, "{waits} epoll waits in 300 idle ms");
     assert_eq!(counter(&sink.monitor, "timer_entries"), 1);
     sink.stop();
+}
+
+/// Timers the backlog tests arm on one connection, all due together.
+const DUE_AT_ONCE: u32 = 256;
+/// The reactor's bound on timer callbacks per loop turn.
+const TIMERS_PER_TURN: usize = 64;
+/// Distance between two of those timers' deadlines: more than the
+/// wheel's 64 µs tick, so they come due in deadline order.
+const SPACING_US: u64 = 100;
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Seen {
+    Timer { kind: u32, at_us: u64 },
+    Data,
+}
+
+/// On a connection's byte `a`, arms [`DUE_AT_ONCE`] timers (kind `k` due
+/// at `base + 1 ms + k · SPACING_US`), tells the test, waits for it to
+/// write a byte on a second connection, and holds the reactor until the
+/// last deadline has passed. Every timer callback and every other read is
+/// logged. With `edits`, the callback of timer 10 cancels timer 200,
+/// re-arms 201 2 ms later and re-arms 202 at a deadline long past.
+struct BacklogHandler {
+    log: Arc<Mutex<Vec<Seen>>>,
+    /// `base`, then the re-armed deadline of timer 201.
+    clock: Arc<[AtomicU64; 2]>,
+    armed: mpsc::Sender<()>,
+    go: mpsc::Receiver<()>,
+    edits: bool,
+}
+
+impl Handler for BacklogHandler {
+    type Cmd = ();
+
+    fn on_command(&mut self, _: &mut Ctx<'_>, (): ()) {}
+    fn on_accept(&mut self, _: &mut Ctx<'_>, _: ConnId, _: u64) {}
+    fn on_close(&mut self, _: &mut Ctx<'_>, _: ConnId) {}
+
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
+        if data != b"a" {
+            self.log.lock().unwrap().push(Seen::Data);
+            return;
+        }
+        let base = ctx.now_us();
+        self.clock[0].store(base, Ordering::Release);
+        for kind in 0..DUE_AT_ONCE {
+            ctx.set_timer_at_us(conn, kind, deadline_us(base, kind));
+        }
+        self.armed.send(()).unwrap();
+        self.go.recv_timeout(Duration::from_secs(10)).unwrap();
+        let past_last = deadline_us(base, DUE_AT_ONCE - 1) + 1;
+        while let Some(left) = past_last.checked_sub(ctx.now_us()) {
+            std::thread::sleep(Duration::from_micros(left));
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, kind: u32) {
+        let at_us = ctx.now_us();
+        self.log.lock().unwrap().push(Seen::Timer { kind, at_us });
+        if self.edits && kind == 10 {
+            ctx.cancel_timer(conn, 200);
+            let rearmed = at_us + 2_000;
+            self.clock[1].store(rearmed, Ordering::Release);
+            ctx.set_timer_at_us(conn, 201, rearmed);
+            ctx.set_timer_at_us(conn, 202, 0);
+        }
+    }
+}
+
+fn deadline_us(base: u64, kind: u32) -> u64 {
+    base + 1_000 + u64::from(kind) * SPACING_US
+}
+
+struct Backlog {
+    log: Arc<Mutex<Vec<Seen>>>,
+    clock: Arc<[AtomicU64; 2]>,
+    monitor: Monitor,
+    handle: p2ps_net::Handle<()>,
+    thread: ReactorThread,
+}
+
+impl Backlog {
+    /// Runs the [`BacklogHandler`] scenario up to the moment the reactor
+    /// holds [`DUE_AT_ONCE`] due timers and a byte waits on a second
+    /// connection, then waits until `timers` timer callbacks were logged.
+    fn run(edits: bool, timers: usize) -> Backlog {
+        let monitor = Monitor::root();
+        let cfg = ReactorConfig {
+            monitor: monitor.clone(),
+            ..ReactorConfig::default()
+        };
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let clock = Arc::new([0, 0].map(AtomicU64::new));
+        let (armed, armed_rx) = mpsc::channel();
+        let (go_tx, go) = mpsc::channel();
+        let handler = BacklogHandler {
+            log: Arc::clone(&log),
+            clock: Arc::clone(&clock),
+            armed,
+            go,
+            edits,
+        };
+        let (addr, handle, thread) = serve(cfg, handler);
+        let backlog = Backlog {
+            log,
+            clock,
+            monitor,
+            handle,
+            thread,
+        };
+        // The second connection is accepted and read from before the
+        // timers are armed, so its next byte is one readiness event away.
+        let mut other = TcpStream::connect(addr).unwrap();
+        other.write_all(b"w").unwrap();
+        backlog.await_log(|log| log == [Seen::Data]);
+        let mut timed = TcpStream::connect(addr).unwrap();
+        timed.write_all(b"a").unwrap();
+        armed_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        other.write_all(b"b").unwrap();
+        go_tx.send(()).unwrap();
+        backlog.await_log(|log| {
+            let fired = log.iter().filter(|s| matches!(s, Seen::Timer { .. }));
+            fired.count() >= timers
+        });
+        backlog
+    }
+
+    fn await_log(&self, done: impl Fn(&[Seen]) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done(&self.log.lock().unwrap()) {
+            assert!(Instant::now() < deadline, "the reactor stalled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The logged timer callbacks, `(kind, at_us)`, and how many of them
+    /// came before the second connection's byte was read.
+    fn timers(&self) -> (Vec<(u32, u64)>, usize) {
+        let log = self.log.lock().unwrap();
+        let mut timers = Vec::new();
+        let mut before_data = None;
+        // Past the warm-up read.
+        for seen in &log[1..] {
+            match *seen {
+                Seen::Timer { kind, at_us } => timers.push((kind, at_us)),
+                Seen::Data => before_data = before_data.or(Some(timers.len())),
+            }
+        }
+        (timers, before_data.expect("the byte was read"))
+    }
+
+    fn stop(self) {
+        self.handle.shutdown();
+        self.thread.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn a_byte_waiting_behind_256_due_timers_is_read_before_the_65th_fires() {
+    let backlog = Backlog::run(false, DUE_AT_ONCE as usize);
+    let (timers, before_data) = backlog.timers();
+    assert_eq!(
+        before_data, TIMERS_PER_TURN,
+        "timer callbacks dispatched before the waiting byte was read"
+    );
+    // Every timer fired once, in deadline order, none before its deadline.
+    let kinds: Vec<u32> = timers.iter().map(|&(kind, _)| kind).collect();
+    assert_eq!(kinds, (0..DUE_AT_ONCE).collect::<Vec<_>>());
+    let base = backlog.clock[0].load(Ordering::Acquire);
+    for &(kind, at_us) in &timers {
+        let deadline = deadline_us(base, kind);
+        assert!(
+            at_us >= deadline,
+            "timer {kind} fired at {at_us} µs, due {deadline}"
+        );
+    }
+    // 192 timers came due in the first turn and were left to later ones;
+    // the polls that drained them were not sleeps, so none woke late.
+    assert_eq!(counter(&backlog.monitor, "timer_fires_total"), 256);
+    assert_eq!(counter(&backlog.monitor, "timers_deferred_total"), 192);
+    assert_eq!(counter(&backlog.monitor, "wake_late_total"), 0);
+    backlog.stop();
+}
+
+#[test]
+fn a_backlogged_timer_cancelled_or_rearmed_meanwhile_fires_only_as_rearmed() {
+    // Timer 10 fires in the first turn; 200–202 wait in the backlog.
+    let backlog = Backlog::run(true, DUE_AT_ONCE as usize - 1);
+    let (timers, _) = backlog.timers();
+    let kinds: Vec<u32> = timers.iter().map(|&(kind, _)| kind).collect();
+    let edited = [200, 201, 202];
+    let untouched: Vec<u32> = (0..DUE_AT_ONCE).filter(|k| !edited.contains(k)).collect();
+    assert_eq!(
+        kinds
+            .iter()
+            .copied()
+            .filter(|k| !edited.contains(k))
+            .collect::<Vec<_>>(),
+        untouched
+    );
+    assert!(!kinds.contains(&200), "a cancelled timer fired");
+    let fires_of = |kind| timers.iter().filter(|&&(k, _)| k == kind).count();
+    assert_eq!(fires_of(201), 1, "timer 201 fires once, as re-armed");
+    assert_eq!(fires_of(202), 1, "timer 202 fires once, as re-armed");
+    let rearmed = backlog.clock[1].load(Ordering::Acquire);
+    let (_, at_us) = timers.iter().find(|&&(k, _)| k == 201).unwrap();
+    assert!(
+        *at_us >= rearmed,
+        "timer 201 fired at {at_us} µs, re-armed for {rearmed}"
+    );
+    // Re-armed in the past, 202 came due in the second turn: behind the
+    // whole backlog, not at its old place in it.
+    let last_untouched = kinds.iter().position(|&k| k == DUE_AT_ONCE - 1).unwrap();
+    let rearmed_202 = kinds.iter().position(|&k| k == 202).unwrap();
+    assert!(
+        rearmed_202 > last_untouched,
+        "timer 202 fired at its old place: {kinds:?}"
+    );
+    backlog.stop();
 }

@@ -268,6 +268,7 @@ fn render_status(text: &str) -> String {
             "wake-max-us",
             "overruns",
             "turn-max-us",
+            "deferred",
         ]);
         for r in &reactors {
             let labels = [("reactor", *r)];
@@ -289,6 +290,7 @@ fn render_status(text: &str) -> String {
                 cell("p2ps_reactor_wake_late_us_max"),
                 cell("p2ps_reactor_turn_overrun_total"),
                 cell("p2ps_reactor_turn_us_max"),
+                cell("p2ps_reactor_timers_deferred_total"),
             ]);
         }
         out.push_str("reactors:\n");

@@ -347,7 +347,10 @@ impl ReqSessions {
         let Some(mut rc) = self.conns.remove(&conn) else {
             return;
         };
-        rc.last_ms = ctx.now_ms();
+        // The frames of one read arrived together: one clock reading
+        // stamps them all.
+        let now_us = ctx.now_us();
+        rc.last_ms = now_us / 1_000;
         rc.dec.feed(data);
         // Payload bytes of the planned-share segments this burst
         // delivered; `Some` once one arrived.
@@ -358,7 +361,7 @@ impl ReqSessions {
             }
             match rc.dec.poll() {
                 Ok(Some(msg)) => {
-                    let at_us = sess.start_us.map_or(0, |start| ctx.now_us() - start);
+                    let at_us = sess.start_us.map_or(0, |start| now_us - start);
                     let flow = match msg {
                         // Only a planned share's segments are progress: one
                         // from a lane still answering the round goes to the
@@ -386,7 +389,7 @@ impl ReqSessions {
                     sess.machine.on_lane_closed(rc.lane);
                 }
             }
-            if drain(ctx, &mut self.conns, sess) {
+            if drain(ctx, &mut self.conns, sess, now_us) {
                 self.finish(ctx, rc.session);
             }
         }
@@ -540,7 +543,8 @@ impl ReqSessions {
         let Some(sess) = self.sessions.get_mut(&session) else {
             return;
         };
-        if drain(ctx, &mut self.conns, sess) {
+        let now_us = ctx.now_us();
+        if drain(ctx, &mut self.conns, sess, now_us) {
             self.finish(ctx, session);
         } else {
             sess.sync();
@@ -612,9 +616,15 @@ impl ReqSession {
 }
 
 /// Ships `sess`'s pending machine actions on its lanes' connections and
-/// publishes the hand-off to streaming. Returns whether the machine has
-/// a verdict, after which the session must be finished.
-fn drain(ctx: &mut Ctx<'_>, conns: &mut HashMap<ConnId, ReqConn>, sess: &mut ReqSession) -> bool {
+/// publishes the hand-off to streaming, which happened at `now_us`.
+/// Returns whether the machine has a verdict, after which the session
+/// must be finished.
+fn drain(
+    ctx: &mut Ctx<'_>,
+    conns: &mut HashMap<ConnId, ReqConn>,
+    sess: &mut ReqSession,
+    now_us: u64,
+) -> bool {
     while let Some(action) = sess.machine.pop_action() {
         match action {
             RequesterAction::Send { lane, msg } => {
@@ -635,7 +645,6 @@ fn drain(ctx: &mut Ctx<'_>, conns: &mut HashMap<ConnId, ReqConn>, sess: &mut Req
     if sess.start_us.is_none() {
         if let Some(driver) = sess.machine.driver() {
             // Admitted and planned: the watchdog measures from here.
-            let now_us = ctx.now_us();
             sess.start_us = Some(now_us);
             for conn in sess.lane_conns.iter().flatten() {
                 if let Some(rc) = conns.get_mut(conn) {

@@ -292,11 +292,14 @@ impl Handler for NodeServeHandler {
             self.finish(ctx, conn, Flow::Close);
             return;
         }
-        // Sends every segment whose §3 deadline `(p+1)·spp·δt` has
-        // passed, then re-arms the timer for the next one.
+        // Sends every segment whose §3 deadline `(p+1)·spp·δt` had
+        // passed when the callback began, then re-arms the timer for the
+        // next one. One clock reading serves the whole catch-up: a send
+        // decided against an earlier instant is never early.
+        let now_us = ctx.now_us();
         let flow = loop {
             let backlog = ctx.pending_write_bytes(conn);
-            match st.conn.on_timer(ctx.now_us(), backlog, &mut &*st.shared) {
+            match st.conn.on_timer(now_us, backlog, &mut &*st.shared) {
                 Pace::Send(index) => {
                     let Some(file) = &st.file else {
                         break Flow::Close;

@@ -237,6 +237,7 @@ fn status_subcommand_renders_a_live_directory() {
         "queued-bytes",
         "late-wakes",
         "turn-max-us",
+        "deferred",
         "index stripes: 16",
         "sessions",
     ] {
