@@ -21,8 +21,8 @@
 //!   but registration happens at attach/session boundaries, never on
 //!   the per-segment serving path.
 //! * **Consumers** — [`Monitor::snapshot`] walks the live tree into a
-//!   [`Snapshot`] whose rows keep *handles* (an observer like a stall
-//!   watchdog can both read fresh values and flip a state cell), and
+//!   [`Snapshot`] whose rows keep *handles* (an observer can both read
+//!   fresh values and flip a state cell), and
 //!   renders as Prometheus text exposition
 //!   ([`Snapshot::to_prometheus`]) or feeds human tables
 //!   (`p2psd status`). [`StatusServer`] serves the exposition over a

@@ -201,8 +201,8 @@ impl Monitor {
     }
 
     /// Walks the live tree rooted here into a [`Snapshot`]. Rows carry
-    /// *live* handles: reading a row later re-reads the atomic, and a
-    /// watchdog can flip a [`StateCell`] through the row it found.
+    /// *live* handles: reading a row later re-reads the atomic, and an
+    /// observer can flip a [`StateCell`] through the row it found.
     pub fn snapshot(&self) -> Snapshot {
         let mut nodes = Vec::new();
         let mut path = Vec::new();
@@ -675,8 +675,8 @@ impl SnapshotMetric {
         &self.help
     }
 
-    /// The live handle; lets observers (the stall watchdog) write state
-    /// cells through a snapshot row.
+    /// The live handle; lets observers write state cells through a
+    /// snapshot row.
     pub fn handle(&self) -> &MetricHandle {
         &self.handle
     }

@@ -115,9 +115,9 @@ impl SessionDriver {
         for (class, plan) in lanes {
             classes.push(*class);
             sm.add_supplier(plan.expanded());
-            // The stall watchdog's healthy bound: the slowest lane's §3
-            // pacing stride `spp · δt` (explicit one-shot plans pace at
-            // the supplier's class rate).
+            // The healthy gap between a lane's segments: the slowest
+            // lane's §3 pacing stride `spp · δt` (explicit one-shot plans
+            // pace at the supplier's class rate).
             stride_ms =
                 stride_ms.max(plan.stride_slots(u64::from(class.slots_per_segment())) * dt_ms);
         }
@@ -143,8 +143,8 @@ impl SessionDriver {
         self.dt_ms
     }
 
-    /// Worst-case healthy ms between consecutive segments — the stall
-    /// watchdog's per-session stride bound.
+    /// Worst-case healthy ms between consecutive segments of a lane —
+    /// what the reactor's per-lane progress deadline adds its grace to.
     pub fn stride_ms(&self) -> u64 {
         self.stride_ms
     }
@@ -210,7 +210,7 @@ impl SessionDriver {
     }
 
     /// The supplier on `lane` was lost (connection drop, corrupt stream,
-    /// read timeout, adoption failure). Its undelivered share is
+    /// missed progress deadline, adoption failure). Its undelivered share is
     /// replanned over the surviving lanes.
     pub fn on_failure(&mut self, lane: usize) -> DriverStep {
         self.live[lane] = false;

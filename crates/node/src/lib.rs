@@ -76,7 +76,6 @@ mod requester;
 mod serve;
 mod supplier;
 mod swarm;
-mod watchdog;
 
 pub use args::{Args, ArgsError};
 pub use clock::Clock;
@@ -85,6 +84,5 @@ pub use driver::{DriverStep, SessionDriver};
 pub use error::NodeError;
 pub use machine::{RequesterAction, RequesterMachine};
 pub use node::{NodeConfig, PeerNode, PendingStream, StreamOutcome};
-pub use serve::NodeReactor;
+pub use serve::{NodeReactor, WatchdogConfig};
 pub use swarm::Swarm;
-pub use watchdog::WatchdogConfig;

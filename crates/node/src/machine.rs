@@ -196,8 +196,17 @@ impl RequesterMachine {
         self.lanes[lane].stream.is_some()
     }
 
+    /// Whether `lane` streams a share with segments still to come — the
+    /// lanes a host holds to a progress deadline.
+    pub fn owes(&self, lane: usize) -> bool {
+        match (self.lanes[lane].stream, &self.stream) {
+            (Some(slot), Some(stream)) => stream.driver.machine().owes(slot),
+            _ => false,
+        }
+    }
+
     /// The streaming session once the round admitted: reassembly
-    /// progress, the watchdog stride, the lane classes.
+    /// progress, the plan's stride, the lane classes.
     pub fn driver(&self) -> Option<&SessionDriver> {
         self.stream.as_ref().map(|s| &s.driver)
     }
@@ -284,8 +293,8 @@ impl RequesterMachine {
         Flow::Close
     }
 
-    /// `lane`'s transport is gone — refused connect, peer close, read
-    /// timeout, undecodable bytes. During the round the lane settles as
+    /// `lane`'s transport is gone — refused connect, peer close, missed
+    /// progress deadline, undecodable bytes. During the round the lane settles as
     /// refused; once it streams, its undelivered share is replanned over
     /// the survivors. The host closes its own end.
     pub fn on_lane_closed(&mut self, lane: usize) {
@@ -306,19 +315,6 @@ impl RequesterMachine {
                 self.pump_admission();
             }
         }
-    }
-
-    /// Gives the session up as [`NodeError::SuppliersLost`] with whatever
-    /// is still missing — the stall watchdog's last resort once its
-    /// recovery attempts ran out.
-    pub(crate) fn give_up(&mut self) {
-        if self.end.is_some() {
-            return;
-        }
-        let missing = self.driver().map_or(self.info.segment_count(), |d| {
-            d.machine().total_segments() - d.machine().received()
-        });
-        self.apply(DriverStep::Failed(NodeError::SuppliersLost { missing }));
     }
 
     /// Moves the admission driver's actions into the queue — lanes whose
@@ -888,14 +884,20 @@ mod tests {
         ));
     }
 
+    /// What a host's progress deadline relies on: a lane owes while its
+    /// share has segments to come, and cutting the last one that owes
+    /// gives the session up with what is still missing.
     #[test]
-    fn giving_up_fails_with_what_is_still_missing() {
+    fn losing_the_last_owing_lane_gives_up_with_what_is_still_missing() {
         let mut m = machine(4, &[1], SharedPolicy::default());
         m.start();
+        assert!(!m.owes(0), "a candidate in the round owes nothing");
         grant(&mut m, 0);
         segment(&mut m, 0, 0);
         drain(&mut m);
-        m.give_up();
+        assert!(m.owes(0));
+        m.on_lane_closed(0);
+        assert!(!m.owes(0), "a lost lane owes nothing");
         assert_eq!(
             drain(&mut m),
             vec![Record(SessionEvent::GaveUp { missing: 3 })]

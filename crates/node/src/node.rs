@@ -165,7 +165,8 @@ impl PeerNode {
     pub fn spawn_seed(config: NodeConfig, clock: Clock) -> io::Result<Self> {
         let reactor = NodeReactor::with_threads(config.threads)?;
         let monitor = reactor.monitor().clone();
-        Self::spawn_seed_inner(config, clock, ReactorRef::Owned(reactor), monitor)
+        let file = reactor.seed_file(&config.info);
+        Self::spawn_seed_inner(config, clock, file, ReactorRef::Owned(reactor), monitor)
     }
 
     /// Like [`spawn`](Self::spawn), but hosted on a shared
@@ -197,23 +198,25 @@ impl PeerNode {
         clock: Clock,
         reactor: &NodeReactor,
     ) -> io::Result<Self> {
+        let file = reactor.seed_file(&config.info);
         Self::spawn_seed_inner(
             config,
             clock,
+            file,
             ReactorRef::Shared(reactor.handle().clone()),
             reactor.monitor().clone(),
         )
     }
 
-    /// A seed's start: synthesize the whole file, start the node on
-    /// `reactor` with it, register the node with the directory.
+    /// A seed's start: start the node on `reactor` with the whole file,
+    /// register the node with the directory.
     fn spawn_seed_inner(
         config: NodeConfig,
         clock: Clock,
+        file: MediaFile,
         reactor: ReactorRef,
         monitor: Monitor,
     ) -> io::Result<Self> {
-        let file = MediaFile::synthesize(config.info.clone());
         let node = Self::spawn_inner(config, clock, Some(file), reactor, monitor)?;
         node.register()?;
         Ok(node)
@@ -354,10 +357,11 @@ impl PeerNode {
     }
 
     /// Starts one streaming session without blocking: connects to the
-    /// candidates (loopback, bounded), then hands the whole session to
-    /// the node's reactor pool, where a sans-io
+    /// candidates on the calling thread, one after another, each connect
+    /// bounded by a 1 s timeout, then hands the whole session to the
+    /// node's reactor pool. There a sans-io
     /// [`RequesterMachine`](crate::RequesterMachine) probes **every**
-    /// candidate lane concurrently — N candidates cost ~max(RTT), not
+    /// candidate lane concurrently — the §4.2 round costs ~max(RTT), not
     /// Σ(RTT) — and, on admission, plans and receives the stream over
     /// the granted connections it already holds. No reader threads
     /// anywhere. The returned [`PendingStream`] resolves to the
@@ -401,13 +405,8 @@ impl PeerNode {
         for rec in &candidates {
             classes.push(rec.class);
             let addr = SocketAddr::from(([127, 0, 0, 1], rec.port));
-            let stream = std::net::TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
-                .and_then(|s| {
-                    s.set_nodelay(true)?;
-                    Ok(s)
-                })
-                .ok();
-            streams.push(stream);
+            // The reactor sets TCP_NODELAY when it adopts the stream.
+            streams.push(std::net::TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).ok());
         }
         let (done, rx) = std::sync::mpsc::channel();
         pool.shard(session)

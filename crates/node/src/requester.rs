@@ -19,6 +19,15 @@
 //! `SessionPlan`s that surviving suppliers append to their schedules.
 //! Only when no survivor remains (or a replan cannot cover the gap) does
 //! the session fail, with [`NodeError::SuppliersLost`].
+//!
+//! Each lane's one timer keeps a **progress deadline**, judged on whole
+//! units of progress, never on bytes: a candidate must deliver a decoded
+//! reply within [`ADMISSION_REPLY_TIMEOUT_MS`] of its `StreamRequest`,
+//! and a streaming lane that still owes segments must deliver a new one
+//! within the plan's stride plus the grace of the hand-off or of its last
+//! one. A lane that owes nothing is not judged. A lane past its deadline
+//! takes the loss path above, so a peer that freezes or dribbles bytes
+//! costs its own lane and nothing else.
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -34,40 +43,22 @@ use p2ps_proto::{Flow, FrameDecoder, Message, RequesterSession, SessionEvent};
 use crate::serve::send;
 use crate::{NodeError, RequesterAction, RequesterMachine, StreamOutcome};
 
-/// How long a candidate may stay silent after its `StreamRequest` before
-/// its lane settles as refused. One frozen candidate delays the round by
-/// at most this much (and only when it precedes the deciding prefix in
-/// class order).
+/// How long a candidate has, from its `StreamRequest`, to deliver a whole
+/// decoded reply before its lane settles as refused. Bytes that complete
+/// no frame do not extend it: one frozen or dribbling candidate delays
+/// the round by at most this much (and only when it precedes the
+/// deciding prefix in class order).
 const ADMISSION_REPLY_TIMEOUT_MS: u64 = 2_000;
 
-/// A supplier that goes quiet for this long mid-stream is treated as
-/// departed. One read timer per lane sits on the reactor wheel: inbound
-/// bytes only move the lane's `last_ms`, and the timer, when it fires,
-/// re-arms itself for what is left of the quiet period.
-const STREAM_READ_TIMEOUT_MS: u64 = 30_000;
-
-/// The requester-side read-progress timer kind.
-const K_REQ_READ: u32 = 0;
-
-/// How many watchdog-driven recovery rounds a session may burn without a
-/// single segment arriving before it is written off as
-/// [`NodeError::SuppliersLost`]. Any real segment arrival resets the
-/// budget — the bound caps *fruitless* recoveries, not lifetime ones.
-const MAX_RECOVERY_ATTEMPTS: u32 = 3;
+/// The requester lane's one timer: its progress deadline.
+const K_LANE_DUE: u32 = 0;
 
 /// Every state a session probe can report: the four
-/// [`SessionPhase`](p2ps_proto::SessionPhase) names plus the watchdog's
-/// `stalled` verdict.
-const SESSION_STATES: &[&str] = &[
-    "probing",
-    "streaming",
-    "reassembling",
-    "complete",
-    "stalled",
-];
+/// [`SessionPhase`](p2ps_proto::SessionPhase) names.
+const SESSION_STATES: &[&str] = &["probing", "streaming", "reassembling", "complete"];
 
 /// One session's monitor scope: the gauges and state cell the status
-/// endpoint and the stall watchdog read.
+/// endpoint reads.
 ///
 /// Created on the caller's thread *before* admission (so the `probing`
 /// phase is visible while the §4.2 handshake runs) and carried into the
@@ -134,8 +125,7 @@ impl SessionProbe {
     }
 
     /// The round admitted and the plan shipped: record the plan's worst
-    /// stride and reset the progress clock so the watchdog measures from
-    /// the hand-off.
+    /// stride and reset the progress clock to the hand-off.
     fn launched(&self, sm: &RequesterSession, stride_ms: u64, theoretical_us: u64) {
         self.stride_ms.set(stride_ms as i64);
         self.startup_lateness_us.set(-(theoretical_us as i64));
@@ -145,9 +135,7 @@ impl SessionProbe {
 
     /// Segments of a planned share arrived: count their payload and move
     /// the progress clock, once per read burst however many segments it
-    /// carried. The [`sync`](Self::sync) that follows every burst is the
-    /// stall *recovery* path — its state write moves a `stalled` session
-    /// back to its live phase.
+    /// carried.
     fn progress(&self, payload_bytes: u64) {
         self.bytes_received.add(payload_bytes);
         self.last_progress_ms.set(monotonic_ms() as i64);
@@ -251,12 +239,18 @@ struct ReqSession {
     machine: RequesterMachine,
     /// Candidate lane → live connection (None once closed).
     lane_conns: Vec<Option<ConnId>>,
+    /// Candidate lane → its progress deadline in reactor ms; `None` while
+    /// the lane owes nothing. The lane's timer is armed no later than it.
+    due_ms: Vec<Option<u64>>,
+    /// How long a streaming lane that owes segments may go without a new
+    /// one: the plan's stride plus the grace. Set at the hand-off.
+    bound_ms: u64,
     /// Reactor time of the hand-off to streaming, in µs: segment
     /// arrivals are recorded relative to it. `None` while probing.
     start_us: Option<u64>,
-    /// Watchdog-driven recovery rounds burned since the last segment
-    /// arrival (any arrival resets it; `MAX_RECOVERY_ATTEMPTS` caps it).
-    recovery_attempts: u32,
+    /// Lanes cut for missing their deadline so far: the `attempt` number
+    /// of the recovery events.
+    stalls: u64,
     probe: SessionProbe,
     done: Sender<SessionResult>,
 }
@@ -266,30 +260,57 @@ struct ReqConn {
     session: u64,
     lane: usize,
     dec: FrameDecoder,
-    /// Reactor time of the lane's last inbound bytes (or of the
-    /// hand-off): what its read timer and stall recovery's
-    /// pick-the-worst-lane step measure quiet from.
-    last_ms: u64,
 }
 
 /// All requester sessions hosted on one reactor shard, from the first
 /// `StreamRequest` to the last segment. Owned by the node's serve
 /// handler; every callback is dispatched here when the connection
 /// belongs to a requester lane.
-#[derive(Default)]
 pub(crate) struct ReqSessions {
     sessions: HashMap<u64, ReqSession>,
     conns: HashMap<ConnId, ReqConn>,
+    /// Slack past the plan's stride before a streaming lane that owes
+    /// segments is cut.
+    grace_ms: u64,
+    /// Streaming lanes cut for missing their progress deadline.
+    stalls: Counter,
+    /// Cuts whose share the surviving suppliers took over.
+    recoveries: Counter,
+    /// Cuts that ended the session.
+    giveups: Counter,
 }
 
 impl ReqSessions {
+    /// No sessions yet. The three stall counters live on `root`, where
+    /// every shard's `new` finds the same ones, so the totals are
+    /// process-wide.
+    pub(crate) fn new(root: &Monitor, grace_ms: u64) -> ReqSessions {
+        ReqSessions {
+            sessions: HashMap::new(),
+            conns: HashMap::new(),
+            grace_ms,
+            stalls: root.counter(
+                "watchdog_stalls_total",
+                "streaming lanes cut for missing their progress deadline",
+            ),
+            recoveries: root.counter(
+                "watchdog_recoveries_total",
+                "stalls whose share was replanned onto surviving suppliers",
+            ),
+            giveups: root.counter(
+                "watchdog_giveups_total",
+                "stalls that ended the session as SuppliersLost",
+            ),
+        }
+    }
+
     /// Whether `conn` is a requester-side connection on this shard.
     pub(crate) fn owns(&self, conn: ConnId) -> bool {
         self.conns.contains_key(&conn)
     }
 
     /// Hosts a new session: adopts every lane's connection, arms its
-    /// read timer and lets the machine burst the `StreamRequest`s. Lanes
+    /// reply deadline and lets the machine burst the `StreamRequest`s. Lanes
     /// whose connect or adoption failed settle as refused. May resolve
     /// at once (no live candidate).
     pub(crate) fn start(&mut self, ctx: &mut Ctx<'_>, launch: RequestLaunch) {
@@ -304,8 +325,9 @@ impl ReqSessions {
             done,
         } = launch;
         let mut machine = RequesterMachine::new(session, class, info, policy, &classes);
-        let now_ms = ctx.now_ms();
+        let reply_due_ms = ctx.now_ms() + ADMISSION_REPLY_TIMEOUT_MS;
         let mut lane_conns = Vec::with_capacity(streams.len());
+        let mut due_ms = Vec::with_capacity(streams.len());
         for (lane, stream) in streams.into_iter().enumerate() {
             match stream.map(|s| ctx.adopt(s)) {
                 Some(Ok(conn)) => {
@@ -315,15 +337,16 @@ impl ReqSessions {
                             session,
                             lane,
                             dec: FrameDecoder::new(),
-                            last_ms: now_ms,
                         },
                     );
-                    ctx.set_timer(conn, K_REQ_READ, ADMISSION_REPLY_TIMEOUT_MS);
+                    arm(ctx, conn, reply_due_ms);
                     lane_conns.push(Some(conn));
+                    due_ms.push(Some(reply_due_ms));
                 }
                 Some(Err(_)) | None => {
                     machine.on_lane_closed(lane);
                     lane_conns.push(None);
+                    due_ms.push(None);
                 }
             }
         }
@@ -333,8 +356,10 @@ impl ReqSessions {
             ReqSession {
                 machine,
                 lane_conns,
+                due_ms,
+                bound_ms: 0,
                 start_us: None,
-                recovery_attempts: 0,
+                stalls: 0,
                 probe,
                 done,
             },
@@ -350,7 +375,6 @@ impl ReqSessions {
         // The frames of one read arrived together: one clock reading
         // stamps them all.
         let now_us = ctx.now_us();
-        rc.last_ms = now_us / 1_000;
         rc.dec.feed(data);
         // Payload bytes of the planned-share segments this burst
         // delivered; `Some` once one arrived.
@@ -372,9 +396,16 @@ impl ReqSessions {
                             ref payload,
                         } if session == rc.session && sess.machine.streams_on(rc.lane) => {
                             *burst_bytes.get_or_insert(0) += payload.len() as u64;
-                            sess.on_segment(rc.lane, index, msg, at_us)
+                            sess.on_segment(ctx, rc.lane, index, msg, at_us, now_us / 1_000)
                         }
-                        _ => sess.machine.on_message(rc.lane, msg, at_us),
+                        _ => {
+                            if !sess.machine.streams_on(rc.lane) {
+                                // The candidate answered the round: it owes
+                                // nothing until the hand-off gives it a share.
+                                sess.due_ms[rc.lane] = None;
+                            }
+                            sess.machine.on_message(rc.lane, msg, at_us)
+                        }
                     };
                     if flow != Flow::Keep {
                         sess.lane_conns[rc.lane] = None;
@@ -389,7 +420,7 @@ impl ReqSessions {
                     sess.machine.on_lane_closed(rc.lane);
                 }
             }
-            if drain(ctx, &mut self.conns, sess, now_us) {
+            if drain(ctx, &mut self.conns, sess, now_us, self.grace_ms) {
                 self.finish(ctx, rc.session);
             }
         }
@@ -410,29 +441,56 @@ impl ReqSessions {
         }
     }
 
-    /// The lane's read timer fired. A candidate gets
-    /// [`ADMISSION_REPLY_TIMEOUT_MS`] to answer the round, a streaming
-    /// supplier [`STREAM_READ_TIMEOUT_MS`] between bursts; a lane that
-    /// spoke since the timer was armed waits out the rest.
+    /// The lane's timer fired. A lane that owes nothing is not judged; one
+    /// whose deadline moved on since the timer was armed waits out the
+    /// rest. A candidate past its reply deadline settles as refused. A
+    /// streaming lane past its progress deadline is a stall: it is cut,
+    /// and the machine replans its share over the survivors or gives the
+    /// session up — the same loss path a dropped connection takes.
     pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _kind: u32) {
         let Some(rc) = self.conns.get(&conn) else {
             return;
         };
-        let Some(sess) = self.sessions.get(&rc.session) else {
+        let (session, lane) = (rc.session, rc.lane);
+        let Some(sess) = self.sessions.get_mut(&session) else {
             return;
         };
-        let quiet_bound = if sess.machine.streams_on(rc.lane) {
-            STREAM_READ_TIMEOUT_MS
-        } else {
-            ADMISSION_REPLY_TIMEOUT_MS
+        let Some(due_ms) = sess.due_ms[lane] else {
+            return;
         };
-        let quiet_ms = ctx.now_ms().saturating_sub(rc.last_ms);
-        if quiet_ms < quiet_bound {
-            ctx.set_timer(conn, K_REQ_READ, quiet_bound - quiet_ms);
+        let now_ms = ctx.now_ms();
+        if now_ms < due_ms {
+            arm(ctx, conn, due_ms);
             return;
         }
-        let (session, lane) = (rc.session, rc.lane);
+        if !sess.machine.streams_on(lane) {
+            self.fail_lane(ctx, session, lane);
+            return;
+        }
+        let lag_ms = sess.bound_ms.saturating_add(now_ms - due_ms);
+        sess.stalls += 1;
+        let attempt = sess.stalls;
+        sess.probe.record(SessionEvent::StallFlagged { lag_ms });
+        sess.probe.record(SessionEvent::RecoveryStarted {
+            lane: lane as u64,
+            attempt,
+        });
+        self.stalls.incr();
+        eprintln!(
+            "p2ps-watchdog: stall session={session} lane={lane} lag_ms={lag_ms} bound_ms={}",
+            sess.bound_ms
+        );
         self.fail_lane(ctx, session, lane);
+        match self.sessions.get(&session) {
+            // Survivors absorbed the share: the session is recovering.
+            Some(sess) => {
+                self.recoveries.incr();
+                sess.probe.record(SessionEvent::Recovered { attempt });
+            }
+            // The cut lane was the last hope: the machine already
+            // finished the session with its own verdict.
+            None => self.giveups.incr(),
+        }
     }
 
     /// The lane's connection dropped (peer close or I/O error).
@@ -461,82 +519,6 @@ impl ReqSessions {
         self.pump(ctx, session);
     }
 
-    /// Watchdog-escalated stall recovery: fail the *stalest* live lane
-    /// and let the ordinary loss path replan its share over the
-    /// survivors — the same [`SelectionPolicy::replan`] route a
-    /// connection drop takes, so recovery exercises no special machinery.
-    ///
-    /// One attempt settles exactly one lane. At session-stall time every
-    /// live lane has been quiet past the watchdog bound (healthy lanes
-    /// that drained their schedule ended cleanly and are no longer
-    /// live), so the oldest `last_ms` points at the supplier most likely
-    /// wedged; the survivors get its share and the session flips back to
-    /// `streaming` while the new plan ships. If segments still don't
-    /// arrive the watchdog re-flags and the next attempt fails the next
-    /// stalest lane — bounded by [`MAX_RECOVERY_ATTEMPTS`] fruitless
-    /// rounds, after which the session fails with
-    /// [`NodeError::SuppliersLost`].
-    ///
-    /// Spurious escalations (progress resumed between the flag and this
-    /// command, or the session already finished) are ignored without
-    /// burning an attempt.
-    pub(crate) fn recover(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        session: u64,
-        grace_ms: u64,
-        recoveries: &Counter,
-        giveups: &Counter,
-    ) {
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return; // already finished — the flag raced the outcome
-        };
-        let Some(driver) = sess.machine.driver() else {
-            return; // still probing: the round's own timers settle it
-        };
-        let now = ctx.now_ms();
-        let quiet_bound = driver.stride_ms() + grace_ms;
-        // The stalest streaming lane: oldest last inbound bytes, and only
-        // if genuinely quiet past the watchdog's own bound.
-        let stalest = sess
-            .lane_conns
-            .iter()
-            .flatten()
-            .filter_map(|conn| self.conns.get(conn))
-            .filter(|rc| sess.machine.streams_on(rc.lane))
-            .filter(|rc| now.saturating_sub(rc.last_ms) > quiet_bound)
-            .min_by_key(|rc| rc.last_ms)
-            .map(|rc| rc.lane);
-        let Some(lane) = stalest else {
-            return; // every lane spoke recently: nothing to cut loose
-        };
-        sess.recovery_attempts += 1;
-        let attempt = sess.recovery_attempts;
-        sess.probe.record(SessionEvent::RecoveryStarted {
-            lane: lane as u64,
-            attempt: u64::from(attempt),
-        });
-        if attempt > MAX_RECOVERY_ATTEMPTS {
-            giveups.incr();
-            sess.machine.give_up();
-            self.pump(ctx, session);
-            return;
-        }
-        self.fail_lane(ctx, session, lane);
-        match self.sessions.get(&session) {
-            // Survivors absorbed the share: the session is recovering.
-            Some(sess) => {
-                recoveries.incr();
-                sess.probe.record(SessionEvent::Recovered {
-                    attempt: u64::from(attempt),
-                });
-            }
-            // The failed lane was the last hope: the machine already
-            // finished the session with its own verdict.
-            None => giveups.incr(),
-        }
-    }
-
     /// Ships the machine's pending actions, then finishes the session once
     /// it has a verdict or re-publishes its phase, received and owed.
     fn pump(&mut self, ctx: &mut Ctx<'_>, session: u64) {
@@ -544,7 +526,7 @@ impl ReqSessions {
             return;
         };
         let now_us = ctx.now_us();
-        if drain(ctx, &mut self.conns, sess, now_us) {
+        if drain(ctx, &mut self.conns, sess, now_us, self.grace_ms) {
             self.finish(ctx, session);
         } else {
             sess.sync();
@@ -589,22 +571,51 @@ impl ReqSessions {
 }
 
 impl ReqSession {
-    /// Feeds segment `index` of `lane`'s planned share (`msg`) to the
-    /// machine. A first arrival moves the start-up lateness gauge, and
-    /// any arrival pays back the recovery budget.
-    fn on_segment(&mut self, lane: usize, index: u64, msg: Message, at_us: u64) -> Flow {
+    /// Feeds segment `index` of `lane`'s planned share (`msg`), received
+    /// at `now_ms`, to the machine. A first arrival is progress: it moves
+    /// the start-up lateness gauge and the lane's deadline to a stride
+    /// and a grace from now. A lane whose share is drained owes nothing
+    /// and is no longer judged.
+    fn on_segment(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        lane: usize,
+        index: u64,
+        msg: Message,
+        at_us: u64,
+        now_ms: u64,
+    ) -> Flow {
         let received = |m: &RequesterMachine| m.driver().map_or(0, |d| d.machine().received());
         let had = received(&self.machine);
         let flow = self.machine.on_message(lane, msg, at_us);
-        if received(&self.machine) > had {
+        let first = received(&self.machine) > had;
+        if first {
             let dt_ms = self.machine.info().segment_duration().as_millis();
             self.probe.arrived(
                 lateness_us(at_us, index, dt_ms),
                 self.machine.theoretical_delay_ms() * 1_000,
             );
         }
-        self.recovery_attempts = 0;
+        let due_ms = match (self.machine.owes(lane), first) {
+            (false, _) => None,
+            (true, true) => Some(now_ms.saturating_add(self.bound_ms)),
+            (true, false) => self.due_ms[lane],
+        };
+        self.set_due(ctx, lane, due_ms);
         flow
+    }
+
+    /// Moves `lane`'s progress deadline to `due_ms` (`None`: not judged).
+    /// The timer is re-armed only when the deadline comes earlier than
+    /// before; a later one is caught up with when the timer fires, so
+    /// steady progress costs no timer traffic.
+    fn set_due(&mut self, ctx: &mut Ctx<'_>, lane: usize, due_ms: Option<u64>) {
+        let old = std::mem::replace(&mut self.due_ms[lane], due_ms);
+        if let (Some(due), Some(conn)) = (due_ms, self.lane_conns[lane]) {
+            if old.is_none_or(|old| due < old) {
+                arm(ctx, conn, due);
+            }
+        }
     }
 
     /// Re-publishes phase, received and owed on the session's probe.
@@ -615,21 +626,45 @@ impl ReqSession {
     }
 }
 
-/// Ships `sess`'s pending machine actions on its lanes' connections and
-/// publishes the hand-off to streaming, which happened at `now_us`.
-/// Returns whether the machine has a verdict, after which the session
-/// must be finished.
+/// Arms `conn`'s lane timer for `due_ms` on the reactor clock.
+fn arm(ctx: &mut Ctx<'_>, conn: ConnId, due_ms: u64) {
+    ctx.set_timer_at_us(conn, K_LANE_DUE, due_ms.saturating_mul(1_000));
+}
+
+/// Publishes the hand-off to streaming, which happened at `now_us`, and
+/// ships `sess`'s pending machine actions on its lanes' connections. A
+/// lane a `StartSession` hands a share to is judged from `now_us` on,
+/// with `grace_ms` past the plan's stride. Returns whether the machine
+/// has a verdict, after which the session must be finished.
 fn drain(
     ctx: &mut Ctx<'_>,
     conns: &mut HashMap<ConnId, ReqConn>,
     sess: &mut ReqSession,
     now_us: u64,
+    grace_ms: u64,
 ) -> bool {
+    if sess.start_us.is_none() {
+        if let Some(driver) = sess.machine.driver() {
+            // Admitted and planned: arrivals and deadlines count from here.
+            sess.start_us = Some(now_us);
+            sess.bound_ms = driver.stride_ms().saturating_add(grace_ms);
+            sess.probe.launched(
+                driver.machine(),
+                driver.stride_ms(),
+                sess.machine.theoretical_delay_ms() * 1_000,
+            );
+        }
+    }
     while let Some(action) = sess.machine.pop_action() {
         match action {
             RequesterAction::Send { lane, msg } => {
                 if let Some(conn) = sess.lane_conns[lane] {
                     send(ctx, conn, &msg);
+                }
+                let handed_a_share = matches!(msg, Message::StartSession { .. });
+                if handed_a_share && sess.due_ms[lane].is_none() && sess.machine.owes(lane) {
+                    let due_ms = (now_us / 1_000).saturating_add(sess.bound_ms);
+                    sess.set_due(ctx, lane, Some(due_ms));
                 }
             }
             RequesterAction::Close { lane } => {
@@ -640,22 +675,6 @@ fn drain(
                 }
             }
             RequesterAction::Record(ev) => sess.probe.record(ev),
-        }
-    }
-    if sess.start_us.is_none() {
-        if let Some(driver) = sess.machine.driver() {
-            // Admitted and planned: the watchdog measures from here.
-            sess.start_us = Some(now_us);
-            for conn in sess.lane_conns.iter().flatten() {
-                if let Some(rc) = conns.get_mut(conn) {
-                    rc.last_ms = now_us / 1_000;
-                }
-            }
-            sess.probe.launched(
-                driver.machine(),
-                driver.stride_ms(),
-                sess.machine.theoretical_delay_ms() * 1_000,
-            );
         }
     }
     sess.machine.outcome().is_some()

@@ -19,14 +19,14 @@ use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use p2ps_media::MediaFile;
+use p2ps_media::{MediaFile, MediaInfo};
 use p2ps_monitor::{Counter, Gauge, Monitor};
 use p2ps_net::{ConnId, Ctx, Handler, PoolHandle, ReactorConfig, ReactorPool};
 use p2ps_proto::{Flow, FrameDecoder, FrameEncoder, Message, Pace, SupplierConn};
+use parking_lot::Mutex;
 
 use crate::requester::{ReqSessions, RequestLaunch};
 use crate::supplier::SupplierShared;
-use crate::watchdog::{Watchdog, WatchdogConfig};
 
 /// A supplier connection's one timer: whatever deadline its
 /// [`SupplierConn`] asked for last (a quiet peer during the handshake,
@@ -53,16 +53,6 @@ pub(crate) enum NodeCmd {
     /// the §4.2 round to the last segment (boxed: the launch carries
     /// streams, classes and a result channel).
     Request(Box<RequestLaunch>),
-    /// The stall watchdog flagged `session` on this shard: fail its
-    /// stalest quiet lane and replan the share over the survivors
-    /// (`grace_ms` is the watchdog's own quiet bound, reused for the
-    /// per-lane staleness test).
-    Recover {
-        /// The flagged session's id.
-        session: u64,
-        /// Slack past the session stride before a lane counts as quiet.
-        grace_ms: u64,
-    },
 }
 
 /// One accepted connection of an attached node.
@@ -117,27 +107,6 @@ pub(crate) struct NodeServeHandler {
     /// Reactor-hosted requester sessions, probe to last segment.
     req: ReqSessions,
     stats: ServeStats,
-    /// Root counter: watchdog-escalated recoveries where survivors
-    /// absorbed the stalest lane's share.
-    recoveries: Counter,
-    /// Root counter: watchdog-escalated recoveries that ended the
-    /// session (`SuppliersLost`).
-    giveups: Counter,
-}
-
-/// Registers the watchdog-recovery outcome counters on `root` (shared by
-/// every shard's handler, so the totals are process-wide).
-fn recovery_counters(root: &Monitor) -> (Counter, Counter) {
-    (
-        root.counter(
-            "watchdog_recoveries_total",
-            "stalled sessions replanned onto surviving suppliers",
-        ),
-        root.counter(
-            "watchdog_giveups_total",
-            "stalled sessions abandoned after bounded recovery attempts",
-        ),
-    )
 }
 
 /// Queues every chunk of `msg`'s frame on `conn` — the one place that
@@ -154,20 +123,6 @@ pub(crate) fn send(ctx: &mut Ctx<'_>, conn: ConnId, msg: &Message) {
 }
 
 impl NodeServeHandler {
-    /// A handler whose shard metrics register on `monitor` (the shard's
-    /// `reactor={i}` scope); the recovery counters live at the root,
-    /// shared across shards.
-    pub(crate) fn new(monitor: &Monitor, recoveries: Counter, giveups: Counter) -> Self {
-        NodeServeHandler {
-            nodes: HashMap::new(),
-            conns: HashMap::new(),
-            req: ReqSessions::default(),
-            stats: ServeStats::register(monitor),
-            recoveries,
-            giveups,
-        }
-    }
-
     /// Takes `conn` out of the table — the machine gives back whatever
     /// it still held (a reservation, a session cut short) — and closes
     /// it as `flow` says; `Keep` when the transport is already gone.
@@ -212,10 +167,6 @@ impl Handler for NodeServeHandler {
                 }
             }
             NodeCmd::Request(launch) => self.req.start(ctx, *launch),
-            NodeCmd::Recover { session, grace_ms } => {
-                self.req
-                    .recover(ctx, session, grace_ms, &self.recoveries, &self.giveups);
-            }
         }
     }
 
@@ -346,6 +297,22 @@ impl Handler for NodeServeHandler {
     }
 }
 
+/// Tuning for the progress deadlines a [`NodeReactor`] holds its
+/// requester sessions' lanes to.
+#[derive(Debug, Clone)]
+pub struct WatchdogConfig {
+    /// Slack past the plan's worst-case healthy segment stride before a
+    /// streaming lane that still owes segments is cut as stalled (default
+    /// 3000 ms).
+    pub grace_ms: u64,
+}
+
+impl Default for WatchdogConfig {
+    fn default() -> Self {
+        WatchdogConfig { grace_ms: 3_000 }
+    }
+}
+
 /// The node runtime's reactor pool, shared by any number of
 /// [`PeerNode`](crate::PeerNode)s.
 ///
@@ -380,11 +347,22 @@ impl Handler for NodeServeHandler {
 /// reactor.shutdown();
 /// # Ok::<(), std::io::Error>(())
 /// ```
-#[derive(Debug)]
 pub struct NodeReactor {
     pool: ReactorPool<NodeCmd>,
     monitor: Monitor,
-    watchdog: Watchdog,
+    /// One synthesized file per item, shared by every seed of it spawned
+    /// here (seeds serve the same immutable bytes) and held until the
+    /// reactor shuts down.
+    seed_files: Mutex<HashMap<MediaInfo, MediaFile>>,
+}
+
+impl std::fmt::Debug for NodeReactor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NodeReactor")
+            .field("threads", &self.thread_count())
+            .field("seed_items", &self.seed_files.lock().len())
+            .finish()
+    }
 }
 
 impl NodeReactor {
@@ -398,9 +376,9 @@ impl NodeReactor {
     }
 
     /// Starts a pool of `threads` reactor threads (clamped to at least
-    /// one). Nodes and sessions registered through this reactor are
-    /// hash-sharded across them; every connection's events stay on its
-    /// shard's thread.
+    /// one) and no other thread. Nodes and sessions registered through
+    /// this reactor are hash-sharded across them; every connection's
+    /// events stay on its shard's thread.
     ///
     /// # Errors
     ///
@@ -409,7 +387,7 @@ impl NodeReactor {
         Self::with_options(threads, WatchdogConfig::default())
     }
 
-    /// Like [`with_threads`](Self::with_threads) with an explicit stall
+    /// Like [`with_threads`](Self::with_threads) with an explicit
     /// [`WatchdogConfig`] (tight graces for tests, long ones for
     /// production scrapes).
     ///
@@ -422,21 +400,16 @@ impl NodeReactor {
             monitor: monitor.clone(),
             ..ReactorConfig::default()
         };
-        let (recoveries, giveups) = recovery_counters(&monitor);
-        let pool = ReactorPool::spawn(threads, cfg, |i| {
-            NodeServeHandler::new(
-                &monitor.child("reactor", i),
-                recoveries.clone(),
-                giveups.clone(),
-            )
+        let pool = ReactorPool::spawn(threads, cfg, |i| NodeServeHandler {
+            nodes: HashMap::new(),
+            conns: HashMap::new(),
+            req: ReqSessions::new(&monitor, watchdog.grace_ms),
+            stats: ServeStats::register(&monitor.child("reactor", i)),
         })?;
-        // The watchdog escalates each flagged session back into its own
-        // reactor shard, where the recovery replan runs.
-        let watchdog = Watchdog::start(monitor.clone(), watchdog, Some(pool.handle()));
         Ok(NodeReactor {
             pool,
             monitor,
-            watchdog,
+            seed_files: Mutex::default(),
         })
     }
 
@@ -454,6 +427,15 @@ impl NodeReactor {
         &self.monitor
     }
 
+    /// The file a seed of `info` serves, synthesized once per item.
+    pub(crate) fn seed_file(&self, info: &MediaInfo) -> MediaFile {
+        self.seed_files
+            .lock()
+            .entry(info.clone())
+            .or_insert_with(|| MediaFile::synthesize(info.clone()))
+            .clone()
+    }
+
     pub(crate) fn handle(&self) -> PoolHandle<NodeCmd> {
         self.pool.handle()
     }
@@ -461,12 +443,6 @@ impl NodeReactor {
     /// Stops every reactor thread and joins it; all hosted connections
     /// drop (in-flight sessions abort like a supplier crash).
     pub fn shutdown(self) {
-        let NodeReactor {
-            pool,
-            monitor: _,
-            watchdog,
-        } = self;
-        drop(watchdog); // stop flagging before sessions abort
-        pool.shutdown();
+        self.pool.shutdown();
     }
 }

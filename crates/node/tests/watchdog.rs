@@ -1,22 +1,32 @@
-//! The stall watchdog against real sessions: a supplier that freezes its
-//! §3 pacing gets its session flagged `stalled` within the grace window
-//! and *recovered* — the watchdog escalates into the reactor, the
-//! stalest lane is cut loose, and the survivors absorb its share so the
-//! session completes byte-identical with no caller intervention. When no
-//! survivor remains the session fails as `SuppliersLost` after bounded
-//! attempts instead of hanging. A healthy multi-session swarm is never
-//! flagged, and the flight recorder witnesses each sequence.
+//! Progress deadlines against real sessions. Each requester lane is held
+//! to one deadline on its own reactor timer, judged on whole units of
+//! progress and never on bytes: a candidate must answer the §4.2 round
+//! with a decoded reply within 2 s of its request, and a streaming lane
+//! that still owes segments must deliver a new one within the plan's
+//! stride plus the grace. A supplier that freezes — or dribbles bytes
+//! that never complete a frame — is cut, and the survivors absorb its
+//! share so the session completes byte-identical with no caller
+//! intervention. When no survivor remains the session fails as
+//! `SuppliersLost` instead of hanging. A healthy multi-session swarm is
+//! never flagged, and the flight recorder witnesses each sequence.
 
+use std::io::Write;
 use std::net::TcpListener;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+
+use bytes::BytesMut;
 
 use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::{PeerClass, PeerId};
 use p2ps_media::{MediaFile, MediaInfo};
 use p2ps_node::{
-    Clock, DirectoryServer, NodeConfig, NodeError, NodeReactor, PeerNode, WatchdogConfig,
+    Clock, DirectoryServer, NodeConfig, NodeError, NodeReactor, PeerNode, PendingStream,
+    StreamOutcome, WatchdogConfig,
 };
-use p2ps_proto::{read_message, write_message, CandidateRecord, Message, SessionEvent};
+use p2ps_proto::{
+    encode_frame, read_message, write_message, CandidateRecord, Message, SessionEvent,
+};
 
 /// A supplier that passes admission and then freezes: accepts one
 /// connection, grants the stream request, reads the `StartSession`, and
@@ -112,14 +122,7 @@ fn stalled_session_recovers_over_the_surviving_supplier() {
     let clock = Clock::new();
     // Aggressive watchdog: stride for a class-2 lane is 2·δt = 40 ms, so
     // the flag lands ≈ 40 + 150 ms after the survivor's last segment.
-    let reactor = NodeReactor::with_options(
-        2,
-        WatchdogConfig {
-            interval_ms: 25,
-            grace_ms: 150,
-        },
-    )
-    .unwrap();
+    let reactor = NodeReactor::with_options(2, WatchdogConfig { grace_ms: 150 }).unwrap();
 
     let frozen_port = frozen_supplier(class2);
     let rescuer_port = rescuer_supplier(class2, file.clone());
@@ -214,14 +217,7 @@ fn total_supplier_loss_gives_up_as_suppliers_lost() {
     let info = MediaInfo::new("stall-test", 16, SegmentDuration::from_millis(20), 64);
     let dir = DirectoryServer::start().unwrap();
     let clock = Clock::new();
-    let reactor = NodeReactor::with_options(
-        2,
-        WatchdogConfig {
-            interval_ms: 25,
-            grace_ms: 150,
-        },
-    )
-    .unwrap();
+    let reactor = NodeReactor::with_options(2, WatchdogConfig { grace_ms: 150 }).unwrap();
 
     // The healthy half: a real seed, a real paced session.
     let seed_cfg = NodeConfig::new(PeerId::new(1), PeerClass::HIGHEST, info.clone(), dir.addr());
@@ -332,14 +328,7 @@ fn healthy_sixty_four_session_swarm_flags_nothing() {
     // A watchful watchdog: 500 ms grace against a 30 ms pacing stride.
     // Healthy paced sessions deliver a segment every δt, so nothing may
     // come within an order of magnitude of the deadline.
-    let reactor = NodeReactor::with_options(
-        2,
-        WatchdogConfig {
-            interval_ms: 50,
-            grace_ms: 500,
-        },
-    )
-    .unwrap();
+    let reactor = NodeReactor::with_options(2, WatchdogConfig { grace_ms: 500 }).unwrap();
 
     let seeds: Vec<PeerNode> = (0..SEEDS)
         .map(|i| {
@@ -479,6 +468,246 @@ fn healthy_sixty_four_session_swarm_flags_nothing() {
     for seed in seeds {
         seed.shutdown();
     }
+    reactor.shutdown();
+    dir.shutdown();
+}
+
+/// Waits for `pending` on a helper thread, for at most `limit`: a session
+/// that wedges fails the test instead of hanging it.
+fn wait_within(pending: PendingStream, limit: Duration) -> Result<StreamOutcome, NodeError> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(pending.wait());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("the session wedged: wait() did not return within {limit:?}"))
+}
+
+/// Writes `bytes` one at a time, `every` apart, until they run out or the
+/// requester hangs up.
+fn dribble(conn: &mut std::net::TcpStream, bytes: &[u8], every: Duration) {
+    for byte in bytes {
+        std::thread::sleep(every);
+        if conn.write_all(&[*byte]).is_err() {
+            return;
+        }
+    }
+}
+
+/// The flight-recorder codes of the one session scope `snap` holds.
+fn session_codes(snap: &p2ps_monitor::Snapshot) -> Vec<(u8, u64)> {
+    snap.nodes()
+        .iter()
+        .find(|n| n.kind() == Some("session"))
+        .and_then(|n| n.metric("events"))
+        .and_then(|m| m.handle().as_recorder())
+        .expect("the snapshot holds the session's flight recorder")
+        .events()
+        .iter()
+        .map(|e| (e.code, e.a))
+        .collect()
+}
+
+/// A candidate that answers the §4.2 round with the length prefix of a
+/// 64 KiB frame and then one byte every 100 ms never delivers a reply:
+/// its lane is refused 2 s after the request, and the session completes
+/// over the real class-1 seed beside it. Bytes that complete no frame do
+/// not hold the round open.
+#[test]
+fn a_candidate_dribbling_its_reply_is_refused_after_two_seconds() {
+    let class1 = PeerClass::new(1).unwrap();
+    let info = MediaInfo::new("round-dribble", 16, SegmentDuration::from_millis(10), 64);
+    let file = MediaFile::synthesize(info.clone());
+    let dir = DirectoryServer::start().unwrap();
+    let clock = Clock::new();
+    let reactor = NodeReactor::with_threads(1).unwrap();
+
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let dribbler_port = listener.local_addr().unwrap().port();
+    std::thread::spawn(move || {
+        let Ok((mut conn, _)) = listener.accept() else {
+            return;
+        };
+        let _ = conn.set_read_timeout(Some(Duration::from_secs(60)));
+        let Ok(Message::StreamRequest { .. }) = read_message(&mut conn) else {
+            return;
+        };
+        let _ = conn.write_all(&(64u32 * 1024).to_le_bytes());
+        dribble(&mut conn, &[0x12; 64 * 1024], Duration::from_millis(100));
+    });
+    let seed_cfg = NodeConfig::new(PeerId::new(1), class1, info.clone(), dir.addr());
+    let seed = PeerNode::spawn_seed_on(seed_cfg, clock.clone(), &reactor).unwrap();
+    let cfg = NodeConfig::new(PeerId::new(2), PeerClass::HIGHEST, info.clone(), dir.addr());
+    let node = PeerNode::spawn_on(cfg, clock, &reactor).unwrap();
+
+    let asked = Instant::now();
+    let pending = node
+        .begin_stream_from(vec![
+            CandidateRecord {
+                id: PeerId::new(98),
+                class: class1,
+                port: dribbler_port,
+            },
+            CandidateRecord {
+                id: PeerId::new(1),
+                class: class1,
+                port: seed.port(),
+            },
+        ])
+        .unwrap();
+    let early = reactor.monitor().snapshot();
+    let outcome = wait_within(pending, Duration::from_secs(8)).expect("lane 1 streams the file");
+    let waited = asked.elapsed();
+    assert_eq!(outcome.supplier_count, 1);
+    assert_eq!(node.media_file().expect("completed stream is stored"), file);
+    assert!(
+        waited >= Duration::from_secs(2),
+        "the round waited for the dribbler's reply deadline, not less: {waited:?}"
+    );
+
+    // Lane 0 was asked and never answered; lane 1 granted and streamed.
+    let codes = session_codes(&early);
+    let lane_event = |ev: SessionEvent, lane: u64| codes.contains(&(ev.code(), lane));
+    assert!(lane_event(SessionEvent::AdmissionRequest { lane: 0 }, 0));
+    assert!(!lane_event(SessionEvent::AdmissionGrant { lane: 0 }, 0));
+    assert!(lane_event(SessionEvent::AdmissionGrant { lane: 1 }, 1));
+    assert!(lane_event(
+        SessionEvent::PlanSent {
+            lane: 1,
+            segments: 0
+        },
+        1
+    ));
+    // A refusal in the round is not a stall.
+    let snap = reactor.monitor().snapshot();
+    assert_eq!(
+        snap.find(&[], "watchdog_stalls_total")
+            .unwrap()
+            .value()
+            .as_i64(),
+        0
+    );
+
+    node.shutdown();
+    seed.shutdown();
+    reactor.shutdown();
+    dir.shutdown();
+}
+
+/// A supplier that grants, reads its plan, sends the header and a few
+/// payload bytes of its first segment and then one byte every 50 ms makes
+/// no progress: its lane is cut at the plan's stride plus the grace, and
+/// the survivor absorbs its share. Bytes that complete no segment do not
+/// keep a streaming lane alive.
+#[test]
+fn a_supplier_dribbling_a_segment_is_cut_and_its_share_replanned() {
+    let class2 = PeerClass::new(2).unwrap();
+    // 1 KiB segments: one takes the dribbler 51 s, far past every bound.
+    let info = MediaInfo::new("stream-dribble", 16, SegmentDuration::from_millis(20), 1024);
+    let file = MediaFile::synthesize(info.clone());
+    let dir = DirectoryServer::start().unwrap();
+    let clock = Clock::new();
+    let reactor = NodeReactor::with_options(2, WatchdogConfig { grace_ms: 150 }).unwrap();
+
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let dribbler_port = listener.local_addr().unwrap().port();
+    let dribbled = file.clone();
+    std::thread::spawn(move || {
+        let Ok((mut conn, _)) = listener.accept() else {
+            return;
+        };
+        let _ = conn.set_read_timeout(Some(Duration::from_secs(60)));
+        let Ok(Message::StreamRequest { session, .. }) = read_message(&mut conn) else {
+            return;
+        };
+        let _ = write_message(
+            &mut conn,
+            &Message::Grant {
+                session,
+                class: class2,
+            },
+        );
+        let Ok(Message::StartSession { plan, .. }) = read_message(&mut conn) else {
+            return;
+        };
+        let index = plan.expanded().next().expect("a share of the file");
+        let mut frame = BytesMut::new();
+        encode_frame(
+            &Message::SegmentData {
+                session,
+                index,
+                payload: dribbled.segment(index).into_payload(),
+            },
+            &mut frame,
+        );
+        // Prefix, tag, session, index, payload length: 25 bytes of
+        // header, then four payload bytes at once and the rest slowly.
+        let (burst, rest) = frame.split_at(29);
+        if conn.write_all(burst).is_err() {
+            return;
+        }
+        dribble(&mut conn, rest, Duration::from_millis(50));
+    });
+    let rescuer_port = rescuer_supplier(class2, file.clone());
+    let cfg = NodeConfig::new(PeerId::new(3), PeerClass::HIGHEST, info.clone(), dir.addr());
+    let node = PeerNode::spawn_on(cfg, clock, &reactor).unwrap();
+    let pending = node
+        .begin_stream_from(vec![
+            CandidateRecord {
+                id: PeerId::new(98),
+                class: class2,
+                port: dribbler_port,
+            },
+            CandidateRecord {
+                id: PeerId::new(99),
+                class: class2,
+                port: rescuer_port,
+            },
+        ])
+        .unwrap();
+    let early = reactor.monitor().snapshot();
+
+    let outcome = wait_within(pending, Duration::from_secs(8)).expect("the survivor completes");
+    assert_eq!(outcome.supplier_count, 2);
+    assert_eq!(
+        node.media_file().expect("completed stream is stored"),
+        file,
+        "recovered stream must be byte-identical"
+    );
+    let snap = reactor.monitor().snapshot();
+    let counter = |name: &str| snap.find(&[], name).unwrap().value().as_i64();
+    assert!(
+        counter("watchdog_stalls_total") >= 1,
+        "the dribbler stalled"
+    );
+    assert!(counter("watchdog_recoveries_total") >= 1, "recovery ran");
+    assert_eq!(counter("watchdog_giveups_total"), 0);
+
+    // The dribbling lane 0 is the one cut, then lane 1 takes its share.
+    let codes = session_codes(&early);
+    let at = |ev: SessionEvent, a: u64| {
+        codes
+            .iter()
+            .position(|&c| c == (ev.code(), a))
+            .unwrap_or_else(|| panic!("event {ev} missing from timeline {codes:?}"))
+    };
+    let cut = at(
+        SessionEvent::RecoveryStarted {
+            lane: 0,
+            attempt: 1,
+        },
+        0,
+    );
+    let replanned = at(
+        SessionEvent::Replanned {
+            lane: 1,
+            segments: 0,
+        },
+        1,
+    );
+    assert!(cut < replanned, "cut before replan in {codes:?}");
+
+    node.shutdown();
     reactor.shutdown();
     dir.shutdown();
 }

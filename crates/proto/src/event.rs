@@ -6,8 +6,8 @@
 //! vocabulary both ends speak. Every `lane` is the candidate's position
 //! in the requester's §4.2 round, in every phase. Producers
 //! (`p2ps-node`'s requester machine, which the reactor and
-//! `p2ps-simnet`'s deterministic world both host, and the node's
-//! watchdog) call
+//! `p2ps-simnet`'s deterministic world both host, and the reactor's
+//! per-lane progress deadlines) call
 //! [`SessionEvent::code`]/[`SessionEvent::fields`] when recording;
 //! consumers (`p2psd status --trace`, tests) call
 //! [`SessionEvent::decode`] to turn a dumped ring back into a readable
@@ -68,16 +68,17 @@ pub enum SessionEvent {
         /// Number of segments in the reassigned share.
         segments: u64,
     },
-    /// The watchdog flagged the session as stalled.
+    /// A streaming lane missed its progress deadline: no new segment
+    /// within the plan's stride plus the grace.
     StallFlagged {
-        /// Milliseconds since the last observed progress.
+        /// Milliseconds since the lane's last progress.
         lag_ms: u64,
     },
-    /// Stall recovery failed the stalest quiet lane to force a replan.
+    /// Stall recovery is cutting the late lane to force a replan.
     RecoveryStarted {
-        /// The candidate lane being failed.
+        /// The candidate lane being cut.
         lane: u64,
-        /// 1-based recovery attempt number for this session.
+        /// 1-based count of the session's stalled lanes so far.
         attempt: u64,
     },
     /// A recovery attempt shipped a replan; the session is streaming
@@ -86,9 +87,8 @@ pub enum SessionEvent {
         /// The attempt number that produced the replan.
         attempt: u64,
     },
-    /// The session failed structurally with `SuppliersLost`: the last
-    /// supplier was lost with segments missing, or stall recovery ran
-    /// out of attempts.
+    /// The session failed structurally with `SuppliersLost`: no
+    /// surviving supplier could take a lost supplier's share.
     GaveUp {
         /// Segments still missing at give-up.
         missing: u64,

@@ -73,8 +73,8 @@ impl SessionPlan {
     /// explicit plan paces at the supplier's own class rate (`class_spp`,
     /// its `2^(k-1)` slots per segment), a periodic §3 plan at its
     /// per-period share `period / len`. This is the requester's *healthy
-    /// bound* on the gap between consecutive segments (the stall
-    /// watchdog's stride); the supplier side additionally requires
+    /// bound* on the gap between consecutive segments (what a streaming
+    /// lane's progress deadline adds its grace to); the supplier side additionally requires
     /// periodic plans to tile exactly
     /// ([`SupplierSchedule::new`](crate::SupplierSchedule::new)).
     pub fn stride_slots(&self, class_spp: u64) -> u64 {

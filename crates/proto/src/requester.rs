@@ -63,7 +63,7 @@ struct Lane {
 
 /// Coarse lifecycle of a whole [`RequesterSession`], derived from its
 /// lane states and reassembly progress — the session-level tag an
-/// observer (monitoring, a stall watchdog) wants, as opposed to the
+/// observer (monitoring, a status endpoint) wants, as opposed to the
 /// per-lane states the replan machinery works with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionPhase {
@@ -194,6 +194,13 @@ impl RequesterSession {
         self.lanes[supplier].state == LaneState::Streaming
     }
 
+    /// Whether `supplier` still owes segments of its queue: streaming,
+    /// with something left to transmit.
+    pub fn owes(&self, supplier: usize) -> bool {
+        let lane = &self.lanes[supplier];
+        lane.state == LaneState::Streaming && !lane.owed.is_empty()
+    }
+
     /// Lane indices still streaming — the candidate set for a replan.
     pub fn streaming_suppliers(&self) -> impl Iterator<Item = usize> + '_ {
         self.lanes
@@ -308,11 +315,15 @@ mod tests {
     fn end_after_replan_race_surfaces_leftovers() {
         let mut sm = RequesterSession::new(4);
         let a = sm.add_supplier([0, 1]);
+        assert!(sm.owes(a));
         sm.on_segment(a, 0, payload(0), 1);
         sm.on_segment(a, 1, payload(1), 2);
+        assert!(!sm.owes(a), "a drained lane owes nothing");
         // A replan lands on `a` just as its EndSession is in flight.
         sm.assign_more(a, [2, 3]);
+        assert!(sm.owes(a));
         assert_eq!(sm.on_end(a), vec![2, 3], "unserved replan share returns");
+        assert!(!sm.owes(a), "a settled lane owes nothing");
         // Settled lanes silently refuse further work.
         sm.assign_more(a, [2]);
         assert!(sm.on_end(a).is_empty());
