@@ -62,3 +62,22 @@ pub use types::{Bandwidth, PeerClass, PeerId};
 
 /// Convenient alias for results with this crate's [`Error`].
 pub type Result<T> = std::result::Result<T, Error>;
+
+/// SplitMix64 (Steele, Lea and Flood): adds the golden-ratio increment
+/// to `x`, then avalanches it. The workspace's one copy of the mixer:
+/// policy tie-breaks, Chord ids and the engine's per-peer streams all
+/// call it.
+///
+/// # Examples
+///
+/// ```
+/// // The first draw of a SplitMix64 stream seeded at 0.
+/// assert_eq!(p2ps_core::splitmix64(0), 0xe220_a839_7b1d_cdaf);
+/// ```
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

@@ -1,6 +1,6 @@
 //! Identifiers on the Chord circle.
 
-use p2ps_core::PeerId;
+use p2ps_core::{splitmix64, PeerId};
 use serde::{Deserialize, Serialize};
 
 /// A position on the Chord identifier circle (64-bit identifier space).
@@ -50,12 +50,12 @@ impl ChordId {
         for b in name.as_bytes() {
             h = (h ^ *b as u64).wrapping_mul(0x1000_0000_01b3);
         }
-        ChordId(splitmix(h))
+        ChordId(splitmix64(h))
     }
 
     /// Hashes a peer identity onto the circle.
     pub fn of_peer(peer: PeerId) -> Self {
-        ChordId(splitmix(peer.get() ^ 0x6a09_e667_f3bc_c909))
+        ChordId(splitmix64(peer.get() ^ 0x6a09_e667_f3bc_c909))
     }
 
     /// `self + 2^k` on the circle (finger start positions).
@@ -94,15 +94,6 @@ impl std::fmt::Display for ChordId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.0)
     }
-}
-
-/// splitmix64 finalizer: a cheap avalanche so sequential peer ids spread
-/// uniformly over the circle.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

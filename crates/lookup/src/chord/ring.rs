@@ -6,6 +6,7 @@ use rand::RngCore;
 
 use p2ps_core::{PeerClass, PeerId};
 
+use crate::directory::SupplierSet;
 use crate::{CandidateInfo, Rendezvous};
 
 use super::ChordId;
@@ -19,7 +20,7 @@ struct Node {
     successor: ChordId,
     predecessor: ChordId,
     /// item-key → suppliers of that item.
-    store: HashMap<u64, Vec<CandidateInfo>>,
+    store: HashMap<u64, SupplierSet>,
 }
 
 /// Result of an iterative Chord lookup.
@@ -132,12 +133,8 @@ impl ChordRing {
         };
         if let Some(succ) = self.successor_of(id) {
             let succ_node = self.nodes.get_mut(&succ.raw()).expect("exists");
-            for (key, mut suppliers) in node.store {
-                succ_node
-                    .store
-                    .entry(key)
-                    .or_default()
-                    .append(&mut suppliers);
+            for (key, suppliers) in node.store {
+                succ_node.store.entry(key).or_default().absorb(suppliers);
             }
         }
         self.refresh_routing();
@@ -228,7 +225,18 @@ impl ChordRing {
         self.nodes.get(&id.raw()).map(|n| n.peer)
     }
 
-    fn owner_store_mut(&mut self, item: &str) -> Option<&mut Vec<CandidateInfo>> {
+    /// The supplier set of `item` at the node that owns its key, if the
+    /// ring has any node.
+    fn owner_store(&self, item: &str) -> Option<&SupplierSet> {
+        if self.nodes.is_empty() {
+            return None;
+        }
+        let key = ChordId::of_item(item);
+        let owner = self.lookup(key).owner;
+        self.nodes.get(&owner.raw())?.store.get(&key.raw())
+    }
+
+    fn owner_store_mut(&mut self, item: &str) -> Option<&mut SupplierSet> {
         if self.nodes.is_empty() {
             return None;
         }
@@ -247,57 +255,25 @@ impl ChordRing {
 
 impl Rendezvous for ChordRing {
     fn register(&mut self, item: &str, peer: PeerId, class: PeerClass) {
-        let Some(store) = self.owner_store_mut(item) else {
-            return;
-        };
-        match store.iter_mut().find(|c| c.id == peer) {
-            Some(existing) => existing.class = class,
-            None => store.push(CandidateInfo::new(peer, class)),
+        if let Some(store) = self.owner_store_mut(item) {
+            store.insert(CandidateInfo::new(peer, class));
         }
     }
 
     fn unregister(&mut self, item: &str, peer: PeerId) {
         if let Some(store) = self.owner_store_mut(item) {
-            store.retain(|c| c.id != peer);
+            store.remove(peer);
         }
     }
 
     fn sample(&self, item: &str, m: usize, rng: &mut dyn RngCore) -> Vec<CandidateInfo> {
-        if self.nodes.is_empty() {
-            return Vec::new();
-        }
-        let key = ChordId::of_item(item);
-        let owner = self.lookup(key).owner;
-        let Some(all) = self
-            .nodes
-            .get(&owner.raw())
-            .and_then(|n| n.store.get(&key.raw()))
-        else {
-            return Vec::new();
-        };
-        let n = all.len();
-        let m = m.min(n);
-        let mut pool: Vec<usize> = (0..n).collect();
-        let mut out = Vec::with_capacity(m);
-        for i in 0..m {
-            let j = i + (rng.next_u64() as usize) % (n - i);
-            pool.swap(i, j);
-            out.push(all[pool[i]]);
-        }
-        out
+        self.owner_store(item)
+            .map(|s| s.sample(m, rng))
+            .unwrap_or_default()
     }
 
     fn supplier_count(&self, item: &str) -> usize {
-        if self.nodes.is_empty() {
-            return 0;
-        }
-        let key = ChordId::of_item(item);
-        let owner = self.lookup(key).owner;
-        self.nodes
-            .get(&owner.raw())
-            .and_then(|n| n.store.get(&key.raw()))
-            .map(Vec::len)
-            .unwrap_or(0)
+        self.owner_store(item).map(SupplierSet::len).unwrap_or(0)
     }
 }
 

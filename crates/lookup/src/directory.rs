@@ -11,15 +11,18 @@ use p2ps_core::{PeerClass, PeerId};
 use crate::{CandidateInfo, Rendezvous};
 
 /// The supplier set of one media item, organized for `O(1)` registration,
-/// removal and uniform sampling without replacement.
+/// removal and uniform sampling without replacement. The one supplier
+/// table of the crate: [`Directory`] keeps one per item, and every Chord
+/// node keeps one per key it owns.
 #[derive(Debug, Default, Clone)]
-struct SupplierSet {
+pub(crate) struct SupplierSet {
     entries: Vec<CandidateInfo>,
     index: HashMap<PeerId, usize>,
 }
 
 impl SupplierSet {
-    fn insert(&mut self, info: CandidateInfo) {
+    /// Adds `info`, or updates the class of a supplier already present.
+    pub(crate) fn insert(&mut self, info: CandidateInfo) {
         if let Some(&i) = self.index.get(&info.id) {
             self.entries[i] = info; // class update on re-registration
             return;
@@ -28,7 +31,8 @@ impl SupplierSet {
         self.entries.push(info);
     }
 
-    fn remove(&mut self, peer: PeerId) {
+    /// Removes `peer`; unknown peers are ignored.
+    pub(crate) fn remove(&mut self, peer: PeerId) {
         if let Some(i) = self.index.remove(&peer) {
             let last = self.entries.len() - 1;
             self.entries.swap(i, last);
@@ -39,8 +43,20 @@ impl SupplierSet {
         }
     }
 
+    /// Moves every supplier of `other` into `self`.
+    pub(crate) fn absorb(&mut self, other: SupplierSet) {
+        for info in other.entries {
+            self.insert(info);
+        }
+    }
+
+    /// Number of suppliers.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Partial Fisher–Yates: uniform sample of `m` distinct entries.
-    fn sample(&self, m: usize, rng: &mut dyn RngCore) -> Vec<CandidateInfo> {
+    pub(crate) fn sample(&self, m: usize, rng: &mut dyn RngCore) -> Vec<CandidateInfo> {
         let n = self.entries.len();
         let m = m.min(n);
         let mut pool: Vec<usize> = (0..n).collect();
@@ -124,19 +140,17 @@ impl Rendezvous for Directory {
     }
 
     fn supplier_count(&self, item: &str) -> usize {
-        self.items.get(item).map(|s| s.entries.len()).unwrap_or(0)
+        self.items.get(item).map(SupplierSet::len).unwrap_or(0)
     }
 }
 
-/// A clonable, thread-safe handle to a striped [`Directory`], used by
-/// the runnable node where many peer threads talk to one directory
-/// server.
+/// A clonable, thread-safe handle to a striped [`Directory`], for
+/// callers that share one index between threads.
 ///
-/// Like the node-level `ShardedRegistry`, the directory is striped by
-/// item hash (16 ways by default): registrations and queries touching
-/// *different* items never contend on one lock — the write-heavy churn
-/// case, where every completed session triggers a registration (§2's
-/// self-growing property).
+/// The directory is striped by item hash (16 ways by default):
+/// registrations and queries touching *different* items never contend
+/// on one lock — the write-heavy churn case, where every completed
+/// session triggers a registration (§2's self-growing property).
 ///
 /// Item-scoped access goes through [`Rendezvous`] or
 /// [`with_item`](Self::with_item)/[`with_item_mut`](Self::with_item_mut),
@@ -167,7 +181,7 @@ impl Default for SharedDirectory {
 }
 
 impl SharedDirectory {
-    /// Default stripe count, matching the node's `ShardedRegistry`.
+    /// Default stripe count.
     const DEFAULT_STRIPES: usize = 16;
 
     /// Creates an empty shared directory with the default striping.

@@ -7,14 +7,19 @@
 //! crate implements both ends of that spectrum:
 //!
 //! * [`Directory`] — a Napster-style centralized directory with `O(1)`
-//!   uniform random candidate sampling, plus the thread-safe
-//!   [`SharedDirectory`] used by the runnable node.
+//!   uniform random candidate sampling, plus [`SharedDirectory`], the
+//!   same table striped behind locks for callers that share it between
+//!   threads.
 //! * [`chord`] — a Chord consistent-hashing ring with finger tables and
 //!   `O(log n)` iterative lookup, storing the supplier list of each media
 //!   item at the key's successor node.
 //!
 //! Both implement the [`Rendezvous`] trait, so the admission layer is
-//! agnostic to which lookup service the deployment uses.
+//! agnostic to which lookup service the deployment uses, and both keep
+//! their suppliers in one table type with one sampling routine. The
+//! node's TCP directory server indexes through that trait: a
+//! [`Directory`] for the Napster option, a [`chord::ChordRing`] for the
+//! Chord one.
 //!
 //! # Examples
 //!

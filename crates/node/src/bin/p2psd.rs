@@ -353,17 +353,8 @@ fn render_status(text: &str) -> String {
     if let Some(stalls) = value_at("p2ps_watchdog_stalls_total", &[]) {
         out.push_str(&format!("\nwatchdog stalls: {}\n", fmt_int(stalls)));
     }
-    let stripes: Vec<&Sample> = samples
-        .iter()
-        .filter(|s| s.family == "p2ps_stripe_records")
-        .collect();
-    if !stripes.is_empty() {
-        let total: f64 = stripes.iter().map(|s| s.value).sum();
-        out.push_str(&format!(
-            "index stripes: {} holding {} supplier records\n",
-            stripes.len(),
-            fmt_int(total)
-        ));
+    if let Some(records) = value_at("p2ps_records", &[]) {
+        out.push_str(&format!("index: {} supplier records\n", fmt_int(records)));
     }
     for (family, label) in [
         ("p2ps_registrations_total", "registrations"),

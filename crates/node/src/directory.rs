@@ -1,27 +1,41 @@
 //! The TCP directory server and its client helpers.
 //!
-//! Since the sans-io refactor the server is a [`p2ps_net::Reactor`]
-//! handler: every client connection gets its own
-//! [`FrameDecoder`](p2ps_proto::FrameDecoder) and a per-connection read
-//! timer on the reactor's wheel, so one idle (or malicious) client can
-//! never stall other peers' registrations and queries — the flash-crowd
-//! property the paper's lookup service needs (§4.2 footnote 4).
+//! The paper's requesters get their `M` candidates "by querying a
+//! centralized directory server as in Napster, or by using a distributed
+//! lookup service such as Chord" (§4.2, footnote 4). The server serves
+//! either through one [`Rendezvous`] index — a [`Directory`] or a
+//! [`ChordRing`] — beside one `PeerId → port` map. Both are plain fields
+//! of the reactor handler: its thread is their only user, so the serving
+//! path takes no lock.
+//!
+//! The server is a [`p2ps_net::Reactor`] handler: every client
+//! connection gets its own [`FrameDecoder`] and an idle timer on the
+//! reactor's wheel, so one idle (or malicious) client can never stall
+//! other peers' registrations and queries — the flash-crowd property the
+//! lookup service needs.
+//!
+//! The client helpers ([`register_supplier`], [`query_candidates`]) are
+//! blocking: they write [`encode_frame`]'s output and read a reply in two
+//! exact reads (the length prefix, then the body) for [`decode_frame`].
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 
+use bytes::BytesMut;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use p2ps_core::{PeerClass, PeerId};
+use p2ps_lookup::chord::ChordRing;
+use p2ps_lookup::{CandidateInfo, Directory, Rendezvous, SharedDirectory};
 use p2ps_monitor::{Counter, Gauge, Monitor};
 use p2ps_net::{ConnId, Ctx, Handler, Reactor, ReactorConfig};
-use p2ps_proto::{read_message, write_message, CandidateRecord, FrameDecoder, Message};
+use p2ps_proto::{
+    decode_frame, encode_frame, CandidateRecord, DecodeError, FrameDecoder, Message, MAX_FRAME_LEN,
+};
 
 /// How long a directory connection may sit idle before it is dropped.
 /// Enforced per connection by the reactor's timer wheel — an idle client
@@ -31,54 +45,25 @@ const DIR_IDLE_TIMEOUT_MS: u64 = 5_000;
 /// The read-timeout timer kind on directory connections.
 const K_READ: u32 = 0;
 
-/// In-memory registry shard: item → suppliers.
-#[derive(Debug, Default)]
-struct Registry {
-    items: HashMap<String, Vec<CandidateRecord>>,
+/// Attaches each sampled candidate's port.
+fn with_ports(picked: Vec<CandidateInfo>, ports: &HashMap<PeerId, u16>) -> Vec<CandidateRecord> {
+    picked
+        .into_iter()
+        .map(|c| CandidateRecord {
+            id: c.id,
+            class: c.class,
+            port: *ports
+                .get(&c.id)
+                .expect("a supplier's port is recorded before it is indexed"),
+        })
+        .collect()
 }
 
-impl Registry {
-    /// Returns `true` when the record is new (not a refresh of an
-    /// existing supplier), so the caller can track occupancy by delta.
-    fn register(&mut self, item: &str, rec: CandidateRecord) -> bool {
-        let list = self.items.entry(item.to_owned()).or_default();
-        match list.iter_mut().find(|c| c.id == rec.id) {
-            Some(existing) => {
-                *existing = rec;
-                false
-            }
-            None => {
-                list.push(rec);
-                true
-            }
-        }
-    }
-
-    fn sample(&self, item: &str, m: usize, rng: &mut SmallRng) -> Vec<CandidateRecord> {
-        let Some(list) = self.items.get(item) else {
-            return Vec::new();
-        };
-        let n = list.len();
-        let m = m.min(n);
-        let mut pool: Vec<usize> = (0..n).collect();
-        let mut out = Vec::with_capacity(m);
-        for i in 0..m {
-            let j = i + rng.gen_range(0..n - i);
-            pool.swap(i, j);
-            out.push(list[pool[i]]);
-        }
-        out
-    }
-}
-
-/// The Napster-style supplier index, striped into shards keyed by item
-/// hash so registrations and queries touching *different* items never
-/// contend on one lock (the write-heavy churn case: every completed
-/// session triggers a registration, §2's self-growing property).
-///
-/// All methods take `&self`; each shard serializes internally. The
-/// directory server owns one of these, and the `directory_churn` bench
-/// drives it from many threads directly.
+/// A thread-safe supplier index with ports: a [`SharedDirectory`]
+/// (striped by item hash, so registrations and queries touching
+/// *different* items never contend on one lock) beside a `PeerId → port`
+/// map. All methods take `&self`. The directory server does not use it:
+/// its index lives unlocked on its one reactor thread.
 ///
 /// # Examples
 ///
@@ -102,130 +87,32 @@ impl Registry {
 /// ```
 #[derive(Debug)]
 pub struct ShardedRegistry {
-    shards: Box<[RegistryStripe]>,
-}
-
-/// One stripe: its lock plus an occupancy gauge updated by delta on the
-/// stripe's own register path (no extra lock, no full-table walks).
-#[derive(Debug)]
-struct RegistryStripe {
-    registry: Mutex<Registry>,
-    /// Supplier records held by this stripe.
-    records: Gauge,
+    index: SharedDirectory,
+    ports: Mutex<HashMap<PeerId, u16>>,
 }
 
 impl ShardedRegistry {
     /// A registry striped over `shards` locks (at least one).
     pub fn new(shards: usize) -> Self {
-        Self::with_monitor(shards, &Monitor::default())
-    }
-
-    /// Like [`new`](Self::new), but each stripe registers an occupancy
-    /// gauge (`stripe={i}` / `records`) on the given monitor scope, so
-    /// `p2psd status` and the exposition endpoint can show how evenly
-    /// the supplier index spreads over its locks.
-    pub fn with_monitor(shards: usize, monitor: &Monitor) -> Self {
         ShardedRegistry {
-            shards: (0..shards.max(1))
-                .map(|i| RegistryStripe {
-                    registry: Mutex::new(Registry::default()),
-                    records: monitor
-                        .child("stripe", i)
-                        .gauge("records", "supplier records held by this stripe"),
-                })
-                .collect(),
+            index: SharedDirectory::with_stripes(shards),
+            ports: Mutex::default(),
         }
-    }
-
-    /// Number of stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, item: &str) -> &RegistryStripe {
-        let mut h = DefaultHasher::new();
-        item.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
     }
 
     /// Registers (or refreshes) `rec` as a supplier of `item`.
     pub fn register(&self, item: &str, rec: CandidateRecord) {
-        let stripe = self.shard(item);
-        if stripe.registry.lock().register(item, rec) {
-            stripe.records.add(1);
-        }
+        // The port first: a concurrent sample never sees a supplier
+        // without one.
+        self.ports.lock().insert(rec.id, rec.port);
+        self.index
+            .with_item_mut(item, |d| d.register(item, rec.id, rec.class));
     }
 
     /// Samples up to `m` distinct candidates for `item`.
     pub fn sample(&self, item: &str, m: usize, rng: &mut SmallRng) -> Vec<CandidateRecord> {
-        self.shard(item).registry.lock().sample(item, m, rng)
-    }
-}
-
-/// A Chord ring as the lookup index: supplier lists live at the item
-/// key's successor node and every query routes through finger tables.
-/// Ports (not part of the generic `CandidateInfo`) ride in a side table.
-struct ChordBackend {
-    ring: p2ps_lookup::chord::ChordRing,
-    ports: HashMap<u64, u16>,
-}
-
-impl ChordBackend {
-    fn new(index_nodes: u64) -> Self {
-        let mut ring = p2ps_lookup::chord::ChordRing::new();
-        for i in 0..index_nodes.max(1) {
-            // Index nodes get ids far away from peer ids to avoid clashes.
-            ring.join(p2ps_core::PeerId::new(u64::MAX - i));
-        }
-        ChordBackend {
-            ring,
-            ports: HashMap::new(),
-        }
-    }
-
-    fn register(&mut self, item: &str, rec: CandidateRecord) {
-        use p2ps_lookup::Rendezvous;
-        self.ring.register(item, rec.id, rec.class);
-        self.ports.insert(rec.id.get(), rec.port);
-    }
-
-    fn sample(&mut self, item: &str, m: usize, rng: &mut SmallRng) -> Vec<CandidateRecord> {
-        use p2ps_lookup::Rendezvous;
-        self.ring
-            .sample(item, m, rng)
-            .into_iter()
-            .filter_map(|c| {
-                Some(CandidateRecord {
-                    id: c.id,
-                    class: c.class,
-                    port: *self.ports.get(&c.id.get())?,
-                })
-            })
-            .collect()
-    }
-}
-
-/// How the lookup service indexes its supplier records: the paper names
-/// both a Napster-style central table and a Chord ring (§4.2 footnote 4);
-/// both are served through the same reactor front-end.
-enum Backend {
-    Napster(ShardedRegistry),
-    Chord(ChordBackend),
-}
-
-impl Backend {
-    fn register(&mut self, item: &str, rec: CandidateRecord) {
-        match self {
-            Backend::Napster(reg) => reg.register(item, rec),
-            Backend::Chord(ring) => ring.register(item, rec),
-        }
-    }
-
-    fn sample(&mut self, item: &str, m: usize, rng: &mut SmallRng) -> Vec<CandidateRecord> {
-        match self {
-            Backend::Napster(reg) => reg.sample(item, m, rng),
-            Backend::Chord(ring) => ring.sample(item, m, rng),
-        }
+        let picked = self.index.sample(item, m, rng);
+        with_ports(picked, &self.ports.lock())
     }
 }
 
@@ -241,11 +128,14 @@ struct DirConn {
 /// The reactor handler serving the directory protocol: one frame decoder
 /// and one idle timer per connection, any number of concurrent clients.
 struct DirectoryHandler {
-    backend: Backend,
+    index: Box<dyn Rendezvous + Send>,
+    /// The port each supplier last registered with.
+    ports: HashMap<PeerId, u16>,
     rng: SmallRng,
     conns: HashMap<ConnId, DirConn>,
     registrations: Counter,
     queries: Counter,
+    records: Gauge,
 }
 
 impl DirectoryHandler {
@@ -258,19 +148,17 @@ impl DirectoryHandler {
                 port,
             } => {
                 self.registrations.incr();
-                self.backend.register(
-                    &item,
-                    CandidateRecord {
-                        id: peer,
-                        class,
-                        port,
-                    },
-                );
+                self.ports.insert(peer, port);
+                let before = self.index.supplier_count(&item);
+                self.index.register(&item, peer, class);
+                let added = self.index.supplier_count(&item) - before;
+                self.records.add(added as i64);
                 true
             }
             Message::QueryCandidates { item, m } => {
                 self.queries.incr();
-                let list = self.backend.sample(&item, m as usize, &mut self.rng);
+                let picked = self.index.sample(&item, m as usize, &mut self.rng);
+                let list = with_ports(picked, &self.ports);
                 crate::serve::send(ctx, conn, &Message::Candidates { list });
                 true
             }
@@ -397,10 +285,7 @@ impl DirectoryServer {
     /// Propagates socket errors from binding the listener — in
     /// particular `AddrInUse` when `port` is already taken.
     pub fn start_on(port: u16) -> io::Result<Self> {
-        Self::start_with_backend(
-            |m| Backend::Napster(ShardedRegistry::with_monitor(16, m)),
-            port,
-        )
+        Self::start_with(Box::new(Directory::new()), port)
     }
 
     /// Like [`start`](Self::start), but the index is a Chord ring of
@@ -412,27 +297,16 @@ impl DirectoryServer {
     ///
     /// Propagates socket errors from binding the listener.
     pub fn start_with_chord(index_nodes: u64) -> io::Result<Self> {
-        Self::start_with_chord_on(index_nodes, 0)
+        let mut ring = ChordRing::new();
+        for i in 0..index_nodes.max(1) {
+            // Index nodes get ids far away from peer ids to avoid clashes.
+            ring.join(PeerId::new(u64::MAX - i));
+        }
+        Self::start_with(Box::new(ring), 0)
     }
 
-    /// [`start_with_chord`](Self::start_with_chord) on a chosen loopback
-    /// `port` (`0` picks an ephemeral port): backend choice and port
-    /// compose through the one shared construction path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from binding the listener — in
-    /// particular `AddrInUse` when `port` is already taken.
-    pub fn start_with_chord_on(index_nodes: u64, port: u16) -> io::Result<Self> {
-        Self::start_with_backend(|_| Backend::Chord(ChordBackend::new(index_nodes)), port)
-    }
-
-    fn start_with_backend(
-        backend: impl FnOnce(&Monitor) -> Backend,
-        port: u16,
-    ) -> io::Result<Self> {
+    fn start_with(index: Box<dyn Rendezvous + Send>, port: u16) -> io::Result<Self> {
         let monitor = Monitor::root();
-        let backend = backend(&monitor);
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
         let cfg = ReactorConfig {
@@ -442,11 +316,13 @@ impl DirectoryServer {
         let (reactor, handle) = Reactor::new(cfg)?;
         handle.add_listener(listener, 0)?;
         let mut handler = DirectoryHandler {
-            backend,
+            index,
+            ports: HashMap::new(),
             rng: SmallRng::seed_from_u64(0x5eed),
             conns: HashMap::new(),
-            registrations: monitor.counter("registrations_total", "supplier registrations applied"),
+            registrations: monitor.counter("registrations_total", "Register messages applied"),
             queries: monitor.counter("queries_total", "candidate queries answered"),
+            records: monitor.gauge("records", "distinct supplier records in the index"),
         };
         let thread = std::thread::Builder::new()
             .name("p2ps-directory".into())
@@ -466,8 +342,8 @@ impl DirectoryServer {
     }
 
     /// The server's introspection tree root: registration/query counters,
-    /// per-stripe index occupancy (`stripe={i}` scopes, Napster backend)
-    /// and the serving reactor's own stats under `reactor=0`.
+    /// the index's `records` gauge and the serving reactor's own stats
+    /// under `reactor=0`.
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
     }
@@ -498,17 +374,37 @@ impl Drop for DirectoryServer {
     }
 }
 
+/// Writes `msg` to `stream` as one frame.
+fn send_frame(stream: &mut TcpStream, msg: &Message) -> io::Result<()> {
+    let mut frame = BytesMut::new();
+    encode_frame(msg, &mut frame);
+    stream.write_all(&frame)
+}
+
+/// Reads one frame from `stream`: the length prefix, then exactly the
+/// body it announces, so no byte of a later frame is consumed.
+fn recv_frame(stream: &mut TcpStream) -> io::Result<Message> {
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix)?;
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(DecodeError::FrameTooLarge(len).into());
+    }
+    let mut frame = BytesMut::with_capacity(4 + len);
+    frame.extend_from_slice(&prefix);
+    frame.resize(4 + len, 0);
+    stream.read_exact(&mut frame[4..])?;
+    Ok(decode_frame(&mut frame)?.expect("the frame is whole"))
+}
+
 /// Registers `peer` as a supplier of `item` with the directory at `dir`.
 ///
 /// Registration is fire-and-forget on the wire (`Register` has no
 /// acknowledgment) and therefore **eventually visible**: a query sent on
 /// a *different* connection immediately afterwards may not see the new
-/// record yet. This was always the protocol's contract — the paper's
-/// requesters tolerate stale candidate lists by retrying admission — but
-/// the pre-reactor serial accept loop happened to serialize
-/// register-then-query sequences as a side effect of its one-client-at-
-/// a-time design. Callers that need read-your-write should retry the
-/// query briefly (see the tests) or multiplex both operations on one
+/// record yet. The paper's requesters tolerate stale candidate lists by
+/// retrying admission. Callers that need read-your-write should retry
+/// the query briefly (see the tests) or multiplex both operations on one
 /// connection, where ordering is guaranteed.
 ///
 /// # Errors
@@ -522,7 +418,7 @@ pub fn register_supplier(
     port: u16,
 ) -> io::Result<()> {
     let mut stream = TcpStream::connect(dir)?;
-    write_message(
+    send_frame(
         &mut stream,
         &Message::Register {
             item: item.to_owned(),
@@ -534,6 +430,8 @@ pub fn register_supplier(
 }
 
 /// Queries the directory at `dir` for up to `m` candidates for `item`.
+/// The wire field is a `u16`: an `m` above `u16::MAX` asks for
+/// `u16::MAX`.
 ///
 /// # Errors
 ///
@@ -541,14 +439,14 @@ pub fn register_supplier(
 /// [`std::io::ErrorKind::InvalidData`].
 pub fn query_candidates(dir: SocketAddr, item: &str, m: usize) -> io::Result<Vec<CandidateRecord>> {
     let mut stream = TcpStream::connect(dir)?;
-    write_message(
+    send_frame(
         &mut stream,
         &Message::QueryCandidates {
             item: item.to_owned(),
-            m: m as u16,
+            m: u16::try_from(m).unwrap_or(u16::MAX),
         },
     )?;
-    match read_message(&mut stream)? {
+    match recv_frame(&mut stream)? {
         Message::Candidates { list } => Ok(list),
         other => Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -627,35 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn chord_on_a_requested_port_composes() {
-        // The satellite fix: backend choice and port choice go through
-        // one construction path instead of being mutually exclusive.
-        let (dir, port) = (0..16)
-            .find_map(|_| {
-                let probe = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
-                let port = probe.local_addr().unwrap().port();
-                drop(probe);
-                DirectoryServer::start_with_chord_on(8, port)
-                    .ok()
-                    .map(|d| (d, port))
-            })
-            .expect("a freshly released loopback port should be bindable");
-        assert_eq!(dir.port(), port);
-        register_supplier(dir.addr(), "c", PeerId::new(9), class(1), 1234).unwrap();
-        let mut got = Vec::new();
-        for _ in 0..50 {
-            got = query_candidates(dir.addr(), "c", 4).unwrap();
-            if !got.is_empty() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert_eq!(got.len(), 1, "chord index serves on the requested port");
-        assert_eq!(got[0].port, 1234);
-        dir.shutdown();
-    }
-
-    #[test]
     fn unknown_item_yields_empty() {
         let dir = DirectoryServer::start().unwrap();
         let got = query_candidates(dir.addr(), "nope", 8).unwrap();
@@ -716,7 +585,6 @@ mod tests {
     #[test]
     fn sharded_registry_stripes_by_item() {
         let reg = ShardedRegistry::new(4);
-        assert_eq!(reg.shard_count(), 4);
         for i in 0..64u64 {
             reg.register(
                 &format!("item-{i}"),
@@ -732,8 +600,22 @@ mod tests {
             let got = reg.sample(&format!("item-{i}"), 8, &mut rng);
             assert_eq!(got.len(), 1, "item-{i} lands in exactly one shard");
             assert_eq!(got[0].id.get(), i);
+            assert_eq!(got[0].port, 1000 + i as u16);
         }
-        assert!(ShardedRegistry::new(0).shard_count() >= 1, "clamped");
+        let clamped = ShardedRegistry::new(0);
+        clamped.register(
+            "v",
+            CandidateRecord {
+                id: PeerId::new(1),
+                class: class(1),
+                port: 7,
+            },
+        );
+        assert_eq!(
+            clamped.sample("v", 2, &mut rng).len(),
+            1,
+            "zero stripes clamp to one"
+        );
     }
 
     #[test]
@@ -745,7 +627,7 @@ mod tests {
             .set_read_timeout(Some(std::time::Duration::from_secs(5)))
             .unwrap();
         for i in 0..5u64 {
-            write_message(
+            send_frame(
                 &mut stream,
                 &Message::Register {
                     item: "multi".into(),
@@ -755,7 +637,7 @@ mod tests {
                 },
             )
             .unwrap();
-            write_message(
+            send_frame(
                 &mut stream,
                 &Message::QueryCandidates {
                     item: "multi".into(),
@@ -763,13 +645,131 @@ mod tests {
                 },
             )
             .unwrap();
-            match read_message(&mut stream).unwrap() {
+            match recv_frame(&mut stream).unwrap() {
                 Message::Candidates { list } => {
                     assert_eq!(list.len(), (i + 1) as usize, "same-conn writes are ordered")
                 }
                 other => panic!("expected candidates, got {}", other.name()),
             }
         }
+        dir.shutdown();
+    }
+
+    /// Sends `script` on one connection (so the server applies it in
+    /// order) and returns each query's answer, sorted by peer id.
+    fn replay(dir: &DirectoryServer, script: &[Message]) -> Vec<Vec<CandidateRecord>> {
+        let mut stream = TcpStream::connect(dir.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let mut answers = Vec::new();
+        for msg in script {
+            send_frame(&mut stream, msg).unwrap();
+            if let Message::QueryCandidates { .. } = msg {
+                let Message::Candidates { mut list } = recv_frame(&mut stream).unwrap() else {
+                    panic!("expected candidates");
+                };
+                list.sort_by_key(|c| c.id);
+                answers.push(list);
+            }
+        }
+        answers
+    }
+
+    fn register(item: &str, peer: u64, k: u8, port: u16) -> Message {
+        Message::Register {
+            item: item.into(),
+            peer: PeerId::new(peer),
+            class: class(k),
+            port,
+        }
+    }
+
+    fn query(item: &str) -> Message {
+        Message::QueryCandidates {
+            item: item.into(),
+            m: 64,
+        }
+    }
+
+    #[test]
+    fn napster_and_chord_indexes_answer_one_script_alike() {
+        let script = [
+            register("a", 1, 1, 5001),
+            register("a", 2, 2, 5002),
+            register("b", 3, 3, 5003),
+            query("a"),
+            // Peer 2 comes back on another port with another class.
+            register("a", 2, 4, 6002),
+            register("b", 1, 1, 5001),
+            register("a", 4, 2, 5004),
+            query("a"),
+            query("b"),
+            query("missing"),
+        ];
+        let napster = DirectoryServer::start().unwrap();
+        let chord = DirectoryServer::start_with_chord(8).unwrap();
+        let got = replay(&napster, &script);
+        assert_eq!(got, replay(&chord, &script));
+        let rec = |peer: u64, k: u8, port: u16| CandidateRecord {
+            id: PeerId::new(peer),
+            class: class(k),
+            port,
+        };
+        assert_eq!(
+            got,
+            vec![
+                vec![rec(1, 1, 5001), rec(2, 2, 5002)],
+                vec![rec(1, 1, 5001), rec(2, 4, 6002), rec(4, 2, 5004)],
+                vec![rec(1, 1, 5001), rec(3, 3, 5003)],
+                vec![],
+            ]
+        );
+        for dir in [napster, chord] {
+            let snap = dir.monitor().snapshot();
+            let value = |name: &str| snap.find(&[], name).unwrap().value().as_i64();
+            assert_eq!(value("registrations_total"), 6);
+            assert_eq!(value("records"), 5, "one record per (item, peer)");
+            dir.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_refresh_counts_as_a_registration_but_not_a_record() {
+        let dir = DirectoryServer::start().unwrap();
+        // The query on the same connection is answered after both
+        // registrations are applied.
+        let answers = replay(
+            &dir,
+            &[
+                register("v", 1, 2, 4000),
+                register("v", 1, 2, 4000),
+                query("v"),
+            ],
+        );
+        assert_eq!(answers[0].len(), 1);
+        let snap = dir.monitor().snapshot();
+        let value = |name: &str| snap.find(&[], name).unwrap().value().as_i64();
+        assert_eq!(value("registrations_total"), 2);
+        assert_eq!(value("records"), 1);
+        dir.shutdown();
+    }
+
+    #[test]
+    fn a_query_for_more_than_u16_max_candidates_saturates() {
+        let dir = DirectoryServer::start().unwrap();
+        for i in 0..3u64 {
+            register_supplier(dir.addr(), "v", PeerId::new(i), class(1), 4000 + i as u16).unwrap();
+        }
+        let mut got = Vec::new();
+        for _ in 0..50 {
+            got = query_candidates(dir.addr(), "v", 65_536).unwrap();
+            if got.len() == 3 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert_eq!(got.len(), 3, "m = 65,536 must not wrap to 0");
         dir.shutdown();
     }
 

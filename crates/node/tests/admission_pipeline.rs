@@ -13,7 +13,10 @@ use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::{PeerClass, PeerId};
 use p2ps_media::{MediaFile, MediaInfo};
 use p2ps_node::{Clock, DirectoryServer, NodeConfig, NodeReactor, PeerNode};
-use p2ps_proto::{read_message, write_message, CandidateRecord, Message};
+use p2ps_proto::{CandidateRecord, Message};
+
+mod wire;
+use wire::{read_message, write_message};
 
 const SEGMENTS: u64 = 16;
 const DT_MS: u64 = 20;

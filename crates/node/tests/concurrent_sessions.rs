@@ -1,7 +1,7 @@
 //! ≥64 simultaneous paced streaming sessions on ONE reactor thread.
 //!
 //! 64 supplier nodes share a single [`NodeReactor`]; 64 blocking
-//! requesters (plain `read_message`/`write_message` over `TcpStream`,
+//! requesters (plain frame reads and writes over `TcpStream`,
 //! the unchanged wire format) each run the §4.2 handshake and receive a
 //! full §3-paced stream concurrently. The test verifies:
 //!
@@ -26,7 +26,10 @@ use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::{PeerClass, PeerId};
 use p2ps_media::{MediaFile, MediaInfo};
 use p2ps_node::{Clock, DirectoryServer, NodeConfig, NodeReactor, PeerNode, StreamOutcome};
-use p2ps_proto::{read_message, write_message, CandidateRecord, Message, SessionPlan};
+use p2ps_proto::{CandidateRecord, Message, SessionPlan};
+
+mod wire;
+use wire::{read_message, write_message};
 
 const SESSIONS: usize = 64;
 const SEGMENTS: u64 = 16;

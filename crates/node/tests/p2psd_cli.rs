@@ -225,7 +225,7 @@ fn status_subcommand_renders_a_live_directory() {
         .to_owned();
 
     // …scraped by a second p2psd: the human table must carry the
-    // per-reactor row and the directory's stripe occupancy.
+    // per-reactor row and the directory's index occupancy.
     let out = p2psd()
         .args(["status", "--status-addr", &status_addr])
         .output()
@@ -238,7 +238,7 @@ fn status_subcommand_renders_a_live_directory() {
         "late-wakes",
         "turn-max-us",
         "deferred",
-        "index stripes: 16",
+        "index: 0 supplier records",
         "sessions",
     ] {
         assert!(

@@ -24,9 +24,10 @@ use p2ps_node::{
     Clock, DirectoryServer, NodeConfig, NodeError, NodeReactor, PeerNode, PendingStream,
     StreamOutcome, WatchdogConfig,
 };
-use p2ps_proto::{
-    encode_frame, read_message, write_message, CandidateRecord, Message, SessionEvent,
-};
+use p2ps_proto::{encode_frame, CandidateRecord, Message, SessionEvent};
+
+mod wire;
+use wire::{read_message, write_message};
 
 /// A supplier that passes admission and then freezes: accepts one
 /// connection, grants the stream request, reads the `StartSession`, and

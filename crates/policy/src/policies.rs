@@ -4,18 +4,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use p2ps_core::assignment::otsp2p;
+use p2ps_core::splitmix64;
 
 use crate::plan::earliest_arrival_plan;
 use crate::{PolicyError, PolicyPlan, SelectionPolicy, SessionContext};
-
-/// SplitMix64: a tiny, high-quality mixing function for deterministic
-/// per-segment tie-breaking without carrying generator state around.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// The paper's §3 optimal assignment behind the policy trait.
 ///

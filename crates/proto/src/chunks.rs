@@ -1,15 +1,14 @@
 //! A queue of zero-copy chunks with vectored-write bookkeeping.
 //!
-//! Both halves of the transport stack queue outbound [`Bytes`] chunks
-//! and drain them with `writev`: the blocking
-//! [`FrameEncoder`](crate::FrameEncoder) and the reactor's
-//! per-connection flush (`p2ps-net`). The gather loop (up to
-//! [`MAX_GATHER_SLICES`] per write) and the partial-advance arithmetic (a short write consumes whole
-//! front chunks plus a slice of the next) used to be duplicated in both;
-//! [`ChunkQueue`] is the one shared implementation.
+//! Both the [`FrameEncoder`](crate::FrameEncoder) and the reactor's
+//! per-connection flush (`p2ps-net`) queue outbound [`Bytes`] chunks
+//! for `writev`. [`ChunkQueue`] holds the gather step (up to
+//! [`MAX_GATHER_SLICES`] per write) and the partial-advance arithmetic
+//! (a short write consumes whole front chunks plus a slice of the next)
+//! once for both.
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, Write};
+use std::io::IoSlice;
 
 use bytes::Bytes;
 
@@ -119,32 +118,6 @@ impl ChunkQueue {
             }
         }
     }
-
-    /// Drains the whole queue into a blocking writer with vectored
-    /// writes. On success the queue is empty (trailing zero-length
-    /// chunks included).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors ([`std::io::ErrorKind::WriteZero`] for a
-    /// writer that stops accepting bytes); only accepted bytes are
-    /// consumed, so the unwritten tail stays queued.
-    pub fn write_to<W: Write>(&mut self, mut w: W) -> std::io::Result<()> {
-        while self.queued > 0 {
-            let mut slices = [IoSlice::new(&[]); MAX_GATHER_SLICES];
-            let count = self.gather(&mut slices);
-            let n = w.write_vectored(&slices[..count])?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "failed to write the whole frame",
-                ));
-            }
-            self.advance(n);
-        }
-        self.chunks.clear(); // zero-length payload chunks carry no bytes
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -207,45 +180,5 @@ mod tests {
     #[should_panic(expected = "advance past")]
     fn advance_past_queue_panics() {
         queue_of(&[b"ab"]).advance(3);
-    }
-
-    #[test]
-    fn write_to_drains_through_short_writers() {
-        struct OneByte(Vec<u8>);
-        impl Write for OneByte {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                if buf.is_empty() {
-                    return Ok(0);
-                }
-                self.0.push(buf[0]);
-                Ok(1)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut q = queue_of(&[b"hello", b"", b" world"]);
-        let mut sink = OneByte(Vec::new());
-        q.write_to(&mut sink).unwrap();
-        assert_eq!(sink.0, b"hello world");
-        assert!(q.is_empty());
-        assert_eq!(q.pending_bytes(), 0);
-    }
-
-    #[test]
-    fn write_zero_surfaces_and_preserves_tail() {
-        struct Dead;
-        impl Write for Dead {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Ok(0)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut q = queue_of(&[b"abc"]);
-        let err = q.write_to(Dead).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
-        assert_eq!(q.pending_bytes(), 3, "nothing consumed");
     }
 }

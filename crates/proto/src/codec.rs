@@ -1,7 +1,5 @@
 //! Frame encoding and decoding.
 
-use std::io::{Read, Write};
-
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use p2ps_core::{PeerClass, PeerId};
@@ -277,54 +275,6 @@ fn decode_body(b: &mut Bytes) -> Result<Message, DecodeError> {
     Ok(msg)
 }
 
-/// Writes one frame to a blocking [`Write`] sink (the TCP path). A `&mut`
-/// reference also works as the writer.
-///
-/// A transport shim over [`FrameEncoder`](crate::FrameEncoder):
-/// [`Message::SegmentData`] — the hot path of a supplier's serving loop —
-/// leaves as a small fixed header chunk plus the payload view itself,
-/// gathered into one vectored write. The payload bytes are never copied
-/// into an intermediate frame buffer, and a `TCP_NODELAY` socket still
-/// sees a single writev instead of a 25-byte packet followed by the
-/// payload.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_message<W: Write>(mut w: W, msg: &Message) -> std::io::Result<()> {
-    let mut enc = crate::FrameEncoder::new();
-    enc.push(msg);
-    enc.write_to(&mut w)?;
-    w.flush()
-}
-
-/// Reads one complete frame from a blocking [`Read`] source (the TCP
-/// path). A `&mut` reference also works as the reader.
-///
-/// A transport shim over [`FrameDecoder`](crate::FrameDecoder): it reads
-/// exactly the decoder's [`bytes_needed`](crate::FrameDecoder::bytes_needed)
-/// hint at every step (the 4-byte prefix, then the whole body — two
-/// reads per frame), so it never consumes bytes belonging to a later
-/// read from the same stream. A frame over 4 KiB is read straight into
-/// the buffer its payload view will keep alive; nothing passes through
-/// an intermediate scratch buffer.
-///
-/// # Errors
-///
-/// Propagates I/O errors; decode failures surface as
-/// [`std::io::ErrorKind::InvalidData`]. A clean EOF before the length
-/// prefix yields [`std::io::ErrorKind::UnexpectedEof`].
-pub fn read_message<R: Read>(mut r: R) -> std::io::Result<Message> {
-    let mut dec = crate::FrameDecoder::new();
-    loop {
-        if let Some(msg) = dec.poll()? {
-            return Ok(msg);
-        }
-        let want = dec.bytes_needed();
-        dec.fill_from(&mut r, want)?;
-    }
-}
-
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u16_le(s.len() as u16);
     buf.put_slice(s.as_bytes());
@@ -562,8 +512,12 @@ mod tests {
             };
             let mut framed = BytesMut::new();
             encode_frame(&msg, &mut framed);
+            let mut enc = crate::FrameEncoder::new();
+            enc.push(&msg);
             let mut written = Vec::new();
-            write_message(&mut written, &msg).unwrap();
+            while let Some(chunk) = enc.pop_chunk() {
+                written.extend_from_slice(&chunk);
+            }
             assert_eq!(&written[..], &framed[..], "payload size {size}");
         }
     }
@@ -592,22 +546,6 @@ mod tests {
         assert_eq!(got, payload);
         let cloned = got.clone();
         assert_eq!(cloned.as_ptr(), got.as_ptr(), "clone is O(1)");
-    }
-
-    #[test]
-    fn io_read_write_round_trip() {
-        let mut wire = Vec::new();
-        for m in all_messages() {
-            write_message(&mut wire, &m).unwrap();
-        }
-        let mut cursor = std::io::Cursor::new(wire);
-        for expected in all_messages() {
-            let got = read_message(&mut cursor).unwrap();
-            assert_eq!(got, expected);
-        }
-        // clean EOF afterwards
-        let err = read_message(&mut cursor).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

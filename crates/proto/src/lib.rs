@@ -11,9 +11,11 @@
 //!
 //! Framing is **sans-io**: [`FrameDecoder`] and [`FrameEncoder`] hold the
 //! protocol half of a connection (accumulation, frame boundaries,
-//! zero-copy payload views) for any transport — the blocking
-//! [`read_message`]/[`write_message`] helpers and the `p2ps-net` reactor
-//! handlers are both thin shims over them.
+//! zero-copy payload views) for any transport, and the crate performs no
+//! I/O of its own. The `p2ps-net` reactor handlers feed and drain them;
+//! a blocking client writes [`encode_frame`]'s output and hands
+//! [`decode_frame`] one frame read in two exact reads (the length
+//! prefix, then the body).
 //!
 //! The message set covers the three planes of the paper's protocol:
 //!
@@ -55,7 +57,7 @@ mod supplier_conn;
 
 pub use admission::{AdmissionAction, AdmissionDriver, AdmissionVerdict};
 pub use chunks::{ChunkQueue, MAX_GATHER_SLICES};
-pub use codec::{decode_frame, encode_frame, read_message, write_message, MAX_FRAME_LEN};
+pub use codec::{decode_frame, encode_frame, MAX_FRAME_LEN};
 pub use error::DecodeError;
 pub use event::SessionEvent;
 pub use message::{CandidateRecord, Message, SessionPlan};

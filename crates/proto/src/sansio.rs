@@ -2,11 +2,10 @@
 //!
 //! [`FrameDecoder`] and [`FrameEncoder`] hold the *protocol* half of a
 //! connection — byte accumulation, frame boundaries, zero-copy payload
-//! views — while the caller owns the *transport* half (blocking sockets,
-//! a nonblocking reactor, an in-memory test harness). The blocking
-//! [`read_message`](crate::read_message) / [`write_message`](crate::write_message)
-//! helpers are thin transport shims over these same types, so every I/O
-//! style speaks byte-identical wire format.
+//! views — while the caller owns the *transport* half (the nonblocking
+//! reactor, simnet's virtual links, an in-memory test harness). Their
+//! output is byte-identical to [`encode_frame`](crate::encode_frame) /
+//! [`decode_frame`](crate::decode_frame), which blocking clients use.
 //!
 //! ```text
 //!   bytes in ──▶ FrameDecoder::feed ──▶ poll ──▶ Message
@@ -42,7 +41,6 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
 
 use bytes::{Buf, Bytes, BytesMut};
 
@@ -125,8 +123,7 @@ pub struct FrameDecoder {
     prefix_len: usize,
     /// The frame under assembly, from its complete prefix on; always
     /// begins at a frame boundary and is empty or at least four bytes
-    /// long. Holds a whole frame only transiently inside
-    /// `feed`/`fill_from`. After an oversized prefix it keeps that prefix
+    /// long. Holds a whole frame only transiently inside `feed`. After an oversized prefix it keeps that prefix
     /// for `poll` to report and the decoder takes no more input.
     tail: BytesMut,
     /// The allocation `poll` drained last: the next buffer, if the
@@ -169,7 +166,7 @@ impl FrameDecoder {
     /// Attempts to decode the next complete frame.
     ///
     /// Returns `Ok(None)` when more bytes are needed ([`feed`](Self::feed)
-    /// and retry; [`bytes_needed`](Self::bytes_needed) says how many).
+    /// and retry).
     ///
     /// # Errors
     ///
@@ -189,59 +186,6 @@ impl FrameDecoder {
             self.spare = self.ready.pop_front();
         }
         decode_whole_body(frame).map(Some)
-    }
-
-    /// Minimum number of additional bytes that must be fed before
-    /// [`poll`](Self::poll) can possibly return a frame.
-    ///
-    /// Meaningful after `poll` returned `Ok(None)`: a blocking caller can
-    /// `read_exact` exactly this many bytes and never consume bytes
-    /// belonging to a later read from the same stream.
-    pub fn bytes_needed(&self) -> usize {
-        // An oversized prefix is an error poll() reports without further
-        // input; claim one byte so callers that read first never block
-        // forever waiting for nothing.
-        self.tail_lacks().unwrap_or(0).max(1)
-    }
-
-    /// Reads exactly `n` bytes from `r` straight into the frame under
-    /// assembly — no intermediate scratch buffer, one `read_exact` worth
-    /// of syscalls per piece. Combined with
-    /// [`bytes_needed`](Self::bytes_needed), a blocking caller receives a
-    /// whole frame (however large) in two reads and one
-    /// kernel-to-final-allocation copy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; the piece being read is rolled back, so the
-    /// decoder holds only bytes `r` really delivered.
-    /// [`std::io::ErrorKind::InvalidData`] once an oversized prefix has
-    /// ended the stream.
-    pub fn fill_from<R: Read>(&mut self, r: &mut R, mut n: usize) -> std::io::Result<()> {
-        while n > 0 {
-            // Only what the frame under assembly lacks can be read
-            // straight into it; with nothing under assembly that is the
-            // next prefix.
-            let piece = self.tail_lacks()?.min(n);
-            if self.tail.is_empty() {
-                let have = self.prefix_len;
-                r.read_exact(&mut self.prefix[have..have + piece])?;
-                self.prefix_len += piece;
-                self.place_prefix();
-            } else {
-                let old_len = self.tail.len();
-                self.tail.resize(old_len + piece, 0);
-                if let Err(e) = r.read_exact(&mut self.tail[old_len..]) {
-                    self.tail.resize(old_len, 0);
-                    return Err(e);
-                }
-            }
-            n -= piece;
-            if self.tail_lacks() == Ok(0) {
-                self.lift(&[]);
-            }
-        }
-        Ok(())
     }
 
     /// Bytes currently buffered but not yet decoded.
@@ -415,18 +359,6 @@ impl FrameEncoder {
     pub fn advance(&mut self, n: usize) {
         self.queue.advance(n);
     }
-
-    /// Drains every queued chunk into a blocking writer with vectored
-    /// writes (a `SegmentData` header and its payload leave in one
-    /// `writev`, never re-buffered) — [`ChunkQueue::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; only bytes the writer actually accepted are
-    /// consumed, so the unwritten tail stays queued.
-    pub fn write_to<W: Write>(&mut self, w: W) -> std::io::Result<()> {
-        self.queue.write_to(w)
-    }
 }
 
 #[cfg(test)]
@@ -519,107 +451,5 @@ mod tests {
             assert_eq!(got, msgs, "fragmentation step {step}");
             assert_eq!(dec.buffered(), 0);
         }
-    }
-
-    #[test]
-    fn bytes_needed_is_an_exact_blocking_read_hint() {
-        // Reading exactly bytes_needed() at every step must produce one
-        // frame without ever over-reading (read_message's contract).
-        let msg = Message::SegmentData {
-            session: 3,
-            index: 4,
-            payload: Bytes::from(vec![9u8; 333]),
-        };
-        let mut enc = FrameEncoder::new();
-        enc.push(&msg);
-        let mut wire = Vec::new();
-        while let Some(c) = enc.pop_chunk() {
-            wire.extend_from_slice(&c);
-        }
-        let mut dec = FrameDecoder::new();
-        let mut offset = 0;
-        loop {
-            if let Some(got) = dec.poll().unwrap() {
-                assert_eq!(got, msg);
-                break;
-            }
-            let need = dec.bytes_needed();
-            assert!(need > 0);
-            dec.feed(&wire[offset..offset + need]);
-            offset += need;
-        }
-        assert_eq!(offset, wire.len(), "consumed exactly one frame");
-    }
-
-    #[test]
-    fn fill_from_deposits_directly_and_rolls_back_on_error() {
-        let msg = Message::SegmentData {
-            session: 1,
-            index: 2,
-            payload: Bytes::from(vec![0x42; 1_000]),
-        };
-        let mut enc = FrameEncoder::new();
-        enc.push(&msg);
-        let mut wire = Vec::new();
-        enc.write_to(&mut wire).unwrap();
-
-        // Whole frame in exactly two reads: prefix, then body.
-        let mut cursor = std::io::Cursor::new(&wire[..]);
-        let mut dec = FrameDecoder::new();
-        assert!(dec.poll().unwrap().is_none());
-        dec.fill_from(&mut cursor, dec.bytes_needed()).unwrap(); // 4-byte prefix
-        assert!(dec.poll().unwrap().is_none());
-        dec.fill_from(&mut cursor, dec.bytes_needed()).unwrap(); // whole body
-        assert_eq!(dec.poll().unwrap(), Some(msg));
-        assert_eq!(cursor.position() as usize, wire.len());
-
-        // A short source fails without corrupting the accumulator.
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire[..10]);
-        let before = dec.buffered();
-        let mut short = std::io::Cursor::new(&wire[10..20]);
-        assert!(dec.fill_from(&mut short, 100).is_err());
-        assert_eq!(dec.buffered(), before, "rolled back after EOF");
-    }
-
-    #[test]
-    fn oversized_prefix_still_claims_a_byte() {
-        let mut dec = FrameDecoder::new();
-        dec.feed(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
-        assert!(dec.bytes_needed() >= 1);
-        assert!(matches!(dec.poll(), Err(DecodeError::FrameTooLarge(_))));
-    }
-
-    #[test]
-    fn write_to_drains_through_a_short_writer() {
-        // A writer that accepts one byte per call exercises the partial
-        // chunk bookkeeping.
-        struct OneByte(Vec<u8>);
-        impl Write for OneByte {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                if buf.is_empty() {
-                    return Ok(0);
-                }
-                self.0.push(buf[0]);
-                Ok(1)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let msg = Message::SegmentData {
-            session: 8,
-            index: 9,
-            payload: Bytes::from(vec![7u8; 100]),
-        };
-        let mut enc = FrameEncoder::new();
-        enc.push(&msg);
-        let mut sink = OneByte(Vec::new());
-        enc.write_to(&mut sink).unwrap();
-        assert!(enc.is_empty());
-        assert_eq!(enc.pending_bytes(), 0);
-        let mut framed = BytesMut::new();
-        encode_frame(&msg, &mut framed);
-        assert_eq!(&sink.0[..], &framed[..]);
     }
 }

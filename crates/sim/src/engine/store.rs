@@ -254,11 +254,9 @@ impl PeerStore {
 /// independent of cross-shard interleaving.
 #[inline]
 pub fn rng_next(state: &mut u64) -> u64 {
+    let draw = p2ps_core::splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    draw
 }
 
 /// A uniform draw in `[0, n)` from a SplitMix64 stream.

@@ -3,8 +3,6 @@
 //! re-exports is exercised, so a dropped re-export fails this suite (and
 //! CI) instead of surfacing in downstream code.
 
-use std::io::Cursor;
-
 use bytes::{Bytes, BytesMut};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -28,7 +26,7 @@ use p2ps::metrics::{
 };
 use p2ps::node::{Args, Clock, DirectoryServer};
 use p2ps::proto::{
-    decode_frame, encode_frame, read_message, write_message, CandidateRecord, DecodeError, Message,
+    decode_frame, encode_frame, CandidateRecord, DecodeError, FrameDecoder, FrameEncoder, Message,
     SessionPlan, MAX_FRAME_LEN,
 };
 use p2ps::sim::{ArrivalPattern, PiecewiseRate, SimConfig, Simulation};
@@ -156,9 +154,13 @@ fn proto_module_is_complete() {
         class: class(2),
         port: 9000,
     };
-    let mut wire = Vec::new();
-    write_message(&mut wire, &Message::Candidates { list: vec![rec] }).unwrap();
-    let got = read_message(Cursor::new(wire)).unwrap();
+    let mut enc = FrameEncoder::new();
+    enc.push(&Message::Candidates { list: vec![rec] });
+    let mut dec = FrameDecoder::new();
+    while let Some(chunk) = enc.pop_chunk() {
+        dec.feed(&chunk);
+    }
+    let got = dec.poll().unwrap().unwrap();
     assert!(matches!(got, Message::Candidates { ref list } if list.len() == 1));
 
     let mut garbage = BytesMut::new();
@@ -233,7 +235,8 @@ fn node_module_is_complete() {
     assert_eq!(candidates[0].id, PeerId::new(5));
     dir.shutdown();
 
-    // The striped registry behind the directory is directly usable too.
+    // The thread-safe registry (a striped index plus ports) is usable
+    // directly too.
     let reg = p2ps::node::ShardedRegistry::new(4);
     reg.register(
         "facade",
