@@ -17,11 +17,16 @@
 //! The client helpers ([`register_supplier`], [`query_candidates`]) are
 //! blocking: they write [`encode_frame`]'s output and read a reply in two
 //! exact reads (the length prefix, then the body) for [`decode_frame`].
+//! Each thread keeps its connection to the directory it talked to last
+//! open and reuses it for its next message, so a thread pays one TCP
+//! handshake, not one per message.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use parking_lot::Mutex;
@@ -397,19 +402,74 @@ fn recv_frame(stream: &mut TcpStream) -> io::Result<Message> {
     Ok(decode_frame(&mut frame)?.expect("the frame is whole"))
 }
 
+/// A kept-alive client connection older than this is never reused: the
+/// server idles a connection out after [`DIR_IDLE_TIMEOUT_MS`], so the
+/// client never writes into one the server may be about to close.
+const REUSE_WINDOW: Duration = Duration::from_millis(DIR_IDLE_TIMEOUT_MS / 2);
+
+thread_local! {
+    /// This thread's connection to the directory it talked to last: the
+    /// address, the stream and when it was last used.
+    static DIR_CONN: Cell<Option<(SocketAddr, TcpStream, Instant)>> = const { Cell::new(None) };
+}
+
+/// Whether the server still holds `stream` open: a nonblocking peek
+/// finds nothing to read. EOF, an error or unsolicited bytes mean the
+/// server closed or reset the connection — it restarted on the same
+/// port, say.
+fn is_open(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let quiet =
+        matches!(stream.peek(&mut [0u8; 1]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+    quiet && stream.set_nonblocking(false).is_ok()
+}
+
+/// Runs `op` on this thread's connection to `dir`: the kept-alive one
+/// when it has the same address, was used within [`REUSE_WINDOW`] and
+/// [is open](is_open), else a fresh one, which replaces it. An `op` that
+/// fails on a reused connection runs once more on a fresh one — both
+/// operations are safe to repeat: a `Register` is a refresh, a query only
+/// reads. A connection that saw an error is dropped, never kept: a
+/// half-read frame would desynchronise it.
+fn with_dir_conn<T>(
+    dir: SocketAddr,
+    op: impl Fn(&mut TcpStream) -> io::Result<T>,
+) -> io::Result<T> {
+    if let Some((addr, mut stream, used)) = DIR_CONN.take() {
+        if addr == dir && used.elapsed() < REUSE_WINDOW && is_open(&stream) {
+            if let Ok(out) = op(&mut stream) {
+                DIR_CONN.set(Some((dir, stream, Instant::now())));
+                return Ok(out);
+            }
+        }
+    }
+    let mut stream = TcpStream::connect(dir)?;
+    // Small request/response frames: do not wait to coalesce them.
+    stream.set_nodelay(true)?;
+    let out = op(&mut stream)?;
+    DIR_CONN.set(Some((dir, stream, Instant::now())));
+    Ok(out)
+}
+
 /// Registers `peer` as a supplier of `item` with the directory at `dir`.
 ///
 /// Registration is fire-and-forget on the wire (`Register` has no
-/// acknowledgment) and therefore **eventually visible**: a query sent on
-/// a *different* connection immediately afterwards may not see the new
-/// record yet. The paper's requesters tolerate stale candidate lists by
-/// retrying admission. Callers that need read-your-write should retry
-/// the query briefly (see the tests) or multiplex both operations on one
-/// connection, where ordering is guaranteed.
+/// acknowledgment). The message goes out on the calling thread's
+/// kept-alive directory connection — reused while it was last used less
+/// than half the server's 5 s idle timeout ago and the server has not
+/// closed it, otherwise replaced by a fresh one — so the same thread's
+/// later [`query_candidates`] is answered after the registration is
+/// applied: a thread reads its own writes. Across threads registration
+/// is **eventually visible**: a query from another thread immediately
+/// afterwards may not see the new record yet. The paper's requesters
+/// tolerate stale candidate lists by retrying admission.
 ///
 /// # Errors
 ///
-/// Propagates socket errors.
+/// Propagates socket errors from a fresh connection. A write that fails
+/// on a reused connection is retried once on a fresh one.
 pub fn register_supplier(
     dir: SocketAddr,
     item: &str,
@@ -417,42 +477,43 @@ pub fn register_supplier(
     class: PeerClass,
     port: u16,
 ) -> io::Result<()> {
-    let mut stream = TcpStream::connect(dir)?;
-    send_frame(
-        &mut stream,
-        &Message::Register {
-            item: item.to_owned(),
-            peer,
-            class,
-            port,
-        },
-    )
+    let msg = Message::Register {
+        item: item.to_owned(),
+        peer,
+        class,
+        port,
+    };
+    with_dir_conn(dir, |stream| send_frame(stream, &msg))
 }
 
 /// Queries the directory at `dir` for up to `m` candidates for `item`.
 /// The wire field is a `u16`: an `m` above `u16::MAX` asks for
 /// `u16::MAX`.
 ///
+/// The query shares the calling thread's kept-alive directory connection
+/// with [`register_supplier`] (same reuse rule), so it sees every
+/// registration this thread sent before it.
+///
 /// # Errors
 ///
-/// Propagates socket errors; a malformed response surfaces as
-/// [`std::io::ErrorKind::InvalidData`].
+/// Propagates socket errors from a fresh connection (a query that fails
+/// on a reused connection is retried once on a fresh one); a malformed
+/// response surfaces as [`std::io::ErrorKind::InvalidData`].
 pub fn query_candidates(dir: SocketAddr, item: &str, m: usize) -> io::Result<Vec<CandidateRecord>> {
-    let mut stream = TcpStream::connect(dir)?;
-    send_frame(
-        &mut stream,
-        &Message::QueryCandidates {
-            item: item.to_owned(),
-            m: u16::try_from(m).unwrap_or(u16::MAX),
-        },
-    )?;
-    match recv_frame(&mut stream)? {
-        Message::Candidates { list } => Ok(list),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected candidates, got {}", other.name()),
-        )),
-    }
+    let msg = Message::QueryCandidates {
+        item: item.to_owned(),
+        m: u16::try_from(m).unwrap_or(u16::MAX),
+    };
+    with_dir_conn(dir, |stream| {
+        send_frame(stream, &msg)?;
+        match recv_frame(stream)? {
+            Message::Candidates { list } => Ok(list),
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("expected candidates, got {}", other.name()),
+            )),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -476,16 +537,8 @@ mod tests {
             )
             .unwrap();
         }
-        // Registration is async relative to the query connection; retry
-        // briefly until all writes are applied.
-        let mut got = Vec::new();
-        for _ in 0..50 {
-            got = query_candidates(dir.addr(), "video", 8).unwrap();
-            if got.len() == 8 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        // Same thread, same connection: the query sees every registration.
+        let got = query_candidates(dir.addr(), "video", 8).unwrap();
         assert_eq!(got.len(), 8);
         let mut ids: Vec<u64> = got.iter().map(|c| c.id.get()).collect();
         ids.sort_unstable();
@@ -509,14 +562,7 @@ mod tests {
             .expect("a freshly released loopback port should be bindable");
         assert_eq!(dir.port(), port);
         register_supplier(dir.addr(), "v", PeerId::new(1), class(2), 4242).unwrap();
-        let mut got = Vec::new();
-        for _ in 0..50 {
-            got = query_candidates(dir.addr(), "v", 4).unwrap();
-            if !got.is_empty() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        let got = query_candidates(dir.addr(), "v", 4).unwrap();
         assert_eq!(got.len(), 1, "directory on the requested port serves");
         // A second bind on the same port must fail loudly, not silently
         // fall back to an ephemeral port.
@@ -537,14 +583,7 @@ mod tests {
         let dir = DirectoryServer::start().unwrap();
         register_supplier(dir.addr(), "v", PeerId::new(1), class(4), 1111).unwrap();
         register_supplier(dir.addr(), "v", PeerId::new(1), class(2), 2222).unwrap();
-        let mut got = Vec::new();
-        for _ in 0..50 {
-            got = query_candidates(dir.addr(), "v", 8).unwrap();
-            if got.len() == 1 && got[0].port == 2222 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        let got = query_candidates(dir.addr(), "v", 8).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].class, class(2));
         assert_eq!(got[0].port, 2222);
@@ -564,14 +603,7 @@ mod tests {
             )
             .unwrap();
         }
-        let mut got = Vec::new();
-        for _ in 0..50 {
-            got = query_candidates(dir.addr(), "chord-item", 8).unwrap();
-            if got.len() == 6 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        let got = query_candidates(dir.addr(), "chord-item", 8).unwrap();
         assert_eq!(got.len(), 6, "all suppliers reachable through the ring");
         for c in &got {
             assert_eq!(c.port, 7000 + c.id.get() as u16, "ports survive the ring");
@@ -761,14 +793,7 @@ mod tests {
         for i in 0..3u64 {
             register_supplier(dir.addr(), "v", PeerId::new(i), class(1), 4000 + i as u16).unwrap();
         }
-        let mut got = Vec::new();
-        for _ in 0..50 {
-            got = query_candidates(dir.addr(), "v", 65_536).unwrap();
-            if got.len() == 3 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        let got = query_candidates(dir.addr(), "v", 65_536).unwrap();
         assert_eq!(got.len(), 3, "m = 65,536 must not wrap to 0");
         dir.shutdown();
     }

@@ -1,5 +1,7 @@
 //! Pins the reactor property that motivated the directory migration: an
-//! idle connected client must not delay other peers' traffic.
+//! idle connected client must not delay other peers' traffic. Also pins
+//! the client's kept-alive connection: one per thread, reused only while
+//! young and open.
 //!
 //! The old accept loop served connections *serially*: one client that
 //! connected and went quiet held the loop inside its 5-second read
@@ -87,5 +89,76 @@ fn idle_clients_are_reaped_while_service_continues() {
         Ok(n) => panic!("unexpected {n} bytes from the directory"),
         Err(e) => panic!("expected EOF from the reaped connection, got {e}"),
     }
+
+    // This thread's kept-alive connection is now older than the reuse
+    // window (and reaped too): the next query must go out on a fresh one.
+    let got = query_candidates(dir.addr(), "v", 4).unwrap();
+    assert_eq!(got.len(), 1, "a query after the idle close still answers");
+    assert_eq!(got[0].port, 4321);
     dir.shutdown();
+}
+
+#[test]
+fn one_thread_uses_one_connection_and_reads_its_own_writes() {
+    let dir = DirectoryServer::start().unwrap();
+    for i in 0..100u64 {
+        register_supplier(
+            dir.addr(),
+            "video",
+            PeerId::new(i),
+            PeerClass::new(1 + (i % 4) as u8).unwrap(),
+            9_000 + i as u16,
+        )
+        .unwrap();
+    }
+    // No retry loop: the query follows the registrations on the same
+    // connection, so the server has applied all of them before it answers.
+    let got = query_candidates(dir.addr(), "video", 100).unwrap();
+    assert_eq!(got.len(), 100, "a thread reads its own registrations");
+    let snap = dir.monitor().snapshot();
+    let accepts = snap
+        .find(&[("reactor", "0")], "accepts_total")
+        .unwrap()
+        .value()
+        .as_i64();
+    assert_eq!(accepts, 1, "101 messages from one thread, one connection");
+    dir.shutdown();
+}
+
+#[test]
+fn a_directory_restarted_on_the_same_port_gets_the_next_registration() {
+    // Another process can take the port between the shutdown and the
+    // rebind; start over on a fresh port then.
+    for _ in 0..16 {
+        let first = DirectoryServer::start().unwrap();
+        let addr = first.addr();
+        register_supplier(addr, "v", PeerId::new(1), PeerClass::HIGHEST, 4321).unwrap();
+        // The answer proves the server accepted the connection, so its
+        // shutdown closes it (a connection still in the accept backlog
+        // would be reset, and the next write would fail outright).
+        assert_eq!(query_candidates(addr, "v", 4).unwrap().len(), 1);
+        first.shutdown();
+        let Ok(second) = DirectoryServer::start_on(addr.port()) else {
+            continue;
+        };
+        // The kept-alive connection is young but points at the closed
+        // server: the registration must notice and go out on a fresh one.
+        register_supplier(addr, "v", PeerId::new(2), PeerClass::HIGHEST, 4322).unwrap();
+        let got = query_candidates(addr, "v", 4).unwrap();
+        let snap = second.monitor().snapshot();
+        let registrations = snap
+            .find(&[], "registrations_total")
+            .unwrap()
+            .value()
+            .as_i64();
+        assert_eq!(
+            registrations, 1,
+            "the restarted server got the registration"
+        );
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].id, got[0].port), (PeerId::new(2), 4322));
+        second.shutdown();
+        return;
+    }
+    panic!("no freshly released loopback port could be bound again");
 }
