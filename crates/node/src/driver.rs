@@ -184,11 +184,17 @@ impl SessionDriver {
         self.check_progress()
     }
 
-    /// A segment arrived on `lane` at session-relative time `at`, in µs
+    /// A segment arrived on `lane` at `at_us`, in µs since the hand-off
     /// on the transport's clock (the reactor's, or simnet's virtual
     /// one); the driver only stores it with the segment.
-    pub fn on_segment(&mut self, lane: usize, index: u64, payload: Bytes, at: u64) -> DriverStep {
-        self.sm.on_segment(lane, index, payload, at);
+    pub fn on_segment(
+        &mut self,
+        lane: usize,
+        index: u64,
+        payload: Bytes,
+        at_us: u64,
+    ) -> DriverStep {
+        self.sm.on_segment(lane, index, payload, at_us);
         if self.sm.is_complete() {
             DriverStep::Complete
         } else {

@@ -213,7 +213,7 @@ impl RequesterMachine {
 
     /// Theorem 1's start-up delay for the admitted plan (`n·δt` under
     /// `Otsp2p`), in ms; 0 before admission.
-    pub(crate) fn theoretical_delay_ms(&self) -> u64 {
+    pub fn theoretical_delay_ms(&self) -> u64 {
         self.stream.as_ref().map_or(0, |s| {
             s.theoretical_slots * self.info.segment_duration().as_millis()
         })
@@ -243,12 +243,14 @@ impl RequesterMachine {
         self.actions.pop_front()
     }
 
-    /// Feeds one decoded frame from `lane`, received at `at` (the
-    /// session-relative time a segment is stored with, in µs: the
-    /// reactor's clock, or simnet's virtual one). Returns what becomes of the lane:
+    /// Feeds one decoded frame from `lane`, received at `at_us`: the
+    /// time a segment is stored with, in µs since the hand-off — the
+    /// first instant [`driver`](Self::driver) is `Some`, when the
+    /// `StartSession` frames go out — on the reactor's clock or simnet's
+    /// virtual one. Returns what becomes of the lane:
     /// [`Flow::Close`] when its supplier ended the stream or broke the
     /// protocol — drop the transport now; [`Flow::Keep`] otherwise.
-    pub fn on_message(&mut self, lane: usize, msg: Message, at: u64) -> Flow {
+    pub fn on_message(&mut self, lane: usize, msg: Message, at_us: u64) -> Flow {
         if self.end.is_some() || !self.lanes[lane].open {
             return Flow::Close;
         }
@@ -277,7 +279,7 @@ impl RequesterMachine {
                         lane: lane as u64,
                         index,
                     }));
-                let step = stream.driver.on_segment(slot, index, payload, at);
+                let step = stream.driver.on_segment(slot, index, payload, at_us);
                 self.apply(step);
                 return Flow::Keep;
             }

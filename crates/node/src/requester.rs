@@ -38,7 +38,7 @@ use p2ps_media::{MediaInfo, Segment, SegmentStore};
 use p2ps_monitor::{monotonic_ms, Counter, Gauge, Monitor, Recorder, StateCell};
 use p2ps_net::{ConnId, Ctx};
 use p2ps_policy::SharedPolicy;
-use p2ps_proto::{Flow, FrameDecoder, Message, RequesterSession, SessionEvent};
+use p2ps_proto::{startup_term_us, Flow, FrameDecoder, Message, RequesterSession, SessionEvent};
 
 use crate::serve::send;
 use crate::{NodeError, RequesterAction, RequesterMachine, StreamOutcome};
@@ -141,10 +141,10 @@ impl SessionProbe {
         self.last_progress_ms.set(monotonic_ms() as i64);
     }
 
-    /// A segment arrived for the first time, `lateness_us` past its
-    /// play-out offset `s·δt`.
-    fn arrived(&self, lateness_us: u64, theoretical_us: u64) {
-        let past = lateness_us as i64 - theoretical_us as i64;
+    /// A segment arrived for the first time, demanding `term_us` of the
+    /// start-up delay ([`startup_term_us`]).
+    fn arrived(&self, term_us: u64, theoretical_us: u64) {
+        let past = term_us as i64 - theoretical_us as i64;
         // Only the hosting reactor thread writes this gauge.
         if past > self.startup_lateness_us.get() {
             self.startup_lateness_us.set(past);
@@ -165,8 +165,8 @@ impl SessionProbe {
 pub(crate) type SessionResult = Result<FinishedSession, NodeError>;
 
 /// A completed session as the reactor left it: the reassembly machine
-/// with every payload and arrival time (µs since launch), plus what the
-/// outcome report needs. The reactor only moves it into the result
+/// with every payload and arrival time (µs since the hand-off), plus what
+/// the outcome report needs. The reactor only moves it into the result
 /// channel; [`into_outcome`](Self::into_outcome) — building the store and
 /// folding the arrivals into the start-up delay — runs on the thread that
 /// waits for the session.
@@ -182,15 +182,14 @@ pub(crate) struct FinishedSession {
 impl FinishedSession {
     /// Builds the outcome + store.
     pub(crate) fn into_outcome(self) -> (StreamOutcome, SegmentStore) {
-        let dt_ms = self.info.segment_duration().as_millis();
+        let dt_us = self.info.segment_duration().as_millis() * 1_000;
+        let measured_delay_us = self
+            .machine
+            .startup_us(dt_us)
+            .expect("a completed session holds every segment");
         let mut store = SegmentStore::new(self.machine.total_segments());
-        // The smallest delay under which playback would have been smooth,
-        // as `PlaybackBuffer::min_feasible_delay_ms` defines it: the
-        // machine kept each segment's earliest arrival.
-        let mut measured_delay_us = 0;
         for (index, entry) in self.machine.into_segments().into_iter().enumerate() {
-            if let Some((payload, at_us)) = entry {
-                measured_delay_us = measured_delay_us.max(lateness_us(at_us, index as u64, dt_ms));
+            if let Some((payload, _)) = entry {
                 store.insert(Segment::new(index as u64, payload));
             }
         }
@@ -204,12 +203,6 @@ impl FinishedSession {
         };
         (outcome, store)
     }
-}
-
-/// How long after its play-out offset `index · δt` a segment arrived
-/// (`at_us` since launch) — what it alone demands of the start-up delay.
-fn lateness_us(at_us: u64, index: u64, dt_ms: u64) -> u64 {
-    at_us.saturating_sub(index * dt_ms * 1_000)
 }
 
 /// Everything a reactor shard needs to host one requester session.
@@ -590,9 +583,9 @@ impl ReqSession {
         let flow = self.machine.on_message(lane, msg, at_us);
         let first = received(&self.machine) > had;
         if first {
-            let dt_ms = self.machine.info().segment_duration().as_millis();
+            let dt_us = self.machine.info().segment_duration().as_millis() * 1_000;
             self.probe.arrived(
-                lateness_us(at_us, index, dt_ms),
+                startup_term_us(at_us, index, dt_us),
                 self.machine.theoretical_delay_ms() * 1_000,
             );
         }

@@ -6,19 +6,22 @@
 //! measures — `max_s(arrival_s − s·δt)` on the reactor's µs clock — is
 //! held against the theorem's `n·δt`:
 //!
-//! * **never below it**: a paced segment is not sent before its §3
-//!   deadline, which is the timer wheel's "never early" end to end;
-//! * **at it**: the median session is within 500 µs of `n·δt` (optimised
-//!   build; see [`MEDIAN_PAST_US`]), and in the optimised build at
-//!   least three sessions in four read `n·δt` to the millisecond (one in
-//!   twelve did while deadlines were rounded to a 2 ms wheel tick and a
-//!   whole-millisecond clock; unoptimised builds have read 16–23 of 32, see
-//!   [`CHECK_EXACT_SHARE`]).
+//! * **never below it**, in every build: a paced segment is not sent
+//!   before its §3 deadline, which is the timer wheel's "never early" end
+//!   to end;
+//! * **at it**, in the optimised build only (CI's release step), one
+//!   threshold per claim: the median session is at most 500 µs past
+//!   `n·δt`, and at least three sessions in four read `n·δt` to the
+//!   millisecond (one in twelve did while deadlines were rounded to a
+//!   2 ms wheel tick and a whole-millisecond clock). An unoptimised
+//!   build's pass through the stack is several times as long, so it is
+//!   not timed at all: simnet's seed sweep holds Theorem 1 exactly, in
+//!   virtual time, on every build.
 //!
-//! The bounds are on the median and on a share, not on the worst session:
-//! a host that takes the CPU away for some milliseconds makes a session
-//! late whatever the reactor does, and the reactor's `wake_late_*` /
-//! `turn_*` rows are where that shows.
+//! The timing bounds are on the median and on a share, not on the worst
+//! session: a host that takes the CPU away for some milliseconds makes a
+//! session late whatever the reactor does, and the reactor's
+//! `wake_late_*` / `turn_*` rows are where that shows.
 
 use std::time::Duration;
 
@@ -32,18 +35,6 @@ use p2ps_proto::CandidateRecord;
 
 const DT_MS: u64 = 20;
 const SESSIONS: usize = 32;
-/// How far past `n·δt` the median session may start. What is left is the
-/// kernel's wake-up from an idle sleep (100–200 µs on a virtual CPU) plus
-/// one pass through the stack per segment, the worst of twelve — which an
-/// unoptimised build makes several times as long, so only the optimised
-/// one (the build CI runs this test in) is held to the half millisecond.
-const MEDIAN_PAST_US: u64 = if cfg!(debug_assertions) { 2_000 } else { 500 };
-/// Whether "three sessions in four exact to the millisecond" is held. An
-/// unoptimised build's per-segment pass is long enough that a quarter of
-/// its sessions or more cross into the next millisecond, so only the
-/// optimised build (CI's release step) is held to the share; the debug
-/// build keeps "never early" and its 2 ms median.
-const CHECK_EXACT_SHARE: bool = !cfg!(debug_assertions);
 
 #[test]
 fn the_median_live_session_starts_at_n_dt_and_none_starts_before() {
@@ -101,7 +92,6 @@ fn the_median_live_session_starts_at_n_dt_and_none_starts_before() {
         viewer.shutdown();
     }
 
-    let mut past_us: Vec<u64> = Vec::with_capacity(SESSIONS);
     for (i, o) in outcomes.iter().enumerate() {
         let theorem_us = o.theoretical_delay_ms * 1_000;
         assert!(
@@ -111,24 +101,38 @@ fn the_median_live_session_starts_at_n_dt_and_none_starts_before() {
             theorem_us - o.measured_delay_us
         );
         assert_eq!(o.measured_delay_ms, o.measured_delay_us / 1_000);
-        past_us.push(o.measured_delay_us - theorem_us);
     }
-    let exact = outcomes
-        .iter()
-        .filter(|o| o.measured_delay_ms == o.theoretical_delay_ms)
-        .count();
-    past_us.sort_unstable();
-    let median = past_us[SESSIONS / 2];
-    assert!(
-        median <= MEDIAN_PAST_US,
-        "median session is {median} us past n·δt (all, sorted: {past_us:?})"
-    );
-    assert!(
-        !CHECK_EXACT_SHARE || exact * 4 >= SESSIONS * 3,
-        "{exact} of {SESSIONS} sessions read n·δt to the millisecond (us past it, sorted: {past_us:?})"
-    );
+    #[cfg(not(debug_assertions))]
+    starts_at_n_dt(&outcomes);
 
     drop(seeds);
     reactor.shutdown();
     dir.shutdown();
+}
+
+/// The timing half, held in the optimised build: the median session is
+/// at most 500 µs past `n·δt` — what is left is the kernel's wake-up
+/// from an idle sleep (100–200 µs on a virtual CPU) plus one pass through
+/// the stack per segment, the worst of twelve — and three sessions in
+/// four read `n·δt` to the millisecond.
+#[cfg(not(debug_assertions))]
+fn starts_at_n_dt(outcomes: &[StreamOutcome]) {
+    let mut past_us: Vec<u64> = outcomes
+        .iter()
+        .map(|o| o.measured_delay_us - o.theoretical_delay_ms * 1_000)
+        .collect();
+    past_us.sort_unstable();
+    let median = past_us[SESSIONS / 2];
+    assert!(
+        median <= 500,
+        "median session is {median} us past n·δt (all, sorted: {past_us:?})"
+    );
+    let exact = outcomes
+        .iter()
+        .filter(|o| o.measured_delay_ms == o.theoretical_delay_ms)
+        .count();
+    assert!(
+        exact * 4 >= SESSIONS * 3,
+        "{exact} of {SESSIONS} sessions read n·δt to the millisecond (us past it, sorted: {past_us:?})"
+    );
 }

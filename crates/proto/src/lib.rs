@@ -61,7 +61,7 @@ pub use codec::{decode_frame, encode_frame, MAX_FRAME_LEN};
 pub use error::DecodeError;
 pub use event::SessionEvent;
 pub use message::{CandidateRecord, Message, SessionPlan};
-pub use requester::{RequesterSession, SessionPhase};
+pub use requester::{startup_term_us, RequesterSession, SessionPhase};
 pub use sansio::{FrameDecoder, FrameEncoder};
 pub use supplier::{ScheduleError, SupplierSchedule};
 pub use supplier_conn::{

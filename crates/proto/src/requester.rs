@@ -136,10 +136,11 @@ impl RequesterSession {
         }
     }
 
-    /// Records one received segment from `supplier` at caller-clock time
-    /// `at_ms`. Returns `true` when the segment was new (first arrival);
+    /// Records one received segment from `supplier` at `at_us`, in µs
+    /// since the hand-off (the instant the `StartSession` frames went
+    /// out). Returns `true` when the segment was new (first arrival);
     /// duplicates and out-of-range indices are tolerated and ignored.
-    pub fn on_segment(&mut self, supplier: usize, index: u64, payload: Bytes, at_ms: u64) -> bool {
+    pub fn on_segment(&mut self, supplier: usize, index: u64, payload: Bytes, at_us: u64) -> bool {
         // Suppliers transmit their queue in order, so the owed entry is
         // almost always the front; the scan only runs on replan overlap.
         let lane = &mut self.lanes[supplier];
@@ -152,7 +153,7 @@ impl RequesterSession {
         if slot.is_some() {
             return false;
         }
-        *slot = Some((payload, at_ms));
+        *slot = Some((payload, at_us));
         self.received += 1;
         true
     }
@@ -255,11 +256,34 @@ impl RequesterSession {
         }
     }
 
-    /// Consumes the machine, yielding per-segment `(payload, at_ms)`
+    /// Theorem 1's start-up delay as these arrivals measure it, in µs:
+    /// the smallest delay `S` after the hand-off at which play-out never
+    /// stalls, `S = max_i(at_i − i·δt)` over each segment's earliest
+    /// arrival `at_i` ([`startup_term_us`]), for segments of `dt_us`
+    /// play-out each. `None` while a segment is missing.
+    pub fn startup_us(&self, dt_us: u64) -> Option<u64> {
+        self.segments
+            .iter()
+            .enumerate()
+            .try_fold(0, |startup, (index, slot)| {
+                let &(_, at_us) = slot.as_ref()?;
+                Some(startup.max(startup_term_us(at_us, index as u64, dt_us)))
+            })
+    }
+
+    /// Consumes the machine, yielding per-segment `(payload, at_us)`
     /// entries (`None` where nothing arrived).
     pub fn into_segments(self) -> Vec<Option<(Bytes, u64)>> {
         self.segments
     }
+}
+
+/// What segment `index`, arrived at `at_us` after the hand-off, alone
+/// demands of the start-up delay: how far past its play-out offset
+/// `index · dt_us` it came, 0 when it came before. The start-up delay is
+/// the largest of these ([`RequesterSession::startup_us`]).
+pub fn startup_term_us(at_us: u64, index: u64, dt_us: u64) -> u64 {
+    at_us.saturating_sub(index * dt_us)
 }
 
 #[cfg(test)]
@@ -292,6 +316,17 @@ mod tests {
         assert!(!sm.on_segment(s, 0, payload(9), 2), "duplicate");
         assert!(!sm.on_segment(s, 7, payload(7), 3), "out of range");
         assert_eq!(sm.received(), 1);
+        assert_eq!(sm.startup_us(10), None, "segment 1 is missing");
+        // Segment 1 arrives 5 µs ahead of its play-out offset 1·δt: it
+        // demands nothing, so segment 0's 1 µs sets the start-up delay.
+        assert!(sm.on_segment(s, 1, payload(1), 5));
+        assert_eq!(startup_term_us(5, 1, 10), 0);
+        assert_eq!(sm.startup_us(10), Some(1));
+        // A later duplicate does not count: playback waits for the
+        // earliest arrival.
+        assert!(!sm.on_segment(s, 0, payload(0), 500));
+        assert_eq!(sm.startup_us(10), Some(1));
+        assert_eq!(sm.startup_us(0), Some(5), "with δt = 0 the last arrival");
         // First arrival wins: the payload was not overwritten.
         let segs = sm.into_segments();
         assert_eq!(segs[0].as_ref().unwrap().0, payload(0));

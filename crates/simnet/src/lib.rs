@@ -33,7 +33,10 @@
 //! reminders and the structured `Rejected` outcome). Every run must end
 //! in byte-exact reassembly or a *structured* failure
 //! ([`SimOutcome::is_acceptable`]); stalls and corrupt reassembly are
-//! harness-caught bugs.
+//! harness-caught bugs. A sixth, `Ideal`, has no adversity at all: it is
+//! where Theorem 1's start-up delay — which every run reports as
+//! [`SimReport::startup_us`] beside its bound [`SimReport::theorem_us`]
+//! — holds exactly.
 //!
 //! # Examples
 //!

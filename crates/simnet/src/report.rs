@@ -106,6 +106,15 @@ pub struct SimReport {
     pub denials: u64,
     /// `Reminder` frames that reached a supplier after a rejection.
     pub reminders: u64,
+    /// Theorem 1's start-up delay as the run measured it, in µs: `S =
+    /// max_i(arrival_i − i·δt)` over each segment's earliest arrival, in
+    /// µs since the hand-off (the instant the `StartSession` frames went
+    /// out) — the fold the live node reports as `measured_delay_us`.
+    /// `Some` once every segment arrived; not traced.
+    pub startup_us: Option<u64>,
+    /// Theorem 1's bound for the admitted plan, `n·δt`, in µs. `Some`
+    /// once the round admitted and the session streamed; not traced.
+    pub theorem_us: Option<u64>,
     /// The session's flight-recorder timeline, virtual-clock stamped —
     /// the same [`SessionEvent`](p2ps_proto::SessionEvent) stream the
     /// live requester records, compared whole by the sweep's run-twice

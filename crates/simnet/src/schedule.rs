@@ -10,7 +10,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// The five adversity profiles the sweep crosses with its seeds.
+/// The adversity profiles the sweep crosses with its seeds: the five of
+/// [`ScenarioKind::ALL`] and the adversity-free [`ScenarioKind::Ideal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioKind {
     /// No departures: varied latency, jitter and fragmentation only.
@@ -27,10 +28,17 @@ pub enum ScenarioKind {
     /// round itself is the adversity — denials, reminders and a
     /// structured `Rejected` outcome instead of a stream.
     Admission,
+    /// No adversity, the setting Theorem 1 is stated in: every supplier
+    /// grants, none dies, every link has one latency, no jitter and room
+    /// for any frame in a millisecond, and every frame travels whole, so
+    /// the start-up delay is exactly `n·δt` plus the path. Not in
+    /// [`ALL`](Self::ALL).
+    Ideal,
 }
 
 impl ScenarioKind {
-    /// Every scenario, in sweep order.
+    /// The five adversity profiles, in sweep order. [`Ideal`](Self::Ideal)
+    /// is swept on its own.
     pub const ALL: [ScenarioKind; 5] = [
         ScenarioKind::Steady,
         ScenarioKind::Churn,
@@ -47,6 +55,7 @@ impl ScenarioKind {
             ScenarioKind::Loss => "loss",
             ScenarioKind::SlowPeer => "slow-peer",
             ScenarioKind::Admission => "admission",
+            ScenarioKind::Ideal => "ideal",
         }
     }
 
@@ -59,6 +68,7 @@ impl ScenarioKind {
             ScenarioKind::Loss => 0x1656_67b1_9e37_79f9,
             ScenarioKind::SlowPeer => 0x2545_f491_4f6c_dd1d,
             ScenarioKind::Admission => 0x8532_7860_e17a_9cb7,
+            ScenarioKind::Ideal => 0x94d0_49bb_1331_11eb,
         }
     }
 }
@@ -104,6 +114,10 @@ const MIXES: &[&[u8]] = &[
     &[4, 4, 4, 4, 4, 4, 4, 4],
 ];
 
+/// An `Ideal` link's bandwidth: far more than the largest frame (a few
+/// hundred bytes), so any frame serializes in exactly one millisecond.
+const IDEAL_BYTES_PER_MS: u64 = 1 << 20;
+
 /// The complete, seed-derived description of one adversarial run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
@@ -121,6 +135,8 @@ pub struct Schedule {
     pub dt_ms: u64,
     /// Upper bound on a delivered chunk's size in bytes — the stream is
     /// split at arbitrary byte boundaries into chunks of `1..=max_chunk`.
+    /// `usize::MAX` (on `Ideal`) bounds nothing: every frame travels
+    /// whole, as one chunk, and no split is drawn.
     pub max_chunk: usize,
     /// Per-supplier link characteristics (index = mix position).
     pub links: Vec<LinkSpec>,
@@ -145,12 +161,23 @@ impl Schedule {
         let dt_ms = rng.gen_range(4..=20u64);
         let max_chunk = match scenario {
             ScenarioKind::Loss => rng.gen_range(1..=5usize),
+            ScenarioKind::Ideal => usize::MAX,
             _ => rng.gen_range(8..=64usize),
         };
         let slow_lane = rng.gen_range(0..mix.len());
+        let ideal_latency_ms = match scenario {
+            ScenarioKind::Ideal => Some(rng.gen_range(0..=25u64)),
+            _ => None,
+        };
         let links = (0..mix.len())
             .map(|lane| {
-                if scenario == ScenarioKind::SlowPeer && lane == slow_lane {
+                if let Some(latency_ms) = ideal_latency_ms {
+                    LinkSpec {
+                        latency_ms,
+                        jitter_ms: 0,
+                        bytes_per_ms: IDEAL_BYTES_PER_MS,
+                    }
+                } else if scenario == ScenarioKind::SlowPeer && lane == slow_lane {
                     LinkSpec {
                         latency_ms: rng.gen_range(60..=150u64),
                         jitter_ms: rng.gen_range(5..=20u64),
@@ -169,7 +196,10 @@ impl Schedule {
         // land anywhere in that span (plus slack for latency).
         let span = segment_count * dt_ms * 2;
         let mut deaths: Vec<(usize, u64)> = match scenario {
-            ScenarioKind::Steady | ScenarioKind::SlowPeer | ScenarioKind::Admission => Vec::new(),
+            ScenarioKind::Steady
+            | ScenarioKind::SlowPeer
+            | ScenarioKind::Admission
+            | ScenarioKind::Ideal => Vec::new(),
             ScenarioKind::Churn => {
                 let victims = rng.gen_range(1..=mix.len());
                 let mut lanes: Vec<usize> = (0..mix.len()).collect();

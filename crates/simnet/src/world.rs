@@ -27,7 +27,9 @@
 //! with a strictly increasing sequence number breaking ties; two runs of
 //! the same [`Schedule`] replay the identical event order, asserted via
 //! the run's [`trace_hash`](SimReport::trace_hash). The flight recorder
-//! is stamped in ms, as on the live node.
+//! is stamped in ms, as on the live node. Segment arrivals are fed to the
+//! requester in µs since the hand-off, as on the live node, and fold into
+//! the run's start-up delay ([`SimReport::startup_us`]).
 //!
 //! The transport allocates nothing per chunk, and a run allocates little
 //! beyond what it keeps. Every byte the run sends lives in one wire
@@ -415,6 +417,10 @@ pub struct SimWorld {
     schedule: Schedule,
     /// Virtual time in µs.
     now: u64,
+    /// `now` at the hand-off: the first pump in which the requester
+    /// machine has a driver, which ships the `StartSession` frames. The
+    /// origin of every arrival time the requester stores.
+    handoff_us: Option<u64>,
     queue: Queue,
     rng: SmallRng,
     trace: TraceHasher,
@@ -506,6 +512,7 @@ impl SimWorld {
 
         let mut world = SimWorld {
             now: 0,
+            handoff_us: None,
             queue: Queue::with_capacity(event_capacity, chunk_capacity),
             rng: SmallRng::seed_from_u64(rng_seed),
             trace: TraceHasher::new(),
@@ -563,6 +570,15 @@ impl SimWorld {
             .driver()
             .map_or(0, |driver| driver.machine().received());
         let expected = self.file.info().segment_count();
+        let dt_us = self.schedule.dt_ms * 1_000;
+        let startup_us = self
+            .req
+            .driver()
+            .and_then(|driver| driver.machine().startup_us(dt_us));
+        let theorem_us = self
+            .req
+            .driver()
+            .map(|_| self.req.theoretical_delay_ms() * 1_000);
         let outcome = match self.req.into_outcome() {
             Some(Ok(driver)) => {
                 let (sm, _classes) = driver.into_parts();
@@ -606,6 +622,8 @@ impl SimWorld {
             grants: self.grants,
             denials: self.denials,
             reminders: self.reminders,
+            startup_us,
+            theorem_us,
             recorder: self.recorder.events(),
         }
     }
@@ -658,7 +676,8 @@ impl SimWorld {
 
     /// Fragments the wire log's bytes from `start` on at arbitrary
     /// boundaries and schedules each chunk's FIFO delivery over the
-    /// lane's link.
+    /// lane's link. An unbounded `max_chunk` (`Ideal`) sends them whole
+    /// and draws nothing, so no split moves the start-up delay.
     fn fragment(&mut self, lane: usize, dir: Dir, start: usize) {
         let end = self.wire.len();
         self.bytes_on_wire += (end - start) as u64;
@@ -667,8 +686,8 @@ impl SimWorld {
         let mut from = start;
         while from < end {
             let cap = (end - from).min(max_chunk);
-            let take = if cap == 1 {
-                1
+            let take = if cap == 1 || max_chunk == usize::MAX {
+                cap
             } else {
                 self.rng.gen_range(1..=cap)
             };
@@ -680,8 +699,12 @@ impl SimWorld {
     }
 
     /// Executes the requester machine's queued actions: frames go on
-    /// the wire, closes and timeline entries go into the trace.
+    /// the wire, closes and timeline entries go into the trace. The first
+    /// pump with a driver is the hand-off, and stamps it.
     fn pump(&mut self) {
+        if self.handoff_us.is_none() && self.req.driver().is_some() {
+            self.handoff_us = Some(self.now);
+        }
         while let Some(action) = self.req.pop_action() {
             match action {
                 RequesterAction::Send { lane, msg } => {
@@ -755,7 +778,8 @@ impl SimWorld {
             match self.lanes[lane].req_dec.poll() {
                 Ok(Some(msg)) => {
                     self.trace_rx(lane, &msg);
-                    self.req.on_message(lane, msg, self.now);
+                    let at_us = self.handoff_us.map_or(0, |handoff| self.now - handoff);
+                    self.req.on_message(lane, msg, at_us);
                     self.pump();
                 }
                 Ok(None) => return,

@@ -6,21 +6,112 @@
 //! reassembly or a structured failure. Any violation panics with a
 //! one-line `SIMNET_SEED=…` repro; setting that variable re-runs just
 //! the offending seed across all scenarios.
+//!
+//! # Theorem 1 in virtual time
+//!
+//! Every completed run is also held to Theorem 1: its start-up delay
+//! `S = max_i(arrival_i − i·δt)`, in µs since the hand-off (the instant
+//! the `StartSession` frames go out), against the plan's `n·δt`. The
+//! path term comes from `Link::send`, under which a chunk of `len` bytes
+//! sent at `t` arrives at `max(link_free, t + latency + jitter) +
+//! ⌈len / bytes_per_ms⌉` whole ms. Between the hand-off and a segment's
+//! arrival lie two legs — the `StartSession` to its supplier, then the
+//! segment back — and each costs at least its lane's latency plus one
+//! ms, since a non-empty chunk serializes for at least one whole ms. The
+//! supplier sends the segment at its §3 deadline, counted from the
+//! `StartSession`'s arrival, and under `OTSp2p` the latest deadline past
+//! its play-out offset is exactly `n·δt` past it. So:
+//!
+//! * **exact, on `Ideal`**: one latency `L` on every lane, no jitter, a
+//!   link far faster than any frame and every frame sent whole (one
+//!   chunk, so one ms), and every link idle when a frame is sent — a
+//!   lane's frames leave a stride of at least `δt` ≥ 4 ms apart. Each
+//!   leg takes exactly `L + 1` ms, so `S = n·δt + 2·(L + 1 ms)` to the
+//!   µs, with no tolerance;
+//! * **never early, on every completed run**: `S ≥ n·δt + 2·(L_min +
+//!   1 ms)`, with `L_min` the smallest latency of any lane — jitter, a
+//!   split frame, a queued link and a replan only delay a segment.
+//!
+//! The upper side of the five adversity profiles is reported, not
+//! asserted: a frame split into 1-byte chunks costs a whole ms per
+//! byte, and frames run to 153 B against class strides of 4–160 ms, so
+//! a closed-form bound that held on every run would cover almost none
+//! of them. The sweep prints, per scenario, how many runs streamed and
+//! their `S − n·δt` p50 / p90 / max (`--nocapture`).
 
 use p2ps_proto::SessionEvent;
-use p2ps_simnet::{repro_hint, run, ScenarioKind, SimOutcome};
+use p2ps_simnet::{repro_hint, run, ScenarioKind, Schedule, SimOutcome, SimReport};
 
 /// Seeds per scenario in the tier-1 sweep (5 scenarios ⇒ 1,280
-/// schedules, each executed twice for the determinism check).
+/// schedules, plus 256 `Ideal` ones; each executed twice for the
+/// determinism check).
 const TIER1_SEEDS: u64 = 256;
 
 /// Seeds per scenario in the extended (`--ignored`, CI nightly) sweep:
-/// 5 × 20,000 = 100,000 schedules, each executed twice.
+/// 5 × 20,000 = 100,000 schedules plus 20,000 `Ideal` ones, each
+/// executed twice.
 const EXTENDED_SEEDS: u64 = 20_000;
 
-/// Runs one `(seed, scenario)` twice, asserts determinism and an
-/// acceptable outcome, and returns the report of the first run.
-fn check_one(seed: u64, scenario: ScenarioKind) -> p2ps_simnet::SimReport {
+/// Every scenario the sweep runs: the five adversity profiles, then
+/// `Ideal`.
+fn scenarios() -> impl Iterator<Item = ScenarioKind> {
+    ScenarioKind::ALL.into_iter().chain([ScenarioKind::Ideal])
+}
+
+/// Holds a completed run to Theorem 1 (see the module docs): exactly
+/// `n·δt` plus the path on `Ideal`, never earlier than `n·δt` plus the
+/// shortest path on any run.
+fn check_theorem_one(report: &SimReport) {
+    let (seed, scenario) = (report.seed, report.scenario);
+    let (Some(startup_us), Some(theorem_us)) = (report.startup_us, report.theorem_us) else {
+        assert!(
+            !matches!(report.outcome, SimOutcome::Completed { .. }),
+            "seed {seed} ({}) completed without a start-up delay\n{}",
+            scenario.name(),
+            repro_hint(seed, scenario)
+        );
+        return;
+    };
+    let schedule = Schedule::derive(seed, scenario);
+    let leg_us = |latency_ms: u64| (latency_ms + 1) * 1_000;
+    let min_latency_ms = schedule.links.iter().map(|l| l.latency_ms).min();
+    let floor_us = theorem_us + 2 * leg_us(min_latency_ms.expect("a run has lanes"));
+    assert!(
+        startup_us >= floor_us,
+        "seed {seed} ({}) started {} us before n·δt + 2·(L_min + 1 ms): S − n·δt = {} us\n{}",
+        scenario.name(),
+        floor_us - startup_us,
+        startup_us as i64 - theorem_us as i64,
+        repro_hint(seed, scenario)
+    );
+    if scenario == ScenarioKind::Ideal {
+        let n_dt_us = schedule.mix.len() as u64 * schedule.dt_ms * 1_000;
+        assert_eq!(
+            theorem_us,
+            n_dt_us,
+            "seed {seed} (ideal): the plan's bound is not n·δt\n{}",
+            repro_hint(seed, scenario)
+        );
+        let path_us = 2 * leg_us(schedule.links[0].latency_ms);
+        assert_eq!(
+            startup_us,
+            theorem_us + path_us,
+            "seed {seed} (ideal): S − n·δt = {} us, not the path's {path_us} us\n{}",
+            startup_us as i64 - theorem_us as i64,
+            repro_hint(seed, scenario)
+        );
+    }
+}
+
+/// The `q`-quantile of sorted `values` (nearest rank below).
+fn quantile(sorted: &[u64], q: f64) -> u64 {
+    sorted[((sorted.len() - 1) as f64 * q) as usize]
+}
+
+/// Runs one `(seed, scenario)` twice, asserts determinism, an
+/// acceptable outcome and Theorem 1, and returns the report of the first
+/// run.
+fn check_one(seed: u64, scenario: ScenarioKind) -> SimReport {
     let first = run(seed, scenario);
     let second = run(seed, scenario);
     assert_eq!(
@@ -87,6 +178,7 @@ fn check_one(seed: u64, scenario: ScenarioKind) -> p2ps_simnet::SimReport {
             repro_hint(seed, scenario)
         );
     }
+    check_theorem_one(&first);
     first
 }
 
@@ -100,11 +192,16 @@ fn sweep(seeds: u64) {
     let mut replans = 0u64;
     let mut deaths = 0u64;
     let mut runs = 0u64;
-    for scenario in ScenarioKind::ALL {
+    for scenario in scenarios() {
         let mut scenario_completed = 0u64;
+        // `S − n·δt` of every run that streamed to the end, in ms.
+        let mut past_ms = Vec::new();
         for seed in 0..seeds {
             let report = check_one(seed, scenario);
             runs += 1;
+            if let (Some(startup_us), Some(theorem_us)) = (report.startup_us, report.theorem_us) {
+                past_ms.push((startup_us - theorem_us) / 1_000);
+            }
             replans += report.replans;
             deaths += report.deaths;
             match report.outcome {
@@ -122,8 +219,17 @@ fn sweep(seeds: u64) {
             "no {} seed completed in {seeds} runs",
             scenario.name()
         );
+        past_ms.sort_unstable();
+        println!(
+            "{:<10} {} of {seeds} runs streamed; S − n·δt p50 / p90 / max = {} / {} / {} ms",
+            scenario.name(),
+            past_ms.len(),
+            quantile(&past_ms, 0.5),
+            quantile(&past_ms, 0.9),
+            quantile(&past_ms, 1.0),
+        );
     }
-    assert_eq!(runs, seeds * ScenarioKind::ALL.len() as u64);
+    assert_eq!(runs, seeds * scenarios().count() as u64);
     assert!(deaths > 0, "churn/loss scenarios must kill suppliers");
     assert!(replans > 0, "supplier deaths must trigger live replans");
     assert!(
@@ -151,17 +257,20 @@ fn pinned_seed() -> Option<u64> {
 #[test]
 fn tier1_seed_sweep() {
     if let Some(seed) = pinned_seed() {
-        for scenario in ScenarioKind::ALL {
+        for scenario in scenarios() {
             let report = check_one(seed, scenario);
             // Visible under --nocapture when debugging a pinned seed.
             println!(
-                "SIMNET_SEED={seed} {}: {:?} trace={:016x} events={} replans={} deaths={}",
+                "SIMNET_SEED={seed} {}: {:?} trace={:016x} events={} replans={} deaths={} \
+                 startup_us={:?} theorem_us={:?}",
                 scenario.name(),
                 report.outcome,
                 report.trace_hash,
                 report.events,
                 report.replans,
-                report.deaths
+                report.deaths,
+                report.startup_us,
+                report.theorem_us
             );
         }
         return;
@@ -170,10 +279,10 @@ fn tier1_seed_sweep() {
 }
 
 #[test]
-#[ignore = "extended 100,000-schedule sweep; run with --ignored --release (CI nightly gate)"]
+#[ignore = "extended 120,000-schedule sweep; run with --ignored --release (CI nightly gate)"]
 fn extended_seed_sweep() {
     if let Some(seed) = pinned_seed() {
-        for scenario in ScenarioKind::ALL {
+        for scenario in scenarios() {
             check_one(seed, scenario);
         }
         return;
