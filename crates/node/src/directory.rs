@@ -8,7 +8,7 @@
 //! of the reactor handler: its thread is their only user, so the serving
 //! path takes no lock.
 //!
-//! The server is a [`p2ps_net::Reactor`] handler: every client
+//! The server is a handler on a one-thread [`ReactorPool`]: every client
 //! connection gets its own [`FrameDecoder`] and an idle timer on the
 //! reactor's wheel, so one idle (or malicious) client can never stall
 //! other peers' registrations and queries — the flash-crowd property the
@@ -25,7 +25,6 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
@@ -37,7 +36,7 @@ use p2ps_core::{PeerClass, PeerId};
 use p2ps_lookup::chord::ChordRing;
 use p2ps_lookup::{CandidateInfo, Directory, Rendezvous, SharedDirectory};
 use p2ps_monitor::{Counter, Gauge, Monitor};
-use p2ps_net::{ConnId, Ctx, Handler, Reactor, ReactorConfig};
+use p2ps_net::{ConnId, Ctx, Handler, ReactorConfig, ReactorPool};
 use p2ps_proto::{
     decode_frame, encode_frame, CandidateRecord, DecodeError, FrameDecoder, Message, MAX_FRAME_LEN,
 };
@@ -264,8 +263,8 @@ impl Handler for DirectoryHandler {
 #[derive(Debug)]
 pub struct DirectoryServer {
     addr: SocketAddr,
-    handle: p2ps_net::Handle<()>,
-    thread: Option<JoinHandle<io::Result<()>>>,
+    /// One reactor thread; dropping the pool stops and joins it.
+    pool: ReactorPool<()>,
     monitor: Monitor,
 }
 
@@ -315,28 +314,23 @@ impl DirectoryServer {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
         let cfg = ReactorConfig {
-            monitor: monitor.child("reactor", 0),
+            monitor: monitor.clone(),
             ..ReactorConfig::default()
         };
-        let (reactor, handle) = Reactor::new(cfg)?;
-        handle.add_listener(listener, 0)?;
-        let mut handler = DirectoryHandler {
-            index,
+        let mut index = Some(index);
+        let pool = ReactorPool::spawn(1, cfg, |_| DirectoryHandler {
+            index: index.take().expect("one shard"),
             ports: HashMap::new(),
             rng: SmallRng::seed_from_u64(0x5eed),
             conns: HashMap::new(),
             registrations: monitor.counter("registrations_total", "Register messages applied"),
             queries: monitor.counter("queries_total", "candidate queries answered"),
             records: monitor.gauge("records", "distinct supplier records in the index"),
-        };
-        let thread = std::thread::Builder::new()
-            .name("p2ps-directory".into())
-            .spawn(move || reactor.run(&mut handler))
-            .expect("spawning the directory thread cannot fail");
+        })?;
+        pool.handle().shard(0).add_listener(listener, 0)?;
         Ok(DirectoryServer {
             addr,
-            handle,
-            thread: Some(thread),
+            pool,
             monitor,
         })
     }
@@ -359,23 +353,8 @@ impl DirectoryServer {
     }
 
     /// Stops the server and joins its reactor thread.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.handle.shutdown();
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for DirectoryServer {
-    fn drop(&mut self) {
-        if self.thread.is_some() {
-            self.stop_inner();
-        }
+    pub fn shutdown(self) {
+        self.pool.shutdown();
     }
 }
 

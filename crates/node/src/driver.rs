@@ -144,7 +144,8 @@ impl SessionDriver {
     }
 
     /// Worst-case healthy ms between consecutive segments of a lane —
-    /// what the reactor's per-lane progress deadline adds its grace to.
+    /// what [`RequesterMachine`](crate::RequesterMachine)'s per-lane
+    /// progress deadline adds its grace to.
     pub fn stride_ms(&self) -> u64 {
         self.stride_ms
     }

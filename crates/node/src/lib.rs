@@ -33,7 +33,12 @@
 //! `p2ps-simnet` hosts — from the §4.2 round, which probes every
 //! candidate lane *concurrently* (`M` candidates cost ~max(RTT) instead
 //! of Σ(RTT), a frozen candidate burns only its own timeout), through
-//! the §3 plan to the last segment and every replan in between.
+//! the §3 plan to the last segment and every replan in between. It also
+//! makes every decision that reads a clock — the hand-off stamp Theorem
+//! 1's start-up delay counts from, each lane's reply and progress
+//! deadline — against the µs reading its host passes in with every
+//! input, and tells the host when to wake it. The reactor and simnet are
+//! adapters: they move frames, closes and wake-ups, and decide nothing.
 //! [`PeerNode::begin_stream`] just connects and returns a
 //! [`PendingStream`] — the verdict (including
 //! [`NodeError::Rejected`]) surfaces at [`PendingStream::wait`] — so

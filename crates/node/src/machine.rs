@@ -20,14 +20,30 @@
 //! lane that dies between its grant and the hand-off, and which
 //! [`SessionEvent`] each step puts on the session's timeline.
 //!
-//! The host owns the transport and the clock. Every lane index the
-//! machine takes or emits is the candidate's position in the list it was
-//! built with, in every phase. The host feeds decoded frames
-//! ([`on_message`](RequesterMachine::on_message)) and transport losses
-//! ([`on_lane_closed`](RequesterMachine::on_lane_closed)), then drains
-//! [`pop_action`](RequesterMachine::pop_action) after each call. The
-//! epoll reactor (`crate::requester`) and the deterministic harness
-//! (`p2ps-simnet`) host this same machine.
+//! The host owns the transport; the machine makes every decision that
+//! reads a clock, against the µs reading each input carries (the
+//! reactor's, or simnet's virtual one), as `SupplierConn` does. Lane
+//! indices are the candidates' positions in the list the machine was
+//! built with. The host feeds frames
+//! ([`on_message`](RequesterMachine::on_message)), transport losses
+//! ([`on_lane_closed`](RequesterMachine::on_lane_closed)) and the
+//! wake-ups it was asked for ([`on_timer`](RequesterMachine::on_timer)),
+//! then drains [`pop_action`](RequesterMachine::pop_action). The epoll
+//! reactor (`crate::requester`) and `p2ps-simnet` host this same machine.
+//!
+//! The machine stamps the hand-off, from which Theorem 1's start-up
+//! delay counts, and stores each arrival in µs since it. It holds each
+//! lane to one deadline, on whole units of progress, never on bytes: a
+//! candidate owes a decoded reply within 2 s of its `StreamRequest`, or
+//! settles as refused; a lane that owes segments owes a new one within
+//! [`stall_bound_ms`](RequesterMachine::stall_bound_ms) of the hand-off,
+//! of its last new segment or of a replan that gave it a share while it
+//! owed nothing. A streaming lane past it is a stall: `StallFlagged`,
+//! `RecoveryStarted`, the close and the loss path, then `Recovered` if
+//! survivors took the share. The machine asks for a wake-up only when a
+//! deadline comes earlier than the one the host holds, and again when
+//! one comes early, so steady progress costs one wake-up per lane, at
+//! the hand-off.
 //!
 //! # Examples
 //!
@@ -44,8 +60,8 @@
 //!
 //! let class1 = PeerClass::new(1)?;
 //! let info = MediaInfo::new("clip", 2, SegmentDuration::from_millis(10), 4);
-//! let mut m = RequesterMachine::new(7, class1, info, Default::default(), &[class1]);
-//! m.start();
+//! let mut m = RequesterMachine::new(7, class1, info, Default::default(), &[class1], 3_000);
+//! m.start(0);
 //! m.on_message(0, Message::Grant { session: 7, class: class1 }, 0);
 //! let mut plans = 0;
 //! while let Some(action) = m.pop_action() {
@@ -73,6 +89,11 @@ use p2ps_proto::{
 
 use crate::{DriverStep, NodeError, SessionDriver};
 
+/// How long a candidate has, from its `StreamRequest`, to deliver a whole
+/// decoded reply before its lane settles as refused: a frozen or
+/// dribbling candidate delays the round by at most this much.
+const ADMISSION_REPLY_TIMEOUT_MS: u64 = 2_000;
+
 /// A transport instruction or timeline entry drained from the machine
 /// via [`RequesterMachine::pop_action`], in the order it must happen.
 #[derive(Debug, PartialEq)]
@@ -93,6 +114,14 @@ pub enum RequesterAction {
     },
     /// Put `event` on the session's timeline (the flight recorder).
     Record(SessionEvent),
+    /// Call [`RequesterMachine::on_timer`] for `lane` at `at_us` on the
+    /// host's clock, in place of any wake-up asked for `lane` before.
+    Wake {
+        /// Candidate lane index.
+        lane: usize,
+        /// When, on the clock the machine's inputs carry.
+        at_us: u64,
+    },
 }
 
 /// One candidate lane as the machine sees it.
@@ -105,6 +134,10 @@ struct Lane {
     /// The [`SessionDriver`] lane this candidate streams as, once its
     /// grant was planned a share.
     stream: Option<usize>,
+    /// What the lane's deadline counts from; `None` while it owes nothing.
+    since_us: Option<u64>,
+    /// The wake-up the host holds for the lane, if any.
+    wake_us: Option<u64>,
 }
 
 /// The admitted session: the driver and where its lanes came from.
@@ -130,13 +163,23 @@ pub struct RequesterMachine {
     /// The final verdict, once there is one.
     end: Option<Result<(), NodeError>>,
     actions: VecDeque<RequesterAction>,
+    /// Slack past the plan's stride before a lane that owes segments is cut.
+    grace_ms: u64,
+    /// The host's clock reading of the input being handled.
+    now_us: u64,
+    /// `now_us` at the hand-off; `None` while probing.
+    handoff_us: Option<u64>,
+    /// Stalls so far: the `attempt` number of the recovery events.
+    stalls: u64,
 }
 
 impl RequesterMachine {
     /// A machine for `session`, requesting `info` as a class-`class` peer
     /// from one lane per candidate (index = position in `candidates`),
-    /// planning with `policy`. Report lanes whose transport never came up
-    /// with [`on_lane_closed`](Self::on_lane_closed), then call
+    /// planning with `policy`, cutting a lane that owes segments
+    /// `grace_ms` past the plan's stride without a new one. Report lanes
+    /// whose transport never came up with
+    /// [`on_lane_closed`](Self::on_lane_closed), then call
     /// [`start`](Self::start).
     pub fn new(
         session: u64,
@@ -144,6 +187,7 @@ impl RequesterMachine {
         info: MediaInfo,
         policy: SharedPolicy,
         candidates: &[PeerClass],
+        grace_ms: u64,
     ) -> Self {
         RequesterMachine {
             session,
@@ -155,6 +199,8 @@ impl RequesterMachine {
                     class,
                     open: true,
                     stream: None,
+                    since_us: None,
+                    wake_us: None,
                 })
                 .collect(),
             adm: AdmissionDriver::new(session, class, candidates),
@@ -162,13 +208,19 @@ impl RequesterMachine {
             stream: None,
             end: None,
             actions: VecDeque::new(),
+            grace_ms,
+            now_us: 0,
+            handoff_us: None,
+            stalls: 0,
         }
     }
 
-    /// Opens the round: a `StreamRequest` on every open lane at once.
-    /// Lanes already reported closed settle as refused. With no candidate
-    /// left the round is rejected on the spot.
-    pub fn start(&mut self) {
+    /// Opens the round at `now_us`: a `StreamRequest` on every open lane
+    /// at once, each owing its reply within 2 s. Lanes already reported
+    /// closed settle as refused. With no candidate left the round is
+    /// rejected on the spot.
+    pub fn start(&mut self, now_us: u64) {
+        self.now_us = now_us;
         self.started = true;
         self.adm.start();
         for lane in 0..self.lanes.len() {
@@ -177,6 +229,9 @@ impl RequesterMachine {
             }
         }
         self.pump_admission();
+        for lane in 0..self.lanes.len() {
+            self.set_since(lane, Some(now_us));
+        }
     }
 
     /// The media item being requested.
@@ -197,8 +252,8 @@ impl RequesterMachine {
     }
 
     /// Whether `lane` streams a share with segments still to come — the
-    /// lanes a host holds to a progress deadline.
-    pub fn owes(&self, lane: usize) -> bool {
+    /// lanes held to a progress deadline.
+    fn owes(&self, lane: usize) -> bool {
         match (self.lanes[lane].stream, &self.stream) {
             (Some(slot), Some(stream)) => stream.driver.machine().owes(slot),
             _ => false,
@@ -217,6 +272,19 @@ impl RequesterMachine {
         self.stream.as_ref().map_or(0, |s| {
             s.theoretical_slots * self.info.segment_duration().as_millis()
         })
+    }
+
+    /// How long a lane that owes segments may go without a new one: the
+    /// plan's stride plus the grace, in ms; `None` before the hand-off.
+    pub fn stall_bound_ms(&self) -> Option<u64> {
+        self.driver()
+            .map(|d| d.stride_ms().saturating_add(self.grace_ms))
+    }
+
+    /// The host's clock reading, in µs, at the hand-off: when the
+    /// `StartSession` frames went out. `None` while probing.
+    pub fn handoff_us(&self) -> Option<u64> {
+        self.handoff_us
     }
 
     /// `None` while the session runs, then how it ended: complete, or the
@@ -243,17 +311,16 @@ impl RequesterMachine {
         self.actions.pop_front()
     }
 
-    /// Feeds one decoded frame from `lane`, received at `at_us`: the
-    /// time a segment is stored with, in µs since the hand-off — the
-    /// first instant [`driver`](Self::driver) is `Some`, when the
-    /// `StartSession` frames go out — on the reactor's clock or simnet's
-    /// virtual one. Returns what becomes of the lane:
-    /// [`Flow::Close`] when its supplier ended the stream or broke the
-    /// protocol — drop the transport now; [`Flow::Keep`] otherwise.
-    pub fn on_message(&mut self, lane: usize, msg: Message, at_us: u64) -> Flow {
+    /// Feeds one decoded frame from `lane`, received at `now_us`. A
+    /// segment is stored with its arrival in µs since the hand-off.
+    /// Returns what becomes of the lane: [`Flow::Close`] when its
+    /// supplier ended the stream or broke the protocol — drop the
+    /// transport now; [`Flow::Keep`] otherwise.
+    pub fn on_message(&mut self, lane: usize, msg: Message, now_us: u64) -> Flow {
         if self.end.is_some() || !self.lanes[lane].open {
             return Flow::Close;
         }
+        self.now_us = now_us;
         let Some(slot) = self.lanes[lane].stream else {
             // A reply to the round — or a late one after it admitted,
             // which the fold answers with a Release and a close.
@@ -263,6 +330,9 @@ impl RequesterMachine {
                 _ => None,
             };
             self.actions.extend(event.map(RequesterAction::Record));
+            // The candidate answered: it owes nothing until the hand-off
+            // gives it a share.
+            self.set_since(lane, None);
             self.adm.on_message(lane, &msg);
             self.pump_admission();
             return Flow::Keep;
@@ -279,8 +349,18 @@ impl RequesterMachine {
                         lane: lane as u64,
                         index,
                     }));
+                let at_us = self.handoff_us.map_or(0, |handoff| now_us - handoff);
+                let had = stream.driver.machine().received();
                 let step = stream.driver.on_segment(slot, index, payload, at_us);
+                // A new segment is progress: the deadline counts from now.
+                let new = stream.driver.machine().received() > had;
                 self.apply(step);
+                let since = if new {
+                    Some(now_us)
+                } else {
+                    self.lanes[lane].since_us
+                };
+                self.set_since(lane, since.filter(|_| self.owes(lane)));
                 return Flow::Keep;
             }
             Message::EndSession { session } if session == self.session => {
@@ -295,11 +375,12 @@ impl RequesterMachine {
         Flow::Close
     }
 
-    /// `lane`'s transport is gone — refused connect, peer close, missed
-    /// progress deadline, undecodable bytes. During the round the lane settles as
+    /// `lane`'s transport is gone at `now_us` — refused connect, peer
+    /// close, undecodable bytes. During the round the lane settles as
     /// refused; once it streams, its undelivered share is replanned over
     /// the survivors. The host closes its own end.
-    pub fn on_lane_closed(&mut self, lane: usize) {
+    pub fn on_lane_closed(&mut self, lane: usize, now_us: u64) {
+        self.now_us = now_us;
         if !std::mem::replace(&mut self.lanes[lane].open, false)
             || !self.started
             || self.end.is_some()
@@ -316,6 +397,83 @@ impl RequesterMachine {
                 self.adm.on_lane_error(lane);
                 self.pump_admission();
             }
+        }
+    }
+
+    /// The wake-up the host was asked for on `lane` came, at `now_us`.
+    /// A lane past its deadline is cut (see the module docs); one whose
+    /// deadline moved on asks for a wake-up at the new one. Returns
+    /// whether the lane was cut.
+    pub fn on_timer(&mut self, lane: usize, now_us: u64) -> bool {
+        self.now_us = now_us;
+        self.lanes[lane].wake_us = None;
+        let expired = self.due_us(lane).is_some_and(|due| now_us >= due);
+        if expired {
+            self.expire(lane);
+        } else {
+            self.rearm(lane);
+        }
+        expired
+    }
+
+    /// `lane`'s deadline on the host's clock: `None` while it owes
+    /// nothing, is closed, or the session is over.
+    fn due_us(&self, lane: usize) -> Option<u64> {
+        let l = &self.lanes[lane];
+        let since = l.since_us.filter(|_| l.open && self.end.is_none())?;
+        let allowed_ms = match l.stream {
+            None => ADMISSION_REPLY_TIMEOUT_MS,
+            Some(_) => self.stall_bound_ms()?,
+        };
+        Some(since.saturating_add(allowed_ms.saturating_mul(1_000)))
+    }
+
+    /// Moves what `lane`'s deadline counts from, and asks for a wake-up
+    /// if it is now earlier than the one the host holds.
+    fn set_since(&mut self, lane: usize, since_us: Option<u64>) {
+        self.lanes[lane].since_us = since_us;
+        self.rearm(lane);
+    }
+
+    /// Asks the host for a wake-up at `lane`'s deadline when it comes
+    /// earlier than the one the host holds, or the host holds none; a
+    /// lane with no deadline holds none.
+    fn rearm(&mut self, lane: usize) {
+        let due = self.due_us(lane);
+        let held = &mut self.lanes[lane].wake_us;
+        if due.is_none_or(|at| held.is_none_or(|held| at < held)) {
+            *held = due;
+            let wake = due.map(|at_us| RequesterAction::Wake { lane, at_us });
+            self.actions.extend(wake);
+        }
+    }
+
+    /// `lane` missed its deadline: a candidate settles as refused, a
+    /// streaming lane is a stall, recorded around the loss path.
+    fn expire(&mut self, lane: usize) {
+        let stalled = self.lanes[lane].stream.is_some();
+        if stalled {
+            let since = self.lanes[lane]
+                .since_us
+                .expect("a deadline counts from somewhere");
+            self.stalls += 1;
+            self.actions.extend([
+                RequesterAction::Record(SessionEvent::StallFlagged {
+                    lag_ms: (self.now_us - since) / 1_000,
+                }),
+                RequesterAction::Record(SessionEvent::RecoveryStarted {
+                    lane: lane as u64,
+                    attempt: self.stalls,
+                }),
+            ]);
+        }
+        self.actions.push_back(RequesterAction::Close { lane });
+        self.on_lane_closed(lane, self.now_us);
+        if stalled && self.end.is_none() {
+            self.actions
+                .push_back(RequesterAction::Record(SessionEvent::Recovered {
+                    attempt: self.stalls,
+                }));
         }
     }
 
@@ -364,7 +522,7 @@ impl RequesterMachine {
     /// `R0` secured: plan the session over the granted lanes, ship each
     /// used grant its `StartSession` and release the rest. A lane that
     /// died after granting is failed right away, so its share is
-    /// replanned like any other loss.
+    /// replanned like any other loss. Arrivals count from now.
     fn hand_off(&mut self, granted: &[usize]) {
         let classes: Vec<PeerClass> = granted.iter().map(|&l| self.lanes[l].class).collect();
         let (slot_plans, theoretical_slots) =
@@ -412,6 +570,7 @@ impl RequesterMachine {
                 continue;
             }
             let segments = plan.segments.len() as u64;
+            self.lanes[lane].since_us = Some(self.now_us);
             self.actions.push_back(RequesterAction::Send {
                 lane,
                 msg: Message::StartSession {
@@ -430,6 +589,10 @@ impl RequesterMachine {
             candidate,
             theoretical_slots,
         });
+        self.handoff_us = Some(self.now_us);
+        for lane in 0..self.lanes.len() {
+            self.rearm(lane);
+        }
         for slot in dead {
             if self.end.is_some() {
                 return;
@@ -468,8 +631,8 @@ impl RequesterMachine {
         match step {
             DriverStep::Continue => {}
             DriverStep::Replanned(plans) => {
-                let stream = self.stream.as_ref().expect("replans imply streaming");
                 for (slot, plan) in plans {
+                    let stream = self.stream.as_ref().expect("replans imply streaming");
                     let lane = stream.candidate[slot];
                     let segments = plan.segments.len() as u64;
                     self.actions.push_back(RequesterAction::Send {
@@ -484,6 +647,10 @@ impl RequesterMachine {
                             lane: lane as u64,
                             segments,
                         }));
+                    // A lane that owed nothing owes again from now.
+                    if self.lanes[lane].since_us.is_none() {
+                        self.set_since(lane, Some(self.now_us));
+                    }
                 }
             }
             DriverStep::Complete => {
@@ -560,10 +727,12 @@ mod tests {
     use bytes::Bytes;
     use p2ps_core::assignment::SegmentDuration;
     use p2ps_policy::{PolicyError, PolicyPlan};
+    use p2ps_proto::SessionPlan;
 
-    use RequesterAction::{Close, Record, Send};
+    use RequesterAction::{Close, Record, Send, Wake};
 
     const S: u64 = 9;
+    const GRACE_MS: u64 = 3_000;
 
     fn class(k: u8) -> PeerClass {
         PeerClass::new(k).unwrap()
@@ -575,29 +744,51 @@ mod tests {
 
     fn machine(segments: u64, candidates: &[u8], policy: SharedPolicy) -> RequesterMachine {
         let classes: Vec<PeerClass> = candidates.iter().map(|&k| class(k)).collect();
-        RequesterMachine::new(S, class(1), info(segments), policy, &classes)
+        RequesterMachine::new(S, class(1), info(segments), policy, &classes, GRACE_MS)
     }
 
-    fn drain(m: &mut RequesterMachine) -> Vec<RequesterAction> {
+    fn drain_all(m: &mut RequesterMachine) -> Vec<RequesterAction> {
         std::iter::from_fn(|| m.pop_action()).collect()
     }
 
-    fn grant(m: &mut RequesterMachine, lane: usize) -> Flow {
+    /// The actions but the wake-ups, which the tests on deadlines read
+    /// for themselves.
+    fn drain(m: &mut RequesterMachine) -> Vec<RequesterAction> {
+        let mut actions = drain_all(m);
+        actions.retain(|a| !matches!(a, Wake { .. }));
+        actions
+    }
+
+    /// The wake-ups among `actions`, as `(lane, at_us)`.
+    fn wakes(actions: &[RequesterAction]) -> Vec<(usize, u64)> {
+        let wake = |a: &RequesterAction| match *a {
+            Wake { lane, at_us } => Some((lane, at_us)),
+            _ => None,
+        };
+        actions.iter().filter_map(wake).collect()
+    }
+
+    fn grant_at(m: &mut RequesterMachine, lane: usize, now: u64) -> Flow {
         let class = m.lanes[lane].class;
-        m.on_message(lane, Message::Grant { session: S, class }, 0)
+        m.on_message(lane, Message::Grant { session: S, class }, now)
+    }
+
+    fn grant(m: &mut RequesterMachine, lane: usize) -> Flow {
+        grant_at(m, lane, 0)
+    }
+
+    fn segment_at(m: &mut RequesterMachine, lane: usize, index: u64, now: u64) -> Flow {
+        let payload = Bytes::from(vec![index as u8; 4]);
+        let msg = Message::SegmentData {
+            session: S,
+            index,
+            payload,
+        };
+        m.on_message(lane, msg, now)
     }
 
     fn segment(m: &mut RequesterMachine, lane: usize, index: u64) -> Flow {
-        let payload = Bytes::from(vec![index as u8; 4]);
-        m.on_message(
-            lane,
-            Message::SegmentData {
-                session: S,
-                index,
-                payload,
-            },
-            index,
-        )
+        segment_at(m, lane, index, index)
     }
 
     /// The lanes that carry a frame or a timeline entry naming them.
@@ -609,7 +800,7 @@ mod tests {
                 Record(
                     SessionEvent::Replanned { lane, .. } | SessionEvent::PlanSent { lane, .. },
                 ) => Some(*lane as usize),
-                Record(_) => None,
+                Record(_) | Wake { .. } => None,
             })
             .collect();
         lanes.sort_unstable();
@@ -646,7 +837,7 @@ mod tests {
     #[test]
     fn probe_plan_and_receive_are_one_timeline_in_candidate_lanes() {
         let mut m = machine(4, &[2, 2], SharedPolicy::default());
-        m.start();
+        m.start(0);
         let request = Message::StreamRequest {
             session: S,
             class: class(1),
@@ -715,8 +906,8 @@ mod tests {
     #[test]
     fn a_lane_that_never_connected_gets_no_request() {
         let mut m = machine(4, &[1, 1, 1], SharedPolicy::default());
-        m.on_lane_closed(1);
-        m.start();
+        m.on_lane_closed(1, 0);
+        m.start(0);
         let actions = drain(&mut m);
         assert_eq!(lanes_touched(&actions), vec![0, 2]);
         assert!(!actions.contains(&Record(SessionEvent::AdmissionRequest { lane: 1 })));
@@ -726,7 +917,7 @@ mod tests {
     #[test]
     fn a_rejected_round_releases_its_grants_and_reminds_the_favouring_busy() {
         let mut m = machine(4, &[2, 2, 3], SharedPolicy::default());
-        m.start();
+        m.start(0);
         drain(&mut m);
         grant(&mut m, 0);
         m.on_message(
@@ -738,7 +929,7 @@ mod tests {
             },
             0,
         );
-        m.on_lane_closed(2);
+        m.on_lane_closed(2, 0);
         let actions = drain(&mut m);
         assert!(actions.contains(&Send {
             lane: 0,
@@ -769,10 +960,10 @@ mod tests {
         // Each lane owes four segments, more than the two survivors can
         // take without a third lane, had the replan counted one.
         let mut m = machine(16, &[3, 3, 3, 3], SharedPolicy::default());
-        m.start();
+        m.start(0);
         for lane in [2, 3] {
             grant(&mut m, lane);
-            m.on_lane_closed(lane);
+            m.on_lane_closed(lane, 0);
         }
         drain(&mut m);
         grant(&mut m, 0);
@@ -797,7 +988,7 @@ mod tests {
     #[test]
     fn a_grant_the_plan_leaves_unused_is_released() {
         let mut m = machine(4, &[2, 2], SharedPolicy::new(FirstSlotOnly));
-        m.start();
+        m.start(0);
         drain(&mut m);
         grant(&mut m, 0);
         grant(&mut m, 1);
@@ -814,7 +1005,7 @@ mod tests {
     #[test]
     fn a_plan_that_fails_releases_every_grant() {
         let mut m = machine(4, &[2, 2], SharedPolicy::new(Refuses));
-        m.start();
+        m.start(0);
         drain(&mut m);
         grant(&mut m, 0);
         grant(&mut m, 1);
@@ -833,7 +1024,7 @@ mod tests {
     fn a_grant_arriving_after_the_hand_off_is_released() {
         // The class-1 lane alone secures R0; the class-2 one is late.
         let mut m = machine(4, &[1, 2], SharedPolicy::default());
-        m.start();
+        m.start(0);
         grant(&mut m, 0);
         drain(&mut m);
         assert!(m.driver().is_some());
@@ -855,7 +1046,7 @@ mod tests {
     #[test]
     fn an_end_or_a_violation_closes_only_its_own_lane() {
         let mut m = machine(6, &[2, 2], SharedPolicy::default());
-        m.start();
+        m.start(0);
         grant(&mut m, 0);
         grant(&mut m, 1);
         segment(&mut m, 0, 1);
@@ -874,7 +1065,7 @@ mod tests {
         }
         assert!(matches!(m.outcome(), Some(Ok(()))));
         let mut m = machine(2, &[1], SharedPolicy::default());
-        m.start();
+        m.start(0);
         grant(&mut m, 0);
         segment(&mut m, 0, 0);
         // An early end leaves segment 1 owed, with no survivor to take it.
@@ -886,19 +1077,19 @@ mod tests {
         ));
     }
 
-    /// What a host's progress deadline relies on: a lane owes while its
-    /// share has segments to come, and cutting the last one that owes
-    /// gives the session up with what is still missing.
+    /// What the progress deadline relies on: a lane owes while its share
+    /// has segments to come, and losing the last one that owes gives the
+    /// session up with what is still missing.
     #[test]
     fn losing_the_last_owing_lane_gives_up_with_what_is_still_missing() {
         let mut m = machine(4, &[1], SharedPolicy::default());
-        m.start();
+        m.start(0);
         assert!(!m.owes(0), "a candidate in the round owes nothing");
         grant(&mut m, 0);
         segment(&mut m, 0, 0);
         drain(&mut m);
         assert!(m.owes(0));
-        m.on_lane_closed(0);
+        m.on_lane_closed(0, 0);
         assert!(!m.owes(0), "a lost lane owes nothing");
         assert_eq!(
             drain(&mut m),
@@ -913,6 +1104,182 @@ mod tests {
             Flow::Close,
             "a settled session hears nothing"
         );
+    }
+
+    /// A candidate that never answers is refused when its wake-up comes,
+    /// 2 s after the round opened and not a µs before; the round then
+    /// admits over the lane that granted.
+    #[test]
+    fn a_silent_candidate_is_refused_at_two_seconds() {
+        let mut m = machine(4, &[1, 1], SharedPolicy::default());
+        m.start(5_000);
+        let opened = drain_all(&mut m);
+        assert_eq!(wakes(&opened), vec![(0, 2_005_000), (1, 2_005_000)]);
+        // Lane 1 grants; the fold waits for lane 0, which precedes it.
+        grant_at(&mut m, 1, 9_000);
+        assert!(wakes(&drain_all(&mut m)).is_empty());
+        assert!(!m.on_timer(0, 2_004_999), "a wake-up that comes early");
+        assert_eq!(wakes(&drain_all(&mut m)), vec![(0, 2_005_000)]);
+        assert!(m.on_timer(0, 2_005_000));
+        let actions = drain(&mut m);
+        assert_eq!(actions[0], Close { lane: 0 });
+        assert!(!actions.iter().any(|a| matches!(
+            a,
+            Record(SessionEvent::StallFlagged { .. } | SessionEvent::RecoveryStarted { .. })
+        )));
+        assert_eq!(lanes_touched(&actions[1..]), vec![1], "lane 1 streams");
+        assert_eq!(m.handoff_us(), Some(2_005_000));
+    }
+
+    /// A lane that owes segments and sends none is cut exactly at the
+    /// stride plus the grace past the hand-off: the stall, the cut, the
+    /// replan onto the survivor and the recovery, in that order. The
+    /// survivor's own wake-up, which its progress moved on, comes early
+    /// and is asked for again at its deadline.
+    #[test]
+    fn a_stalled_lane_is_cut_at_its_deadline_and_its_share_replanned() {
+        // Two class-2 lanes: lane 0 owes 1, 3, 5 and lane 1 owes 0, 2, 4;
+        // the stride is 2·δt = 20 ms.
+        let mut m = machine(6, &[2, 2], SharedPolicy::default());
+        m.start(0);
+        drain_all(&mut m);
+        grant_at(&mut m, 0, 1_000);
+        grant_at(&mut m, 1, 1_000);
+        assert_eq!(m.handoff_us(), Some(1_000));
+        assert_eq!(m.stall_bound_ms(), Some(3_020));
+        assert_eq!(
+            wakes(&drain_all(&mut m)),
+            vec![(0, 3_021_000), (1, 3_021_000)]
+        );
+        segment_at(&mut m, 1, 0, 11_000);
+        segment_at(&mut m, 1, 2, 31_000);
+        assert!(
+            wakes(&drain_all(&mut m)).is_empty(),
+            "progress asks nothing"
+        );
+        assert!(m.on_timer(0, 3_021_000));
+        let replan = Message::StartSession {
+            session: S,
+            plan: SessionPlan {
+                item: "clip".into(),
+                segments: vec![1, 3, 5],
+                period: 6,
+                total_segments: 6,
+                dt_ms: 10,
+            },
+        };
+        let actions = drain_all(&mut m);
+        assert_eq!(
+            actions,
+            vec![
+                Record(SessionEvent::StallFlagged { lag_ms: 3_020 }),
+                Record(SessionEvent::RecoveryStarted {
+                    lane: 0,
+                    attempt: 1
+                }),
+                Close { lane: 0 },
+                Send {
+                    lane: 1,
+                    msg: replan
+                },
+                Record(SessionEvent::Replanned {
+                    lane: 1,
+                    segments: 3
+                }),
+                Record(SessionEvent::Recovered { attempt: 1 }),
+            ]
+        );
+        assert!(!m.on_timer(1, 3_021_000));
+        assert_eq!(wakes(&drain_all(&mut m)), vec![(1, 3_051_000)]);
+        for (index, at) in [(4, 51_000), (1, 71_000), (3, 91_000), (5, 111_000)] {
+            segment_at(&mut m, 1, index, at);
+        }
+        assert!(matches!(m.outcome(), Some(Ok(()))));
+    }
+
+    /// Cutting the last lane that owes segments gives the session up:
+    /// the stall and the cut, then `GaveUp` and no recovery.
+    #[test]
+    fn a_stall_on_the_last_owing_lane_gives_up() {
+        // One class-1 lane: the stride is δt = 10 ms.
+        let mut m = machine(4, &[1], SharedPolicy::default());
+        m.start(0);
+        grant(&mut m, 0);
+        segment_at(&mut m, 0, 0, 10_000);
+        assert_eq!(
+            wakes(&drain_all(&mut m)),
+            vec![(0, 2_000_000), (0, 3_010_000)]
+        );
+        assert!(!m.on_timer(0, 3_010_000));
+        assert_eq!(wakes(&drain_all(&mut m)), vec![(0, 3_020_000)]);
+        assert!(m.on_timer(0, 3_020_000));
+        assert_eq!(
+            drain_all(&mut m),
+            vec![
+                Record(SessionEvent::StallFlagged { lag_ms: 3_010 }),
+                Record(SessionEvent::RecoveryStarted {
+                    lane: 0,
+                    attempt: 1
+                }),
+                Close { lane: 0 },
+                Record(SessionEvent::GaveUp { missing: 3 }),
+            ]
+        );
+        assert!(matches!(
+            m.outcome(),
+            Some(Err(NodeError::SuppliersLost { missing: 3 }))
+        ));
+        assert!(
+            !m.on_timer(0, 9_000_000),
+            "a settled session judges nothing"
+        );
+    }
+
+    /// Steady progress costs no timer traffic: a stream whose segments
+    /// all come on time asks for one wake-up per lane from the hand-off
+    /// to the end, at the hand-off.
+    #[test]
+    fn an_on_time_stream_asks_one_wake_up_per_lane() {
+        let mut m = machine(16, &[2, 3, 3], SharedPolicy::default());
+        m.start(0);
+        drain_all(&mut m);
+        for lane in 0..3 {
+            grant_at(&mut m, lane, 500);
+        }
+        let handoff = drain_all(&mut m);
+        let bound_us = m.stall_bound_ms().unwrap() * 1_000;
+        assert_eq!(
+            wakes(&handoff),
+            vec![
+                (0, 500 + bound_us),
+                (1, 500 + bound_us),
+                (2, 500 + bound_us)
+            ]
+        );
+        let mut owner = [usize::MAX; 16];
+        for action in &handoff {
+            if let Send {
+                lane,
+                msg: Message::StartSession { plan, .. },
+            } = action
+            {
+                for index in plan.expanded() {
+                    owner[index as usize] = *lane;
+                }
+            }
+        }
+        let mut later = Vec::new();
+        for (index, &lane) in owner.iter().enumerate() {
+            segment_at(
+                &mut m,
+                lane,
+                index as u64,
+                500 + 10_000 * (index as u64 + 3),
+            );
+            later.extend(drain_all(&mut m));
+        }
+        assert!(matches!(m.outcome(), Some(Ok(()))));
+        assert_eq!(wakes(&later), vec![], "no wake-up after the hand-off's");
     }
 
     /// A seeded LCG: the sweep below needs no stream compatibility, only
@@ -941,18 +1308,41 @@ mod tests {
         planned: bool,
         /// Segments the lane was asked to send, in order.
         owed: VecDeque<u64>,
+        /// The wake-up the machine asked for last, not yet delivered.
+        wake: Option<u64>,
     }
 
     /// The host reports `lane`'s transport gone.
-    fn lose(m: &mut RequesterMachine, seen: &mut [Seen], lane: usize) {
-        m.on_lane_closed(lane);
+    fn lose(m: &mut RequesterMachine, seen: &mut [Seen], lane: usize, now: u64) {
+        m.on_lane_closed(lane, now);
         seen[lane].closed = true;
         seen[lane].lost = true;
     }
 
-    /// Drains `m`, checking that nothing targets a lane after its close
-    /// and that a replan only reaches a lane that was sent a plan.
-    fn drain_checked(m: &mut RequesterMachine, seen: &mut [Seen], case: u64) {
+    /// Delivers the wake-up of a random lane that holds one, moving the
+    /// clock `now` to it; `false` when no lane holds one.
+    fn expire_one(
+        m: &mut RequesterMachine,
+        seen: &mut [Seen],
+        rng: &mut Lcg,
+        now: &mut u64,
+    ) -> bool {
+        let held: Vec<usize> = (0..seen.len())
+            .filter(|&l| seen[l].wake.is_some())
+            .collect();
+        if held.is_empty() {
+            return false;
+        }
+        let lane = held[rng.below(held.len() as u64) as usize];
+        *now = (*now).max(seen[lane].wake.take().expect("held"));
+        m.on_timer(lane, *now);
+        true
+    }
+
+    /// Drains `m`, checking that nothing targets a lane after its close,
+    /// that a replan only reaches a lane that was sent a plan and that
+    /// every wake-up asked for lies ahead of `now`.
+    fn drain_checked(m: &mut RequesterMachine, seen: &mut [Seen], case: u64, now: u64) {
         while let Some(action) = m.pop_action() {
             match action {
                 Send { lane, msg } => {
@@ -978,16 +1368,29 @@ mod tests {
                     "case {case}: replanned onto lane {lane}, which is not streaming"
                 ),
                 Record(_) => {}
+                Wake { lane, at_us } => {
+                    assert!(
+                        !seen[lane].closed,
+                        "case {case}: wake-up on closed lane {lane}"
+                    );
+                    assert!(
+                        at_us > now,
+                        "case {case}: wake-up at {at_us} asked at {now}"
+                    );
+                    seen[lane].wake = Some(at_us);
+                }
             }
         }
     }
 
     /// Random rounds — every reply kind, any arrival order, lanes lost
-    /// before the round, after their grant and mid-stream — driven to
-    /// the end: no frame or close ever targets a closed lane, every grant
-    /// the session does not stream from is released unless its transport
-    /// went first, a replan only reaches a streaming lane, and the
-    /// session always settles.
+    /// before the round, after their grant and mid-stream, and lanes'
+    /// wake-ups delivered at random, which cut candidates and streaming
+    /// lanes alike — driven to the end: no frame, close or wake-up ever
+    /// targets a closed lane, every wake-up lies ahead of the clock it
+    /// was asked at, every grant the session does not stream from is
+    /// released unless its transport went first, a replan only reaches a
+    /// streaming lane, and the session always settles.
     #[test]
     fn random_rounds_settle_and_never_touch_a_closed_lane() {
         for case in 0..3_000u64 {
@@ -997,23 +1400,29 @@ mod tests {
             let segments = 1 + rng.below(12);
             let mut m = machine(segments, &classes, SharedPolicy::default());
             let mut seen: Vec<Seen> = (0..n).map(|_| Seen::default()).collect();
+            let mut now = 0;
             for lane in 0..n {
                 if rng.below(8) == 0 {
-                    lose(&mut m, &mut seen, lane); // the connect failed
+                    lose(&mut m, &mut seen, lane, now); // the connect failed
                 }
             }
-            m.start();
-            drain_checked(&mut m, &mut seen, case);
-            // The round: replies in a random order, some lanes lost.
+            m.start(now);
+            drain_checked(&mut m, &mut seen, case, now);
+            // The round: replies in a random order, some lanes lost, some
+            // wake-ups delivered first.
             let mut order: Vec<usize> = (0..n).collect();
             for i in (1..n).rev() {
                 order.swap(i, rng.below(i as u64 + 1) as usize);
             }
             for lane in order {
+                if rng.below(8) == 0 && expire_one(&mut m, &mut seen, &mut rng, &mut now) {
+                    drain_checked(&mut m, &mut seen, case, now);
+                }
                 if !m.is_open(lane) || m.outcome().is_some() {
                     // A settled session's host tears every lane down.
                     continue;
                 }
+                now += rng.below(1_000);
                 let msg = match rng.below(8) {
                     0..=4 => {
                         seen[lane].granted = true;
@@ -1028,39 +1437,45 @@ mod tests {
                         favored: rng.below(2) == 0,
                     },
                     _ => {
-                        lose(&mut m, &mut seen, lane);
-                        drain_checked(&mut m, &mut seen, case);
+                        lose(&mut m, &mut seen, lane, now);
+                        drain_checked(&mut m, &mut seen, case, now);
                         continue;
                     }
                 };
-                m.on_message(lane, msg, 0);
-                drain_checked(&mut m, &mut seen, case);
+                m.on_message(lane, msg, now);
+                drain_checked(&mut m, &mut seen, case, now);
                 if rng.below(6) == 0 && m.is_open(lane) {
-                    lose(&mut m, &mut seen, lane); // lost right after answering
-                    drain_checked(&mut m, &mut seen, case);
+                    lose(&mut m, &mut seen, lane, now); // lost right after answering
+                    drain_checked(&mut m, &mut seen, case, now);
                 }
             }
             // The stream: open lanes send what they owe, one segment at a
             // time in a random interleaving, then end; now and then one
-            // dies instead.
-            let mut at = 0;
+            // dies instead, or a wake-up comes first.
             while m.outcome().is_none() {
                 let live: Vec<usize> = (0..n)
                     .filter(|&l| m.streams_on(l) && m.is_open(l))
                     .collect();
                 assert!(!live.is_empty(), "case {case}: unsettled with no live lane");
                 let lane = live[rng.below(live.len() as u64) as usize];
-                at += 1;
+                now += 1;
                 if rng.below(40) == 0 {
-                    lose(&mut m, &mut seen, lane);
+                    lose(&mut m, &mut seen, lane, now);
+                } else if rng.below(30) == 0 && expire_one(&mut m, &mut seen, &mut rng, &mut now) {
                 } else if let Some(index) = seen[lane].owed.pop_front() {
-                    segment(&mut m, lane, index);
+                    let payload = Bytes::from(vec![index as u8; 4]);
+                    let msg = Message::SegmentData {
+                        session: S,
+                        index,
+                        payload,
+                    };
+                    m.on_message(lane, msg, now);
                 } else {
-                    let flow = m.on_message(lane, Message::EndSession { session: S }, at);
+                    let flow = m.on_message(lane, Message::EndSession { session: S }, now);
                     assert_eq!(flow, Flow::Close);
                     seen[lane].closed = true;
                 }
-                drain_checked(&mut m, &mut seen, case);
+                drain_checked(&mut m, &mut seen, case, now);
             }
             for (lane, lane_seen) in seen.iter().enumerate() {
                 if lane_seen.granted && !m.streams_on(lane) {

@@ -4,7 +4,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -245,7 +245,7 @@ impl PeerNode {
                 rng: SmallRng::seed_from_u64(config.id.get() ^ 0xda7a_5eed),
                 reserved: false,
             }),
-            file: Mutex::new(file),
+            file: file.map_or_else(OnceLock::new, OnceLock::from),
             stop: std::sync::atomic::AtomicBool::new(false),
         });
 
@@ -295,14 +295,14 @@ impl PeerNode {
 
     /// Whether the node owns the complete media file (and can supply it).
     pub fn is_supplier(&self) -> bool {
-        self.shared.file.lock().is_some()
+        self.shared.file.get().is_some()
     }
 
     /// A shared view of the node's media file, if it owns one ([`MediaFile`]
     /// clones are O(1) views of one allocation — handy for byte-level
     /// verification in tests and tools).
     pub fn media_file(&self) -> Option<MediaFile> {
-        self.shared.file.lock().clone()
+        self.shared.file.get().cloned()
     }
 
     /// A snapshot of the node's current admission probability vector
@@ -542,7 +542,8 @@ impl PendingStream {
                 expected: self.info.segment_count(),
             },
         )?;
-        *self.shared.file.lock() = Some(file);
+        // A second completed session keeps the first copy: same bytes.
+        let _ = self.shared.file.set(file);
         // A node shut down while its session was in flight keeps the
         // completed file but must not advertise a listener nobody runs.
         if !self.shared.stop.load(Ordering::Relaxed) {

@@ -1,16 +1,17 @@
 //! Requester side: the reactor host of the requester machine.
 //!
 //! A requesting peer's whole session — the §4.2 probe of every candidate
-//! at once, the §3 plan over the grants, the paced stream and any
-//! replan after a supplier loss — is one sans-io
+//! at once, the §3 plan over the grants, the paced stream, the lanes'
+//! deadlines and any replan after a supplier loss — is one sans-io
 //! [`RequesterMachine`] (the same one `p2ps-simnet` hosts). This module
 //! is only its adapter on a reactor shard: it adopts one connection per
-//! candidate lane, decodes frames in, ships the machine's sends and
-//! closes, arms the lanes' read timers, and publishes progress on the
-//! session's monitor scope — **no reader threads, no blocking reads**.
-//! One reactor thread hosts any number of sessions; a
-//! [`ReactorPool`](p2ps_net::ReactorPool) spreads them across cores by
-//! session hash.
+//! candidate lane, decodes frames in, hands the machine each frame, close
+//! and lane timer with the reactor's clock reading, ships the machine's
+//! sends and closes, arms the one timer per lane it asks for, and
+//! publishes progress on the session's monitor scope — **no reader
+//! threads, no blocking reads**. One reactor thread hosts any number of
+//! sessions; a [`ReactorPool`](p2ps_net::ReactorPool) spreads them across
+//! cores by session hash.
 //!
 //! Mid-stream supplier loss is a structured per-supplier event, not a
 //! session abort: the lost supplier's undelivered share feeds
@@ -20,14 +21,12 @@
 //! Only when no survivor remains (or a replan cannot cover the gap) does
 //! the session fail, with [`NodeError::SuppliersLost`].
 //!
-//! Each lane's one timer keeps a **progress deadline**, judged on whole
-//! units of progress, never on bytes: a candidate must deliver a decoded
-//! reply within [`ADMISSION_REPLY_TIMEOUT_MS`] of its `StreamRequest`,
-//! and a streaming lane that still owes segments must deliver a new one
-//! within the plan's stride plus the grace of the hand-off or of its last
-//! one. A lane that owes nothing is not judged. A lane past its deadline
-//! takes the loss path above, so a peer that freezes or dribbles bytes
-//! costs its own lane and nothing else.
+//! A lane past its deadline (see [`RequesterMachine`]'s clock-driven
+//! decisions) takes that same loss path, so a peer that freezes or
+//! dribbles bytes costs its own lane and nothing else. The machine's
+//! `StallFlagged`, `Recovered` and `GaveUp` records drive the
+//! process-wide `watchdog_*_total` counters and the one
+//! `p2ps-watchdog: stall …` line on stderr.
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -43,14 +42,7 @@ use p2ps_proto::{startup_term_us, Flow, FrameDecoder, Message, RequesterSession,
 use crate::serve::send;
 use crate::{NodeError, RequesterAction, RequesterMachine, StreamOutcome};
 
-/// How long a candidate has, from its `StreamRequest`, to deliver a whole
-/// decoded reply before its lane settles as refused. Bytes that complete
-/// no frame do not extend it: one frozen or dribbling candidate delays
-/// the round by at most this much (and only when it precedes the
-/// deciding prefix in class order).
-const ADMISSION_REPLY_TIMEOUT_MS: u64 = 2_000;
-
-/// The requester lane's one timer: its progress deadline.
+/// The requester lane's one timer: the wake-up its machine asked for.
 const K_LANE_DUE: u32 = 0;
 
 /// Every state a session probe can report: the four
@@ -225,25 +217,13 @@ pub(crate) struct RequestLaunch {
 
 /// One reactor-hosted session: the transport-agnostic
 /// [`RequesterMachine`] plus the connection bookkeeping around it. Every
-/// protocol *decision* — the §4.2 fold, the plan, replans, completion —
-/// lives in the machine; this struct only maps its lanes to reactor
-/// connections and ships what it says to ship.
+/// protocol *decision* — the §4.2 fold, the plan, deadlines, replans,
+/// completion — lives in the machine; this struct only maps its lanes to
+/// reactor connections and ships what it says to ship.
 struct ReqSession {
     machine: RequesterMachine,
     /// Candidate lane → live connection (None once closed).
     lane_conns: Vec<Option<ConnId>>,
-    /// Candidate lane → its progress deadline in reactor ms; `None` while
-    /// the lane owes nothing. The lane's timer is armed no later than it.
-    due_ms: Vec<Option<u64>>,
-    /// How long a streaming lane that owes segments may go without a new
-    /// one: the plan's stride plus the grace. Set at the hand-off.
-    bound_ms: u64,
-    /// Reactor time of the hand-off to streaming, in µs: segment
-    /// arrivals are recorded relative to it. `None` while probing.
-    start_us: Option<u64>,
-    /// Lanes cut for missing their deadline so far: the `attempt` number
-    /// of the recovery events.
-    stalls: u64,
     probe: SessionProbe,
     done: Sender<SessionResult>,
 }
@@ -253,6 +233,16 @@ struct ReqConn {
     session: u64,
     lane: usize,
     dec: FrameDecoder,
+}
+
+/// The process-wide stall counters, driven by the machines' records.
+struct StallCounters {
+    /// Streaming lanes cut for missing their progress deadline.
+    stalls: Counter,
+    /// Cuts whose share the surviving suppliers took over.
+    recoveries: Counter,
+    /// Cuts that ended the session.
+    giveups: Counter,
 }
 
 /// All requester sessions hosted on one reactor shard, from the first
@@ -265,12 +255,7 @@ pub(crate) struct ReqSessions {
     /// Slack past the plan's stride before a streaming lane that owes
     /// segments is cut.
     grace_ms: u64,
-    /// Streaming lanes cut for missing their progress deadline.
-    stalls: Counter,
-    /// Cuts whose share the surviving suppliers took over.
-    recoveries: Counter,
-    /// Cuts that ended the session.
-    giveups: Counter,
+    counters: StallCounters,
 }
 
 impl ReqSessions {
@@ -282,18 +267,20 @@ impl ReqSessions {
             sessions: HashMap::new(),
             conns: HashMap::new(),
             grace_ms,
-            stalls: root.counter(
-                "watchdog_stalls_total",
-                "streaming lanes cut for missing their progress deadline",
-            ),
-            recoveries: root.counter(
-                "watchdog_recoveries_total",
-                "stalls whose share was replanned onto surviving suppliers",
-            ),
-            giveups: root.counter(
-                "watchdog_giveups_total",
-                "stalls that ended the session as SuppliersLost",
-            ),
+            counters: StallCounters {
+                stalls: root.counter(
+                    "watchdog_stalls_total",
+                    "streaming lanes cut for missing their progress deadline",
+                ),
+                recoveries: root.counter(
+                    "watchdog_recoveries_total",
+                    "stalls whose share was replanned onto surviving suppliers",
+                ),
+                giveups: root.counter(
+                    "watchdog_giveups_total",
+                    "stalls that ended the session as SuppliersLost",
+                ),
+            },
         }
     }
 
@@ -302,10 +289,10 @@ impl ReqSessions {
         self.conns.contains_key(&conn)
     }
 
-    /// Hosts a new session: adopts every lane's connection, arms its
-    /// reply deadline and lets the machine burst the `StreamRequest`s. Lanes
-    /// whose connect or adoption failed settle as refused. May resolve
-    /// at once (no live candidate).
+    /// Hosts a new session: adopts every lane's connection and lets the
+    /// machine burst the `StreamRequest`s. Lanes whose connect or
+    /// adoption failed settle as refused. May resolve at once (no live
+    /// candidate).
     pub(crate) fn start(&mut self, ctx: &mut Ctx<'_>, launch: RequestLaunch) {
         let RequestLaunch {
             session,
@@ -317,10 +304,10 @@ impl ReqSessions {
             probe,
             done,
         } = launch;
-        let mut machine = RequesterMachine::new(session, class, info, policy, &classes);
-        let reply_due_ms = ctx.now_ms() + ADMISSION_REPLY_TIMEOUT_MS;
+        let now_us = ctx.now_us();
+        let mut machine =
+            RequesterMachine::new(session, class, info, policy, &classes, self.grace_ms);
         let mut lane_conns = Vec::with_capacity(streams.len());
-        let mut due_ms = Vec::with_capacity(streams.len());
         for (lane, stream) in streams.into_iter().enumerate() {
             match stream.map(|s| ctx.adopt(s)) {
                 Some(Ok(conn)) => {
@@ -332,27 +319,20 @@ impl ReqSessions {
                             dec: FrameDecoder::new(),
                         },
                     );
-                    arm(ctx, conn, reply_due_ms);
                     lane_conns.push(Some(conn));
-                    due_ms.push(Some(reply_due_ms));
                 }
                 Some(Err(_)) | None => {
-                    machine.on_lane_closed(lane);
+                    machine.on_lane_closed(lane, now_us);
                     lane_conns.push(None);
-                    due_ms.push(None);
                 }
             }
         }
-        machine.start();
+        machine.start(now_us);
         self.sessions.insert(
             session,
             ReqSession {
                 machine,
                 lane_conns,
-                due_ms,
-                bound_ms: 0,
-                start_us: None,
-                stalls: 0,
                 probe,
                 done,
             },
@@ -378,29 +358,17 @@ impl ReqSessions {
             }
             match rc.dec.poll() {
                 Ok(Some(msg)) => {
-                    let at_us = sess.start_us.map_or(0, |start| now_us - start);
-                    let flow = match msg {
-                        // Only a planned share's segments are progress: one
-                        // from a lane still answering the round goes to the
-                        // admission fold, which refuses the lane.
-                        Message::SegmentData {
-                            session,
-                            index,
-                            ref payload,
-                        } if session == rc.session && sess.machine.streams_on(rc.lane) => {
+                    if let Message::SegmentData {
+                        session,
+                        ref payload,
+                        ..
+                    } = msg
+                    {
+                        if session == rc.session && sess.machine.streams_on(rc.lane) {
                             *burst_bytes.get_or_insert(0) += payload.len() as u64;
-                            sess.on_segment(ctx, rc.lane, index, msg, at_us, now_us / 1_000)
                         }
-                        _ => {
-                            if !sess.machine.streams_on(rc.lane) {
-                                // The candidate answered the round: it owes
-                                // nothing until the hand-off gives it a share.
-                                sess.due_ms[rc.lane] = None;
-                            }
-                            sess.machine.on_message(rc.lane, msg, at_us)
-                        }
-                    };
-                    if flow != Flow::Keep {
+                    }
+                    if sess.machine.on_message(rc.lane, msg, now_us) != Flow::Keep {
                         sess.lane_conns[rc.lane] = None;
                         ctx.close(conn);
                     }
@@ -410,10 +378,10 @@ impl ReqSessions {
                     // Corrupt stream: it costs only its own lane.
                     sess.lane_conns[rc.lane] = None;
                     ctx.close(conn);
-                    sess.machine.on_lane_closed(rc.lane);
+                    sess.machine.on_lane_closed(rc.lane, now_us);
                 }
             }
-            if drain(ctx, &mut self.conns, sess, now_us, self.grace_ms) {
+            if drain(ctx, &mut self.conns, &self.counters, rc.session, sess) {
                 self.finish(ctx, rc.session);
             }
         }
@@ -434,82 +402,31 @@ impl ReqSessions {
         }
     }
 
-    /// The lane's timer fired. A lane that owes nothing is not judged; one
-    /// whose deadline moved on since the timer was armed waits out the
-    /// rest. A candidate past its reply deadline settles as refused. A
-    /// streaming lane past its progress deadline is a stall: it is cut,
-    /// and the machine replans its share over the survivors or gives the
-    /// session up — the same loss path a dropped connection takes.
+    /// The wake-up the lane's machine asked for came: the machine judges
+    /// the lane against its deadline.
     pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _kind: u32) {
         let Some(rc) = self.conns.get(&conn) else {
             return;
         };
         let (session, lane) = (rc.session, rc.lane);
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        let Some(due_ms) = sess.due_ms[lane] else {
-            return;
-        };
-        let now_ms = ctx.now_ms();
-        if now_ms < due_ms {
-            arm(ctx, conn, due_ms);
-            return;
+        if let Some(sess) = self.sessions.get_mut(&session) {
+            sess.machine.on_timer(lane, ctx.now_us());
         }
-        if !sess.machine.streams_on(lane) {
-            self.fail_lane(ctx, session, lane);
-            return;
-        }
-        let lag_ms = sess.bound_ms.saturating_add(now_ms - due_ms);
-        sess.stalls += 1;
-        let attempt = sess.stalls;
-        sess.probe.record(SessionEvent::StallFlagged { lag_ms });
-        sess.probe.record(SessionEvent::RecoveryStarted {
-            lane: lane as u64,
-            attempt,
-        });
-        self.stalls.incr();
-        eprintln!(
-            "p2ps-watchdog: stall session={session} lane={lane} lag_ms={lag_ms} bound_ms={}",
-            sess.bound_ms
-        );
-        self.fail_lane(ctx, session, lane);
-        match self.sessions.get(&session) {
-            // Survivors absorbed the share: the session is recovering.
-            Some(sess) => {
-                self.recoveries.incr();
-                sess.probe.record(SessionEvent::Recovered { attempt });
-            }
-            // The cut lane was the last hope: the machine already
-            // finished the session with its own verdict.
-            None => self.giveups.incr(),
-        }
+        self.pump(ctx, session);
     }
 
-    /// The lane's connection dropped (peer close or I/O error).
+    /// The lane's connection dropped (peer close or I/O error): the
+    /// machine settles the lane — refused during the round, replanned
+    /// over the survivors once streaming.
     pub(crate) fn on_close(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         let Some(rc) = self.conns.remove(&conn) else {
             return;
         };
         if let Some(sess) = self.sessions.get_mut(&rc.session) {
             sess.lane_conns[rc.lane] = None;
+            sess.machine.on_lane_closed(rc.lane, ctx.now_us());
         }
-        self.fail_lane(ctx, rc.session, rc.lane);
-    }
-
-    /// The lane's transport is gone or given up on: close what is left
-    /// of it and let the machine settle the lane — refused during the
-    /// round, replanned over the survivors once streaming.
-    fn fail_lane(&mut self, ctx: &mut Ctx<'_>, session: u64, lane: usize) {
-        let Some(sess) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        if let Some(conn) = sess.lane_conns[lane].take() {
-            self.conns.remove(&conn);
-            ctx.close(conn);
-        }
-        sess.machine.on_lane_closed(lane);
-        self.pump(ctx, session);
+        self.pump(ctx, rc.session);
     }
 
     /// Ships the machine's pending actions, then finishes the session once
@@ -518,8 +435,7 @@ impl ReqSessions {
         let Some(sess) = self.sessions.get_mut(&session) else {
             return;
         };
-        let now_us = ctx.now_us();
-        if drain(ctx, &mut self.conns, sess, now_us, self.grace_ms) {
+        if drain(ctx, &mut self.conns, &self.counters, session, sess) {
             self.finish(ctx, session);
         } else {
             sess.sync();
@@ -537,10 +453,11 @@ impl ReqSessions {
         }
         let info = sess.machine.info().clone();
         let theoretical_delay_ms = sess.machine.theoretical_delay_ms();
+        let handoff_us = sess.machine.handoff_us();
         let result = match sess.machine.into_outcome() {
             Some(Ok(driver)) => {
                 let (machine, supplier_classes) = driver.into_parts();
-                let start_us = sess.start_us.unwrap_or_else(|| ctx.now_us());
+                let handoff_us = handoff_us.expect("completion implies a hand-off");
                 Ok(FinishedSession {
                     info,
                     machine,
@@ -548,7 +465,7 @@ impl ReqSessions {
                     theoretical_delay_ms,
                     // To the nearest ms, so that sums and differences of
                     // durations are not half a millisecond short each.
-                    duration_ms: (ctx.now_us() - start_us + 500) / 1_000,
+                    duration_ms: (ctx.now_us() - handoff_us + 500) / 1_000,
                 })
             }
             Some(Err(e)) => Err(e),
@@ -564,100 +481,71 @@ impl ReqSessions {
 }
 
 impl ReqSession {
-    /// Feeds segment `index` of `lane`'s planned share (`msg`), received
-    /// at `now_ms`, to the machine. A first arrival is progress: it moves
-    /// the start-up lateness gauge and the lane's deadline to a stride
-    /// and a grace from now. A lane whose share is drained owes nothing
-    /// and is no longer judged.
-    fn on_segment(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        lane: usize,
-        index: u64,
-        msg: Message,
-        at_us: u64,
-        now_ms: u64,
-    ) -> Flow {
-        let received = |m: &RequesterMachine| m.driver().map_or(0, |d| d.machine().received());
-        let had = received(&self.machine);
-        let flow = self.machine.on_message(lane, msg, at_us);
-        let first = received(&self.machine) > had;
-        if first {
-            let dt_us = self.machine.info().segment_duration().as_millis() * 1_000;
-            self.probe.arrived(
-                startup_term_us(at_us, index, dt_us),
-                self.machine.theoretical_delay_ms() * 1_000,
-            );
-        }
-        let due_ms = match (self.machine.owes(lane), first) {
-            (false, _) => None,
-            (true, true) => Some(now_ms.saturating_add(self.bound_ms)),
-            (true, false) => self.due_ms[lane],
-        };
-        self.set_due(ctx, lane, due_ms);
-        flow
-    }
-
-    /// Moves `lane`'s progress deadline to `due_ms` (`None`: not judged).
-    /// The timer is re-armed only when the deadline comes earlier than
-    /// before; a later one is caught up with when the timer fires, so
-    /// steady progress costs no timer traffic.
-    fn set_due(&mut self, ctx: &mut Ctx<'_>, lane: usize, due_ms: Option<u64>) {
-        let old = std::mem::replace(&mut self.due_ms[lane], due_ms);
-        if let (Some(due), Some(conn)) = (due_ms, self.lane_conns[lane]) {
-            if old.is_none_or(|old| due < old) {
-                arm(ctx, conn, due);
-            }
-        }
-    }
-
     /// Re-publishes phase, received and owed on the session's probe.
     fn sync(&self) {
         if let Some(driver) = self.machine.driver() {
             self.probe.sync(driver.machine());
         }
     }
+
+    /// Publishes what one of the machine's timeline entries says beyond
+    /// the recorder: the hand-off and each segment's start-up term on the
+    /// probe, a stall on the counters and stderr. `stall_lag_ms` carries
+    /// a stall's lag from its `StallFlagged` to the entries after it.
+    fn observe(
+        &self,
+        counters: &StallCounters,
+        session: u64,
+        ev: SessionEvent,
+        stall_lag_ms: &mut Option<u64>,
+    ) {
+        let Some(driver) = self.machine.driver() else {
+            return;
+        };
+        let theoretical_us = self.machine.theoretical_delay_ms() * 1_000;
+        match ev {
+            SessionEvent::PlanSent { .. } => {
+                self.probe
+                    .launched(driver.machine(), driver.stride_ms(), theoretical_us);
+            }
+            SessionEvent::SegmentArrived { index, .. } => {
+                if let Some(at_us) = driver.machine().arrival_us(index) {
+                    let term_us = startup_term_us(at_us, index, driver.dt_ms() * 1_000);
+                    self.probe.arrived(term_us, theoretical_us);
+                }
+            }
+            SessionEvent::StallFlagged { lag_ms } => {
+                counters.stalls.incr();
+                *stall_lag_ms = Some(lag_ms);
+            }
+            SessionEvent::RecoveryStarted { lane, .. } => eprintln!(
+                "p2ps-watchdog: stall session={session} lane={lane} lag_ms={} bound_ms={}",
+                stall_lag_ms.unwrap_or(0),
+                self.machine.stall_bound_ms().unwrap_or(0)
+            ),
+            SessionEvent::Recovered { .. } => counters.recoveries.incr(),
+            SessionEvent::GaveUp { .. } if stall_lag_ms.is_some() => counters.giveups.incr(),
+            _ => {}
+        }
+    }
 }
 
-/// Arms `conn`'s lane timer for `due_ms` on the reactor clock.
-fn arm(ctx: &mut Ctx<'_>, conn: ConnId, due_ms: u64) {
-    ctx.set_timer_at_us(conn, K_LANE_DUE, due_ms.saturating_mul(1_000));
-}
-
-/// Publishes the hand-off to streaming, which happened at `now_us`, and
-/// ships `sess`'s pending machine actions on its lanes' connections. A
-/// lane a `StartSession` hands a share to is judged from `now_us` on,
-/// with `grace_ms` past the plan's stride. Returns whether the machine
-/// has a verdict, after which the session must be finished.
+/// Ships `sess`'s pending machine actions on its lanes' connections and
+/// arms the wake-ups it asks for. Returns whether the machine has a
+/// verdict, after which the session must be finished.
 fn drain(
     ctx: &mut Ctx<'_>,
     conns: &mut HashMap<ConnId, ReqConn>,
+    counters: &StallCounters,
+    session: u64,
     sess: &mut ReqSession,
-    now_us: u64,
-    grace_ms: u64,
 ) -> bool {
-    if sess.start_us.is_none() {
-        if let Some(driver) = sess.machine.driver() {
-            // Admitted and planned: arrivals and deadlines count from here.
-            sess.start_us = Some(now_us);
-            sess.bound_ms = driver.stride_ms().saturating_add(grace_ms);
-            sess.probe.launched(
-                driver.machine(),
-                driver.stride_ms(),
-                sess.machine.theoretical_delay_ms() * 1_000,
-            );
-        }
-    }
+    let mut stall_lag_ms = None;
     while let Some(action) = sess.machine.pop_action() {
         match action {
             RequesterAction::Send { lane, msg } => {
                 if let Some(conn) = sess.lane_conns[lane] {
                     send(ctx, conn, &msg);
-                }
-                let handed_a_share = matches!(msg, Message::StartSession { .. });
-                if handed_a_share && sess.due_ms[lane].is_none() && sess.machine.owes(lane) {
-                    let due_ms = (now_us / 1_000).saturating_add(sess.bound_ms);
-                    sess.set_due(ctx, lane, Some(due_ms));
                 }
             }
             RequesterAction::Close { lane } => {
@@ -667,7 +555,15 @@ fn drain(
                     ctx.close_after_flush(conn);
                 }
             }
-            RequesterAction::Record(ev) => sess.probe.record(ev),
+            RequesterAction::Wake { lane, at_us } => {
+                if let Some(conn) = sess.lane_conns[lane] {
+                    ctx.set_timer_at_us(conn, K_LANE_DUE, at_us);
+                }
+            }
+            RequesterAction::Record(ev) => {
+                sess.observe(counters, session, ev, &mut stall_lag_ms);
+                sess.probe.record(ev);
+            }
         }
     }
     sess.machine.outcome().is_some()

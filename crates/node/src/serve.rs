@@ -216,7 +216,7 @@ impl Handler for NodeServeHandler {
             if st.file.is_none() && st.conn.is_streaming() {
                 // The grant was decided against this file; it never
                 // goes away again.
-                let Some(file) = st.shared.file.lock().clone() else {
+                let Some(file) = st.shared.file.get().cloned() else {
                     break Flow::Close;
                 };
                 st.file = Some(file);
@@ -297,8 +297,8 @@ impl Handler for NodeServeHandler {
     }
 }
 
-/// Tuning for the progress deadlines a [`NodeReactor`] holds its
-/// requester sessions' lanes to.
+/// Tuning for the progress deadlines the requester sessions on a
+/// [`NodeReactor`] hold their lanes to.
 #[derive(Debug, Clone)]
 pub struct WatchdogConfig {
     /// Slack past the plan's worst-case healthy segment stride before a

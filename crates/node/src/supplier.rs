@@ -6,6 +6,8 @@
 //! [`SupplierAdmission`] seam onto it — the real §4.1 `SupplierState`,
 //! its RNG and the grant reservation.
 
+use std::sync::OnceLock;
+
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 
@@ -25,8 +27,10 @@ pub(crate) struct SupplierShared {
     /// instead, inside the connection machine.
     pub clock: Clock,
     pub admission: Mutex<AdmissionGuard>,
-    /// The media file, present once the peer owns a complete copy.
-    pub file: Mutex<Option<MediaFile>>,
+    /// The media file, set once the peer owns a complete copy, and never
+    /// again: a second completed session keeps the first copy, whose
+    /// bytes are the same. Read without a lock.
+    pub file: OnceLock<MediaFile>,
     /// Set on shutdown: in-flight streaming sessions abort (modelling a
     /// supplier crash mid-session).
     pub stop: std::sync::atomic::AtomicBool,
@@ -47,7 +51,7 @@ pub(crate) struct AdmissionGuard {
 impl SupplierAdmission for &SupplierShared {
     fn decide(&mut self, class: PeerClass) -> RequestDecision {
         let now = self.clock.now_ms();
-        let has_file = self.file.lock().is_some();
+        let has_file = self.file.get().is_some();
         let mut guard = self.admission.lock();
         let guard = &mut *guard;
         if !has_file {
@@ -80,8 +84,7 @@ impl SupplierAdmission for &SupplierShared {
         }
         // The plan already bounds by its own total; a shorter local file
         // copy additionally caps what can be served.
-        let file = self.file.lock();
-        file.as_ref().map_or(0, |f| f.info().segment_count())
+        self.file.get().map_or(0, |f| f.info().segment_count())
     }
 
     fn end_session(&mut self) {

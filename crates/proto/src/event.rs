@@ -5,9 +5,9 @@
 //! tuples so it needs no protocol knowledge; this module is the shared
 //! vocabulary both ends speak. Every `lane` is the candidate's position
 //! in the requester's §4.2 round, in every phase. Producers
-//! (`p2ps-node`'s requester machine, which the reactor and
-//! `p2ps-simnet`'s deterministic world both host, and the reactor's
-//! per-lane progress deadlines) call
+//! (`p2ps-node`'s requester machine, its per-lane progress deadlines
+//! included, which the reactor and `p2ps-simnet`'s deterministic world
+//! both host) call
 //! [`SessionEvent::code`]/[`SessionEvent::fields`] when recording;
 //! consumers (`p2psd status --trace`, tests) call
 //! [`SessionEvent::decode`] to turn a dumped ring back into a readable

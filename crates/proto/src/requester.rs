@@ -216,6 +216,13 @@ impl RequesterSession {
         self.lanes.len()
     }
 
+    /// Segment `index`'s earliest arrival, in µs since the hand-off;
+    /// `None` while it is missing.
+    pub fn arrival_us(&self, index: u64) -> Option<u64> {
+        let (_, at_us) = self.segments.get(index as usize)?.as_ref()?;
+        Some(*at_us)
+    }
+
     /// Segments received so far.
     pub fn received(&self) -> u64 {
         self.received

@@ -11,7 +11,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// The adversity profiles the sweep crosses with its seeds: the five of
-/// [`ScenarioKind::ALL`] and the adversity-free [`ScenarioKind::Ideal`].
+/// [`ScenarioKind::ALL`], the adversity-free [`ScenarioKind::Ideal`] and
+/// [`ScenarioKind::Freeze`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioKind {
     /// No departures: varied latency, jitter and fragmentation only.
@@ -34,11 +35,16 @@ pub enum ScenarioKind {
     /// the start-up delay is exactly `n·δt` plus the path. Not in
     /// [`ALL`](Self::ALL).
     Ideal,
+    /// Every supplier grants and none dies, but one stops pacing at a
+    /// drawn time, as a stopped process does: it sends nothing more,
+    /// yet its connection stays open. The requester's progress deadline
+    /// is all that can cut it. Not in [`ALL`](Self::ALL).
+    Freeze,
 }
 
 impl ScenarioKind {
     /// The five adversity profiles, in sweep order. [`Ideal`](Self::Ideal)
-    /// is swept on its own.
+    /// and [`Freeze`](Self::Freeze) are swept on their own.
     pub const ALL: [ScenarioKind; 5] = [
         ScenarioKind::Steady,
         ScenarioKind::Churn,
@@ -56,6 +62,7 @@ impl ScenarioKind {
             ScenarioKind::SlowPeer => "slow-peer",
             ScenarioKind::Admission => "admission",
             ScenarioKind::Ideal => "ideal",
+            ScenarioKind::Freeze => "freeze",
         }
     }
 
@@ -69,6 +76,7 @@ impl ScenarioKind {
             ScenarioKind::SlowPeer => 0x2545_f491_4f6c_dd1d,
             ScenarioKind::Admission => 0x8532_7860_e17a_9cb7,
             ScenarioKind::Ideal => 0x94d0_49bb_1331_11eb,
+            ScenarioKind::Freeze => 0xd6e8_feb8_6659_fd93,
         }
     }
 }
@@ -142,6 +150,9 @@ pub struct Schedule {
     pub links: Vec<LinkSpec>,
     /// `(supplier, at_ms)` death times, sorted by time.
     pub deaths: Vec<(usize, u64)>,
+    /// On `Freeze`, `(supplier, at_ms)`: the supplier sends nothing from
+    /// `at_ms` on, yet neither dies nor closes.
+    pub freeze: Option<(usize, u64)>,
     /// The requesting peer's class (carried in `StreamRequest` and
     /// `Reminder` frames).
     pub req_class: u8,
@@ -199,7 +210,8 @@ impl Schedule {
             ScenarioKind::Steady
             | ScenarioKind::SlowPeer
             | ScenarioKind::Admission
-            | ScenarioKind::Ideal => Vec::new(),
+            | ScenarioKind::Ideal
+            | ScenarioKind::Freeze => Vec::new(),
             ScenarioKind::Churn => {
                 let victims = rng.gen_range(1..=mix.len());
                 let mut lanes: Vec<usize> = (0..mix.len()).collect();
@@ -245,6 +257,9 @@ impl Schedule {
             }
             _ => vec![AdmissionReply::Grant; mix.len()],
         };
+        // Drawn last, and only here, so no other scenario's draws move.
+        let freeze = (scenario == ScenarioKind::Freeze)
+            .then(|| (rng.gen_range(0..mix.len()), rng.gen_range(1..=span)));
         Schedule {
             seed,
             scenario,
@@ -255,6 +270,7 @@ impl Schedule {
             max_chunk,
             links,
             deaths,
+            freeze,
             req_class,
             replies,
         }

@@ -27,9 +27,14 @@
 //! with a strictly increasing sequence number breaking ties; two runs of
 //! the same [`Schedule`] replay the identical event order, asserted via
 //! the run's [`trace_hash`](SimReport::trace_hash). The flight recorder
-//! is stamped in ms, as on the live node. Segment arrivals are fed to the
-//! requester in µs since the hand-off, as on the live node, and fold into
-//! the run's start-up delay ([`SimReport::startup_us`]).
+//! is stamped in ms, as on the live node. Every input reaches the
+//! requester machine with the virtual clock, as the reactor's reaches it
+//! on the live node: the machine stamps the hand-off, stores arrivals in
+//! µs since it — they fold into the run's start-up delay
+//! ([`SimReport::startup_us`]) — and keeps its lanes' deadlines. The
+//! world holds at most one wake-up per lane, the one the machine asked
+//! for last, and only a wake-up at which the machine acts is an event of
+//! the run, so a deadline that never expires leaves no trace.
 //!
 //! The transport allocates nothing per chunk, and a run allocates little
 //! beyond what it keeps. Every byte the run sends lives in one wire
@@ -56,7 +61,7 @@ use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::PeerClass;
 use p2ps_media::{MediaFile, MediaInfo};
 use p2ps_monitor::Recorder;
-use p2ps_node::{NodeError, RequesterAction, RequesterMachine};
+use p2ps_node::{NodeError, RequesterAction, RequesterMachine, WatchdogConfig};
 use p2ps_policy::SharedPolicy;
 use p2ps_proto::{
     encode_frame, FrameDecoder, Message, Pace, SessionEvent, SupplierAdmission, SupplierConn,
@@ -88,6 +93,8 @@ enum Event {
     Closed { lane: u16 },
     /// Supplier `lane` dies now.
     Die { lane: u16 },
+    /// The requester machine asked to be woken for `lane` now.
+    Wake { lane: u16 },
 }
 
 /// Bits of a queue key below the arrival time, holding the sequence
@@ -310,6 +317,9 @@ struct Lane {
     /// `[to_requester, to_supplier]`.
     pipes: [Pipe; 2],
     req_dec: FrameDecoder,
+    /// The requester machine's wake-up for the lane, the last one it
+    /// asked for; an earlier-queued one is stale.
+    wake_us: Option<u64>,
 }
 
 /// Trace record tags (folded into the run digest).
@@ -355,6 +365,8 @@ struct SimSupplier {
     adm: Scripted,
     dec: FrameDecoder,
     alive: bool,
+    /// On `Freeze`, when the supplier stops pacing.
+    freeze_us: Option<u64>,
 }
 
 /// The node behind a simulated supplier: its §4.2 decision is the
@@ -417,10 +429,6 @@ pub struct SimWorld {
     schedule: Schedule,
     /// Virtual time in µs.
     now: u64,
-    /// `now` at the hand-off: the first pump in which the requester
-    /// machine has a driver, which ships the `StartSession` frames. The
-    /// origin of every arrival time the requester stores.
-    handoff_us: Option<u64>,
     queue: Queue,
     rng: SmallRng,
     trace: TraceHasher,
@@ -478,7 +486,8 @@ impl SimWorld {
             .iter()
             .zip(&schedule.replies)
             .zip(&schedule.links)
-            .map(|((&class, &reply), &spec)| Lane {
+            .enumerate()
+            .map(|(lane, ((&class, &reply), &spec))| Lane {
                 supplier: SimSupplier {
                     conn: SupplierConn::new(class, 0),
                     adm: Scripted {
@@ -487,14 +496,19 @@ impl SimWorld {
                     },
                     dec: FrameDecoder::new(),
                     alive: true,
+                    freeze_us: schedule
+                        .freeze
+                        .and_then(|(frozen, at_ms)| (frozen == lane).then_some(at_ms * 1_000)),
                 },
                 pipes: [Pipe::new(spec), Pipe::new(spec)],
                 req_dec: FrameDecoder::new(),
+                wake_us: None,
             })
             .collect();
         let wire_capacity = wire_bound(&schedule);
-        // Per lane: two link heads, a pacing tick, a close and a death.
-        let event_capacity = 5 * lanes.len();
+        // Per lane: two link heads, a pacing tick, a close, a death and
+        // the requester's wake-ups for its reply and its first segment.
+        let event_capacity = 7 * lanes.len();
         // The whole wire log in flight at once, in chunks of the mean
         // size.
         let chunk_capacity = wire_capacity / schedule.max_chunk.max(1).div_ceil(2);
@@ -507,12 +521,12 @@ impl SimWorld {
             info.clone(),
             SharedPolicy::default(),
             &classes,
+            WatchdogConfig::default().grace_ms,
         );
-        req.start();
+        req.start(0);
 
         let mut world = SimWorld {
             now: 0,
-            handoff_us: None,
             queue: Queue::with_capacity(event_capacity, chunk_capacity),
             rng: SmallRng::seed_from_u64(rng_seed),
             trace: TraceHasher::new(),
@@ -562,8 +576,7 @@ impl SimWorld {
             };
             debug_assert!(at >= self.now, "virtual time must be monotone");
             self.now = at;
-            self.events += 1;
-            self.dispatch(ev, bytes);
+            self.events += u64::from(self.dispatch(ev, bytes));
         }
         let received = self
             .req
@@ -650,8 +663,10 @@ impl SimWorld {
             .record(T_EVENT, u64::from(ev.code()), &[self.now, a, b]);
     }
 
-    /// Handles `ev`; a delivery carries the wire log's `bytes`.
-    fn dispatch(&mut self, ev: Event, bytes: Range<usize>) {
+    /// Handles `ev`; a delivery carries the wire log's `bytes`. Returns
+    /// whether it was an event of the run: a wake-up at which the
+    /// requester does nothing is not.
+    fn dispatch(&mut self, ev: Event, bytes: Range<usize>) -> bool {
         match ev {
             Event::SupplierTick { lane } => self.tick(lane.into()),
             Event::Deliver {
@@ -664,7 +679,9 @@ impl SimWorld {
             } => self.deliver_to_supplier(lane.into(), bytes),
             Event::Closed { lane } => self.closed(lane.into()),
             Event::Die { lane } => self.die(lane.into()),
+            Event::Wake { lane } => return self.wake(lane.into()),
         }
+        true
     }
 
     /// Puts `msg`'s frame on the wire.
@@ -699,12 +716,9 @@ impl SimWorld {
     }
 
     /// Executes the requester machine's queued actions: frames go on
-    /// the wire, closes and timeline entries go into the trace. The first
-    /// pump with a driver is the hand-off, and stamps it.
+    /// the wire, closes and timeline entries go into the trace, and a
+    /// wake-up replaces the lane's last one.
     fn pump(&mut self) {
-        if self.handoff_us.is_none() && self.req.driver().is_some() {
-            self.handoff_us = Some(self.now);
-        }
         while let Some(action) = self.req.pop_action() {
             match action {
                 RequesterAction::Send { lane, msg } => {
@@ -728,8 +742,26 @@ impl SimWorld {
                     }
                     self.event(ev);
                 }
+                RequesterAction::Wake { lane, at_us } => {
+                    self.lanes[lane].wake_us = Some(at_us);
+                    self.queue.push(at_us, Event::Wake { lane: lane as u16 });
+                }
             }
         }
+    }
+
+    /// `lane`'s wake-up comes, unless a later ask replaced it: the
+    /// requester machine judges the lane against its deadline. Returns
+    /// whether the machine cut the lane; the cut's timeline entries and
+    /// close go into the trace as any others do.
+    fn wake(&mut self, lane: usize) -> bool {
+        if self.lanes[lane].wake_us != Some(self.now) {
+            return false;
+        }
+        self.lanes[lane].wake_us = None;
+        let cut = self.req.on_timer(lane, self.now);
+        self.pump();
+        cut
     }
 
     /// Supplier pacing deadline: transmit the segment the machine says is
@@ -737,7 +769,7 @@ impl SimWorld {
     /// `EndSession` when its schedule (base + appends) is exhausted.
     fn tick(&mut self, lane: usize) {
         let s = &mut self.lanes[lane].supplier;
-        if !s.alive {
+        if !s.alive || s.freeze_us.is_some_and(|at| self.now >= at) {
             return;
         }
         let session = self.session;
@@ -778,15 +810,14 @@ impl SimWorld {
             match self.lanes[lane].req_dec.poll() {
                 Ok(Some(msg)) => {
                     self.trace_rx(lane, &msg);
-                    let at_us = self.handoff_us.map_or(0, |handoff| self.now - handoff);
-                    self.req.on_message(lane, msg, at_us);
+                    self.req.on_message(lane, msg, self.now);
                     self.pump();
                 }
                 Ok(None) => return,
                 Err(_) => {
                     // A corrupt stream: the reactor treats it as a
                     // structured per-lane failure, so does the simulation.
-                    self.req.on_lane_closed(lane);
+                    self.req.on_lane_closed(lane, self.now);
                     self.pump();
                     return;
                 }
@@ -918,7 +949,7 @@ impl SimWorld {
             return;
         }
         self.trace.record(T_CLOSED, narrow(lane, 0), &[self.now]);
-        self.req.on_lane_closed(lane);
+        self.req.on_lane_closed(lane, self.now);
         self.pump();
     }
 }

@@ -12,7 +12,8 @@
 //! 310 / 286 / 136 allocations per Steady / Churn / Loss / SlowPeer /
 //! Admission run over seeds 0–1,999 (281 / 281 / 320 / 287 / 138 over
 //! the seeds below). `Ideal`, a Steady-shaped run with whole frames, is
-//! held to Steady's budget (160 when it was added).
+//! held to Steady's budget (160 when it was added), and so is `Freeze`,
+//! a Steady-shaped run with one lane cut and replanned.
 //!
 //! The allocator counts per thread, and a run happens on the calling
 //! thread, so the count is this test's own.
@@ -33,7 +34,7 @@ fn budget(scenario: ScenarioKind) -> f64 {
         ScenarioKind::Loss => 217.0,
         ScenarioKind::SlowPeer => 200.0,
         ScenarioKind::Admission => 95.0,
-        ScenarioKind::Ideal => 194.0,
+        ScenarioKind::Ideal | ScenarioKind::Freeze => 194.0,
     }
 }
 
@@ -44,7 +45,10 @@ fn a_run_allocates_within_its_budget() {
         "scenario", "new", "run", "total", "budget"
     )];
     let mut over = Vec::new();
-    for scenario in ScenarioKind::ALL.into_iter().chain([ScenarioKind::Ideal]) {
+    for scenario in ScenarioKind::ALL
+        .into_iter()
+        .chain([ScenarioKind::Ideal, ScenarioKind::Freeze])
+    {
         let (mut new, mut run) = (0u64, 0u64);
         for seed in 0..SEEDS {
             let schedule = Schedule::derive(seed, scenario);

@@ -38,24 +38,134 @@
 //! a closed-form bound that held on every run would cover almost none
 //! of them. The sweep prints, per scenario, how many runs streamed and
 //! their `S − n·δt` p50 / p90 / max (`--nocapture`).
+//!
+//! # Progress deadlines in virtual time
+//!
+//! The requester machine holds each lane that owes segments to the
+//! plan's stride plus the grace past its last progress, and simnet
+//! honours the wake-ups it asks for. On `Freeze` one supplier stops
+//! pacing without dying or closing, so only that deadline can cut it:
+//!
+//! * every run ends byte-exact or `SuppliersLost` — never `Stalled`;
+//! * a lane frozen while it still owed segments is cut exactly once,
+//!   when its deadline comes, with `lag_ms` equal to the stride plus the
+//!   grace: virtual time wakes the machine on the µs. Under `OTSp2p` a
+//!   rate-matched mix's stride is the slowest class's §3 pacing,
+//!   `2^(k_max−1)·δt`;
+//! * a lane frozen after its share was delivered owes nothing and is
+//!   never cut;
+//! * no lane of any other scenario is ever cut.
 
+use p2ps_node::WatchdogConfig;
 use p2ps_proto::SessionEvent;
 use p2ps_simnet::{repro_hint, run, ScenarioKind, Schedule, SimOutcome, SimReport};
 
 /// Seeds per scenario in the tier-1 sweep (5 scenarios ⇒ 1,280
-/// schedules, plus 256 `Ideal` ones; each executed twice for the
-/// determinism check).
+/// schedules, plus 256 `Ideal` and 256 `Freeze` ones; each executed
+/// twice for the determinism check).
 const TIER1_SEEDS: u64 = 256;
 
 /// Seeds per scenario in the extended (`--ignored`, CI nightly) sweep:
-/// 5 × 20,000 = 100,000 schedules plus 20,000 `Ideal` ones, each
-/// executed twice.
+/// 5 × 20,000 = 100,000 schedules plus 20,000 `Ideal` and 20,000
+/// `Freeze` ones, each executed twice.
 const EXTENDED_SEEDS: u64 = 20_000;
 
 /// Every scenario the sweep runs: the five adversity profiles, then
-/// `Ideal`.
+/// `Ideal` and `Freeze`.
 fn scenarios() -> impl Iterator<Item = ScenarioKind> {
-    ScenarioKind::ALL.into_iter().chain([ScenarioKind::Ideal])
+    ScenarioKind::ALL
+        .into_iter()
+        .chain([ScenarioKind::Ideal, ScenarioKind::Freeze])
+}
+
+/// Holds a run to its lanes' progress deadlines (see the module docs):
+/// on `Freeze`, the frozen lane is cut at its deadline exactly when it
+/// still owed segments; elsewhere no lane is cut. Returns whether a
+/// lane was cut.
+fn check_deadlines(report: &SimReport) -> bool {
+    let (seed, scenario) = (report.seed, report.scenario);
+    let hint = || repro_hint(seed, scenario);
+    let events: Vec<(u64, SessionEvent)> = report
+        .recorder
+        .iter()
+        .filter_map(|ev| Some((ev.at_ms, SessionEvent::decode(ev.code, ev.a, ev.b)?)))
+        .collect();
+    let stalls: Vec<(u64, u64)> = events
+        .iter()
+        .filter_map(|&(at_ms, ev)| match ev {
+            SessionEvent::StallFlagged { lag_ms } => Some((at_ms, lag_ms)),
+            _ => None,
+        })
+        .collect();
+    let schedule = Schedule::derive(seed, scenario);
+    let Some((frozen, _)) = schedule.freeze else {
+        assert!(
+            stalls.is_empty(),
+            "seed {seed} ({}) cut a lane: {stalls:?}\n{}",
+            scenario.name(),
+            hint()
+        );
+        return false;
+    };
+    assert!(
+        matches!(
+            report.outcome,
+            SimOutcome::Completed { byte_exact: true } | SimOutcome::SuppliersLost { .. }
+        ),
+        "seed {seed} (freeze) ended {:?}\n{}",
+        report.outcome,
+        hint()
+    );
+    if stalls.is_empty() {
+        // Never cut: the frozen lane must have delivered its whole share.
+        assert_eq!(
+            report.outcome,
+            SimOutcome::Completed { byte_exact: true },
+            "seed {seed} (freeze): lane {frozen} was never cut\n{}",
+            hint()
+        );
+        return false;
+    }
+    // Cut: a segment was still missing then, and every other lane had
+    // long delivered its share, so the frozen one owed it. Its progress
+    // is the hand-off, then each segment it delivered.
+    let frozen = frozen as u64;
+    let mut received = 0;
+    let mut progress_ms = None;
+    for &(at_ms, ev) in &events {
+        match ev {
+            SessionEvent::PlanSent { lane, .. } if lane == frozen => progress_ms = Some(at_ms),
+            SessionEvent::SegmentArrived { lane, .. } => {
+                received += 1;
+                if lane == frozen {
+                    progress_ms = Some(at_ms);
+                }
+            }
+            SessionEvent::StallFlagged { .. } => break,
+            _ => {}
+        }
+    }
+    assert!(
+        received < schedule.segment_count,
+        "seed {seed} (freeze): a lane was cut with every segment in\n{}",
+        hint()
+    );
+    let max_class = schedule.mix.iter().max().expect("a run has lanes");
+    let bound_ms = (schedule.dt_ms << (max_class - 1)) + WatchdogConfig::default().grace_ms;
+    let progress_ms = progress_ms.expect("a lane that owes was handed a share");
+    assert_eq!(
+        stalls,
+        vec![(progress_ms + bound_ms, bound_ms)],
+        "seed {seed} (freeze): lane {frozen} was not cut once, {bound_ms} ms after its last \
+         progress at {progress_ms} ms\n{}",
+        hint()
+    );
+    let cut = events.iter().find_map(|&(_, ev)| match ev {
+        SessionEvent::RecoveryStarted { lane, attempt } => Some((lane, attempt)),
+        _ => None,
+    });
+    assert_eq!(cut, Some((frozen, 1)), "seed {seed} (freeze)\n{}", hint());
+    true
 }
 
 /// Holds a completed run to Theorem 1 (see the module docs): exactly
@@ -179,6 +289,7 @@ fn check_one(seed: u64, scenario: ScenarioKind) -> SimReport {
         );
     }
     check_theorem_one(&first);
+    check_deadlines(&first);
     first
 }
 
@@ -191,6 +302,7 @@ fn sweep(seeds: u64) {
     let mut rejected = 0u64;
     let mut replans = 0u64;
     let mut deaths = 0u64;
+    let mut cuts = 0u64;
     let mut runs = 0u64;
     for scenario in scenarios() {
         let mut scenario_completed = 0u64;
@@ -204,6 +316,7 @@ fn sweep(seeds: u64) {
             }
             replans += report.replans;
             deaths += report.deaths;
+            cuts += u64::from(check_deadlines(&report));
             match report.outcome {
                 SimOutcome::Completed { .. } => {
                     completed += 1;
@@ -231,6 +344,10 @@ fn sweep(seeds: u64) {
     }
     assert_eq!(runs, seeds * scenarios().count() as u64);
     assert!(deaths > 0, "churn/loss scenarios must kill suppliers");
+    assert!(
+        cuts > 0 && cuts < seeds,
+        "{cuts} of {seeds} freeze runs cut their frozen lane: both sides of the deadline must show"
+    );
     assert!(replans > 0, "supplier deaths must trigger live replans");
     assert!(
         lost > 0,
@@ -279,7 +396,7 @@ fn tier1_seed_sweep() {
 }
 
 #[test]
-#[ignore = "extended 120,000-schedule sweep; run with --ignored --release (CI nightly gate)"]
+#[ignore = "extended 140,000-schedule sweep; run with --ignored --release (CI nightly gate)"]
 fn extended_seed_sweep() {
     if let Some(seed) = pinned_seed() {
         for scenario in scenarios() {
