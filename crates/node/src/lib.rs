@@ -85,7 +85,7 @@ mod swarm;
 pub use args::{Args, ArgsError};
 pub use clock::Clock;
 pub use directory::{query_candidates, register_supplier, DirectoryServer, ShardedRegistry};
-pub use driver::{DriverStep, SessionDriver};
+pub use driver::SessionDriver;
 pub use error::NodeError;
 pub use machine::{RequesterAction, RequesterMachine};
 pub use node::{NodeConfig, PeerNode, PendingStream, StreamOutcome};

@@ -5,20 +5,24 @@
 //! one state machine over its candidate lanes:
 //!
 //! ```text
-//! probing ─ AdmissionDriver verdict ─┬ Admitted ▶ §3 plan ─▶ streaming ─ SessionDriver ─┬▶ complete
-//!   (StreamRequest burst,            │            (StartSession per     (segments, ends, ├▶ failed
-//!    Grant/Deny fold)                │             used grant, Release   losses → replan)│
-//!                                    │             per unused one)                      │
-//!                                    └ Rejected ▶ rejected (Releases + Reminders sent)  │
+//! probing ─ AdmissionDriver verdict ─┬ Admitted ▶ §3 plan ─▶ streaming ───────────┬▶ complete
+//!   (StreamRequest burst,            │            (StartSession per  (segments, ends,  ├▶ failed
+//!    Grant/Deny fold)                │             used grant, Release losses → replan │
+//!                                    │             per unused one)     over survivors) │
+//!                                    └ Rejected ▶ rejected (Releases + Reminders sent) │
 //! ```
 //!
 //! It composes the pieces that already were sans-io — the pipelined
-//! [`AdmissionDriver`] fold, the [`SelectionPolicy`] plan and the
-//! [`SessionDriver`]'s reassembly and replans — and owns what used to be
-//! written twice, once per host: which granted lane streams which share,
+//! [`AdmissionDriver`] fold, the [`SelectionPolicy`] plan and replan,
+//! and [`RequesterSession`]'s reassembly and owed queues — and makes
+//! every decision between them: which granted lane streams which share,
 //! the `Release` of a grant the plan leaves unused, what happens to a
-//! lane that dies between its grant and the hand-off, and which
-//! [`SessionEvent`] each step puts on the session's timeline.
+//! lane that dies between its grant and the hand-off, which survivors a
+//! lost share is replanned onto, when the session is complete or beyond
+//! recovery, and which [`SessionEvent`] each step puts on the session's
+//! timeline. Each candidate's lane is the one place that holds its
+//! class, whether its transport is up, its deadline and the reassembly
+//! slot its share streams in.
 //!
 //! The host owns the transport; the machine makes every decision that
 //! reads a clock, against the µs reading each input carries (the
@@ -84,10 +88,11 @@ use p2ps_core::PeerClass;
 use p2ps_media::MediaInfo;
 use p2ps_policy::{SelectionPolicy, SessionContext, SharedPolicy};
 use p2ps_proto::{
-    AdmissionAction, AdmissionDriver, AdmissionVerdict, Flow, Message, SessionEvent, SessionPlan,
+    AdmissionAction, AdmissionDriver, AdmissionVerdict, Flow, Message, RequesterSession,
+    SessionEvent, SessionPlan,
 };
 
-use crate::{DriverStep, NodeError, SessionDriver};
+use crate::NodeError;
 
 /// How long a candidate has, from its `StreamRequest`, to deliver a whole
 /// decoded reply before its lane settles as refused: a frozen or
@@ -131,35 +136,33 @@ struct Lane {
     /// The transport is up: the host has not reported it gone and the
     /// machine has not closed it.
     open: bool,
-    /// The [`SessionDriver`] lane this candidate streams as, once its
-    /// grant was planned a share.
-    stream: Option<usize>,
+    /// The [`RequesterSession`] supplier slot this candidate streams as,
+    /// once its grant was planned a share. Slots follow plan order.
+    slot: Option<usize>,
     /// What the lane's deadline counts from; `None` while it owes nothing.
     since_us: Option<u64>,
     /// The wake-up the host holds for the lane, if any.
     wake_us: Option<u64>,
 }
 
-/// The admitted session: the driver and where its lanes came from.
-struct Streaming {
-    driver: SessionDriver,
-    /// Driver lane → candidate lane.
-    candidate: Vec<usize>,
-    /// The plan's minimum feasible delay in slots of `δt` (Theorem 1's
-    /// `n` for `Otsp2p`).
-    theoretical_slots: u64,
-}
-
 /// The requesting peer's whole session as a sans-io state machine (see
 /// the module docs).
 pub struct RequesterMachine {
-    session: u64,
+    pub(crate) session: u64,
     info: MediaInfo,
     policy: SharedPolicy,
     lanes: Vec<Lane>,
     adm: AdmissionDriver,
     started: bool,
-    stream: Option<Streaming>,
+    /// Reassembly and the owed queues, from the hand-off on; `None`
+    /// while probing.
+    reassembly: Option<RequesterSession>,
+    /// Worst-case healthy ms between consecutive segments of a lane: the
+    /// slowest planned share's §3 stride (set at the hand-off).
+    stride_ms: u64,
+    /// The plan's minimum feasible delay in slots of `δt` (Theorem 1's
+    /// `n` for `Otsp2p`); 0 before the hand-off.
+    theoretical_slots: u64,
     /// The final verdict, once there is one.
     end: Option<Result<(), NodeError>>,
     actions: VecDeque<RequesterAction>,
@@ -198,14 +201,16 @@ impl RequesterMachine {
                 .map(|&class| Lane {
                     class,
                     open: true,
-                    stream: None,
+                    slot: None,
                     since_us: None,
                     wake_us: None,
                 })
                 .collect(),
             adm: AdmissionDriver::new(session, class, candidates),
             started: false,
-            stream: None,
+            reassembly: None,
+            stride_ms: 0,
+            theoretical_slots: 0,
             end: None,
             actions: VecDeque::new(),
             grace_ms,
@@ -248,37 +253,64 @@ impl RequesterMachine {
     /// Whether `lane` carries a planned share of the stream (as opposed
     /// to a candidate still answering the §4.2 round).
     pub fn streams_on(&self, lane: usize) -> bool {
-        self.lanes[lane].stream.is_some()
+        self.lanes[lane].slot.is_some()
+    }
+
+    /// The reassembly and `lane`'s slot in it, once the lane streams a
+    /// share.
+    fn share(&self, lane: usize) -> Option<(&RequesterSession, usize)> {
+        Some((self.reassembly.as_ref()?, self.lanes[lane].slot?))
     }
 
     /// Whether `lane` streams a share with segments still to come — the
     /// lanes held to a progress deadline.
     fn owes(&self, lane: usize) -> bool {
-        match (self.lanes[lane].stream, &self.stream) {
-            (Some(slot), Some(stream)) => stream.driver.machine().owes(slot),
-            _ => false,
-        }
+        self.share(lane).is_some_and(|(sm, slot)| sm.owes(slot))
     }
 
-    /// The streaming session once the round admitted: reassembly
-    /// progress, the plan's stride, the lane classes.
-    pub fn driver(&self) -> Option<&SessionDriver> {
-        self.stream.as_ref().map(|s| &s.driver)
+    /// Whether planned `lane` is still expected to deliver: its transport
+    /// is up and the reassembly counts its share as streaming.
+    fn survives(&self, lane: usize) -> bool {
+        self.lanes[lane].open
+            && self
+                .share(lane)
+                .is_some_and(|(sm, slot)| sm.is_streaming(slot))
+    }
+
+    /// The planned lanes in slot (plan) order: each lane's `slot` read
+    /// backwards, built only when a replan or the outcome needs it.
+    fn planned(&self) -> Vec<usize> {
+        let mut planned: Vec<usize> = (0..self.lanes.len())
+            .filter(|&lane| self.streams_on(lane))
+            .collect();
+        planned.sort_unstable_by_key(|&lane| self.lanes[lane].slot);
+        planned
+    }
+
+    /// The reassembly once the round admitted: segments received with
+    /// their arrivals, the owed queues, the phase. `None` while probing.
+    pub fn reassembly(&self) -> Option<&RequesterSession> {
+        self.reassembly.as_ref()
     }
 
     /// Theorem 1's start-up delay for the admitted plan (`n·δt` under
     /// `Otsp2p`), in ms; 0 before admission.
     pub fn theoretical_delay_ms(&self) -> u64 {
-        self.stream.as_ref().map_or(0, |s| {
-            s.theoretical_slots * self.info.segment_duration().as_millis()
-        })
+        self.theoretical_slots * self.info.segment_duration().as_millis()
+    }
+
+    /// Worst-case healthy ms between consecutive segments of a lane: the
+    /// slowest planned share's §3 stride `spp · δt`. `None` before the
+    /// hand-off.
+    pub fn stride_ms(&self) -> Option<u64> {
+        self.reassembly.as_ref().map(|_| self.stride_ms)
     }
 
     /// How long a lane that owes segments may go without a new one: the
     /// plan's stride plus the grace, in ms; `None` before the hand-off.
     pub fn stall_bound_ms(&self) -> Option<u64> {
-        self.driver()
-            .map(|d| d.stride_ms().saturating_add(self.grace_ms))
+        self.stride_ms()
+            .map(|stride| stride.saturating_add(self.grace_ms))
     }
 
     /// The host's clock reading, in µs, at the hand-off: when the
@@ -293,15 +325,16 @@ impl RequesterMachine {
         self.end.as_ref().map(|r| r.as_ref().map(|_| ()))
     }
 
-    /// Consumes a finished machine: the streaming session with every
-    /// payload and arrival time when it completed, the error otherwise;
-    /// `None` while it still runs.
-    pub fn into_outcome(self) -> Option<Result<SessionDriver, NodeError>> {
+    /// Consumes a finished machine: when it completed, the reassembly
+    /// with every payload and arrival time, and the planned lanes'
+    /// classes in slot order; the error otherwise; `None` while it still
+    /// runs.
+    pub fn into_outcome(self) -> Option<Result<(RequesterSession, Vec<PeerClass>), NodeError>> {
+        let planned = self.planned();
+        let classes = planned.iter().map(|&lane| self.lanes[lane].class).collect();
+        let sm = self.reassembly;
         match self.end? {
-            Ok(()) => Some(Ok(self
-                .stream
-                .expect("completion implies streaming")
-                .driver)),
+            Ok(()) => Some(Ok((sm.expect("completion implies streaming"), classes))),
             Err(e) => Some(Err(e)),
         }
     }
@@ -321,7 +354,7 @@ impl RequesterMachine {
             return Flow::Close;
         }
         self.now_us = now_us;
-        let Some(slot) = self.lanes[lane].stream else {
+        let Some(slot) = self.lanes[lane].slot else {
             // A reply to the round — or a late one after it admitted,
             // which the fold answers with a Release and a close.
             let event = match &msg {
@@ -337,8 +370,8 @@ impl RequesterMachine {
             self.pump_admission();
             return Flow::Keep;
         };
-        let stream = self.stream.as_mut().expect("a share implies streaming");
-        let step = match msg {
+        let sm = self.reassembly.as_mut().expect("a share implies streaming");
+        let missing = match msg {
             Message::SegmentData {
                 session,
                 index,
@@ -350,11 +383,11 @@ impl RequesterMachine {
                         index,
                     }));
                 let at_us = self.handoff_us.map_or(0, |handoff| now_us - handoff);
-                let had = stream.driver.machine().received();
-                let step = stream.driver.on_segment(slot, index, payload, at_us);
                 // A new segment is progress: the deadline counts from now.
-                let new = stream.driver.machine().received() > had;
-                self.apply(step);
+                let new = sm.on_segment(slot, index, payload, at_us);
+                if sm.is_complete() {
+                    self.complete();
+                }
                 let since = if new {
                     Some(now_us)
                 } else {
@@ -363,15 +396,13 @@ impl RequesterMachine {
                 self.set_since(lane, since.filter(|_| self.owes(lane)));
                 return Flow::Keep;
             }
-            Message::EndSession { session } if session == self.session => {
-                stream.driver.on_end(slot)
-            }
+            Message::EndSession { session } if session == self.session => sm.on_end(slot),
             // Anything else mid-stream is a protocol violation by this
             // supplier alone.
-            _ => stream.driver.on_failure(slot),
+            _ => sm.on_failure(slot),
         };
         self.lanes[lane].open = false;
-        self.apply(step);
+        self.settle(&missing);
         Flow::Close
     }
 
@@ -387,12 +418,8 @@ impl RequesterMachine {
         {
             return;
         }
-        match self.lanes[lane].stream {
-            Some(slot) => {
-                let stream = self.stream.as_mut().expect("a share implies streaming");
-                let step = stream.driver.on_failure(slot);
-                self.apply(step);
-            }
+        match self.lanes[lane].slot {
+            Some(slot) => self.lose(slot),
             None => {
                 self.adm.on_lane_error(lane);
                 self.pump_admission();
@@ -421,7 +448,7 @@ impl RequesterMachine {
     fn due_us(&self, lane: usize) -> Option<u64> {
         let l = &self.lanes[lane];
         let since = l.since_us.filter(|_| l.open && self.end.is_none())?;
-        let allowed_ms = match l.stream {
+        let allowed_ms = match l.slot {
             None => ADMISSION_REPLY_TIMEOUT_MS,
             Some(_) => self.stall_bound_ms()?,
         };
@@ -451,7 +478,7 @@ impl RequesterMachine {
     /// `lane` missed its deadline: a candidate settles as refused, a
     /// streaming lane is a stall, recorded around the loss path.
     fn expire(&mut self, lane: usize) {
-        let stalled = self.lanes[lane].stream.is_some();
+        let stalled = self.lanes[lane].slot.is_some();
         if stalled {
             let since = self.lanes[lane]
                 .since_us
@@ -502,7 +529,7 @@ impl RequesterMachine {
                 _ => {}
             }
         }
-        if self.stream.is_some() || self.end.is_some() {
+        if self.reassembly.is_some() || self.end.is_some() {
             return;
         }
         match self.adm.verdict() {
@@ -519,10 +546,8 @@ impl RequesterMachine {
         }
     }
 
-    /// `R0` secured: plan the session over the granted lanes, ship each
-    /// used grant its `StartSession` and release the rest. A lane that
-    /// died after granting is failed right away, so its share is
-    /// replanned like any other loss. Arrivals count from now.
+    /// `R0` secured: plan the session over the granted lanes, release
+    /// the grants the plan leaves unused and stream from the rest.
     fn hand_off(&mut self, granted: &[usize]) {
         let classes: Vec<PeerClass> = granted.iter().map(|&l| self.lanes[l].class).collect();
         let (slot_plans, theoretical_slots) =
@@ -536,80 +561,76 @@ impl RequesterMachine {
                     return;
                 }
             };
-        let mut specs: Vec<(PeerClass, SessionPlan)> = Vec::with_capacity(granted.len());
-        let mut candidate = Vec::with_capacity(granted.len());
+        let mut plans = Vec::with_capacity(granted.len());
         for (&lane, plan) in granted.iter().zip(slot_plans) {
             match plan {
-                Some(plan) => {
-                    self.lanes[lane].stream = Some(specs.len());
-                    candidate.push(lane);
-                    specs.push((self.lanes[lane].class, plan));
-                }
+                Some(plan) => plans.push((lane, plan)),
                 // The policy left this grant unused: its bandwidth
                 // reservation must not linger.
                 None => self.release(lane),
             }
         }
-        let mut driver = SessionDriver::new(
-            self.session,
-            self.info.name(),
-            self.info.segment_count(),
-            self.info.segment_duration().as_millis(),
-            self.policy.clone(),
-            &specs,
-        );
+        self.stream(plans, theoretical_slots);
+    }
+
+    /// Enters the streaming phase at the current input's clock reading
+    /// with `plans`, one `(lane, plan)` per planned share in slot (plan)
+    /// order: each open lane is sent its `StartSession` and owes from
+    /// now, the hand-off is stamped, and a lane that died after granting
+    /// is failed right away, so its share is replanned like any other
+    /// loss.
+    pub(crate) fn stream(&mut self, plans: Vec<(usize, SessionPlan)>, theoretical_slots: u64) {
+        let dt_ms = self.info.segment_duration().as_millis();
+        let mut sm = RequesterSession::new(self.info.segment_count());
         let mut dead = Vec::new();
-        for (slot, (_, plan)) in specs.into_iter().enumerate() {
-            let lane = candidate[slot];
+        self.stride_ms = dt_ms;
+        for (slot, (lane, plan)) in plans.into_iter().enumerate() {
+            sm.add_supplier(plan.expanded());
+            // The healthy gap between a lane's segments: the slowest
+            // lane's §3 pacing stride `spp · δt` (explicit one-shot plans
+            // pace at the supplier's class rate).
+            let spp = u64::from(self.lanes[lane].class.slots_per_segment());
+            self.stride_ms = self.stride_ms.max(plan.stride_slots(spp) * dt_ms);
+            self.lanes[lane].slot = Some(slot);
             if !self.lanes[lane].open {
-                // Every doomed lane is marked before any is settled, so
-                // the first replan does not count the others as
-                // survivors.
-                driver.mark_dead(slot);
                 dead.push(slot);
                 continue;
             }
-            let segments = plan.segments.len() as u64;
             self.lanes[lane].since_us = Some(self.now_us);
-            self.actions.push_back(RequesterAction::Send {
+            self.ship(lane, plan, |lane, segments| SessionEvent::PlanSent {
                 lane,
-                msg: Message::StartSession {
-                    session: self.session,
-                    plan,
-                },
+                segments,
             });
-            self.actions
-                .push_back(RequesterAction::Record(SessionEvent::PlanSent {
-                    lane: lane as u64,
-                    segments,
-                }));
         }
-        self.stream = Some(Streaming {
-            driver,
-            candidate,
-            theoretical_slots,
-        });
+        self.reassembly = Some(sm);
+        self.theoretical_slots = theoretical_slots;
         self.handoff_us = Some(self.now_us);
         for lane in 0..self.lanes.len() {
             self.rearm(lane);
         }
+        // Every doomed lane is closed before any is settled, so the first
+        // replan does not count the others as survivors.
         for slot in dead {
-            if self.end.is_some() {
-                return;
+            if self.end.is_none() {
+                self.lose(slot);
             }
-            let step = self
-                .stream
-                .as_mut()
-                .expect("just set")
-                .driver
-                .on_failure(slot);
-            self.apply(step);
         }
         if self.end.is_none() {
-            // A zero-segment file is complete right at launch.
-            let step = self.stream.as_ref().expect("just set").driver.status();
-            self.apply(step);
+            self.settle(&[]);
         }
+    }
+
+    /// Sends `lane` its `StartSession` for `plan` and puts `event` (of
+    /// the lane and the plan's segment count) on the timeline.
+    fn ship(&mut self, lane: usize, plan: SessionPlan, event: fn(u64, u64) -> SessionEvent) {
+        let segments = plan.segments.len() as u64;
+        let msg = Message::StartSession {
+            session: self.session,
+            plan,
+        };
+        self.actions.push_back(RequesterAction::Send { lane, msg });
+        let event = event(lane as u64, segments);
+        self.actions.push_back(RequesterAction::Record(event));
     }
 
     /// Frees `lane`'s grant and closes it.
@@ -624,51 +645,114 @@ impl RequesterMachine {
         }
     }
 
-    /// Queues what a [`DriverStep`] asks for: replanned shares ride
-    /// explicit `StartSession`s to the survivors, `Complete`/`Failed`
-    /// settle the session.
-    fn apply(&mut self, step: DriverStep) {
-        match step {
-            DriverStep::Continue => {}
-            DriverStep::Replanned(plans) => {
-                for (slot, plan) in plans {
-                    let stream = self.stream.as_ref().expect("replans imply streaming");
-                    let lane = stream.candidate[slot];
-                    let segments = plan.segments.len() as u64;
-                    self.actions.push_back(RequesterAction::Send {
-                        lane,
-                        msg: Message::StartSession {
-                            session: self.session,
-                            plan,
-                        },
-                    });
-                    self.actions
-                        .push_back(RequesterAction::Record(SessionEvent::Replanned {
-                            lane: lane as u64,
-                            segments,
-                        }));
-                    // A lane that owed nothing owes again from now.
-                    if self.lanes[lane].since_us.is_none() {
-                        self.set_since(lane, Some(self.now_us));
-                    }
-                }
+    /// The share streaming in `slot` was lost: what it left undelivered
+    /// is replanned over the survivors.
+    fn lose(&mut self, slot: usize) {
+        let sm = self.reassembly.as_mut().expect("a share implies streaming");
+        let missing = sm.on_failure(slot);
+        self.settle(&missing);
+    }
+
+    /// Rules on the session after a planned lane settled, leaving
+    /// `missing` undelivered: the survivors take it; or the session is
+    /// complete, or fails when no survivor is left to deliver.
+    fn settle(&mut self, missing: &[u64]) {
+        if !missing.is_empty() {
+            if let Err(e) = self.replan(missing) {
+                self.fail(e);
             }
-            DriverStep::Complete => {
-                let received = self.driver().map_or(0, |d| d.machine().received());
-                self.actions
-                    .push_back(RequesterAction::Record(SessionEvent::Completed {
-                        received,
-                    }));
-                self.end = Some(Ok(()));
+            return;
+        }
+        let sm = self.reassembly.as_ref().expect("a share implies streaming");
+        if sm.is_complete() {
+            self.complete();
+        } else if !(0..self.lanes.len()).any(|lane| self.survives(lane)) {
+            let (received, expected) = (sm.received(), sm.total_segments());
+            self.fail(NodeError::IncompleteStream { received, expected });
+        }
+    }
+
+    /// Routes `missing` through the policy onto the survivors, in slot
+    /// order, and ships each its share as an explicit `StartSession`.
+    /// Errs when the survivors cannot take it.
+    fn replan(&mut self, missing: &[u64]) -> Result<(), NodeError> {
+        let sm = self.reassembly.as_ref().expect("replans imply streaming");
+        let total = sm.total_segments();
+        let lost = NodeError::SuppliersLost {
+            missing: total - sm.received(),
+        };
+        let mut survivors = self.planned();
+        survivors.retain(|&lane| self.survives(lane));
+        if survivors.is_empty() {
+            return Err(lost);
+        }
+        let classes: Vec<PeerClass> = survivors.iter().map(|&l| self.lanes[l].class).collect();
+        let rctx = SessionContext::full(&classes, total).with_seed(self.session);
+        let plan = self
+            .policy
+            .replan(&rctx, missing)
+            .map_err(|e| NodeError::Protocol(format!("replan failed: {e}")))?;
+        if plan.slot_count() != survivors.len() {
+            return Err(NodeError::Protocol(format!(
+                "policy '{}' replanned {} slots for {} survivors",
+                self.policy.name(),
+                plan.slot_count(),
+                survivors.len()
+            )));
+        }
+        let period = u32::try_from(total.max(1))
+            .map_err(|_| NodeError::Protocol("file too large for an explicit replan".into()))?;
+        let queues = plan.queues(0, total);
+        if queues.iter().map(Vec::len).sum::<usize>() < missing.len() {
+            // The policy could not place every lost segment; the session
+            // can never complete.
+            return Err(lost);
+        }
+        let dt_ms = self.info.segment_duration().as_millis() as u32;
+        for (lane, queue) in survivors.into_iter().zip(queues) {
+            if queue.is_empty() {
+                continue;
             }
-            DriverStep::Failed(e) => {
-                if let NodeError::SuppliersLost { missing } = e {
-                    self.actions
-                        .push_back(RequesterAction::Record(SessionEvent::GaveUp { missing }));
-                }
-                self.end = Some(Err(e));
+            let plan = SessionPlan {
+                item: self.info.name().to_owned(),
+                segments: queue.iter().map(|&s| s as u32).collect(),
+                period,
+                total_segments: total,
+                dt_ms,
+            };
+            let slot = self.lanes[lane].slot.expect("survivors are planned");
+            let sm = self.reassembly.as_mut().expect("replans imply streaming");
+            sm.assign_more(slot, queue);
+            self.ship(lane, plan, |lane, segments| SessionEvent::Replanned {
+                lane,
+                segments,
+            });
+            // A lane that owed nothing owes again from now.
+            if self.lanes[lane].since_us.is_none() {
+                self.set_since(lane, Some(self.now_us));
             }
         }
+        Ok(())
+    }
+
+    /// Every segment has arrived: the session ends complete.
+    fn complete(&mut self) {
+        let received = self.reassembly.as_ref().map_or(0, |sm| sm.received());
+        self.actions
+            .push_back(RequesterAction::Record(SessionEvent::Completed {
+                received,
+            }));
+        self.end = Some(Ok(()));
+    }
+
+    /// The session can no longer complete; losing every supplier is
+    /// recorded as giving up.
+    fn fail(&mut self, e: NodeError) {
+        if let NodeError::SuppliersLost { missing } = e {
+            self.actions
+                .push_back(RequesterAction::Record(SessionEvent::GaveUp { missing }));
+        }
+        self.end = Some(Err(e));
     }
 }
 
@@ -726,8 +810,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use p2ps_core::assignment::SegmentDuration;
-    use p2ps_policy::{PolicyError, PolicyPlan};
-    use p2ps_proto::SessionPlan;
+    use p2ps_policy::{PolicyError, PolicyPlan, RandomBaseline};
 
     use RequesterAction::{Close, Record, Send, Wake};
 
@@ -808,8 +891,9 @@ mod tests {
         lanes
     }
 
-    /// Gives every segment to the first slot and none to the others.
-    struct FirstSlotOnly;
+    /// Gives the first slot every segment but the last `.0` and the
+    /// other slots none.
+    struct FirstSlotOnly(u64);
 
     impl SelectionPolicy for FirstSlotOnly {
         fn name(&self) -> &'static str {
@@ -817,7 +901,7 @@ mod tests {
         }
         fn plan(&self, ctx: &SessionContext) -> Result<PolicyPlan, PolicyError> {
             let mut slots = vec![Vec::new(); ctx.supplier_count()];
-            slots[0] = (0..ctx.total_segments()).collect();
+            slots[0] = (0..ctx.total_segments() - self.0).collect();
             PolicyPlan::explicit(ctx.total_segments(), slots)
         }
     }
@@ -863,7 +947,7 @@ mod tests {
             drain(&mut m),
             vec![Record(SessionEvent::AdmissionGrant { lane: 1 })]
         );
-        assert!(m.driver().is_none());
+        assert!(m.reassembly().is_none());
         grant(&mut m, 0);
         let handoff = drain(&mut m);
         assert_eq!(handoff[0], Record(SessionEvent::AdmissionGrant { lane: 0 }));
@@ -885,6 +969,7 @@ mod tests {
             segments: 1
         })));
         assert_eq!(m.theoretical_delay_ms(), 20, "Theorem 1: n·δt = 2 · 10 ms");
+        assert_eq!(m.stride_ms(), Some(20), "class-2 lanes pace at 2·δt");
         for (lane, index) in [(1, 0), (0, 1), (1, 2)] {
             assert_eq!(segment(&mut m, lane, index), Flow::Keep);
         }
@@ -898,9 +983,13 @@ mod tests {
             ]
         );
         assert!(matches!(m.outcome(), Some(Ok(()))));
-        let driver = m.into_outcome().unwrap().unwrap();
-        assert!(driver.machine().is_complete());
-        assert_eq!(driver.classes(), [class(2), class(2)]);
+        let (sm, classes) = m.into_outcome().unwrap().unwrap();
+        assert!(sm.is_complete());
+        assert_eq!(
+            classes,
+            [class(2), class(2)],
+            "planned classes, in slot order"
+        );
     }
 
     #[test]
@@ -958,36 +1047,59 @@ mod tests {
     fn granted_lanes_lost_before_the_hand_off_never_receive_a_share() {
         // Four class-3 grants make R0 together; two die after granting.
         // Each lane owes four segments, more than the two survivors can
-        // take without a third lane, had the replan counted one.
-        let mut m = machine(16, &[3, 3, 3, 3], SharedPolicy::default());
-        m.start(0);
-        for lane in [2, 3] {
-            grant(&mut m, lane);
-            m.on_lane_closed(lane, 0);
+        // take without a third lane, had the replan counted one. A random
+        // plan shares the file unevenly, and the dead lanes' shares still
+        // move whole.
+        let policies = [
+            (SharedPolicy::default(), Some(8)),
+            (SharedPolicy::new(RandomBaseline), None),
+        ];
+        for (policy, dead_share) in policies {
+            let mut m = machine(16, &[3, 3, 3, 3], policy);
+            m.start(0);
+            for lane in [2, 3] {
+                grant(&mut m, lane);
+                m.on_lane_closed(lane, 0);
+            }
+            drain(&mut m);
+            grant(&mut m, 0);
+            grant(&mut m, 1);
+            let handoff = drain(&mut m);
+            assert_eq!(
+                lanes_touched(&handoff),
+                vec![0, 1],
+                "both doomed lanes are dead before the first replan: {handoff:?}"
+            );
+            let mut shipped: Vec<u64> = handoff
+                .iter()
+                .filter_map(|a| match a {
+                    Send {
+                        msg: Message::StartSession { plan, .. },
+                        ..
+                    } => Some(plan.expanded()),
+                    _ => None,
+                })
+                .flatten()
+                .collect();
+            shipped.sort_unstable();
+            assert_eq!(shipped, (0..16).collect::<Vec<u64>>(), "each segment once");
+            let replanned: u64 = handoff
+                .iter()
+                .filter_map(|a| match a {
+                    Record(SessionEvent::Replanned { segments, .. }) => Some(*segments),
+                    _ => None,
+                })
+                .sum();
+            if let Some(dead_share) = dead_share {
+                assert_eq!(replanned, dead_share, "the dead lanes' whole shares move");
+            }
+            assert!(m.outcome().is_none());
         }
-        drain(&mut m);
-        grant(&mut m, 0);
-        grant(&mut m, 1);
-        let handoff = drain(&mut m);
-        assert_eq!(
-            lanes_touched(&handoff),
-            vec![0, 1],
-            "both doomed lanes are dead before the first replan: {handoff:?}"
-        );
-        let replanned: u64 = handoff
-            .iter()
-            .filter_map(|a| match a {
-                Record(SessionEvent::Replanned { segments, .. }) => Some(*segments),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(replanned, 8, "the dead lanes' whole shares move");
-        assert!(m.outcome().is_none());
     }
 
     #[test]
     fn a_grant_the_plan_leaves_unused_is_released() {
-        let mut m = machine(4, &[2, 2], SharedPolicy::new(FirstSlotOnly));
+        let mut m = machine(4, &[2, 2], SharedPolicy::new(FirstSlotOnly(0)));
         m.start(0);
         drain(&mut m);
         grant(&mut m, 0);
@@ -999,7 +1111,7 @@ mod tests {
         }));
         assert!(handoff.contains(&Close { lane: 1 }));
         assert!(!m.streams_on(1) && m.streams_on(0));
-        assert_eq!(m.driver().unwrap().classes(), [class(2)]);
+        assert_eq!(m.reassembly().unwrap().supplier_count(), 1);
     }
 
     #[test]
@@ -1027,7 +1139,7 @@ mod tests {
         m.start(0);
         grant(&mut m, 0);
         drain(&mut m);
-        assert!(m.driver().is_some());
+        assert!(m.reassembly().is_some());
         assert_eq!(grant(&mut m, 1), Flow::Keep);
         assert_eq!(
             drain(&mut m),
@@ -1099,11 +1211,69 @@ mod tests {
             m.outcome(),
             Some(Err(NodeError::SuppliersLost { missing: 3 }))
         ));
+        m.on_lane_closed(0, 0);
+        assert_eq!(drain(&mut m), vec![], "a lane settles once");
         assert_eq!(
             segment(&mut m, 0, 1),
             Flow::Close,
             "a settled session hears nothing"
         );
+    }
+
+    /// A lane lost mid-stream owes its undelivered share, which rides an
+    /// explicit `StartSession` to the survivor; the session completes.
+    #[test]
+    fn a_lost_lane_s_share_rides_an_explicit_plan_to_the_survivor() {
+        // OTSp2p over two class-2 lanes: lane 0 owes 1, 3, 5 and lane 1
+        // owes 0, 2, 4.
+        let mut m = machine(6, &[2, 2], SharedPolicy::default());
+        m.start(0);
+        grant(&mut m, 0);
+        grant(&mut m, 1);
+        segment(&mut m, 1, 0);
+        segment(&mut m, 0, 1);
+        drain(&mut m);
+        m.on_lane_closed(1, 0);
+        let Some(Send {
+            lane: 0,
+            msg: Message::StartSession { session: S, plan },
+        }) = drain(&mut m).into_iter().next()
+        else {
+            panic!("the survivor must take the share");
+        };
+        assert!(plan.is_explicit());
+        assert_eq!(plan.segments, vec![2, 4]);
+        // The survivor owes its own share and the replanned one.
+        for index in [3, 5, 2] {
+            assert_eq!(segment(&mut m, 0, index), Flow::Keep);
+        }
+        assert!(m.outcome().is_none());
+        segment(&mut m, 0, 4);
+        assert!(matches!(m.outcome(), Some(Ok(()))));
+    }
+
+    /// A supplier that ends cleanly short of the file, with nobody left
+    /// to deliver the rest, leaves the session incomplete, not given up.
+    #[test]
+    fn a_clean_end_short_of_the_file_is_an_incomplete_stream() {
+        // The plan never covers segment 3.
+        let mut m = machine(4, &[1], SharedPolicy::new(FirstSlotOnly(1)));
+        m.start(0);
+        grant(&mut m, 0);
+        for index in 0..3 {
+            segment(&mut m, 0, index);
+        }
+        drain(&mut m);
+        let end = m.on_message(0, Message::EndSession { session: S }, 0);
+        assert_eq!(end, Flow::Close);
+        assert_eq!(drain(&mut m), vec![], "nothing was lost to give up on");
+        assert!(matches!(
+            m.outcome(),
+            Some(Err(NodeError::IncompleteStream {
+                received: 3,
+                expected: 4
+            }))
+        ));
     }
 
     /// A candidate that never answers is refused when its wake-up comes,
@@ -1486,7 +1656,7 @@ mod tests {
                 }
             }
             if let Some(Ok(())) = m.outcome() {
-                assert!(m.driver().unwrap().machine().is_complete());
+                assert!(m.reassembly().unwrap().is_complete());
             }
         }
     }

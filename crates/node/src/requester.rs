@@ -455,8 +455,7 @@ impl ReqSessions {
         let theoretical_delay_ms = sess.machine.theoretical_delay_ms();
         let handoff_us = sess.machine.handoff_us();
         let result = match sess.machine.into_outcome() {
-            Some(Ok(driver)) => {
-                let (machine, supplier_classes) = driver.into_parts();
+            Some(Ok((machine, supplier_classes))) => {
                 let handoff_us = handoff_us.expect("completion implies a hand-off");
                 Ok(FinishedSession {
                     info,
@@ -483,8 +482,8 @@ impl ReqSessions {
 impl ReqSession {
     /// Re-publishes phase, received and owed on the session's probe.
     fn sync(&self) {
-        if let Some(driver) = self.machine.driver() {
-            self.probe.sync(driver.machine());
+        if let Some(sm) = self.machine.reassembly() {
+            self.probe.sync(sm);
         }
     }
 
@@ -499,18 +498,19 @@ impl ReqSession {
         ev: SessionEvent,
         stall_lag_ms: &mut Option<u64>,
     ) {
-        let Some(driver) = self.machine.driver() else {
+        let (Some(sm), Some(stride_ms)) = (self.machine.reassembly(), self.machine.stride_ms())
+        else {
             return;
         };
         let theoretical_us = self.machine.theoretical_delay_ms() * 1_000;
         match ev {
             SessionEvent::PlanSent { .. } => {
-                self.probe
-                    .launched(driver.machine(), driver.stride_ms(), theoretical_us);
+                self.probe.launched(sm, stride_ms, theoretical_us);
             }
             SessionEvent::SegmentArrived { index, .. } => {
-                if let Some(at_us) = driver.machine().arrival_us(index) {
-                    let term_us = startup_term_us(at_us, index, driver.dt_ms() * 1_000);
+                if let Some(at_us) = sm.arrival_us(index) {
+                    let dt_us = self.machine.info().segment_duration().as_millis() * 1_000;
+                    let term_us = startup_term_us(at_us, index, dt_us);
                     self.probe.arrived(term_us, theoretical_us);
                 }
             }

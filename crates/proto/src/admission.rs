@@ -54,6 +54,8 @@
 //! assert_eq!(drv.verdict(), &AdmissionVerdict::Admitted { granted: vec![0] });
 //! ```
 
+use std::collections::VecDeque;
+
 use p2ps_core::admission::greedy_take;
 use p2ps_core::{Bandwidth, PeerClass};
 
@@ -137,7 +139,7 @@ pub struct AdmissionDriver {
     /// `class.get()`), ties broken by lane index (stable sort) — the
     /// exact contact order of the sequential prober.
     order: Vec<usize>,
-    actions: Vec<AdmissionAction>,
+    actions: VecDeque<AdmissionAction>,
     verdict: AdmissionVerdict,
 }
 
@@ -160,7 +162,7 @@ impl AdmissionDriver {
                 })
                 .collect(),
             order,
-            actions: Vec::new(),
+            actions: VecDeque::new(),
             verdict: AdmissionVerdict::Pending,
         }
     }
@@ -169,7 +171,7 @@ impl AdmissionDriver {
     /// settles immediately when there are no candidates at all.
     pub fn start(&mut self) {
         for lane in 0..self.lanes.len() {
-            self.actions.push(AdmissionAction::Send {
+            self.actions.push_back(AdmissionAction::Send {
                 lane,
                 msg: Message::StreamRequest {
                     session: self.session,
@@ -232,11 +234,7 @@ impl AdmissionDriver {
 
     /// Next transport instruction, if any.
     pub fn pop_action(&mut self) -> Option<AdmissionAction> {
-        if self.actions.is_empty() {
-            None
-        } else {
-            Some(self.actions.remove(0))
-        }
+        self.actions.pop_front()
     }
 
     /// The round's current outcome. Once non-`Pending` it never changes;
@@ -310,7 +308,7 @@ impl AdmissionDriver {
             let reminders: Vec<usize> = chosen.into_iter().map(|j| busy_favored[j]).collect();
             for &i in &busy_favored {
                 if reminders.contains(&i) {
-                    self.actions.push(AdmissionAction::Send {
+                    self.actions.push_back(AdmissionAction::Send {
                         lane: i,
                         msg: Message::Reminder {
                             session: self.session,
@@ -339,7 +337,7 @@ impl AdmissionDriver {
     fn release_and_close(&mut self, lane: usize) {
         if !self.lanes[lane].released && !self.lanes[lane].closed {
             self.lanes[lane].released = true;
-            self.actions.push(AdmissionAction::Send {
+            self.actions.push_back(AdmissionAction::Send {
                 lane,
                 msg: Message::Release {
                     session: self.session,
@@ -352,7 +350,7 @@ impl AdmissionDriver {
     fn close_lane(&mut self, lane: usize) {
         if !self.lanes[lane].closed {
             self.lanes[lane].closed = true;
-            self.actions.push(AdmissionAction::Close { lane });
+            self.actions.push_back(AdmissionAction::Close { lane });
         }
     }
 }

@@ -8,9 +8,9 @@
 //!   the reactor hosts: its §4.2 round sends `StreamRequest` on every
 //!   lane and folds each supplier's `Grant`/`Deny` (with `Release`s and
 //!   `Reminder`s on rejection), its §3 plan opens every used grant with
-//!   `StartSession`, and its [`SessionDriver`](p2ps_node::SessionDriver)
-//!   reassembles, replans and rules on completion — fed through a
-//!   per-lane [`FrameDecoder`];
+//!   `StartSession`, and it reassembles into a
+//!   [`RequesterSession`](p2ps_proto::RequesterSession), replans and
+//!   rules on completion — fed through a per-lane [`FrameDecoder`];
 //! * each supplier side is a [`SupplierConn`] — the per-connection
 //!   machine the reactor hosts: handshake phases, the grant reservation,
 //!   reminder validation, §3 pacing with appended replan shares — fed
@@ -578,23 +578,13 @@ impl SimWorld {
             self.now = at;
             self.events += u64::from(self.dispatch(ev, bytes));
         }
-        let received = self
-            .req
-            .driver()
-            .map_or(0, |driver| driver.machine().received());
+        let sm = self.req.reassembly();
+        let received = sm.map_or(0, |sm| sm.received());
         let expected = self.file.info().segment_count();
-        let dt_us = self.schedule.dt_ms * 1_000;
-        let startup_us = self
-            .req
-            .driver()
-            .and_then(|driver| driver.machine().startup_us(dt_us));
-        let theorem_us = self
-            .req
-            .driver()
-            .map(|_| self.req.theoretical_delay_ms() * 1_000);
+        let startup_us = sm.and_then(|sm| sm.startup_us(self.schedule.dt_ms * 1_000));
+        let theorem_us = sm.map(|_| self.req.theoretical_delay_ms() * 1_000);
         let outcome = match self.req.into_outcome() {
-            Some(Ok(driver)) => {
-                let (sm, _classes) = driver.into_parts();
+            Some(Ok((sm, _classes))) => {
                 let byte_exact = sm
                     .into_segments()
                     .into_iter()

@@ -4,7 +4,7 @@
 //!
 //! The seed sweep proves a run equals *itself* when repeated; this table
 //! proves it equals what it was at the last commit. A simnet run drives
-//! the real codec, admission fold, `SessionDriver`, `SupplierSchedule`,
+//! the real codec, admission fold, `RequesterMachine`, `SupplierSchedule`,
 //! selection policy and the synthesized payload bytes, so any silent
 //! change of behaviour in one of them moves a digest here. Moving one on
 //! purpose is a reviewed decision: the failure message prints the rows to
