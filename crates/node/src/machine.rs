@@ -583,6 +583,9 @@ impl RequesterMachine {
         let dt_ms = self.info.segment_duration().as_millis();
         let mut sm = RequesterSession::new(self.info.segment_count());
         let mut dead = Vec::new();
+        // A plan handed over without a round starts the machine too, so
+        // a lane lost from here on is settled like any other.
+        self.started = true;
         self.stride_ms = dt_ms;
         for (slot, (lane, plan)) in plans.into_iter().enumerate() {
             sm.add_supplier(plan.expanded());
