@@ -9,11 +9,9 @@
 //! blocks used by the simulator and the experiment harness to collect and
 //! render those results:
 //!
-//! * [`OnlineStats`] — streaming mean/variance/min/max (Welford).
 //! * [`TimeSeries`] — `(t, value)` samples with resampling helpers.
 //! * [`StepSeries`] — piecewise-constant series sampled on demand.
 //! * [`WindowedAverage`] — fixed-width window averages (paper Fig. 7).
-//! * [`Histogram`] — linear-bucket histogram with percentile queries.
 //! * [`Reservoir`] — uniform reservoir sample with exact quantiles.
 //! * [`Table`] — aligned text tables (paper Table 1).
 //! * [`eng`] — fixed-width engineering notation for large counts.
@@ -25,18 +23,18 @@
 //! # Examples
 //!
 //! ```
-//! use p2ps_metrics::{OnlineStats, TimeSeries};
-//!
-//! let mut stats = OnlineStats::new();
-//! for x in [1.0, 2.0, 3.0] {
-//!     stats.record(x);
-//! }
-//! assert_eq!(stats.mean(), 2.0);
+//! use p2ps_metrics::{Reservoir, TimeSeries};
 //!
 //! let mut series = TimeSeries::new("capacity");
 //! series.push(0.0, 100.0);
 //! series.push(1.0, 150.0);
 //! assert_eq!(series.len(), 2);
+//!
+//! let mut delays = Reservoir::new(64, 7);
+//! for x in [3.0, 1.0, 2.0] {
+//!     delays.record(x);
+//! }
+//! assert_eq!(delays.quantile(0.5), Some(2.0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,21 +42,17 @@
 
 mod csv;
 mod format;
-mod histogram;
 mod plot;
 pub mod prometheus;
 mod reservoir;
-mod stats;
 mod table;
 mod timeseries;
 mod window;
 
 pub use csv::CsvWriter;
 pub use format::eng;
-pub use histogram::Histogram;
 pub use plot::AsciiPlot;
 pub use reservoir::Reservoir;
-pub use stats::OnlineStats;
 pub use table::Table;
 pub use timeseries::{StepSeries, TimeSeries};
 pub use window::WindowedAverage;

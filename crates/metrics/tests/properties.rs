@@ -2,62 +2,9 @@
 
 use proptest::prelude::*;
 
-use p2ps_metrics::{Histogram, OnlineStats, StepSeries, TimeSeries, WindowedAverage};
+use p2ps_metrics::{StepSeries, TimeSeries, WindowedAverage};
 
 proptest! {
-    /// OnlineStats matches naive two-pass computations.
-    #[test]
-    fn online_stats_match_naive(xs in prop::collection::vec(-1e6f64..1e6, 1..200)) {
-        let stats: OnlineStats = xs.iter().copied().collect();
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        prop_assert_eq!(stats.count(), xs.len() as u64);
-        prop_assert!((stats.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((stats.population_variance() - var).abs() < 1e-3 * (1.0 + var));
-        prop_assert_eq!(stats.min().unwrap(), xs.iter().copied().fold(f64::INFINITY, f64::min));
-        prop_assert_eq!(stats.max().unwrap(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-    }
-
-    /// Merging any split of the samples equals processing them in one go.
-    #[test]
-    fn online_stats_merge_associative(
-        xs in prop::collection::vec(-1e3f64..1e3, 0..100),
-        split in any::<prop::sample::Index>(),
-    ) {
-        let cut = if xs.is_empty() { 0 } else { split.index(xs.len()) };
-        let mut left: OnlineStats = xs[..cut].iter().copied().collect();
-        let right: OnlineStats = xs[cut..].iter().copied().collect();
-        left.merge(&right);
-        let whole: OnlineStats = xs.iter().copied().collect();
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-9 * (1.0 + whole.mean().abs()));
-    }
-
-    /// Histogram conserves its sample count across buckets.
-    #[test]
-    fn histogram_conserves_count(xs in prop::collection::vec(-50f64..150.0, 0..300)) {
-        let mut h = Histogram::new(0.0, 100.0, 20);
-        for &x in &xs {
-            h.record(x);
-        }
-        let bucketed: u64 = h.iter().map(|(_, c)| c).sum();
-        prop_assert_eq!(bucketed + h.underflow() + h.overflow(), xs.len() as u64);
-        prop_assert_eq!(h.count(), xs.len() as u64);
-    }
-
-    /// Histogram quantiles are monotone in q.
-    #[test]
-    fn histogram_quantiles_monotone(xs in prop::collection::vec(0f64..100.0, 1..200)) {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for &x in &xs {
-            h.record(x);
-        }
-        let qs = [0.0, 0.25, 0.5, 0.75, 1.0];
-        let values: Vec<f64> = qs.iter().map(|&q| h.quantile(q).unwrap()).collect();
-        prop_assert!(values.windows(2).all(|w| w[0] <= w[1]), "{values:?}");
-    }
-
     /// TimeSeries step lookup matches a naive linear scan.
     #[test]
     fn value_at_matches_linear_scan(

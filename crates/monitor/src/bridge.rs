@@ -1,7 +1,7 @@
-//! The monitor → timeseries bridge: a sampler thread that periodically
-//! snapshots the introspection tree into `p2ps_metrics::TimeSeries`
-//! windows, so a live node answers "what happened over the last five
-//! minutes" and not just "what is true right now".
+//! The monitor → timeseries bridge: the window of
+//! `p2ps_metrics::TimeSeries` that the [`StatusServer`] thread fills from
+//! the introspection tree, so a live node answers "what happened over the
+//! last five minutes" and not just "what is true right now".
 //!
 //! Every sample walks the tree once, renders it through the same
 //! Prometheus naming as `/metrics` (one series per family + label set,
@@ -9,71 +9,40 @@
 //! monotone timestamp, and trims each series to the retention window.
 //! Scopes that vanish from the tree (a finished session) simply stop
 //! receiving samples; their series age out of the window and are
-//! dropped. The store is shared with the [`StatusServer`] via a
-//! [`BridgeHandle`], which renders it as CSV for the `/timeseries`
-//! route.
+//! dropped. The `/timeseries` route renders the window as CSV.
 //!
 //! [`StatusServer`]: crate::StatusServer
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
+use std::fmt::Write;
 
 use p2ps_metrics::TimeSeries;
-use parking_lot::Mutex;
 
-use crate::{monotonic_ms, Monitor};
+use crate::Monitor;
 
-/// Sampler cadence and retention for a [`TimeseriesBridge`].
-#[derive(Debug, Clone, Copy)]
-pub struct BridgeConfig {
-    /// Milliseconds between samples (default 1 s).
-    pub interval_ms: u64,
-    /// Sliding retention window per series in milliseconds (default
-    /// 5 min). Samples older than this are trimmed on every pass.
-    pub retention_ms: u64,
+/// The retained series, keyed by exposition sample key. Owned by the
+/// status thread, which both samples into it and serves it.
+#[derive(Debug, Default)]
+pub(crate) struct SeriesWindow {
+    store: BTreeMap<String, TimeSeries>,
 }
 
-impl Default for BridgeConfig {
-    fn default() -> Self {
-        BridgeConfig {
-            interval_ms: 1_000,
-            retention_ms: 300_000,
-        }
-    }
-}
-
-/// Shared view of the bridge's series store; cheap to clone, readable
-/// while the sampler runs.
-#[derive(Debug, Clone, Default)]
-pub struct BridgeHandle {
-    store: Arc<Mutex<BTreeMap<String, TimeSeries>>>,
-}
-
-impl BridgeHandle {
-    /// A handle with an empty store and no sampler attached — sample it
-    /// explicitly with [`BridgeHandle::sample`] (tests, deterministic
-    /// harnesses).
-    pub fn new() -> BridgeHandle {
-        BridgeHandle::default()
-    }
-
+impl SeriesWindow {
     /// Takes one sample of `monitor` at time `at_ms`: every Prometheus
     /// sample in the tree (family + label set, exactly as `/metrics`
     /// renders it) is appended to its series, then each series is
     /// trimmed to `[at_ms - retention_ms, at_ms]` and empty series are
-    /// dropped.
-    ///
-    /// Timestamps must not go backwards across calls — the sampler
-    /// thread owns one monotone clock; external callers must do the
-    /// same.
-    pub fn sample(&self, monitor: &Monitor, prefix: &str, at_ms: u64, retention_ms: u64) {
+    /// dropped. Timestamps must not go backwards across calls.
+    pub(crate) fn sample(
+        &mut self,
+        monitor: &Monitor,
+        prefix: &str,
+        at_ms: u64,
+        retention_ms: u64,
+    ) {
         let text = monitor.snapshot().to_prometheus(prefix);
         let t = at_ms as f64;
         let cutoff = t - retention_ms as f64;
-        let mut store = self.store.lock();
         for line in text.lines() {
             if line.starts_with('#') || line.is_empty() {
                 continue;
@@ -84,107 +53,28 @@ impl BridgeHandle {
             let Ok(v) = value.parse::<f64>() else {
                 continue;
             };
-            store
+            self.store
                 .entry(key.to_string())
                 .or_insert_with(|| TimeSeries::new(key))
                 .push(t, v);
         }
-        store.retain(|_, series| {
+        self.store.retain(|_, series| {
             series.trim_before(cutoff);
             !series.is_empty()
         });
     }
 
-    /// Names of every retained series, in sorted order.
-    pub fn series_names(&self) -> Vec<String> {
-        self.store.lock().keys().cloned().collect()
-    }
-
-    /// A point-in-time copy of one series, if retained.
-    pub fn series(&self, name: &str) -> Option<TimeSeries> {
-        self.store.lock().get(name).cloned()
-    }
-
-    /// Renders the whole store as CSV: `series,time_ms,value`, one row
+    /// Renders the whole window as CSV: `series,time_ms,value`, one row
     /// per sample, series in sorted order, times ascending within each.
     /// This is the `/timeseries` HTTP body.
-    pub fn to_csv(&self) -> String {
-        let store = self.store.lock();
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::from("series,time_ms,value\n");
-        for (name, series) in store.iter() {
+        for (name, series) in &self.store {
             for (t, v) in series.iter() {
-                out.push_str(&format!("{name},{t},{v}\n"));
+                let _ = writeln!(out, "{name},{t},{v}");
             }
         }
         out
-    }
-}
-
-/// Owns the sampler thread bridging a [`Monitor`] tree into bounded
-/// [`TimeSeries`] windows. Dropping the bridge (or calling
-/// [`TimeseriesBridge::shutdown`]) stops the thread; the handle and its
-/// collected series outlive it.
-#[derive(Debug)]
-pub struct TimeseriesBridge {
-    handle: BridgeHandle,
-    stop: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<()>>,
-}
-
-impl TimeseriesBridge {
-    /// Starts sampling `monitor` (prefix as in
-    /// [`Snapshot::to_prometheus`](crate::Snapshot::to_prometheus))
-    /// every `cfg.interval_ms` on a background thread.
-    pub fn start(monitor: Monitor, prefix: &str, cfg: BridgeConfig) -> TimeseriesBridge {
-        let handle = BridgeHandle::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let handle = handle.clone();
-            let stop = stop.clone();
-            let prefix = prefix.to_string();
-            thread::Builder::new()
-                .name("p2ps-ts-bridge".to_string())
-                .spawn(move || {
-                    let interval = cfg.interval_ms.max(1);
-                    while !stop.load(Ordering::Relaxed) {
-                        handle.sample(&monitor, &prefix, monotonic_ms(), cfg.retention_ms);
-                        // Chunked sleep so shutdown stays prompt at
-                        // multi-second intervals.
-                        let mut slept = 0;
-                        while slept < interval && !stop.load(Ordering::Relaxed) {
-                            let step = (interval - slept).min(25);
-                            thread::sleep(Duration::from_millis(step));
-                            slept += step;
-                        }
-                    }
-                })
-                .expect("spawning the bridge sampler thread")
-        };
-        TimeseriesBridge {
-            handle,
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// The shared series store (give this to a
-    /// [`StatusServer`](crate::StatusServer) to expose `/timeseries`).
-    pub fn handle(&self) -> BridgeHandle {
-        self.handle.clone()
-    }
-
-    /// Stops the sampler thread and waits for it to exit. Idempotent.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TimeseriesBridge {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -192,85 +82,58 @@ impl Drop for TimeseriesBridge {
 mod tests {
     use super::*;
 
+    fn points(window: &SeriesWindow, name: &str) -> Option<Vec<(f64, f64)>> {
+        window.store.get(name).map(|s| s.iter().collect())
+    }
+
     #[test]
     fn samples_accumulate_and_age_out() {
         let root = Monitor::root();
         let gauge = root.child("reactor", 0).gauge("depth", "queued bytes");
-        let handle = BridgeHandle::new();
+        let mut window = SeriesWindow::default();
 
         gauge.set(10);
-        handle.sample(&root, "p2ps", 1_000, 5_000);
+        window.sample(&root, "p2ps", 1_000, 5_000);
         gauge.set(20);
-        handle.sample(&root, "p2ps", 2_000, 5_000);
+        window.sample(&root, "p2ps", 2_000, 5_000);
 
-        let series = handle.series("p2ps_reactor_depth{reactor=\"0\"}").unwrap();
+        let depth = "p2ps_reactor_depth{reactor=\"0\"}";
         assert_eq!(
-            series.iter().collect::<Vec<_>>(),
+            points(&window, depth).unwrap(),
             vec![(1_000.0, 10.0), (2_000.0, 20.0)]
         );
 
         // A sample far in the future trims the old window away.
         gauge.set(30);
-        handle.sample(&root, "p2ps", 10_000, 5_000);
-        let series = handle.series("p2ps_reactor_depth{reactor=\"0\"}").unwrap();
-        assert_eq!(series.iter().collect::<Vec<_>>(), vec![(10_000.0, 30.0)]);
+        window.sample(&root, "p2ps", 10_000, 5_000);
+        assert_eq!(points(&window, depth).unwrap(), vec![(10_000.0, 30.0)]);
     }
 
     #[test]
     fn vanished_scopes_age_out_of_the_store() {
         let root = Monitor::root();
-        let handle = BridgeHandle::new();
+        let mut window = SeriesWindow::default();
+        let has_session = |w: &SeriesWindow| w.store.keys().any(|n| n.contains("session=\"9\""));
         {
             let session = root.child("reactor", 0).child("session", 9);
             let owed = session.gauge("owed", "segments owed");
             owed.set(4);
-            handle.sample(&root, "p2ps", 0, 1_000);
+            window.sample(&root, "p2ps", 0, 1_000);
         }
-        assert!(handle
-            .series_names()
-            .iter()
-            .any(|n| n.contains("session=\"9\"")));
+        assert!(has_session(&window));
         // The scope is gone; after the window passes, so is the series.
-        handle.sample(&root, "p2ps", 5_000, 1_000);
-        assert!(!handle
-            .series_names()
-            .iter()
-            .any(|n| n.contains("session=\"9\"")));
+        window.sample(&root, "p2ps", 5_000, 1_000);
+        assert!(!has_session(&window));
     }
 
     #[test]
     fn csv_rows_carry_series_time_value() {
         let root = Monitor::root();
         root.counter("ticks_total", "ticks").add(3);
-        let handle = BridgeHandle::new();
-        handle.sample(&root, "p2ps", 250, 60_000);
-        let csv = handle.to_csv();
+        let mut window = SeriesWindow::default();
+        window.sample(&root, "p2ps", 250, 60_000);
+        let csv = window.to_csv();
         assert!(csv.starts_with("series,time_ms,value\n"), "{csv}");
         assert!(csv.contains("p2ps_ticks_total,250,3\n"), "{csv}");
-    }
-
-    #[test]
-    fn sampler_thread_collects_and_stops() {
-        let root = Monitor::root();
-        let gauge = root.child("reactor", 1).gauge("depth", "queued");
-        gauge.set(7);
-        let mut bridge = TimeseriesBridge::start(
-            root.clone(),
-            "p2ps",
-            BridgeConfig {
-                interval_ms: 5,
-                retention_ms: 60_000,
-            },
-        );
-        let handle = bridge.handle();
-        for _ in 0..200 {
-            if handle.series("p2ps_reactor_depth{reactor=\"1\"}").is_some() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
-        bridge.shutdown();
-        let series = handle.series("p2ps_reactor_depth{reactor=\"1\"}").unwrap();
-        assert!(series.last().unwrap().1 == 7.0);
     }
 }

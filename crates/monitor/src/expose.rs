@@ -1,36 +1,53 @@
-//! Loopback HTTP endpoint serving the Prometheus text exposition, the
-//! timeseries bridge's CSV window, and per-session flight-recorder
-//! timelines — plus a tiny client used by `p2psd status` and tests.
+//! Loopback HTTP endpoint serving the Prometheus text exposition, a
+//! sampled timeseries window, and per-session flight-recorder timelines
+//! — plus a tiny client used by `p2psd status` and tests.
 //!
 //! The server is deliberately minimal: one thread, a nonblocking accept
-//! loop, one snapshot rendered per request, `Connection: close`. Three
-//! resources exist:
+//! loop, one snapshot rendered per request, `Connection: close`. The
+//! same thread samples the tree into its timeseries window once a
+//! second (the first sample before the first accept) and keeps five
+//! minutes of it. Three resources exist:
 //!
 //! * `GET /metrics` (also `/`) — the Prometheus text exposition.
-//! * `GET /timeseries` — the [`BridgeHandle`]'s retained window as CSV
-//!   (`series,time_ms,value`); 404 unless a bridge is attached.
+//! * `GET /timeseries` — the retained window as CSV
+//!   (`series,time_ms,value`).
 //! * `GET /trace/<session>` — the session's flight-recorder ring as
 //!   one `at_ms code a b` line per event; 404 when the session (or its
 //!   `events` ring) is not in the tree.
 //!
-//! It binds loopback only; metric exposure to a wider network is a
-//! deployment decision this crate does not make.
+//! Each connection gets 500 ms from accept to deliver its request head
+//! and 500 ms to take the response, so no client holds the thread (and
+//! with it the sampling) for longer. It binds loopback only; metric
+//! exposure to a wider network is a deployment decision this crate does
+//! not make.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::bridge::BridgeHandle;
-use crate::Monitor;
+use crate::bridge::SeriesWindow;
+use crate::{monotonic_ms, Monitor};
 
-/// Serves `Monitor` snapshots (and optionally a timeseries window and
-/// flight-recorder traces) over loopback HTTP.
+/// Milliseconds between two samples of the timeseries window.
+const SAMPLE_EVERY_MS: u64 = 1_000;
+/// How far back the timeseries window reaches.
+const RETENTION_MS: u64 = 300_000;
+/// How long the accept loop sleeps when no client is waiting.
+const IDLE_SLEEP: Duration = Duration::from_millis(25);
+/// Time from accept by which a client must have sent its request head.
+const HEAD_DEADLINE: Duration = Duration::from_millis(500);
+/// Time from the start of the response by which a client must have
+/// taken all of it.
+const WRITE_DEADLINE: Duration = Duration::from_millis(500);
+
+/// Serves `Monitor` snapshots, their sampled timeseries window and
+/// flight-recorder traces over loopback HTTP, from one thread.
 ///
 /// Dropping the server (or calling [`StatusServer::shutdown`]) stops
-/// the accept thread.
+/// the thread.
 #[derive(Debug)]
 pub struct StatusServer {
     addr: SocketAddr,
@@ -41,29 +58,8 @@ pub struct StatusServer {
 impl StatusServer {
     /// Binds `127.0.0.1:port` (`0` picks an ephemeral port — read it
     /// back with [`StatusServer::addr`]) and starts serving snapshots
-    /// of `monitor` with metric families prefixed `{prefix}_`. Without
-    /// a bridge, `/timeseries` answers 404.
+    /// of `monitor` with metric families prefixed `{prefix}_`.
     pub fn start(port: u16, monitor: Monitor, prefix: &str) -> io::Result<StatusServer> {
-        Self::spawn(port, monitor, prefix, None)
-    }
-
-    /// Like [`StatusServer::start`], additionally serving `bridge`'s
-    /// retained series window on `/timeseries`.
-    pub fn start_with_bridge(
-        port: u16,
-        monitor: Monitor,
-        prefix: &str,
-        bridge: BridgeHandle,
-    ) -> io::Result<StatusServer> {
-        Self::spawn(port, monitor, prefix, Some(bridge))
-    }
-
-    fn spawn(
-        port: u16,
-        monitor: Monitor,
-        prefix: &str,
-        bridge: Option<BridgeHandle>,
-    ) -> io::Result<StatusServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -73,15 +69,19 @@ impl StatusServer {
         let thread = thread::Builder::new()
             .name("p2ps-status".to_string())
             .spawn(move || {
+                let mut window = SeriesWindow::default();
+                let mut next_sample_ms = 0;
                 while !stop_flag.load(Ordering::Relaxed) {
+                    let now_ms = monotonic_ms();
+                    if now_ms >= next_sample_ms {
+                        window.sample(&monitor, &prefix, now_ms, RETENTION_MS);
+                        next_sample_ms = now_ms + SAMPLE_EVERY_MS;
+                    }
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            let _ = serve_one(stream, &monitor, &prefix, bridge.as_ref());
+                            let _ = serve_one(stream, &monitor, &prefix, &window);
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => thread::sleep(Duration::from_millis(25)),
+                        Err(_) => thread::sleep(IDLE_SLEEP),
                     }
                 }
             })
@@ -98,7 +98,7 @@ impl StatusServer {
         self.addr
     }
 
-    /// Stops the accept thread and waits for it to exit. Idempotent.
+    /// Stops the thread and waits for it to exit. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.thread.take() {
@@ -138,12 +138,17 @@ fn serve_one(
     mut stream: TcpStream,
     monitor: &Monitor,
     prefix: &str,
-    bridge: Option<&BridgeHandle>,
+    window: &SeriesWindow,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+    let head_by = Instant::now() + HEAD_DEADLINE;
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
     loop {
+        let left = head_by.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
@@ -167,10 +172,7 @@ fn serve_one(
             "text/plain; version=0.0.4; charset=utf-8",
             &monitor.snapshot().to_prometheus(prefix),
         ),
-        "/timeseries" => match bridge {
-            Some(handle) => ok_response("text/csv; charset=utf-8", &handle.to_csv()),
-            None => not_found("no timeseries bridge attached\n"),
-        },
+        "/timeseries" => ok_response("text/csv; charset=utf-8", &window.to_csv()),
         p => match p.strip_prefix("/trace/") {
             Some(session) => match render_trace(monitor, session) {
                 Some(body) => ok_response("text/plain; charset=utf-8", &body),
@@ -179,7 +181,22 @@ fn serve_one(
             None => not_found("unknown path\n"),
         },
     };
-    stream.write_all(response.as_bytes())
+    let write_by = Instant::now() + WRITE_DEADLINE;
+    let mut rest = response.as_bytes();
+    while !rest.is_empty() {
+        let left = write_by.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn ok_response(content_type: &str, body: &str) -> String {
@@ -239,7 +256,6 @@ pub fn fetch_status(addr: &str) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bridge::BridgeHandle;
 
     #[test]
     fn serves_snapshot_over_http() {
@@ -266,24 +282,95 @@ mod tests {
         assert!(fetch_status(&addr).is_err(), "endpoint gone after shutdown");
     }
 
+    /// The rows of `series` in a `/timeseries` CSV body, as `(t, value)`.
+    fn rows<'a>(csv: &'a str, series: &str) -> Vec<(&'a str, &'a str)> {
+        csv.lines()
+            .filter_map(|l| l.strip_prefix(series)?.strip_prefix(','))
+            .filter_map(|rest| rest.split_once(','))
+            .collect()
+    }
+
     #[test]
     fn timeseries_route_serves_the_bridge_window() {
         let root = Monitor::root();
         root.counter("ticks_total", "ticks").add(2);
-        let handle = BridgeHandle::new();
-        handle.sample(&root, "p2ps", 100, 60_000);
-        let server =
-            StatusServer::start_with_bridge(0, root.clone(), "p2ps", handle.clone()).unwrap();
+        let server = StatusServer::start(0, root.clone(), "p2ps").unwrap();
         let addr = server.addr().to_string();
 
-        let csv = fetch_path(&addr, "/timeseries").unwrap();
+        // The first sample is taken before the first accept.
+        let mut csv = fetch_path(&addr, "/timeseries").unwrap();
         assert!(csv.starts_with("series,time_ms,value\n"), "{csv}");
-        assert!(csv.contains("p2ps_ticks_total,100,2\n"), "{csv}");
+        let first = rows(&csv, "p2ps_ticks_total");
+        assert_eq!(first.first().map(|r| r.1), Some("2"), "{csv}");
 
-        // Without a bridge the route answers 404.
-        let bare = StatusServer::start(0, root, "p2ps").unwrap();
-        let err = fetch_path(&bare.addr().to_string(), "/timeseries").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        // Then one sample a second: a second row within 1.5 s.
+        let until = Instant::now() + Duration::from_millis(1_500);
+        while rows(&csv, "p2ps_ticks_total").len() < 2 && Instant::now() < until {
+            thread::sleep(Duration::from_millis(50));
+            csv = fetch_path(&addr, "/timeseries").unwrap();
+        }
+        let rows = rows(&csv, "p2ps_ticks_total");
+        assert!(rows.len() >= 2, "no second sample within 1.5 s: {csv}");
+        assert!(rows[0].0.parse::<u64>().unwrap() < rows[1].0.parse::<u64>().unwrap());
+    }
+
+    /// A second client's `/timeseries` answers within 2 s, whatever the
+    /// client before it does.
+    fn answers_within_2s(addr: &str) {
+        let asked = Instant::now();
+        let csv = fetch_path(addr, "/timeseries").unwrap();
+        let took = asked.elapsed();
+        assert!(csv.starts_with("series,time_ms,value\n"));
+        assert!(
+            took < Duration::from_secs(2),
+            "second client waited {took:?}"
+        );
+    }
+
+    #[test]
+    fn a_dribbling_request_head_cannot_hold_the_thread() {
+        let root = Monitor::root();
+        let server = StatusServer::start(0, root, "p2ps").unwrap();
+        let addr = server.addr().to_string();
+
+        let mut hog = TcpStream::connect(&addr).unwrap();
+        let dribbler = thread::spawn(move || {
+            // One byte of a request head every 400 ms, never its end,
+            // until the server hangs up.
+            for &b in b"GET /metrics HTTP/1.1\r\nX-Slow: aaaaaaaaaaaaaaaaaaaa" {
+                if hog.write_all(&[b]).is_err() {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(400));
+            }
+        });
+        thread::sleep(Duration::from_millis(100));
+        answers_within_2s(&addr);
+        dribbler.join().unwrap();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_hold_the_thread() {
+        // 10k gauges, each its own family with a 500-byte help line: a
+        // ~6 MB exposition, more than the loopback socket buffers take
+        // while the client never reads.
+        let root = Monitor::root();
+        let help = "pads the exposition ".repeat(25);
+        let scopes: Vec<_> = (0..100).map(|i| root.child(&format!("f{i}"), 0)).collect();
+        for scope in &scopes {
+            for j in 0..100 {
+                scope.gauge(&format!("g{j}"), &help);
+            }
+        }
+        let server = StatusServer::start(0, root, "p2ps").unwrap();
+        let addr = server.addr().to_string();
+        // Once this answers, the first sample of the big tree is taken.
+        fetch_path(&addr, "/timeseries").unwrap();
+
+        let mut hog = TcpStream::connect(&addr).unwrap();
+        hog.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        thread::sleep(Duration::from_millis(100));
+        answers_within_2s(&addr);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!   (`p2psd status`). [`StatusServer`] serves the exposition over a
 //!   loopback HTTP endpoint. A [`Recorder`] is the same idea for
 //!   *timelines*: a lock-free flight-recorder ring of structured events
-//!   per session, dumpable as `/trace/<session>`. The
-//!   [`TimeseriesBridge`] samples the tree on a cadence into bounded
+//!   per session, dumpable as `/trace/<session>`. The same server
+//!   thread samples the tree once a second into bounded
 //!   `p2ps_metrics::TimeSeries` windows served as `/timeseries` CSV.
 //!
 //! The shape follows ouisync's `state_monitor`/`deadlock` packages
@@ -65,7 +65,6 @@ mod expose;
 mod recorder;
 mod tree;
 
-pub use bridge::{BridgeConfig, BridgeHandle, TimeseriesBridge};
 pub use expose::{fetch_path, fetch_status, StatusServer};
 pub use recorder::{RawEvent, Recorder, DEFAULT_EVENT_CAPACITY};
 pub use tree::{

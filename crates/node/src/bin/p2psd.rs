@@ -27,9 +27,7 @@ use p2ps_core::assignment::SegmentDuration;
 use p2ps_core::{PeerClass, PeerId};
 use p2ps_media::MediaInfo;
 use p2ps_metrics::Table;
-use p2ps_monitor::{
-    fetch_path, fetch_status, BridgeConfig, Monitor, StatusServer, TimeseriesBridge,
-};
+use p2ps_monitor::{fetch_path, fetch_status, Monitor, StatusServer};
 use p2ps_node::{Args, Clock, DirectoryServer, NodeConfig, PeerNode};
 use p2ps_proto::SessionEvent;
 
@@ -126,21 +124,20 @@ fn node_config(args: &Args) -> Result<NodeConfig, Box<dyn std::error::Error>> {
 }
 
 /// Starts the status endpoint when `--status-port` was given and prints
-/// where it landed (scripts and tests parse this line). The endpoint
-/// carries a timeseries bridge: a sampler thread snapshots the monitor
-/// tree once a second so `/timeseries` can serve recent history as CSV.
+/// where it landed (scripts and tests parse this line). The endpoint's
+/// one thread also samples the monitor tree once a second, so
+/// `/timeseries` can serve recent history as CSV.
 fn maybe_status_server(
     args: &Args,
     monitor: &Monitor,
-) -> Result<Option<(StatusServer, TimeseriesBridge)>, Box<dyn std::error::Error>> {
+) -> Result<Option<StatusServer>, Box<dyn std::error::Error>> {
     if args.get("status-port").is_none() {
         return Ok(None);
     }
     let port: u16 = args.get_or("status-port", 0)?;
-    let bridge = TimeseriesBridge::start(monitor.clone(), "p2ps", BridgeConfig::default());
-    let server = StatusServer::start_with_bridge(port, monitor.clone(), "p2ps", bridge.handle())?;
+    let server = StatusServer::start(port, monitor.clone(), "p2ps")?;
     println!("status endpoint on http://{}/metrics", server.addr());
-    Ok(Some((server, bridge)))
+    Ok(Some(server))
 }
 
 /// Renders a `/trace/<session>` dump — `at_ms code a b` per line — as a

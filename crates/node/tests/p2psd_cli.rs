@@ -248,10 +248,46 @@ fn status_subcommand_renders_a_live_directory() {
     }
 }
 
+/// Names of the threads of process `pid`, sorted, as the kernel lists
+/// them.
+fn thread_names(pid: u32) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(format!("/proc/{pid}/task"))
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_directory_with_a_status_endpoint_runs_three_threads() {
+    let child = p2psd()
+        .args(["directory", "--status-port", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut child = Reaper(child);
+    let mut stdout = child.0.stdout.take().unwrap();
+    wait_for_line(&mut stdout, |l| l.contains("status endpoint on"));
+
+    // The main thread, the directory's reactor, and the status thread
+    // that also samples `/timeseries`: nothing else.
+    let want = ["p2ps-reactor-0", "p2ps-status", "p2psd"];
+    let until = std::time::Instant::now() + Duration::from_secs(1);
+    let mut names = thread_names(child.0.id());
+    while names != want && std::time::Instant::now() < until {
+        std::thread::sleep(Duration::from_millis(10));
+        names = thread_names(child.0.id());
+    }
+    assert_eq!(names, want);
+}
+
 #[test]
 fn status_endpoint_serves_timeseries_and_answers_unknown_traces() {
-    // A directory with a status endpoint: its bridge samples the tree
-    // once a second, but the /timeseries route must answer (with at
+    // A directory with a status endpoint: its status thread samples the
+    // tree once a second, but the /timeseries route must answer (with at
     // least the CSV header) immediately.
     let child = p2psd()
         .args(["directory", "--status-port", "0"])

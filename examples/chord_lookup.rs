@@ -11,7 +11,6 @@
 use p2ps::core::{PeerClass, PeerId};
 use p2ps::lookup::chord::{ChordId, ChordRing};
 use p2ps::lookup::Rendezvous;
-use p2ps::metrics::{Histogram, OnlineStats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -44,29 +43,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {} ({})", c.id, c.class);
     }
 
-    // Measure routing cost from many start nodes to many keys.
-    let mut stats = OnlineStats::new();
-    let mut hops_hist = Histogram::new(0.0, 16.0, 16);
+    // Measure routing cost from many start nodes to many keys: a count
+    // of lookups per hop count.
+    let mut by_hops: Vec<u64> = Vec::new();
     let starts: Vec<ChordId> = ring.node_ids().step_by(37).collect();
     for probe in 0..256u64 {
         let key = ChordId::of_item(&format!("probe-{probe}"));
         for &start in &starts {
-            let result = ring.lookup_from(start, key);
-            stats.record(result.hops as f64);
-            hops_hist.record(result.hops as f64);
+            let hops = ring.lookup_from(start, key).hops as usize;
+            if hops >= by_hops.len() {
+                by_hops.resize(hops + 1, 0);
+            }
+            by_hops[hops] += 1;
         }
     }
+    let lookups: u64 = by_hops.iter().sum();
+    let total_hops: u64 = by_hops.iter().zip(0u64..).map(|(&n, h)| n * h).sum();
+    let max_hops = by_hops.len().saturating_sub(1);
     println!(
-        "\nlookup hops over {} routed lookups: mean {:.2}, max {:.0} (log2({n_nodes}) = {:.0})",
-        stats.count(),
-        stats.mean(),
-        stats.max().unwrap_or(0.0),
+        "\nlookup hops over {lookups} routed lookups: mean {:.2}, max {max_hops} (log2({n_nodes}) = {:.0})",
+        total_hops as f64 / lookups as f64,
         (n_nodes as f64).log2()
     );
     println!("hop distribution:");
-    for (lo, count) in hops_hist.iter() {
+    for (hops, &count) in by_hops.iter().enumerate() {
         if count > 0 {
-            println!("  {lo:>4.0} hops: {count}");
+            println!("  {hops:>4} hops: {count}");
         }
     }
 
